@@ -22,30 +22,22 @@ import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Any, Callable
 
-from . import consensus, transforms, verify
-from .detectors import (
-    ALL_KINDS,
-    CRASH_COUNT,
-    EVENTUAL_CRASH_COUNT,
-    EVENTUALLY_PERFECT,
-    LEADER,
-    PERFECT,
-    SELF_TRUST,
-    DetectorSpec,
-)
+from . import verify
+from .detectors import ALL_KINDS, DetectorSpec
 from .model import history_from_json, pattern_from_json
 from .simulator import (
     ScenarioConfig,
     ScenarioError,
     Trace,
     explore,
+    int_field,
     run,
     run_schedule,
 )
+from .verify import ALGORITHMS, algorithm_info  # ALGORITHMS: re-exported table
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -55,67 +47,6 @@ EXIT_INTERNAL = 3
 
 class UsageError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class AlgorithmInfo:
-    name: str
-    factory: Callable
-    oracle_kinds: tuple[str, ...]
-    identified: bool
-    consensus: bool
-    majority: bool = False  # needs n > 2f
-    target_kind: str | None = None  # emulated detector, for transformations
-
-
-ALGORITHMS = {
-    "floodmax": AlgorithmInfo("floodmax", consensus.flood_max, (CRASH_COUNT,), False, True),
-    "lockmin": AlgorithmInfo(
-        "lockmin", consensus.lock_min, (EVENTUAL_CRASH_COUNT, CRASH_COUNT), False, True, majority=True
-    ),
-    "leadervote": AlgorithmInfo(
-        "leadervote", consensus.leader_vote, (SELF_TRUST,), False, True, majority=True
-    ),
-    "eventual-suspector": AlgorithmInfo(
-        "eventual-suspector",
-        transforms.eventual_suspector,
-        (EVENTUAL_CRASH_COUNT, CRASH_COUNT),
-        True,
-        False,
-        target_kind=EVENTUALLY_PERFECT,
-    ),
-    "stable-suspector": AlgorithmInfo(
-        "stable-suspector",
-        transforms.stable_suspector,
-        (CRASH_COUNT,),
-        True,
-        False,
-        target_kind=PERFECT,
-    ),
-    "leader-announce": AlgorithmInfo(
-        "leader-announce",
-        transforms.self_trust_announcer,
-        (SELF_TRUST,),
-        True,
-        False,
-        target_kind=LEADER,
-    ),
-    "random-selftrust": AlgorithmInfo(
-        "random-selftrust",
-        transforms.max_id_self_trust,
-        (CRASH_COUNT,),
-        False,
-        False,
-        target_kind=SELF_TRUST,
-    ),
-}
-
-
-def algorithm_info(name: str) -> AlgorithmInfo:
-    try:
-        return ALGORITHMS[name]
-    except KeyError:
-        raise ScenarioError(f"unknown algorithm {name!r} (choose from {sorted(ALGORITHMS)})")
 
 
 def normalize_scenario(scenario: ScenarioConfig) -> ScenarioConfig:
@@ -135,16 +66,18 @@ def normalize_scenario(scenario: ScenarioConfig) -> ScenarioConfig:
     return scenario
 
 
-def load_scenario(path: str | Path) -> ScenarioConfig:
+def _read_json(path: str | Path, what: str):
     try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise UsageError(f"cannot read scenario file: {exc}")
+        return json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {what} file: {exc}")
     except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario file is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario file must hold a JSON object")
-    if doc.get("schema") not in (None, 1):
+        raise ScenarioError(f"{what} file is not valid JSON: {exc}")
+
+
+def load_scenario(path: str | Path) -> ScenarioConfig:
+    doc = _read_json(path, "scenario")
+    if isinstance(doc, dict) and doc.get("schema") not in (None, 1):
         raise ScenarioError(f"unsupported scenario schema {doc.get('schema')!r}")
     return normalize_scenario(ScenarioConfig.from_dict(doc))
 
@@ -153,35 +86,21 @@ def run_and_check(scenario: ScenarioConfig) -> tuple[Trace, list[verify.CheckRep
     """One seeded run plus every checker that applies to its algorithm."""
     info = algorithm_info(scenario.algorithm)
     trace = run(scenario, info.factory)
-    reports: list[verify.CheckReport] = []
-    extras: dict[str, Any] = {}
-    if info.consensus:
-        reports.extend(verify.check_consensus(trace))
-    elif info.target_kind is not None:
-        history = transforms.output_history(trace, info.target_kind, info.name)
-        spec = DetectorSpec(info.target_kind, scenario.cfg.n)
-        ok = spec.validates(history, scenario.pattern)
-        reports.append(
-            verify.CheckReport(
-                "target-validity",
-                verify.PASS if ok else verify.FAIL,
-                detail=f"emulated {info.target_kind} history",
-            )
-        )
-        if scenario.algorithm == "random-selftrust":
-            collision = transforms.id_collision(trace)
-            extras["collision"] = collision
-            extras["success"] = ok and not collision
-            if collision:
-                reports.append(
-                    verify.CheckReport("id-collision", verify.FAIL, detail="duplicate identifiers drawn")
-                )
-    reports.extend(verify.check_lemma_invariants(trace))
+    reports = verify.check_trace(trace)
+    extras = {} if info.success_bound is None else {"success": _reports_ok(reports)}
     return trace, reports, extras
 
 
 def _reports_ok(reports: list[verify.CheckReport]) -> bool:
     return not any(r.failed for r in reports)
+
+
+def _print_reports(reports: list[verify.CheckReport], reproduce: str | None = None) -> int:
+    for r in reports:
+        print(f"{r.prop}: {r.verdict}" + (f" ({r.detail})" if r.detail else ""))
+        if r.failed and reproduce:
+            print(f"  reproduce: {reproduce}")
+    return EXIT_OK if _reports_ok(reports) else EXIT_PROPERTY
 
 
 def _campaign_worker(scenario_json: str, seed: int) -> dict:
@@ -221,42 +140,37 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     report_path.write_text(json.dumps(report_doc, indent=2, sort_keys=True) + "\n")
 
-    for r in reports:
-        print(f"{r.prop}: {r.verdict}" + (f" ({r.detail})" if r.detail else ""))
-        if r.failed:
-            print(f"  reproduce: anonsim run {args.scenario} --seed {scenario.seed}")
+    code = _print_reports(reports, f"anonsim run {args.scenario} --seed {scenario.seed}")
     print(f"trace: {trace_path}")
     print(f"report: {report_path}")
-    return EXIT_OK if _reports_ok(reports) else EXIT_PROPERTY
+    return code
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    try:
-        doc = json.loads(Path(args.campaign).read_text())
-    except OSError as exc:
-        raise UsageError(f"cannot read campaign file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"campaign file is not valid JSON: {exc}")
-    if "scenario" not in doc:
-        raise ScenarioError("campaign file needs a 'scenario' template")
+    doc = _read_json(args.campaign, "campaign")
+    if not isinstance(doc, dict) or "scenario" not in doc:
+        raise ScenarioError("campaign file needs a JSON object with a 'scenario' template")
     scenario = normalize_scenario(ScenarioConfig.from_dict(doc["scenario"]))
     mode = doc.get("mode", "sweep")
     if mode == "explore":
-        return _explore_scenario(scenario, args.out, max_states=doc.get("max_states"))
+        return _explore_scenario(scenario, args.out, max_states=int_field(doc, "max_states"))
     if mode == "single":
         seeds = [scenario.seed]
     elif mode == "sweep":
         spec = doc.get("seeds", {})
-        if isinstance(spec, list):
-            seeds = [int(s) for s in spec]
+        if isinstance(spec, dict):
+            start = int_field(spec, "start", 0)
+            seeds = list(range(start, start + int_field(spec, "count", 0)))
         else:
-            seeds = list(range(int(spec.get("start", 0)), int(spec.get("start", 0)) + int(spec.get("count", 0))))
+            seeds = spec
+        if not isinstance(seeds, list) or any(type(s) is not int for s in seeds):
+            raise ScenarioError("campaign seeds must be a list of integers or a {start, count} object")
         if not seeds:
             raise ScenarioError("campaign seed range is empty")
     else:
         raise ScenarioError(f"unknown campaign mode {mode!r}")
 
-    jobs = args.jobs if args.jobs is not None else int(doc.get("jobs", 1))
+    jobs = args.jobs if args.jobs is not None else int_field(doc, "jobs", 1)
     scenario_json = json.dumps(scenario.to_dict(), sort_keys=True)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -267,15 +181,12 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     counts: Counter = Counter()
     failures = []
     successes = 0
-    has_success_stat = False
     for res in results:
         for r in res["reports"]:
             counts[(r["property"], r["verdict"])] += 1
             if r["verdict"] == verify.FAIL:
                 failures.append((res["seed"], r))
-        if "success" in res["extras"]:
-            has_success_stat = True
-            successes += bool(res["extras"]["success"])
+        successes += bool(res["extras"].get("success"))
 
     print(f"campaign: {scenario.algorithm}, {len(seeds)} seeds")
     for (prop, verdict), c in sorted(counts.items()):
@@ -283,12 +194,12 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     for seed, r in failures:
         print(f"FAIL seed={seed} {r['property']}: {r['detail']}")
         print(f"  reproduce: anonsim run <scenario.json> --seed {seed}")
-    if has_success_stat:
+    bound = algorithm_info(scenario.algorithm).success_bound
+    if bound is not None:
         rate = successes / len(seeds)
-        bound = 2 / 3
-        print(f"success-rate: {successes}/{len(seeds)} = {rate:.4f} (bound 2/3: {'PASS' if rate >= bound else 'FAIL'})")
+        print(f"success-rate: {successes}/{len(seeds)} = {rate:.4f} (bound {bound}: {'PASS' if rate >= bound else 'FAIL'})")
         if rate < bound:
-            failures.append((None, {"property": "success-rate", "detail": f"{rate:.4f} < 2/3"}))
+            failures.append((None, {"property": "success-rate", "detail": f"{rate:.4f} < {bound}"}))
 
     if args.out:
         out_doc = {
@@ -309,19 +220,12 @@ def _default_rounds(scenario: ScenarioConfig) -> int | None:
 
 
 def explore_crash_limit(scenario: ScenarioConfig) -> int | None:
-    """Latest round a crash may strike during exploration.
-
-    The suspectors' completeness clauses are eventual: a finite round cap can
-    only witness them for crashes that leave enough rounds afterwards (f+3
-    for the stability window, one clean round for the eventual suspector).
-    """
-    if scenario.rounds is None:
+    """Latest round a crash may strike during exploration (see
+    `verify.AlgorithmInfo.crash_margin`)."""
+    margin = algorithm_info(scenario.algorithm).crash_margin
+    if scenario.rounds is None or margin is None:
         return None
-    if scenario.algorithm == "stable-suspector":
-        return max(scenario.rounds - (scenario.cfg.f + 3), 0)
-    if scenario.algorithm in ("eventual-suspector", "random-selftrust"):
-        return max(scenario.rounds - 1, 0)
-    return None
+    return max(scenario.rounds - margin(scenario.cfg.f), 0)
 
 
 def _explore_scenario(scenario: ScenarioConfig, out: str | None, max_states: int | None = None) -> int:
@@ -379,22 +283,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     try:
         text = Path(args.trace).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read trace file: {exc}")
-    trace = Trace.from_jsonl(text)
-    info = algorithm_info(trace.scenario.algorithm)
-    reports: list[verify.CheckReport] = []
-    if info.consensus:
-        reports.extend(verify.check_consensus(trace))
-    elif info.target_kind is not None:
-        history = transforms.output_history(trace, info.target_kind, info.name)
-        spec = DetectorSpec(info.target_kind, trace.scenario.cfg.n)
-        ok = spec.validates(history, trace.scenario.pattern)
-        reports.append(verify.CheckReport("target-validity", verify.PASS if ok else verify.FAIL))
-    reports.extend(verify.check_lemma_invariants(trace))
-    for r in reports:
-        print(f"{r.prop}: {r.verdict}" + (f" ({r.detail})" if r.detail else ""))
-    return EXIT_OK if _reports_ok(reports) else EXIT_PROPERTY
+    return _print_reports(verify.check_trace(Trace.from_jsonl(text)))
 
 
 def cmd_validate_history(args: argparse.Namespace) -> int:

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Callable
 
-from .consensus import FloodMaxConsensus, LeaderVoteConsensus, LockMinConsensus
-from .simulator import Ctx, ScenarioConfig
-from .transforms import StableSuspector
+from .consensus import FloodMaxConsensus, LeaderVoteConsensus, LockMinConsensus, flood_max, leader_vote, lock_min
+from .simulator import Ctx
+from .transforms import StableSuspector, stable_suspector
 
 
 @dataclass
@@ -68,34 +69,17 @@ class HastySuspector(StableSuspector):
         return True
 
 
-def flood_min(scenario: ScenarioConfig, proc: int, rng) -> FloodMinConsensus:
-    cfg = scenario.cfg
-    return FloodMinConsensus(n=cfg.n, f=cfg.f, proc=proc, v=scenario.inputs[proc - 1])
+def _mutant(cls: type, protocol: Callable) -> Callable:
+    """The factory of a mutant, built exactly as `protocol` builds the automaton it mutates."""
+    return lambda scenario, proc, rng: cls(**vars(protocol(scenario, proc, rng)))
 
 
-def eager_lock(scenario: ScenarioConfig, proc: int, rng) -> EagerLockConsensus:
-    cfg = scenario.cfg
-    return EagerLockConsensus(n=cfg.n, f=cfg.f, proc=proc, v=scenario.inputs[proc - 1])
-
-
-def lonely_lock(scenario: ScenarioConfig, proc: int, rng) -> LonelyLockConsensus:
-    cfg = scenario.cfg
-    return LonelyLockConsensus(n=cfg.n, f=cfg.f, proc=proc, v=scenario.inputs[proc - 1])
-
-
-def any_report(scenario: ScenarioConfig, proc: int, rng) -> AnyReportLeaderVote:
-    cfg = scenario.cfg
-    return AnyReportLeaderVote(n=cfg.n, f=cfg.f, proc=proc, v=scenario.inputs[proc - 1])
-
-
-def free_running(scenario: ScenarioConfig, proc: int, rng) -> FreeRunningSuspector:
-    cfg = scenario.cfg
-    return FreeRunningSuspector(n=cfg.n, f=cfg.f, proc=proc, rounds_cap=scenario.rounds)
-
-
-def hasty_suspector(scenario: ScenarioConfig, proc: int, rng) -> HastySuspector:
-    cfg = scenario.cfg
-    return HastySuspector(n=cfg.n, f=cfg.f, proc=proc, rounds_cap=scenario.rounds)
+flood_min = _mutant(FloodMinConsensus, flood_max)
+eager_lock = _mutant(EagerLockConsensus, lock_min)
+lonely_lock = _mutant(LonelyLockConsensus, lock_min)
+any_report = _mutant(AnyReportLeaderVote, leader_vote)
+free_running = _mutant(FreeRunningSuspector, stable_suspector)
+hasty_suspector = _mutant(HastySuspector, stable_suspector)
 
 
 MUTANTS = {

@@ -53,6 +53,24 @@ class ScenarioError(ValueError):
     """A scenario that violates the model invariants or the config schema."""
 
 
+def int_field(doc: dict, key: str, default: int | None = None) -> int | None:
+    """`doc[key]` as an integer, or `default` if it is absent or null; a
+    float, a boolean or any other JSON value is a ScenarioError."""
+    value = doc.get(key)
+    if value is None:
+        return default
+    if type(value) is not int:
+        raise ScenarioError(f"{key!r} must be an integer, not {value!r}")
+    return value
+
+
+def _object_field(doc: dict, key: str) -> dict:
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{key!r} must be a JSON object, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything a reproducible run needs: who, what, when, and the seed."""
@@ -77,6 +95,8 @@ class ScenarioConfig:
         horizon = self.effective_horizon
         if horizon < 1:
             raise ScenarioError("horizon must be at least 1")
+        if self.rounds is not None and self.rounds < 0:
+            raise ScenarioError("rounds must not be negative")
         if self.policy not in POLICIES:
             raise ScenarioError(f"unknown policy {self.policy!r} (choose from {POLICIES})")
         if self.oracle_kind not in ALL_KINDS:
@@ -122,15 +142,17 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
+        if not isinstance(doc, dict):
+            raise ScenarioError("a scenario must be a JSON object")
         try:
             cfg = SystemConfig(n=int(doc["n"]), f=int(doc["f"]))
-            oracle = doc.get("oracle", {})
+            oracle = _object_field(doc, "oracle")
             scenario = cls(
                 cfg=cfg,
                 algorithm=str(doc["algorithm"]),
                 inputs=tuple(int(v) for v in doc.get("inputs", [])),
                 pattern=FailurePattern.of(
-                    cfg.n, {int(p): int(s) for p, s in doc.get("crash", {}).items()}
+                    cfg.n, {int(p): int(s) for p, s in _object_field(doc, "crash").items()}
                 ),
                 oracle_kind=str(oracle.get("kind", "")),
                 profile=OracleProfile(
@@ -139,13 +161,13 @@ class ScenarioConfig:
                 ),
                 policy=str(doc.get("policy", "fifo")),
                 seed=int(doc.get("seed", 0)),
-                horizon=doc.get("horizon"),
-                rounds=doc.get("rounds"),
+                horizon=int_field(doc, "horizon"),
+                rounds=int_field(doc, "rounds"),
                 identified=bool(doc.get("identified", False)),
             )
         except ScenarioError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"malformed scenario: {exc}") from exc
         scenario.validate()
         return scenario
@@ -354,20 +376,25 @@ class Trace:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
-        lines = [json.loads(line) for line in text.splitlines() if line.strip()]
+        try:
+            lines = [json.loads(line) for line in text.splitlines() if line.strip()]
+        except json.JSONDecodeError as exc:
+            raise ScenarioError(f"trace line is not valid JSON: {exc}") from exc
+        if not all(isinstance(doc, dict) for doc in lines):
+            raise ScenarioError("every trace line must be a JSON object")
         if not lines or lines[0].get("ev") != "meta" or lines[-1].get("ev") != "end":
             raise ScenarioError("trace file must start with a meta line and end with an end line")
-        scenario = ScenarioConfig.from_dict(lines[0]["scenario"])
-        events = []
+        scenario = ScenarioConfig.from_dict(lines[0].get("scenario"))
+        truncated, pending = lines[-1].get("truncated"), lines[-1].get("pending")
+        if not isinstance(truncated, bool) or type(pending) is not int:
+            raise ScenarioError("trace end line needs a boolean 'truncated' and an integer 'pending'")
+        events = [_event(doc, scenario) for doc in lines[1:-1]]
         decisions: dict[int, list] = {}
         crashes: dict[int, int] = {}
         halts: dict[int, int] = {}
-        for doc in lines[1:-1]:
-            if "payload" in doc:
-                doc["payload"] = tuple(doc["payload"])
-            events.append(doc)
+        for doc in events:
             if doc["ev"] == "decide":
-                decisions.setdefault(doc["proc"], []).append((doc["step"], doc["value"], doc.get("r")))
+                decisions.setdefault(doc["proc"], []).append((doc["step"], doc["value"], doc["r"]))
             elif doc["ev"] == "crash":
                 crashes[doc["proc"]] = doc["step"]
             elif doc["ev"] == "halt":
@@ -375,12 +402,53 @@ class Trace:
         return cls(
             scenario=scenario,
             events=events,
-            truncated=bool(lines[-1]["truncated"]),
-            pending=int(lines[-1]["pending"]),
+            truncated=truncated,
+            pending=pending,
             decisions=decisions,
             crashes=crashes,
             halts=halts,
         )
+
+
+_EVENT_FIELDS = {  # the fields of each trace event besides "ev" and "step"
+    "send": ("proc", "payload"), "deliver": ("proc", "from", "payload"), "oracle": ("proc", "value"),
+    "decide": ("proc", "value", "r"), "round": ("proc", "r"), "output": ("proc", "value"),
+    "crash": ("proc",), "halt": ("proc",),
+}
+
+
+def _scalar(value: Any) -> bool:
+    return value is None or isinstance(value, (bool, int, float, str))
+
+
+def _int_in(value: Any, low: int, high: float = float("inf")) -> bool:
+    return type(value) is int and low <= value <= high
+
+
+def _event(doc: dict, scenario: ScenarioConfig) -> dict:
+    """A saved trace event, shaped as the simulator writes it; payloads come
+    back as tuples.  Anything else is a ScenarioError."""
+    kind = doc.get("ev")
+    fields = _EVENT_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None or any(key not in doc for key in ("step", *fields)):
+        raise ScenarioError(f"malformed trace event {doc!r}")
+    n = scenario.cfg.n
+    value, payload = doc.get("value"), doc.get("payload", ["-"])  # "-": a stand-in for events without one
+    malformed = (
+        not _int_in(doc["step"], 0)
+        or not _int_in(doc["proc"], 1, n)
+        or ("from" in fields and not _int_in(doc["from"], 1, n))
+        or ("r" in fields and type(doc["r"]) is not int)
+        or (kind == "decide" and type(value) is not int)
+        or not (_scalar(value) or isinstance(value, list) and all(map(_scalar, value)))
+        or not (isinstance(payload, list) and payload and isinstance(payload[0], str))
+        or not all(map(_scalar, payload))
+    )
+    if malformed:
+        raise ScenarioError(f"malformed trace event {doc!r}")
+    if "payload" in doc:
+        doc["payload"] = tuple(payload)
+    return doc
 
 
 def build_oracle(scenario: ScenarioConfig) -> OracleRuntime:
@@ -488,12 +556,15 @@ class Simulation:
                 return
         raise RuntimeError(f"automaton of process {p} never blocked (runaway loop)")
 
+    def _crash(self, p: int) -> None:
+        self.crashed.add(p)
+        self.crash_log[p] = self.t
+        self.pending[p].clear()
+        self.events.append({"step": self.t, "ev": "crash", "proc": p})
+
     def _apply_crashes(self) -> None:
         for p in self._crash_at.get(self.t, []):
-            self.crashed.add(p)
-            self.crash_log[p] = self.t
-            self.pending[p].clear()
-            self.events.append({"step": self.t, "ev": "crash", "proc": p})
+            self._crash(p)
 
     def _live_unhalted(self) -> list[int]:
         return [p for p in self.cfg.processes if p not in self.crashed and p not in self.halted]
@@ -514,10 +585,7 @@ class Simulation:
         return not any(self._can_progress(p) for p in live)
 
     def _done(self) -> bool:
-        return self._all_live_halted() or self._settled()
-
-    def _all_live_halted(self) -> bool:
-        return not self._live_unhalted()
+        return not self._live_unhalted() or self._settled()
 
     def _deliver_index(self, p: int, idx: int) -> None:
         sender, payload, round_tag, _ = self.pending[p].pop(idx)
@@ -582,6 +650,10 @@ class Simulation:
                 break
             step()
             self.t += 1
+        return self._finish()
+
+    def _finish(self) -> Trace:
+        """The trace so far; a finished run first delivers what is in flight."""
         truncated = not self._done()
         pending = sum(len(q) for p, q in self.pending.items() if p not in self.crashed)
         if not truncated:
@@ -620,10 +692,7 @@ def run_schedule(
         if kind in ("wake", "poll"):
             sim._quiesce(p)
         elif kind == "crash":
-            sim.crashed.add(p)
-            sim.crash_log[p] = sim.t
-            sim.pending[p].clear()
-            sim.events.append({"step": sim.t, "ev": "crash", "proc": p})
+            sim._crash(p)
         elif kind == "deliver":
             _, _, sender, payload, round_tag = action
             payload = tuple(payload)
@@ -636,20 +705,7 @@ def run_schedule(
         else:
             raise ScenarioError(f"unknown schedule action {kind!r}")
         sim.t += 1
-    truncated = not sim._done()
-    pending = sum(len(q) for p, q in sim.pending.items() if p not in sim.crashed)
-    if not truncated:
-        sim._drain()
-        pending = 0
-    return Trace(
-        scenario=sim.scenario,
-        events=sim.events,
-        truncated=truncated,
-        pending=pending,
-        decisions=sim.decisions,
-        crashes=sim.crash_log,
-        halts=sim.halt_log,
-    )
+    return sim._finish()
 
 
 # --- exhaustive schedule exploration -----------------------------------------
@@ -952,8 +1008,9 @@ def explore(
         )
 
     def is_quiescent(state: _XState) -> bool:
-        # a decided process may block forever in its final propose phase once
-        # its peers halted; with nothing in flight that is a completed run
+        # every terminal state is quiescent; besides, a decided process may
+        # block forever in its final propose phase once its peers halted, and
+        # with nothing in flight that is a completed run
         return all(
             p in state.crashed
             or p in state.halted
@@ -1001,15 +1058,7 @@ def explore(
             if len(violations) < keep_witnesses:
                 violations.append(Violation("invariant", broken, schedule_of(key)))
             continue
-        if is_terminal(state):
-            terminals += 1
-            profiles[state.monitor.terminal_profile(state)] += 1
-            for detail in state.monitor.terminal_checks(state):
-                violation_count += 1
-                if len(violations) < keep_witnesses:
-                    violations.append(Violation("terminal", detail, schedule_of(key)))
-            continue
-        acts = actions(state)
+        acts = [] if is_terminal(state) else actions(state)
         if not acts:
             if is_quiescent(state):
                 terminals += 1

@@ -295,30 +295,6 @@ def forced_id_factory(ids: dict[int, int]) -> Callable:
     return factory
 
 
-@dataclass(frozen=True)
-class Transformation:
-    """Emulation of a target detector on top of a source oracle."""
-
-    name: str
-    source: str
-    target: str
-    identified: bool
-    factory: Callable
-
-
-EVENTUAL_SUSPECTOR = Transformation(
-    "eventual-suspector", EVENTUAL_CRASH_COUNT, EVENTUALLY_PERFECT, True, eventual_suspector
-)
-STABLE_SUSPECTOR = Transformation("stable-suspector", CRASH_COUNT, PERFECT, True, stable_suspector)
-LEADER_ANNOUNCE = Transformation("leader-announce", SELF_TRUST, LEADER, True, self_trust_announcer)
-RANDOM_SELF_TRUST = Transformation(
-    "random-selftrust", CRASH_COUNT, SELF_TRUST, False, max_id_self_trust
-)
-
-TRANSFORMATIONS = {
-    t.name: t for t in (EVENTUAL_SUSPECTOR, STABLE_SUSPECTOR, LEADER_ANNOUNCE, RANDOM_SELF_TRUST)
-}
-
 _OUTPUT_DEFAULTS: dict[str, Callable[[int, int], Any]] = {
     EVENTUALLY_PERFECT: lambda p, n: frozenset(),
     PERFECT: lambda p, n: frozenset(),
@@ -356,10 +332,6 @@ def output_history(trace: Trace, target_kind: str, name: str = "") -> DetectorHi
         rows=tuple(rows),
         emulated_from=(trace.scenario.oracle_kind, name or trace.scenario.algorithm, trace.scenario.seed),
     )
-
-
-def emulated_output(trace: Trace, transformation: Transformation) -> DetectorHistory:
-    return output_history(trace, transformation.target, transformation.name)
 
 
 def id_collision(trace: Trace) -> bool:
@@ -419,10 +391,3 @@ def count_weakening(history: DetectorHistory) -> DetectorHistory:
         emulated_from=(history.kind, "count-weakening", 0),
     )
 
-
-TRANSLATIONS = {
-    "suspected-count": (PERFECT, CRASH_COUNT, suspected_count),
-    "eventual-suspected-count": (EVENTUALLY_PERFECT, EVENTUAL_CRASH_COUNT, suspected_count),
-    "leader-self-trust": (LEADER, SELF_TRUST, leader_self_trust),
-    "count-weakening": (CRASH_COUNT, EVENTUAL_CRASH_COUNT, count_weakening),
-}

@@ -6,9 +6,10 @@ a detector history:
 * the four consensus properties (termination, irrevocability, agreement,
   validity), with liveness reported as `truncated` rather than pass/fail
   when the run hit its horizon;
+* validity of a transformation's emulated detector history;
 * protocol invariants checked as first-order predicates over events
   (value stubbornness, lock exclusivity, decision spread, unique decision
-  payloads, bounded round skew);
+  payloads, bounded round skew, distinct random identifiers);
 * the symmetric / unsymmetrical classification of detector output, both as
   pointwise equality and as equality on the converged suffix;
 * permutation closure of a detector history (delegating to the model's
@@ -20,20 +21,37 @@ exhaustive exploration, where full traces never materialize: continuous
 checks run as events happen and terminal checks inspect final automaton
 states, with any accumulated verdict folded into the explored state's
 identity.
+
+`ALGORITHMS`, at the very bottom, is the one table of registered algorithms:
+each entry names its automaton factory, its oracle kinds, its checks, its
+exploration monitor and its exploration and campaign bounds.  `check_trace`
+runs an entry's checks on a trace, for `run`, `campaign` and `check` alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from fractions import Fraction
+from functools import partial
+from typing import Any, Callable, Iterable
 
+from . import consensus, transforms
+from .detectors import (
+    CRASH_COUNT,
+    EVENTUAL_CRASH_COUNT,
+    EVENTUALLY_PERFECT,
+    LEADER,
+    PERFECT,
+    SELF_TRUST,
+    DetectorSpec,
+)
 from .model import (
     DetectorHistory,
     FailurePattern,
     Permutation,
     is_anonymous,
 )
-from .simulator import Trace
+from .simulator import ScenarioError, Trace
 
 PASS = "pass"
 FAIL = "fail"
@@ -105,6 +123,14 @@ def check_consensus(trace: Trace) -> list[CheckReport]:
     return reports
 
 
+def _message(i: int, payload: tuple, length: int) -> tuple:
+    """The fields of the protocol message sent at event i; a message of
+    another length cannot come from the protocol, so the trace is malformed."""
+    if len(payload) != length:
+        raise ScenarioError(f"event {i}: {payload[0]} message {list(payload)} does not have {length} fields")
+    return payload
+
+
 def check_stubbornness(trace: Trace) -> CheckReport:
     """Once a process's value reaches 1 it must stay 1 in later rounds."""
     last: dict[int, int] = {}
@@ -127,7 +153,7 @@ def check_lock_exclusivity(trace: Trace) -> CheckReport:
     for i, ev in enumerate(trace.events):
         if ev["ev"] != "send" or ev["payload"][0] != "Lock":
             continue
-        _, r, tag, _ = ev["payload"]
+        _, r, tag, _ = _message(i, ev["payload"], 4)
         if tag is None:
             continue
         per_round = seen.setdefault(r, {})
@@ -167,9 +193,9 @@ def check_unique_decide(trace: Trace) -> CheckReport:
     values: dict[Any, int] = {}
     for i, ev in enumerate(trace.events):
         if ev["ev"] == "send" and ev["payload"][0] == "Decide":
-            values.setdefault(ev["payload"][1], i)
+            values.setdefault(_message(i, ev["payload"], 2)[1], i)
     if len(values) > 1:
-        return CheckReport("unique-decide", FAIL, sorted(values.values()), f"announced {sorted(values)}")
+        return CheckReport("unique-decide", FAIL, sorted(values.values()), f"announced {list(values)}")
     return CheckReport("unique-decide", PASS)
 
 
@@ -194,30 +220,42 @@ def check_round_skew(trace: Trace, bound: int | None = None, initial_round: int 
     return CheckReport("round-skew", PASS, detail=f"max skew {worst}")
 
 
-LEMMA_CHECKS = {
-    "floodmax": ("stubbornness",),
-    "lockmin": ("lock-exclusivity", "decision-spread"),
-    "leadervote": ("unique-decide",),
-    "stable-suspector": ("round-skew",),
-    "eventual-suspector": (),
-    "leader-announce": (),
-    "random-selftrust": (),
-}
+def check_id_collision(trace: Trace) -> CheckReport:
+    """No two heartbeat identifiers of the randomized construction coincide."""
+    for i, ev in enumerate(trace.events):
+        if ev["ev"] == "send" and ev["payload"][0] == "HB":
+            _message(i, ev["payload"], 3)
+    if transforms.id_collision(trace):
+        return CheckReport("id-collision", FAIL, detail="duplicate identifiers drawn")
+    return CheckReport("id-collision", PASS)
 
-_LEMMA_FNS = {
-    "stubbornness": check_stubbornness,
-    "lock-exclusivity": check_lock_exclusivity,
-    "decision-spread": check_decision_spread,
-    "unique-decide": check_unique_decide,
-    "round-skew": check_round_skew,
-}
+
+def check_target_validity(trace: Trace) -> CheckReport:
+    """The emulated detector history is valid for the run's failure pattern."""
+    info = algorithm_info(trace.scenario.algorithm)
+    history = transforms.output_history(trace, info.target_kind, info.name)
+    spec = DetectorSpec(info.target_kind, trace.scenario.cfg.n)
+    detail = f"emulated {info.target_kind} history"
+    try:
+        ok = spec.validates(history, trace.scenario.pattern)
+    except ValueError as exc:
+        return CheckReport("target-validity", FAIL, detail=f"{detail} out of range: {exc}")
+    return CheckReport("target-validity", PASS if ok else FAIL, detail=detail)
 
 
 def check_lemma_invariants(trace: Trace, algorithm: str | None = None) -> list[CheckReport]:
-    algorithm = algorithm or trace.scenario.algorithm
-    if algorithm not in LEMMA_CHECKS:
-        raise ValueError(f"no invariant suite for algorithm {algorithm!r}")
-    return [_LEMMA_FNS[name](trace) for name in LEMMA_CHECKS[algorithm]]
+    info = algorithm_info(algorithm or trace.scenario.algorithm)
+    return [check(trace) for check in info.lemmas]
+
+
+def check_trace(trace: Trace) -> list[CheckReport]:
+    """Every check that applies to the trace's algorithm; `run`, `campaign`
+    and `check` all report exactly these."""
+    info = algorithm_info(trace.scenario.algorithm)
+    reports = check_consensus(trace) if info.consensus else []
+    if info.target_kind is not None:
+        reports.append(check_target_validity(trace))
+    return reports + check_lemma_invariants(trace)
 
 
 @dataclass
@@ -482,17 +520,79 @@ class SelfTrustTerminalMonitor:
 
 
 def monitor_for(algorithm: str, n: int, f: int, inputs: tuple[int, ...]):
-    """The exploration monitor matching a registered algorithm."""
-    if algorithm == "floodmax":
-        return ConsensusMonitor(n, f, inputs)
-    if algorithm == "lockmin":
-        return ConsensusMonitor(n, f, inputs, spread=True)
-    if algorithm == "leadervote":
-        return ConsensusMonitor(n, f, inputs)
-    if algorithm == "eventual-suspector":
-        return SuspectorMonitor(n, f, strong_accuracy=False)
-    if algorithm == "stable-suspector":
-        return SuspectorMonitor(n, f, strong_accuracy=True, skew_bound=f + 1)
-    if algorithm == "random-selftrust":
-        return SelfTrustTerminalMonitor()
-    raise ValueError(f"no exploration monitor for algorithm {algorithm!r}")
+    """The exploration monitor of a registered algorithm."""
+    info = algorithm_info(algorithm)
+    if info.monitor is None:
+        raise ScenarioError(f"algorithm {algorithm!r} has no exploration monitor, so it cannot be explored")
+    return info.monitor(n, f, inputs)
+
+
+# --- the algorithm table -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class AlgorithmInfo:
+    name: str
+    factory: Callable
+    oracle_kinds: tuple[str, ...]
+    identified: bool
+    consensus: bool
+    majority: bool = False  # needs n > 2f
+    target_kind: str | None = None  # emulated detector, for transformations
+    lemmas: tuple[Callable[[Trace], CheckReport], ...] = ()
+    monitor: Callable[[int, int, tuple[int, ...]], Any] | None = None  # (n, f, inputs) -> monitor
+    # rounds a crash must leave before the round cap during exploration, given
+    # f: the suspectors' completeness clauses are eventual, and a finite cap
+    # witnesses them only for crashes followed by enough rounds (f+3 for the
+    # stability window, one clean round for the eventual suspector)
+    crash_margin: Callable[[int], int] | None = None
+    success_bound: Fraction | None = None  # least campaign share of fully passing runs
+
+
+ALGORITHMS = {
+    info.name: info
+    for info in (
+        AlgorithmInfo(
+            "floodmax", consensus.flood_max, (CRASH_COUNT,), False, True,
+            lemmas=(check_stubbornness,), monitor=ConsensusMonitor,
+        ),
+        AlgorithmInfo(
+            "lockmin", consensus.lock_min, (EVENTUAL_CRASH_COUNT, CRASH_COUNT), False, True, majority=True,
+            lemmas=(check_lock_exclusivity, check_decision_spread),
+            monitor=partial(ConsensusMonitor, spread=True),
+        ),
+        AlgorithmInfo(
+            "leadervote", consensus.leader_vote, (SELF_TRUST,), False, True, majority=True,
+            lemmas=(check_unique_decide,), monitor=ConsensusMonitor,
+        ),
+        AlgorithmInfo(
+            "eventual-suspector", transforms.eventual_suspector, (EVENTUAL_CRASH_COUNT, CRASH_COUNT),
+            True, False, target_kind=EVENTUALLY_PERFECT,
+            monitor=lambda n, f, inputs: SuspectorMonitor(n, f, strong_accuracy=False),
+            crash_margin=lambda f: 1,
+        ),
+        AlgorithmInfo(
+            "stable-suspector", transforms.stable_suspector, (CRASH_COUNT,), True, False,
+            target_kind=PERFECT, lemmas=(check_round_skew,),
+            monitor=lambda n, f, inputs: SuspectorMonitor(n, f, strong_accuracy=True, skew_bound=f + 1),
+            crash_margin=lambda f: f + 3,
+        ),
+        AlgorithmInfo(
+            "leader-announce", transforms.self_trust_announcer, (SELF_TRUST,), True, False,
+            target_kind=LEADER,
+        ),
+        AlgorithmInfo(
+            "random-selftrust", transforms.max_id_self_trust, (CRASH_COUNT,), False, False,
+            target_kind=SELF_TRUST, lemmas=(check_id_collision,),
+            monitor=lambda n, f, inputs: SelfTrustTerminalMonitor(),
+            crash_margin=lambda f: 1, success_bound=Fraction(2, 3),
+        ),
+    )
+}
+
+
+def algorithm_info(name: str) -> AlgorithmInfo:
+    try:
+        return ALGORITHMS[name]
+    except KeyError:
+        raise ScenarioError(f"unknown algorithm {name!r} (choose from {sorted(ALGORITHMS)})")

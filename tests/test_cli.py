@@ -1,8 +1,16 @@
 """End-to-end command-line behavior and the exit-code contract."""
 
 import json
+import math
 
-from anonsim.cli import main
+import pytest
+from helpers import scenario
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from anonsim import run
+from anonsim.cli import ALGORITHMS, main
+from anonsim.transforms import forced_id_factory
 
 FLOODMAX = {
     "schema": 1,
@@ -58,7 +66,19 @@ class TestRun:
         not_json = tmp_path / "nj.json"
         not_json.write_text("{broken")
         assert main(["run", str(not_json)]) == 2
+        binary = tmp_path / "bin.json"
+        binary.write_bytes(b"\xff\xfe\x00")
+        assert main(["run", str(binary)]) == 2
+        assert main(["check", str(binary)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("field, value", [
+        ("horizon", "abc"), ("horizon", 2.5), ("horizon", True), ("rounds", "x"), ("rounds", 1.0),
+        ("rounds", -200), ("oracle", "crash-count"), ("crash", [1, 2]),
+    ])
+    def test_malformed_fields_exit_2(self, tmp_path, capsys, field, value):
+        assert main(["run", write(tmp_path, "bad.json", dict(FLOODMAX, **{field: value}))]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestCheck:
@@ -84,6 +104,35 @@ class TestCheck:
         assert main(["check", str(trace_file)]) == 1
         out = capsys.readouterr().out
         assert "validity: fail" in out
+
+    def test_non_json_line_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path, "s.json", FLOODMAX)
+        main(["run", path, "--out", str(tmp_path / "out")])
+        trace_file = tmp_path / "out" / "floodmax-seed7.trace.jsonl"
+        lines = trace_file.read_text().splitlines()
+        lines[3] = "{not json"
+        trace_file.write_text("\n".join(lines) + "\n")
+        assert main(["check", str(trace_file)]) == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_check_reports_what_run_reports(self, tmp_path, capsys, algorithm):
+        consensus = ALGORITHMS[algorithm].consensus
+        sc = scenario(algorithm, 3, 1, crashes={2: 40}, policy="random", seed=5, horizon=900,
+                      rounds=None if consensus else 8)
+        path = write(tmp_path, "s.json", sc.to_dict())
+        assert main(["run", path, "--out", str(tmp_path / "out")]) in (0, 1)
+        ran = capsys.readouterr().out.splitlines()
+        assert ran[-2].startswith("trace: ") and ran[-1].startswith("report: ")
+        assert main(["check", ran[-2].removeprefix("trace: ")]) in (0, 1)
+        assert capsys.readouterr().out.splitlines() == ran[:-2]
+
+    def test_check_reports_id_collision(self, tmp_path, capsys):
+        sc = scenario("random-selftrust", 3, 1, policy="random", seed=4, horizon=900, rounds=8)
+        trace_file = tmp_path / "collision.trace.jsonl"
+        trace_file.write_text(run(sc, forced_id_factory({1: 7, 2: 7, 3: 3})).to_jsonl())
+        assert main(["check", str(trace_file)]) == 1
+        assert "id-collision: fail (duplicate identifiers drawn)" in capsys.readouterr().out.splitlines()
 
 
 class TestCampaign:
@@ -123,6 +172,15 @@ class TestCampaign:
         assert main(["campaign", write(tmp_path, "c.json", doc)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("field, value", [
+        ("seeds", "0-9"), ("seeds", [1, "2"]), ("seeds", {"start": "a", "count": 2}),
+        ("seeds", {"count": 1.5}), ("jobs", "x"), ("jobs", 2.5), ("mode", ["sweep"]), ("scenario", [1]),
+    ])
+    def test_malformed_campaign_exits_2(self, tmp_path, capsys, field, value):
+        doc = dict(self.campaign_doc(2), **{field: value})
+        assert main(["campaign", write(tmp_path, "c.json", doc)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_parallel_jobs_agree_with_serial(self, tmp_path, capsys):
         path = write(tmp_path, "c.json", self.campaign_doc(8))
         serial = tmp_path / "serial.json"
@@ -154,6 +212,11 @@ class TestExplore:
         }
         assert main(["explore", write(tmp_path, "e.json", doc)]) == 2
         capsys.readouterr()
+
+    def test_algorithm_without_monitor_exits_2(self, tmp_path, capsys):
+        doc = scenario("leader-announce", 2, 1, rounds=3).to_dict()
+        assert main(["explore", write(tmp_path, "e.json", doc)]) == 2
+        assert "no exploration monitor" in capsys.readouterr().err
 
     def test_budget_exceeded_flags_partial(self, tmp_path, capsys):
         doc = {
@@ -203,3 +266,82 @@ class TestValidateHistory:
         pp.write_text('{"n": 2, "f": 1, "crash": {}}')
         assert main(["validate-history", "--history", str(hp), "--pattern", str(pp)]) == 2
         capsys.readouterr()
+
+
+# --- the exit-code contract: any JSON in any field exits 0, 1 or 2, never 3 ----
+
+KEYS = st.sampled_from(["n", "f", "kind", "behavior", "convergence", "start", "count", "ev", "proc",
+                        "step", "payload", "value", "r", "from", "scenario"]) | st.text(max_size=4)
+SCALARS = (
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats(-2.5, 12.5)
+    | st.sampled_from([math.inf, -math.inf, math.nan]) | st.text(max_size=6)
+    | st.sampled_from(["Lock", "Decide", "HB", "crash-count", "lockmin", "send", "decide", "output"])
+)
+
+
+def nest(inner):
+    return st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=3)
+
+
+JSON = st.recursive(SCALARS, nest, max_leaves=8)
+CONTRACT = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+SMALL = dict(FLOODMAX, horizon=200)
+
+
+def replace_fields(data, doc: dict, nested: tuple[str, ...]) -> dict:
+    """`doc` with one or two fields, top-level or inside the `nested` objects,
+    replaced by arbitrary JSON."""
+    paths = [(key,) for key in doc] + [(outer, key) for outer in nested for key in doc[outer]]
+    chosen = data.draw(st.lists(st.sampled_from(sorted(paths)), min_size=1, max_size=2, unique=True))
+    doc = json.loads(json.dumps(doc))
+    for path in chosen:
+        owner = doc if len(path) == 1 else doc[path[0]]
+        if isinstance(owner, dict):  # not when the outer object itself was replaced
+            owner[path[-1]] = data.draw(JSON)
+    return doc
+
+
+# one short saved trace per protocol family whose messages the checkers read
+TRACES = tuple(
+    run(scenario(algorithm, 3, 1, crashes={3: 20}, policy="random", seed=1, horizon=300, rounds=rounds),
+        ALGORITHMS[algorithm].factory).to_jsonl()
+    for algorithm, rounds in [("lockmin", None), ("leadervote", None), ("stable-suspector", 3),
+                              ("random-selftrust", 3)]
+)
+
+
+def contract_holds(code: int, capsys) -> None:
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), err
+
+
+class TestExitCodeContract:
+    @CONTRACT
+    @given(data=st.data())
+    def test_scenario(self, tmp_path, capsys, data):
+        doc = replace_fields(data, SMALL, ("oracle", "crash"))
+        contract_holds(main(["run", write(tmp_path, "s.json", doc), "--out", str(tmp_path / "out")]), capsys)
+
+    @CONTRACT
+    @given(data=st.data())
+    def test_campaign(self, tmp_path, capsys, data):
+        base = {"schema": 1, "mode": "sweep", "seeds": {"start": 0, "count": 2}, "scenario": SMALL}
+        doc = replace_fields(data, base, ("seeds", "scenario"))
+        assume(doc.get("mode") != "explore")
+        contract_holds(main(["campaign", write(tmp_path, "c.json", doc), "--jobs", "1"]), capsys)
+
+    @CONTRACT
+    @given(data=st.data())
+    def test_trace(self, tmp_path, capsys, data):
+        lines = data.draw(st.sampled_from(TRACES)).splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        if data.draw(st.booleans()):
+            lines[i] = data.draw(st.text(max_size=8) | JSON.map(json.dumps))
+        else:
+            line = json.loads(lines[i])
+            nested = tuple(key for key, value in line.items() if isinstance(value, dict))  # the meta scenario
+            lines[i] = json.dumps(replace_fields(data, line, nested))
+        path = tmp_path / "t.trace.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        contract_holds(main(["check", str(path)]), capsys)
+

@@ -1,5 +1,7 @@
 """Checker behavior: verdicts, witnesses, symmetry, mutation sensitivity."""
 
+from dataclasses import replace
+
 import pytest
 from helpers import factory_of, scenario
 
@@ -10,10 +12,12 @@ from anonsim import (
     DetectorSpec,
     FailurePattern,
     OracleProfile,
+    ScenarioError,
     explore,
     run,
     sample_history,
 )
+from anonsim.cli import ALGORITHMS, explore_crash_limit
 from anonsim.mutants import (
     MUTANTS,
     any_report,
@@ -159,10 +163,31 @@ class TestLemmaCheckers:
         report = check_round_skew(trace)
         assert report.verdict == PASS and "max skew" in report.detail
 
-    def test_dispatch_matches_algorithm(self):
-        sc = scenario("floodmax", 2, 1, inputs=(0, 1))
-        trace = run(sc, factory_of("floodmax"))
-        assert [r.prop for r in check_lemma_invariants(trace)] == ["stubbornness"]
+    # lemma names, whether explore has a monitor, and the explore crash round
+    # limit at rounds=10, f=1
+    DISPATCH = {
+        "floodmax": (["stubbornness"], True, None),
+        "lockmin": (["lock-exclusivity", "decision-spread"], True, None),
+        "leadervote": (["unique-decide"], True, None),
+        "eventual-suspector": ([], True, 9),
+        "stable-suspector": (["round-skew"], True, 6),
+        "leader-announce": ([], False, None),
+        "random-selftrust": (["id-collision"], True, 9),
+    }
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_dispatch_matches_algorithm(self, algorithm):
+        lemmas, explorable, crash_limit = self.DISPATCH[algorithm]
+        sc = scenario(algorithm, 3, 1, horizon=400, rounds=None if ALGORITHMS[algorithm].consensus else 4)
+        trace = run(sc, factory_of(algorithm))
+        assert [r.prop for r in check_lemma_invariants(trace)] == lemmas
+        if explorable:
+            assert monitor_for(algorithm, 3, 1, sc.inputs) is not None
+        else:
+            with pytest.raises(ScenarioError):
+                monitor_for(algorithm, 3, 1, sc.inputs)
+        assert explore_crash_limit(replace(sc, rounds=10)) == crash_limit
+        assert explore_crash_limit(replace(sc, rounds=None)) is None
         with pytest.raises(ValueError):
             check_lemma_invariants(trace, algorithm="no-such-algorithm")
 
