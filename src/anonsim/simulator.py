@@ -18,6 +18,10 @@ over simulation states: delivery interleavings, process start orders and
 crash placements are all branching choices.  Local computation runs eagerly
 to its next blocking wait after each choice, which is sound here because an
 automaton only observes its own inbox and the oracle.
+
+Seeded runs (`Simulation`), replays (`run_schedule`) and `explore` (on an
+`_XEngine`) apply one set of transition rules, `_Engine`: the poll loop, the
+guard probe and the test that every live process has halted or decided.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
 
 from .detectors import (
@@ -332,9 +336,20 @@ class Trace:
     events: list[dict]
     truncated: bool
     pending: int
-    decisions: dict[int, list[tuple[int, Any, Any]]]  # proc -> [(step, value, round)]
-    crashes: dict[int, int]
-    halts: dict[int, int]
+    # derived from the events: proc -> [(step, value, round)], and proc -> step of each crash and halt
+    decisions: dict[int, list[tuple[int, Any, Any]]] = field(init=False)
+    crashes: dict[int, int] = field(init=False)
+    halts: dict[int, int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.decisions, self.crashes, self.halts = {}, {}, {}
+        for ev in self.events:
+            if ev["ev"] == "decide":
+                self.decisions.setdefault(ev["proc"], []).append((ev["step"], ev["value"], ev["r"]))
+            elif ev["ev"] == "crash":
+                self.crashes[ev["proc"]] = ev["step"]
+            elif ev["ev"] == "halt":
+                self.halts[ev["proc"]] = ev["step"]
 
     @property
     def correct(self) -> frozenset[int]:
@@ -389,25 +404,7 @@ class Trace:
         if not isinstance(truncated, bool) or type(pending) is not int:
             raise ScenarioError("trace end line needs a boolean 'truncated' and an integer 'pending'")
         events = [_event(doc, scenario) for doc in lines[1:-1]]
-        decisions: dict[int, list] = {}
-        crashes: dict[int, int] = {}
-        halts: dict[int, int] = {}
-        for doc in events:
-            if doc["ev"] == "decide":
-                decisions.setdefault(doc["proc"], []).append((doc["step"], doc["value"], doc["r"]))
-            elif doc["ev"] == "crash":
-                crashes[doc["proc"]] = doc["step"]
-            elif doc["ev"] == "halt":
-                halts[doc["proc"]] = doc["step"]
-        return cls(
-            scenario=scenario,
-            events=events,
-            truncated=truncated,
-            pending=pending,
-            decisions=decisions,
-            crashes=crashes,
-            halts=halts,
-        )
+        return cls(scenario=scenario, events=events, truncated=truncated, pending=pending)
 
 
 _EVENT_FIELDS = {  # the fields of each trace event besides "ev" and "step"
@@ -463,7 +460,83 @@ def build_oracle(scenario: ScenarioConfig) -> OracleRuntime:
     return OracleRuntime(spec, history)
 
 
-class Simulation:
+class _Engine:
+    """The transition rules that seeded runs, replays and explore share.
+
+    A subclass holds the `automata`, `inboxes`, `crashed` and `halted` of
+    the execution it drives and applies the effects that automata request
+    through Ctx (`do_broadcast`, `do_decide`, `do_halt`, `do_round` and
+    `do_output`).  Here live the poll loop, the guard probe and the test
+    that every live process has halted or decided.
+    """
+
+    def __init__(self, scenario: ScenarioConfig, factory: AutomatonFactory, oracle: Any):
+        self.scenario = scenario
+        self.cfg = scenario.cfg
+        self.oracle = oracle
+        self.t = 0
+        self.automata = {
+            p: factory(scenario, p, random.Random(f"{scenario.seed}/proc/{p}"))
+            for p in self.cfg.processes
+        }
+        self.inboxes = {p: Inbox() for p in self.cfg.processes}
+        self.crashed: set[int] = set()
+        self.halted: set[int] = set()
+        self.quiesce_limit = 1000 + 8 * (scenario.rounds or 0)
+
+    def oracle_read(self, p: int) -> Any:
+        return self.oracle.read(p, self.t, frozenset(self.crashed))
+
+    def quiesce(self, p: int) -> None:
+        """Poll p's automaton from its current wait to its next blocking one."""
+        ctx = Ctx(self, p)
+        for _ in range(self.quiesce_limit):
+            if p in self.crashed or p in self.halted or not self.automata[p].on_poll(ctx):
+                return
+        raise RuntimeError(f"automaton of process {p} never blocked (runaway loop)")
+
+    def can_progress(self, p: int) -> bool:
+        """Whether p's next poll would move, judged on a throwaway copy of its
+        automaton; no effect of the probe reaches this engine."""
+        return self.automata[p].copy().on_poll(Ctx(_ProbeEngine(self), p))
+
+    def all_decided(self) -> bool:
+        """Every live process has halted or decided.  A decided process may
+        block forever in its final propose phase once its peers halted; with
+        nothing left to move, that is a completed run."""
+        return all(
+            p in self.crashed or p in self.halted or getattr(self.automata[p], "decided", None) is not None
+            for p in self.cfg.processes
+        )
+
+
+class _ProbeEngine:
+    """Read-only stand-in for a guard probe: a copied automaton evaluates its
+    guards against the host engine's inboxes, oracle, time and crashes, and
+    every effect it requests is dropped."""
+
+    def __init__(self, host: _Engine):
+        self.host = host
+        self.cfg = host.cfg
+        self.inboxes = host.inboxes
+
+    def oracle_read(self, p: int) -> Any:
+        return _Engine.oracle_read(self.host, p)  # unrecorded, unlike a simulation's own reads
+
+    def _drop(self, *effect: Any) -> None:
+        pass
+
+    do_broadcast = do_decide = do_halt = do_round = do_output = _drop
+
+
+def _matches(action: tuple, sender: int, payload: Payload, round_tag: int | None, identified: bool) -> bool:
+    """Whether a pending message is one that the ("deliver", receiver, sender,
+    payload, round_tag) action names; an anonymous receiver cannot tell
+    senders apart, so any sender matches."""
+    return action[3] == payload and action[4] == round_tag and (not identified or action[2] == sender)
+
+
+class Simulation(_Engine):
     """Single run of a scenario under its scheduling policy."""
 
     def __init__(
@@ -473,26 +546,13 @@ class Simulation:
         oracle: Any = None,
     ):
         scenario.validate()
-        self.scenario = scenario
-        self.cfg = scenario.cfg
+        super().__init__(scenario, factory, oracle if oracle is not None else build_oracle(scenario))
         self.horizon = scenario.effective_horizon
-        self.oracle = oracle if oracle is not None else build_oracle(scenario)
         self.rng = random.Random(f"{scenario.seed}/sched")
-        self.t = 0
         self.events: list[dict] = []
-        self.inboxes = {p: Inbox() for p in self.cfg.processes}
-        self.automata = {
-            p: factory(scenario, p, random.Random(f"{scenario.seed}/proc/{p}"))
-            for p in self.cfg.processes
-        }
         self.pending: dict[int, list[tuple[int, Payload, int | None, int]]] = {
             p: [] for p in self.cfg.processes
         }
-        self.crashed: set[int] = set()
-        self.halted: set[int] = set()
-        self.decisions: dict[int, list[tuple[int, Any, Any]]] = {}
-        self.crash_log: dict[int, int] = {}
-        self.halt_log: dict[int, int] = {}
         self._last_oracle: dict[int, Any] = {}
         self._last_output: dict[int, Any] = {}
         self._seq = 0
@@ -500,12 +560,11 @@ class Simulation:
         self._crash_at: dict[int, list[int]] = {}
         for p, s in scenario.pattern.crash_steps:
             self._crash_at.setdefault(s, []).append(p)
-        self._quiesce_limit = 1000 + 8 * (scenario.rounds or 0)
 
     # -- hooks used by Ctx ---------------------------------------------------
 
     def oracle_read(self, p: int) -> Any:
-        value = self.oracle.read(p, self.t, frozenset(self.crashed))
+        value = super().oracle_read(p)
         if self._last_oracle.get(p, self) != value:
             self._last_oracle[p] = value
             self.events.append({"step": self.t, "ev": "oracle", "proc": p, "value": value})
@@ -524,12 +583,10 @@ class Simulation:
             self.pending[q].append((p, payload, round_tag, self._seq))
 
     def do_decide(self, p: int, value: Any, r: Any) -> None:
-        self.decisions.setdefault(p, []).append((self.t, value, r))
         self.events.append({"step": self.t, "ev": "decide", "proc": p, "value": value, "r": r})
 
     def do_halt(self, p: int) -> None:
         self.halted.add(p)
-        self.halt_log[p] = self.t
         self.events.append({"step": self.t, "ev": "halt", "proc": p})
 
     def do_round(self, p: int, r: int, snapshot: dict) -> None:
@@ -545,20 +602,8 @@ class Simulation:
 
     # -- engine internals ------------------------------------------------------
 
-    def _quiesce(self, p: int) -> None:
-        if p in self.crashed or p in self.halted:
-            return
-        ctx = Ctx(self, p)
-        for _ in range(self._quiesce_limit):
-            if p in self.crashed or p in self.halted:
-                return
-            if not self.automata[p].on_poll(ctx):
-                return
-        raise RuntimeError(f"automaton of process {p} never blocked (runaway loop)")
-
     def _crash(self, p: int) -> None:
         self.crashed.add(p)
-        self.crash_log[p] = self.t
         self.pending[p].clear()
         self.events.append({"step": self.t, "ev": "crash", "proc": p})
 
@@ -569,20 +614,15 @@ class Simulation:
     def _live_unhalted(self) -> list[int]:
         return [p for p in self.cfg.processes if p not in self.crashed and p not in self.halted]
 
-    def _can_progress(self, p: int) -> bool:
-        probe = self.automata[p].copy()
-        return probe.on_poll(Ctx(_ProbeEngine(self, self.cfg, self.oracle, self.t), p))
-
     def _settled(self) -> bool:
-        # decided processes may block forever in their final propose phase
-        # once their peers halted; the run is complete when every live
-        # process halted or decided and nothing can move anymore
+        # the run is complete when every live process halted or decided and
+        # nothing can move anymore
         live = self._live_unhalted()
-        if any(getattr(self.automata[p], "decided", None) is None for p in live):
-            return False
-        if any(self.pending[p] for p in live):
-            return False
-        return not any(self._can_progress(p) for p in live)
+        return (
+            self.all_decided()
+            and not any(self.pending[p] for p in live)
+            and not any(self.can_progress(p) for p in live)
+        )
 
     def _done(self) -> bool:
         return not self._live_unhalted() or self._settled()
@@ -601,7 +641,7 @@ class Simulation:
         self._rr = p
         if self.pending[p]:
             self._deliver_index(p, 0)
-        self._quiesce(p)
+        self.quiesce(p)
 
     def _step_random(self) -> None:
         # delivery and process steps are independent choices, so a wait can
@@ -615,7 +655,7 @@ class Simulation:
         if kind == "deliver":
             self._deliver_index(p, self.rng.randrange(len(self.pending[p])))
         else:
-            self._quiesce(p)
+            self.quiesce(p)
 
     def _step_crash_adjacent(self) -> None:
         # post-mortem messages outrace everything else
@@ -627,7 +667,7 @@ class Simulation:
         if best is not None:
             _, p, idx = best
             self._deliver_index(p, idx)
-            self._quiesce(p)
+            self.quiesce(p)
         else:
             self._step_fifo()
 
@@ -659,15 +699,7 @@ class Simulation:
         if not truncated:
             self._drain()
             pending = 0
-        return Trace(
-            scenario=self.scenario,
-            events=self.events,
-            truncated=truncated,
-            pending=pending,
-            decisions=self.decisions,
-            crashes=self.crash_log,
-            halts=self.halt_log,
-        )
+        return Trace(scenario=self.scenario, events=self.events, truncated=truncated, pending=pending)
 
 
 def run(scenario: ScenarioConfig, factory: AutomatonFactory, oracle: Any = None) -> Trace:
@@ -683,24 +715,30 @@ def run_schedule(
 
     Actions are ("wake", p), ("poll", p), ("crash", p) or ("deliver", p,
     sender, payload, round_tag) exactly as explore() reports them; the
-    oracle is the same truthful live oracle exploration uses.
+    oracle is the same truthful live oracle exploration uses.  An action
+    naming no process in 1..n, or delivering no pending message, is a
+    ScenarioError.
     """
     sim = Simulation(scenario, factory, oracle=LiveOracle(scenario.oracle_kind, scenario.cfg.n))
     for action in schedule:
-        kind = action[0]
-        p = action[1]
+        kind, p = action[0], action[1]
+        if type(p) is not int or p not in sim.cfg.processes:
+            raise ScenarioError(f"schedule action {list(action)} names no process in 1..{sim.cfg.n}")
         if kind in ("wake", "poll"):
-            sim._quiesce(p)
+            sim.quiesce(p)
         elif kind == "crash":
             sim._crash(p)
         elif kind == "deliver":
             _, _, sender, payload, round_tag = action
-            payload = tuple(payload)
-            idx = next(
+            action = (kind, p, sender, tuple(payload), round_tag)
+            matching = (
                 i
                 for i, (s, pl, rt, _) in enumerate(sim.pending[p])
-                if pl == payload and rt == round_tag and (not scenario.identified or s == sender)
+                if _matches(action, s, pl, rt, scenario.identified)
             )
+            idx = next(matching, None)
+            if idx is None:
+                raise ScenarioError(f"schedule action {list(action)} matches no pending message")
             sim._deliver_index(p, idx)
         else:
             raise ScenarioError(f"unknown schedule action {kind!r}")
@@ -760,7 +798,7 @@ class _XState:
 
     def clone(self) -> "_XState":
         # copy-on-write: automata and inboxes are shared until an action
-        # touches them (apply() swaps in a private copy first)
+        # touches them (_XEngine.apply swaps in a private copy first)
         return _XState(
             automata=dict(self.automata),
             inboxes=dict(self.inboxes),
@@ -794,20 +832,71 @@ class _XState:
         )
 
 
-class _XEngine:
-    """Hook adapter letting the explore state drive the same Ctx/automata."""
+class _XEngine(_Engine):
+    """Explore's engine: the shared rules applied to explored states.  The
+    poll loop and the guard probe run on the state that `load` last pointed
+    the engine at, whose containers they read and change in place; the
+    effects feed that state's monitor."""
 
-    def __init__(self, state: _XState, cfg: SystemConfig, oracle: LiveOracle):
+    def __init__(self, scenario: ScenarioConfig, factory: AutomatonFactory, monitor: Any,
+                 crashes_left: int, crash_round_limit: int | None):
+        super().__init__(scenario, factory, LiveOracle(scenario.oracle_kind, scenario.cfg.n))
+        self.crash_round_limit = crash_round_limit
+        self.state = _XState(
+            self.automata, self.inboxes, [], self.crashed, self.halted, set(), crashes_left, monitor
+        )
+
+    def load(self, state: _XState) -> "_XEngine":
         self.state = state
-        self.cfg = cfg
-        self.oracle = oracle
+        self.automata, self.inboxes = state.automata, state.inboxes
+        self.crashed, self.halted = state.crashed, state.halted
+        return self
 
-    @property
-    def inboxes(self) -> dict[int, Inbox]:
-        return self.state.inboxes
+    def actions(self, st: _XState) -> list[tuple]:
+        """The enabled actions of a state; one deliver action per class of
+        pending messages a receiver cannot tell apart."""
+        self.load(st)
+        acts: list[tuple] = []
+        for p in self.cfg.processes:
+            if p in st.crashed or p in st.halted:
+                continue
+            if p not in st.woken:
+                acts.append(("wake", p))
+            elif self.can_progress(p):
+                acts.append(("poll", p))
+            if st.crashes_left > 0 and (
+                self.crash_round_limit is None
+                or getattr(st.automata[p], "r", 0) <= self.crash_round_limit
+            ):
+                acts.append(("crash", p))
+        seen: set[tuple] = set()
+        for receiver, sender, payload, round_tag in st.pending:
+            cls = (receiver, sender if self.scenario.identified else None, payload, round_tag)
+            if cls not in seen:
+                seen.add(cls)
+                acts.append(("deliver", receiver, sender, payload, round_tag))
+        return acts
 
-    def oracle_read(self, p: int) -> Any:
-        return self.oracle.read(p, 0, frozenset(self.state.crashed))
+    def apply(self, st: _XState, action: tuple) -> None:
+        kind, p = action[0], action[1]
+        if kind == "crash":
+            st.crashed.add(p)
+            st.crashes_left -= 1
+            st.pending = [m for m in st.pending if m[0] != p]
+            st.monitor.on_crash(st, p)
+        elif kind == "deliver":
+            idx = next(
+                i for i, m in enumerate(st.pending)
+                if m[0] == p and _matches(action, m[1], m[2], m[3], self.scenario.identified)
+            )
+            del st.pending[idx]
+            st.inboxes[p] = st.inboxes[p].clone()
+            st.inboxes[p].deliver(*action[2:])
+        else:  # wake or poll, on private copies of what the poll changes
+            st.woken.add(p)
+            st.automata[p] = st.automata[p].copy()
+            st.inboxes[p] = st.inboxes[p].clone()
+            self.load(st).quiesce(p)
 
     def do_broadcast(self, p: int, payload: Payload, round_tag: int | None) -> None:
         st = self.state
@@ -831,41 +920,6 @@ class _XEngine:
 
     def do_output(self, p: int, value: Any) -> None:
         self.state.monitor.on_output(self.state, p, value)
-
-
-class _ProbeEngine:
-    """Read-only stand-in: lets a cloned automaton evaluate its guards
-    against the real inboxes without any effect reaching the host.  The host
-    is either an exploration state or a running simulation; both expose
-    `inboxes` and `crashed`."""
-
-    def __init__(self, host: Any, cfg: SystemConfig, oracle: Any, t: int = 0):
-        self.host = host
-        self.cfg = cfg
-        self.oracle = oracle
-        self.t = t
-
-    @property
-    def inboxes(self) -> dict[int, Inbox]:
-        return self.host.inboxes
-
-    def oracle_read(self, p: int) -> Any:
-        return self.oracle.read(p, self.t, frozenset(self.host.crashed))
-
-    def do_broadcast(self, p: int, payload: Payload, round_tag: int | None) -> None:
-        pass
-
-    def do_decide(self, p: int, value: Any, r: Any) -> None:
-        pass
-
-    def do_halt(self, p: int) -> None:
-        pass
-
-    def do_round(self, p: int, r: int, snapshot: dict) -> None:
-        pass
-
-    def do_output(self, p: int, value: Any) -> None:
-        pass
 
 
 @dataclass
@@ -922,115 +976,14 @@ def explore(
         raise ScenarioError(
             "exploration chooses crash placements itself; use an empty crash map"
         )
-    cfg = scenario.cfg
-    monitor = monitor if monitor is not None else NullMonitor()
-    budget = cfg.f if max_crashes is None else max_crashes
-    oracle = LiveOracle(scenario.oracle_kind, cfg.n)
-    quiesce_limit = 1000 + 8 * (scenario.rounds or 0)
-
-    def quiesce(state: _XState, p: int) -> None:
-        if p in state.crashed or p in state.halted:
-            return
-        engine = _XEngine(state, cfg, oracle)
-        ctx = Ctx(engine, p)
-        for _ in range(quiesce_limit):
-            if p in state.crashed or p in state.halted:
-                return
-            if not state.automata[p].on_poll(ctx):
-                return
-        raise RuntimeError(f"automaton of process {p} never blocked (runaway loop)")
-
-    def can_progress(state: _XState, p: int) -> bool:
-        # guard evaluation on a throwaway clone; no effect escapes
-        probe = state.automata[p].copy()
-        return probe.on_poll(Ctx(_ProbeEngine(state, cfg, oracle), p))
-
-    def actions(state: _XState) -> list[tuple]:
-        acts: list[tuple] = []
-        for p in cfg.processes:
-            if p in state.crashed:
-                continue
-            if p not in state.halted:
-                if p not in state.woken:
-                    acts.append(("wake", p))
-                elif can_progress(state, p):
-                    acts.append(("poll", p))
-                if state.crashes_left > 0 and (
-                    crash_round_limit is None
-                    or getattr(state.automata[p], "r", 0) <= crash_round_limit
-                ):
-                    acts.append(("crash", p))
-        seen: set[tuple] = set()
-        for receiver, sender, payload, round_tag in state.pending:
-            cls = (receiver, sender if scenario.identified else None, payload, round_tag)
-            if cls not in seen:
-                seen.add(cls)
-                acts.append(("deliver", receiver, sender, payload, round_tag))
-        return acts
-
-    def own(state: _XState, p: int) -> None:
-        state.automata[p] = state.automata[p].copy()
-        state.inboxes[p] = state.inboxes[p].clone()
-
-    def apply(state: _XState, action: tuple) -> None:
-        kind = action[0]
-        if kind == "wake":
-            p = action[1]
-            state.woken.add(p)
-            own(state, p)
-            quiesce(state, p)
-        elif kind == "poll":
-            own(state, action[1])
-            quiesce(state, action[1])
-        elif kind == "crash":
-            p = action[1]
-            state.crashed.add(p)
-            state.crashes_left -= 1
-            state.pending = [m for m in state.pending if m[0] != p]
-            state.monitor.on_crash(state, p)
-        else:
-            _, receiver, sender, payload, round_tag = action
-            for i, m in enumerate(state.pending):
-                if (
-                    m[0] == receiver
-                    and m[2] == payload
-                    and m[3] == round_tag
-                    and (not scenario.identified or m[1] == sender)
-                ):
-                    del state.pending[i]
-                    break
-            state.inboxes[receiver] = state.inboxes[receiver].clone()
-            state.inboxes[receiver].deliver(sender, payload, round_tag)
-
-    def is_terminal(state: _XState) -> bool:
-        return all(
-            p in state.crashed or p in state.halted for p in cfg.processes
-        )
-
-    def is_quiescent(state: _XState) -> bool:
-        # every terminal state is quiescent; besides, a decided process may
-        # block forever in its final propose phase once its peers halted, and
-        # with nothing in flight that is a completed run
-        return all(
-            p in state.crashed
-            or p in state.halted
-            or getattr(state.automata[p], "decided", None) is not None
-            for p in cfg.processes
-        )
-
-    init = _XState(
-        automata={
-            p: factory(scenario, p, random.Random(f"{scenario.seed}/proc/{p}"))
-            for p in cfg.processes
-        },
-        inboxes={p: Inbox() for p in cfg.processes},
-        pending=[],
-        crashed=set(),
-        halted=set(),
-        woken=set(),
-        crashes_left=budget,
-        monitor=monitor,
+    engine = _XEngine(
+        scenario,
+        factory,
+        monitor if monitor is not None else NullMonitor(),
+        scenario.cfg.f if max_crashes is None else max_crashes,
+        crash_round_limit,
     )
+    init = engine.state
     init_key = init.key(scenario.identified)
     visited = {init_key}
     parents: dict[tuple, tuple | None] = {init_key: None}
@@ -1053,44 +1006,33 @@ def explore(
     while queue:
         state, key = queue.popleft()
         broken = state.monitor.violation()
+        acts = engine.actions(state) if broken is None else []
+        if acts:
+            for action in acts:
+                child = state.clone()
+                engine.apply(child, action)
+                child_key = child.key(scenario.identified)
+                if child_key in visited:
+                    continue
+                visited.add(child_key)
+                parents[child_key] = (key, action)
+                queue.append((child, child_key))
+                if len(visited) >= max_states:
+                    partial = True
+                    queue.clear()
+                    break
+            continue
         if broken is not None:
-            violation_count += 1
-            if len(violations) < keep_witnesses:
-                violations.append(Violation("invariant", broken, schedule_of(key)))
-            continue
-        acts = [] if is_terminal(state) else actions(state)
-        if not acts:
-            if is_quiescent(state):
-                terminals += 1
-                profiles[state.monitor.terminal_profile(state)] += 1
-                for detail in state.monitor.terminal_checks(state):
-                    violation_count += 1
-                    if len(violations) < keep_witnesses:
-                        violations.append(Violation("terminal", detail, schedule_of(key)))
-            else:
-                violation_count += 1
-                if len(violations) < keep_witnesses:
-                    violations.append(
-                        Violation(
-                            "stuck",
-                            "no enabled action but an undecided live process never halted",
-                            schedule_of(key),
-                        )
-                    )
-            continue
-        for action in acts:
-            child = state.clone()
-            apply(child, action)
-            child_key = child.key(scenario.identified)
-            if child_key in visited:
-                continue
-            visited.add(child_key)
-            parents[child_key] = (key, action)
-            queue.append((child, child_key))
-            if len(visited) >= max_states:
-                partial = True
-                queue.clear()
-                break
+            found = [("invariant", broken)]
+        elif engine.load(state).all_decided():
+            terminals += 1
+            profiles[state.monitor.terminal_profile(state)] += 1
+            found = [("terminal", detail) for detail in state.monitor.terminal_checks(state)]
+        else:
+            found = [("stuck", "no enabled action but an undecided live process never halted")]
+        violation_count += len(found)
+        for check, detail in found[: keep_witnesses - len(violations)]:
+            violations.append(Violation(check, detail, schedule_of(key)))
 
     return ExploreResult(
         states=len(visited),

@@ -181,6 +181,27 @@ class TestCampaign:
         assert main(["campaign", write(tmp_path, "c.json", doc)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n, crash, convergence, rounds, successes, code", [
+        (3, {"3": 6}, 8, 2, 25, 0),
+        (2, {"2": 3}, 4, 1, 16, 1),
+    ])
+    def test_success_bound_decides_verdict(
+        self, tmp_path, capsys, n, crash, convergence, rounds, successes, code
+    ):
+        # random-selftrust fails some seeds by design; only a rate below 2/3 fails the campaign
+        doc = self.campaign_doc(30)
+        doc["scenario"] = {
+            "algorithm": "random-selftrust", "n": n, "f": 1, "crash": crash, "rounds": rounds,
+            "oracle": {"kind": "crash-count", "behavior": "adversarial", "convergence": convergence},
+        }
+        out_file = tmp_path / "summary.json"
+        assert main(["campaign", write(tmp_path, "c.json", doc), "--out", str(out_file)]) == code
+        printed = capsys.readouterr().out
+        assert f"success-rate: {successes}/30" in printed
+        assert "FAIL seed=" in printed
+        failures = [f["property"] for f in json.loads(out_file.read_text())["failures"]]
+        assert failures[-1:] == ([] if code == 0 else ["success-rate"])
+
     def test_parallel_jobs_agree_with_serial(self, tmp_path, capsys):
         path = write(tmp_path, "c.json", self.campaign_doc(8))
         serial = tmp_path / "serial.json"

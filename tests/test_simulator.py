@@ -130,6 +130,7 @@ class TestRunSemantics:
         assert again.events == trace.events
         assert again.decisions == trace.decisions
         assert again.crashes == trace.crashes
+        assert again.halts == trace.halts
         assert again.truncated == trace.truncated
 
     def test_decide_round_matches_round_bound(self):
@@ -215,6 +216,16 @@ class TestReplay:
         # round 1 evaluated after the posthumous delivery: the 1 was counted
         assert trace.decisions[1][0][1] == 1
         assert not trace.truncated
+
+    @pytest.mark.parametrize("action", [
+        ("deliver", 1, 2, ("Propose", 1, 1), 1),  # nothing is pending yet
+        ("poll", 3),
+        ("crash", 0),
+    ])
+    def test_bad_action_rejected(self, action):
+        sc = scenario("floodmax", 2, 1, inputs=(0, 1))
+        with pytest.raises(ScenarioError):
+            run_schedule(sc, factory_of("floodmax"), [("wake", 1), action])
 
     def test_live_oracle_tracks_crashes(self):
         oracle = LiveOracle("crash-count", 3)

@@ -15,6 +15,7 @@ from anonsim import (
     ScenarioError,
     explore,
     run,
+    run_schedule,
     sample_history,
 )
 from anonsim.cli import ALGORITHMS, explore_crash_limit
@@ -39,6 +40,7 @@ from anonsim.verify import (
     check_permutation_closure,
     check_round_skew,
     check_stubbornness,
+    check_trace,
     check_unique_decide,
     classify_symmetry,
     monitor_for,
@@ -142,6 +144,21 @@ class TestMutationSensitivity:
                       monitor=monitor_for("stable-suspector", 3, 1, ()),
                       crash_round_limit=1)
         assert any("strong-accuracy" in v.detail for v in res.violations)
+
+    @pytest.mark.parametrize("mutant, rounds, props", [
+        ("flood-min", None, {"stubbornness", "agreement"}),
+        ("eager-lock", None, {"lock-exclusivity"}),
+        ("free-running", 6, {"round-skew"}),
+    ])
+    def test_explore_witness_replays(self, mutant, rounds, props):
+        # the first violating schedule, replayed, is a trace the checkers fail
+        algorithm, _, factory = MUTANTS[mutant]
+        sc = scenario(algorithm, 3, 1, inputs=(0, 1, 1) if ALGORITHMS[algorithm].consensus else None,
+                      rounds=rounds)
+        res = explore(sc, factory, monitor=monitor_for(algorithm, 3, 1, sc.inputs),
+                      crash_round_limit=explore_crash_limit(sc))
+        trace = run_schedule(sc, factory, res.violations[0].schedule)
+        assert props <= {r.prop for r in check_trace(trace) if r.failed}
 
     def test_mutant_table_is_wired(self):
         assert set(MUTANTS) == {
