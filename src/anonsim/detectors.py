@@ -24,6 +24,14 @@ valid per the definitions and the validators accept them, but the consensus
 and translation algorithms are only guaranteed correct against oracles that
 never under-count the currently-alive processes, so the samplers stay inside
 that envelope.
+
+A sampled table is drawn row by row, each row in step order.  A row is built
+as segments: the cells fixed by the pattern and the profile (post-convergence
+cells, optimistic and pessimistic cells, dead cells of non-adversarial
+profiles) are copied in bulk and cost no RNG calls; only the cells that use
+randomness draw, in step order.  That draw order is part of the replay
+contract: the same (seed, kind, profile, pattern, horizon) yields the same
+table, and so the same trace, on every supported interpreter.
 """
 
 from __future__ import annotations
@@ -226,6 +234,37 @@ class OracleProfile:
             raise ValueError("convergence step must be >= 0")
 
 
+def _randints(rng: random.Random, tops: list[int]) -> list[int]:
+    """`[rng.randint(0, top) for top in tops]`, drawn straight from `getrandbits`.
+
+    Consumes the generator exactly as `Random.randint` does on CPython
+    3.10-3.13 (k = (top+1).bit_length() bits per try, redrawn while the
+    result is out of range), so tables stay byte-identical, at a fraction
+    of the per-call cost.
+    """
+    getrandbits = rng.getrandbits
+    out = []
+    for top in tops:
+        bound = top + 1
+        k = bound.bit_length()
+        r = getrandbits(k)
+        while r >= bound:
+            r = getrandbits(k)
+        out.append(r)
+    return out
+
+
+def _crashed_by_step(crash: dict[int, int], horizon: int) -> list[frozenset[int]]:
+    """F(t) for t in 0..horizon, one shared set per stretch between crashes."""
+    failed: list[frozenset[int]] = []
+    so_far: set[int] = set()
+    for s, p in sorted((s, p) for p, s in crash.items()):
+        failed += [frozenset(so_far)] * (s - len(failed))
+        so_far.add(p)
+    failed += [frozenset(so_far)] * (horizon + 1 - len(failed))
+    return failed
+
+
 def sample_history(
     spec: DetectorSpec,
     pattern: FailurePattern,
@@ -247,88 +286,72 @@ def sample_history(
 
     rng = random.Random(f"{seed}/{spec.kind}/{profile.behavior}/{profile.convergence}")
     n = spec.n
+    behavior = profile.behavior
+    adversarial = behavior == "adversarial"
     conv = max(profile.convergence, pattern.last_crash)
-    crashed = pattern.crashed
-    crashed_total = len(crashed)
-    current = [len(pattern.at(t)) for t in range(horizon + 1)]
-
-    def count_cell(p: int, t: int) -> int:
-        live = pattern.crash_step(p) is None or t < pattern.crash_step(p)
-        if not live:
-            return rng.randint(0, n) if profile.behavior == "adversarial" else current[t]
-        if t >= conv:
-            return crashed_total
-        if profile.behavior == "optimistic":
-            return current[t]
-        if spec.kind == CRASH_COUNT:
-            # permanent accuracy caps live cells at the current count
-            if profile.behavior == "pessimistic":
-                return current[t]
-            return rng.randint(0, current[t])
-        # eventual accuracy: anything in range goes before convergence
-        if profile.behavior == "pessimistic":
-            return n
-        return 0  # claims everyone alive: maximal waiting downstream
-
-    def self_trust_rows() -> tuple[tuple[bool, ...], ...]:
-        leader = rng.choice(sorted(pattern.correct))
-        rows = []
-        for p in range(1, n + 1):
-            row = []
-            for t in range(horizon + 1):
-                if p in crashed:
-                    row.append(rng.random() < 0.5 if profile.behavior == "adversarial" else False)
-                elif t >= conv or profile.behavior == "optimistic":
-                    row.append(p == leader)
-                elif profile.behavior == "pessimistic":
-                    row.append(False)
-                else:
-                    row.append(rng.random() < 0.5)
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    def suspect_cell(p: int, t: int) -> frozenset[int]:
-        if t >= conv:
-            return crashed if spec.kind == EVENTUALLY_PERFECT else pattern.at(t)
-        if profile.behavior == "optimistic":
-            return pattern.at(t)
-        if spec.kind == PERFECT:
-            # strong accuracy binds every pre-crash cell
-            pool = sorted(pattern.at(t))
-            if profile.behavior == "pessimistic":
-                return pattern.at(t)
-            return frozenset(q for q in pool if rng.random() < 0.5)
-        if profile.behavior == "pessimistic":
-            return frozenset(range(1, n + 1))
-        return frozenset(q for q in range(1, n + 1) if rng.random() < 0.3)
-
-    def leader_cell(p: int, t: int, leader: int) -> int:
-        if t >= conv or profile.behavior == "optimistic":
-            return leader
-        if profile.behavior == "pessimistic":
-            return p
-        return rng.randint(1, n)
+    crash = dict(pattern.crash_steps)
+    crashed_total = len(crash)
+    failed = _crashed_by_step(crash, horizon)  # failed[t] is F(t)
+    current = [len(f) for f in failed]
+    width = horizon + 1
+    rows = []
 
     if spec.kind in COUNT_KINDS:
-        rows = tuple(
-            tuple(count_cell(p, t) for t in range(horizon + 1)) for p in range(1, n + 1)
-        )
+        for p in range(1, n + 1):
+            # live cells [0, live_end): before convergence up to pre_end, the
+            # exact total after; dead cells [live_end, horizon] are unconstrained
+            live_end = crash.get(p, width)
+            pre_end = min(live_end, conv)
+            if behavior == "optimistic" or (spec.kind == CRASH_COUNT and behavior == "pessimistic"):
+                row = current[:pre_end]
+            elif spec.kind == CRASH_COUNT:
+                # permanent accuracy caps live cells at the current count
+                row = _randints(rng, current[:pre_end])
+            else:
+                # eventual accuracy: anything in range goes before convergence;
+                # adversarial claims everyone alive, for maximal waiting
+                row = [n if behavior == "pessimistic" else 0] * pre_end
+            row += [crashed_total] * (live_end - pre_end)
+            row += _randints(rng, [n] * (width - live_end)) if adversarial else current[live_end:]
+            rows.append(tuple(row))
     elif spec.kind == SELF_TRUST:
-        rows = self_trust_rows()
+        leader = rng.choice(sorted(pattern.correct))
+        flip = rng.random
+        for p in range(1, n + 1):
+            if p in crash:
+                row = [flip() < 0.5 for _ in range(width)] if adversarial else [False] * width
+            else:
+                pre = 0 if behavior == "optimistic" else conv
+                row = [flip() < 0.5 for _ in range(pre)] if adversarial else [False] * pre
+                row += [p == leader] * (width - pre)
+            rows.append(tuple(row))
     elif spec.kind in (PERFECT, EVENTUALLY_PERFECT):
-        rows = tuple(
-            tuple(suspect_cell(p, t) for t in range(horizon + 1)) for p in range(1, n + 1)
-        )
+        tail = [pattern.crashed] * (width - conv) if spec.kind == EVENTUALLY_PERFECT else failed[conv:]
+        for p in range(1, n + 1):
+            if behavior == "optimistic" or (spec.kind == PERFECT and behavior == "pessimistic"):
+                row = failed[:conv]
+            elif behavior == "pessimistic":
+                row = [frozenset(range(1, n + 1))] * conv
+            elif spec.kind == PERFECT:
+                # strong accuracy binds every pre-crash cell
+                row = [frozenset(q for q in sorted(failed[t]) if rng.random() < 0.5) for t in range(conv)]
+            else:
+                row = [frozenset(q for q in range(1, n + 1) if rng.random() < 0.3) for _ in range(conv)]
+            rows.append(tuple(row + tail))
     elif spec.kind == LEADER:
         leader = rng.choice(sorted(pattern.correct))
-        rows = tuple(
-            tuple(leader_cell(p, t, leader) for t in range(horizon + 1))
-            for p in range(1, n + 1)
-        )
+        for p in range(1, n + 1):
+            pre = 0 if behavior == "optimistic" else conv
+            if adversarial:
+                row = [1 + v for v in _randints(rng, [n - 1] * pre)]
+            else:
+                row = [p] * pre
+            row += [leader] * (width - pre)
+            rows.append(tuple(row))
     else:  # pragma: no cover - guarded by DetectorSpec
         raise ValueError(spec.kind)
 
-    return DetectorHistory(spec.kind, n, horizon, rows, convergence=conv)
+    return DetectorHistory(spec.kind, n, horizon, tuple(rows), convergence=conv)
 
 
 class OracleRuntime:

@@ -320,10 +320,26 @@ def pattern_to_json(cfg: SystemConfig, pattern: FailurePattern) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def pattern_from_json(text: str) -> tuple[SystemConfig, FailurePattern]:
+def _json_object(text: str, what: str) -> dict:
     doc = json.loads(text)
-    cfg = SystemConfig(n=int(doc["n"]), f=int(doc["f"]))
-    crashes = {int(p): int(s) for p, s in doc.get("crash", {}).items()}
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(doc).__name__}")
+    return doc
+
+
+def _json_int(value: Any, what: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def pattern_from_json(text: str) -> tuple[SystemConfig, FailurePattern]:
+    doc = _json_object(text, "pattern")
+    cfg = SystemConfig(n=_json_int(doc["n"], "'n'"), f=_json_int(doc["f"], "'f'"))
+    crash = doc.get("crash", {})
+    if not isinstance(crash, dict):
+        raise ValueError(f"'crash' must be a JSON object, not {crash!r}")
+    crashes = {int(p): _json_int(s, f"crash step of {p}") for p, s in crash.items()}
     pattern = FailurePattern.of(cfg.n, crashes)
     correct_set(pattern, cfg)  # reject patterns outside the budget
     return cfg, pattern
@@ -336,6 +352,10 @@ def _cell_to_json(value: Any) -> Any:
 
 
 def _cell_from_json(value: Any) -> Any:
+    if isinstance(value, dict) or (
+        isinstance(value, list) and any(isinstance(v, (list, dict)) for v in value)
+    ):
+        raise ValueError(f"history cell is neither a scalar nor a flat list: {value!r}")
     if isinstance(value, list):
         return frozenset(value)
     return value
@@ -366,14 +386,24 @@ def history_to_json(history: DetectorHistory) -> str:
 
 
 def history_from_json(text: str) -> DetectorHistory:
-    doc = json.loads(text)
-    rows = tuple(tuple(_cell_from_json(v) for v in row) for row in doc["out"])
+    doc = _json_object(text, "history")
+    out = doc["out"]
+    if not isinstance(out, list) or not all(isinstance(row, list) for row in out):
+        raise ValueError("'out' must be a list of rows")
+    horizon = _json_int(doc["horizon"], "'horizon'")
+    if horizon < 0:
+        raise ValueError(f"negative horizon {horizon}")
+    kind = doc.get("kind", "")
+    if not isinstance(kind, str):
+        raise ValueError(f"'kind' must be a string, not {kind!r}")
     emulated = doc.get("emulated_from")
+    if emulated is not None and not isinstance(emulated, list):
+        raise ValueError(f"'emulated_from' must be a list, not {emulated!r}")
     return DetectorHistory(
-        kind=doc.get("kind", ""),
-        n=int(doc["n"]),
-        horizon=int(doc["horizon"]),
-        rows=rows,
+        kind=kind,
+        n=_json_int(doc["n"], "'n'"),
+        horizon=horizon,
+        rows=tuple(tuple(_cell_from_json(v) for v in row) for row in out),
         convergence=doc.get("convergence"),
         emulated_from=tuple(emulated) if emulated else None,
     )

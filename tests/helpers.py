@@ -40,3 +40,28 @@ def scenario(
 
 def factory_of(algorithm: str):
     return ALGORITHMS[algorithm].factory
+
+
+def campaign_scenario(algorithm: str, seed: int) -> ScenarioConfig:
+    """The adversarial consensus campaigns of acceptance criterion 2."""
+    if algorithm == "floodmax":
+        return scenario("floodmax", 4, 3, inputs=(0, 1, 1, 0), crashes={2: 25, 4: 60},
+                        behavior="adversarial", convergence=100, policy="random",
+                        seed=seed, horizon=1200)
+    if algorithm == "lockmin":
+        return scenario("lockmin", 5, 2, inputs=(0, 1, 0, 1, 1), crashes={2: 30, 4: 80},
+                        behavior="adversarial", convergence=150, policy="random",
+                        seed=seed, horizon=1500)
+    if algorithm == "leadervote":
+        return scenario("leadervote", 5, 2, inputs=(0, 1, 0, 1, 1), crashes={3: 40, 5: 90},
+                        behavior="adversarial", convergence=150, policy="random",
+                        seed=seed, horizon=1500)
+    raise ValueError(algorithm)
+
+
+def selftrust_scenario(seed: int) -> ScenarioConfig:
+    """The randomized self-trust construction of acceptance criterion 6."""
+    return scenario("random-selftrust", 5, 2, kind="crash-count",
+                    crashes={2: 30, 5: 60}, behavior="adversarial",
+                    convergence=120, policy="random", seed=seed,
+                    horizon=2500, rounds=12)

@@ -251,6 +251,10 @@ class TestExplore:
         assert "PARTIAL" in out
 
 
+SMALL_HISTORY = {"kind": "crash-count", "n": 2, "horizon": 1, "out": [[0, 1], [0, 0]], "convergence": 1}
+SMALL_PATTERN = {"n": 2, "f": 1, "crash": {"2": 1}}
+
+
 class TestValidateHistory:
     def test_valid_history_and_anonymity(self, tmp_path, capsys):
         from anonsim import DetectorSpec, FailurePattern, OracleProfile, SystemConfig, sample_history
@@ -287,6 +291,18 @@ class TestValidateHistory:
         pp.write_text('{"n": 2, "f": 1, "crash": {}}')
         assert main(["validate-history", "--history", str(hp), "--pattern", str(pp)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("history, pattern", [
+        ({**SMALL_HISTORY, "n": [2]}, SMALL_PATTERN),
+        ({**SMALL_HISTORY, "out": 5}, SMALL_PATTERN),
+        ([SMALL_HISTORY], SMALL_PATTERN),
+        (SMALL_HISTORY, {**SMALL_PATTERN, "crash": [2]}),
+        ({**SMALL_HISTORY, "out": [[[[1]], 1], [0, 0]]}, SMALL_PATTERN),
+    ], ids=["n-list", "out-int", "top-level-array", "crash-list", "nested-cell"])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, history, pattern):
+        hp, pp = write(tmp_path, "h.json", history), write(tmp_path, "p.json", pattern)
+        assert main(["validate-history", "--history", hp, "--pattern", pp]) == 2
+        assert "malformed input" in capsys.readouterr().err
 
 
 # --- the exit-code contract: any JSON in any field exits 0, 1 or 2, never 3 ----
@@ -366,3 +382,18 @@ class TestExitCodeContract:
         path.write_text("\n".join(lines) + "\n")
         contract_holds(main(["check", str(path)]), capsys)
 
+    @CONTRACT
+    @given(data=st.data())
+    def test_history(self, tmp_path, capsys, data):
+        history, pattern = SMALL_HISTORY, SMALL_PATTERN
+        target = data.draw(st.sampled_from(["history", "cell", "pattern"]))
+        if target == "history":
+            history = replace_fields(data, history, ())
+        elif target == "cell":
+            history = json.loads(json.dumps(history))
+            row = data.draw(st.sampled_from(history["out"]))
+            row[data.draw(st.integers(0, len(row) - 1))] = data.draw(JSON)
+        else:
+            pattern = replace_fields(data, pattern, ("crash",))
+        hp, pp = write(tmp_path, "h.json", history), write(tmp_path, "p.json", pattern)
+        contract_holds(main(["validate-history", "--history", hp, "--pattern", pp, "--anonymity"]), capsys)
