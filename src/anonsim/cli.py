@@ -246,6 +246,9 @@ def _explore_scenario(scenario: ScenarioConfig, out: str | None, max_states: int
         **kwargs,
     )
     print(f"explored states: {result.states}")
+    new_per_child = (result.states - 1) / result.children if result.children else 0.0
+    print(f"children built: {result.children} (dedup ratio: {new_per_child:.4f} new states per child)")
+    print(f"peak frontier: {result.peak_frontier}")
     print(f"terminal states: {result.terminals}")
     print(f"distinct outcomes: {len(result.terminal_profiles)}")
     if result.partial:

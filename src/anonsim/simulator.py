@@ -19,6 +19,16 @@ crash placements are all branching choices.  Local computation runs eagerly
 to its next blocking wait after each choice, which is sound here because an
 automaton only observes its own inbox and the oracle.
 
+A state's identity in `explore` is a flat tuple of small ints.  Each explore
+call owns one `InternTable`, freed when the call returns, that numbers every
+state component it meets in first-seen order: an automaton's key, an
+inbox's contents, the multiset of messages pending to a receiver and the
+monitor's key.  A key holds those ids, the crashed, halted and woken sets as
+bit masks, and the crash budget left.  The table is a bijection on
+components, so states merge exactly when their components are equal.  One
+map, from each visited key to its parent's key and the action between,
+is both the visited set and the source of witness schedules.
+
 Seeded runs (`Simulation`), replays (`run_schedule`) and `explore` (on an
 `_XEngine`) apply one set of transition rules, `_Engine`: the poll loop, the
 guard probe and the test that every live process has halted or decided.
@@ -189,7 +199,7 @@ class Inbox:
         self.by_round: dict[int, list[tuple[int, Payload]]] = {}
         self.untagged: list[tuple[int, Payload]] = []
         self.floor = 0
-        self._key: tuple | None = None
+        self._key: int | None = None
 
     def deliver(self, sender: int, payload: Payload, round_tag: int | None) -> None:
         self._key = None
@@ -222,50 +232,31 @@ class Inbox:
         other._key = self._key
         return other
 
-    def key(self, identified: bool) -> tuple:
-        if self._key is None or self._key[0] is not identified:
-            if identified:
-                rounds = tuple(
-                    (r, tuple(sorted(items, key=_sortable)))
-                    for r, items in sorted(self.by_round.items())
-                )
-                extra = tuple(sorted(self.untagged, key=_sortable))
-            else:
-                rounds = tuple(
-                    (r, tuple(sorted((payload for _, payload in items), key=_sortable)))
-                    for r, items in sorted(self.by_round.items())
-                )
-                extra = tuple(sorted((payload for _, payload in self.untagged), key=_sortable))
-            self._key = (identified, (self.floor, rounds, extra))
-        return self._key[1]
+    def key(self, identified: bool, ids: InternTable) -> int:
+        """The id in `ids` of this inbox's contents: the floor, then per
+        round the multiset of (sender, payload) items, or of bare payloads
+        for an anonymous receiver, then the untagged ones.  A multiset is
+        the sorted tuple of its items' ids.  The id is cached until the
+        inbox changes, so an inbox is keyed in one table only."""
+        if self._key is None:
+
+            def bag(items: list[tuple[int, Payload]]) -> tuple[int, ...]:
+                return tuple(sorted([ids[item if identified else item[1]] for item in items]))
+
+            rounds = tuple((r, bag(items)) for r, items in sorted(self.by_round.items()))
+            self._key = ids[self.floor, rounds, bag(self.untagged)]
+        return self._key
 
 
-_SORTABLE_CACHE: dict[Any, Any] = {}
+class InternTable(dict):
+    """State components to small ints: `table[component]` is the
+    component's index in first-seen order, assigned on first lookup.  A
+    table is a bijection on the components it has seen, so a tuple of ids
+    identifies a tuple of components."""
 
-
-def _sortable(value: Any) -> Any:
-    """Total order over payload-ish values; None and ints do not compare raw."""
-    try:
-        return _SORTABLE_CACHE[value]
-    except KeyError:
-        pass
-    except TypeError:
-        return (5, repr(value))
-    if value is None:
-        rank = (0, 0)
-    elif isinstance(value, bool):
-        rank = (1, int(value))
-    elif isinstance(value, int):
-        rank = (2, value)
-    elif isinstance(value, str):
-        rank = (3, value)
-    elif isinstance(value, tuple):
-        rank = (4, tuple(_sortable(v) for v in value))
-    else:
-        rank = (5, repr(value))
-    if len(_SORTABLE_CACHE) < 1_000_000:
-        _SORTABLE_CACHE[value] = rank
-    return rank
+    def __missing__(self, component: Any) -> int:
+        ident = self[component] = len(self)
+        return ident
 
 
 class Automaton:
@@ -274,14 +265,15 @@ class Automaton:
     def copy(self):
         clone = object.__new__(type(self))
         clone.__dict__.update(self.__dict__)
-        clone.__dict__.pop("_key_cache", None)
+        clone.__dict__.pop("_key_id", None)
         return clone
 
-    def cached_key(self) -> tuple:
-        # safe while exploration only mutates fresh copies
-        key = self.__dict__.get("_key_cache")
+    def cached_key(self, ids: InternTable) -> int:
+        """The id of `key()` in `ids`, cached on the automaton: safe while
+        exploration only mutates fresh copies."""
+        key = self.__dict__.get("_key_id")
         if key is None:
-            key = self.__dict__["_key_cache"] = self.key()
+            key = self.__dict__["_key_id"] = ids[self.key()]
         return key
 
 
@@ -789,7 +781,7 @@ class _XState:
     def __init__(self, automata, inboxes, pending, crashed, halted, woken, crashes_left, monitor):
         self.automata = automata
         self.inboxes = inboxes
-        self.pending = pending  # list of (receiver, sender, payload, round_tag)
+        self.pending = pending  # list of (receiver, sender, payload, round_tag, message id)
         self.crashed = crashed
         self.halted = halted
         self.woken = woken
@@ -810,26 +802,34 @@ class _XState:
             monitor=self.monitor.clone(),
         )
 
-    def key(self, identified: bool) -> tuple:
-        procs = sorted(self.automata)
-        return (
-            tuple(self.automata[p].cached_key() for p in procs),
-            tuple(self.inboxes[p].key(identified) for p in procs),
-            tuple(
-                sorted(
-                    (
-                        (m[0], m[1], m[2], m[3]) if identified else (m[0], m[2], m[3])
-                        for m in self.pending
-                    ),
-                    key=_sortable,
-                )
-            ),
-            tuple(sorted(self.crashed)),
-            tuple(sorted(self.halted)),
-            tuple(sorted(self.woken)),
+    def key(self, identified: bool, ids: InternTable) -> tuple[int, ...]:
+        """The state's identity, a flat tuple of small ints: per process the
+        ids of its automaton, of its inbox and of the multiset of messages
+        pending to it (the sorted tuple of their message ids), then the
+        crashed, halted and woken sets as bit masks, the crash budget left
+        and the id of the monitor's key.  Two states of one explore call
+        share a key exactly when their components are equal."""
+        pending: dict[int, list[int]] = {p: [] for p in self.automata}
+        for m in self.pending:
+            pending[m[0]].append(m[4])
+        key: list[int] = []
+        for p, automaton in self.automata.items():
+            key += (
+                automaton.cached_key(ids),
+                self.inboxes[p].key(identified, ids),
+                ids[tuple(sorted(pending[p]))],
+            )
+        key += (
+            sum(map(_BIT, self.crashed)),
+            sum(map(_BIT, self.halted)),
+            sum(map(_BIT, self.woken)),
             self.crashes_left,
-            self.monitor.key(),
+            ids[self.monitor.key()],
         )
+        return tuple(key)
+
+
+_BIT = (1).__lshift__  # p -> the bit of process p; a set of processes is the sum of its bits
 
 
 class _XEngine(_Engine):
@@ -842,6 +842,7 @@ class _XEngine(_Engine):
                  crashes_left: int, crash_round_limit: int | None):
         super().__init__(scenario, factory, LiveOracle(scenario.oracle_kind, scenario.cfg.n))
         self.crash_round_limit = crash_round_limit
+        self.ids = InternTable()  # lives as long as this engine: one explore call
         self.state = _XState(
             self.automata, self.inboxes, [], self.crashed, self.halted, set(), crashes_left, monitor
         )
@@ -870,10 +871,9 @@ class _XEngine(_Engine):
             ):
                 acts.append(("crash", p))
         seen: set[tuple] = set()
-        for receiver, sender, payload, round_tag in st.pending:
-            cls = (receiver, sender if self.scenario.identified else None, payload, round_tag)
-            if cls not in seen:
-                seen.add(cls)
+        for receiver, sender, payload, round_tag, message in st.pending:
+            if (receiver, message) not in seen:
+                seen.add((receiver, message))
                 acts.append(("deliver", receiver, sender, payload, round_tag))
         return acts
 
@@ -902,9 +902,11 @@ class _XEngine(_Engine):
         st = self.state
         st.monitor.on_send(st, p, payload)
         st.inboxes[p].deliver(p, payload, round_tag)
+        # the message id: what the receiver can tell apart
+        message = self.ids[(p, payload, round_tag) if self.scenario.identified else (payload, round_tag)]
         for q in self.cfg.processes:
             if q != p and q not in st.crashed and q not in st.halted:
-                st.pending.append((q, p, payload, round_tag))
+                st.pending.append((q, p, payload, round_tag, message))
 
     def do_decide(self, p: int, value: Any, r: Any) -> None:
         self.state.monitor.on_decide(self.state, p, value, r)
@@ -937,6 +939,8 @@ class ExploreResult:
     violation_count: int
     partial: bool
     terminal_profiles: Counter
+    children: int  # child states built, new or not
+    peak_frontier: int  # most states discovered but not yet expanded at once
 
     @property
     def ok(self) -> bool:
@@ -972,6 +976,8 @@ def explore(
     scenario.validate()
     if scenario.cfg.n > 3:
         raise ScenarioError("exhaustive exploration is limited to n <= 3")
+    if max_states < 1:
+        raise ScenarioError(f"the state budget must be at least 1, not {max_states}")
     if scenario.pattern.crash_steps:
         raise ScenarioError(
             "exploration chooses crash placements itself; use an empty crash map"
@@ -983,9 +989,10 @@ def explore(
         scenario.cfg.f if max_crashes is None else max_crashes,
         crash_round_limit,
     )
+    identified, ids = scenario.identified, engine.ids
     init = engine.state
-    init_key = init.key(scenario.identified)
-    visited = {init_key}
+    init_key = init.key(identified, ids)
+    # the visited map: a state's key -> (its parent's key, the action between)
     parents: dict[tuple, tuple | None] = {init_key: None}
     queue: deque[tuple[_XState, tuple]] = deque([(init, init_key)])
 
@@ -1002,6 +1009,8 @@ def explore(
     violation_count = 0
     partial = False
     profiles: Counter = Counter()
+    children = 0
+    peak_frontier = 1
 
     while queue:
         state, key = queue.popleft()
@@ -1011,13 +1020,14 @@ def explore(
             for action in acts:
                 child = state.clone()
                 engine.apply(child, action)
-                child_key = child.key(scenario.identified)
-                if child_key in visited:
+                children += 1
+                child_key = child.key(identified, ids)
+                if child_key in parents:
                     continue
-                visited.add(child_key)
                 parents[child_key] = (key, action)
                 queue.append((child, child_key))
-                if len(visited) >= max_states:
+                peak_frontier = max(peak_frontier, len(queue))
+                if len(parents) >= max_states:
                     partial = True
                     queue.clear()
                     break
@@ -1035,10 +1045,12 @@ def explore(
             violations.append(Violation(check, detail, schedule_of(key)))
 
     return ExploreResult(
-        states=len(visited),
+        states=len(parents),
         terminals=terminals,
         violations=violations,
         violation_count=violation_count,
         partial=partial,
         terminal_profiles=profiles,
+        children=children,
+        peak_frontier=peak_frontier,
     )

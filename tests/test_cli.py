@@ -223,6 +223,8 @@ class TestExplore:
         assert main(["explore", write(tmp_path, "e.json", doc)]) == 0
         out = capsys.readouterr().out
         assert "violations: 0" in out
+        assert "explored states: 92" in out and "children built: 146 (dedup ratio: 0.6233" in out
+        assert "peak frontier: 18" in out
 
     def test_size_guard_exits_2(self, tmp_path, capsys):
         doc = {
@@ -249,6 +251,15 @@ class TestExplore:
         assert main(["explore", write(tmp_path, "e.json", doc), "--max-states", "40"]) == 1
         out = capsys.readouterr().out
         assert "PARTIAL" in out
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_exits_2(self, tmp_path, capsys, budget):
+        sc = scenario("floodmax", 2, 1, inputs=(0, 1)).to_dict()
+        assert main(["explore", write(tmp_path, "e.json", sc), "--max-states", str(budget)]) == 2
+        campaign = {"schema": 1, "mode": "explore", "max_states": budget, "scenario": sc}
+        assert main(["campaign", write(tmp_path, "c.json", campaign)]) == 2
+        captured = capsys.readouterr()
+        assert "PARTIAL" not in captured.out and "state budget" in captured.err
 
 
 SMALL_HISTORY = {"kind": "crash-count", "n": 2, "horizon": 1, "out": [[0, 1], [0, 0]], "convergence": 1}

@@ -2,6 +2,7 @@
 
 import pytest
 from helpers import factory_of, scenario
+from pins import EXPLORE_JOBS, EXPLORE_SHA256, explore_digest
 
 from anonsim import (
     LiveOracle,
@@ -182,6 +183,19 @@ class TestExplore:
         assert res.violation_count == 0
         crashed_sets = {profile[1] for profile in res.terminal_profiles}
         assert crashed_sets == {(), (1,), (2,)}
+
+    def test_work_counted(self):
+        sc = scenario("lockmin", 3, 1, inputs=(0, 1, 1))
+        res = explore(sc, factory_of("lockmin"), monitor=monitor_for("lockmin", 3, 1, (0, 1, 1)), max_crashes=0)
+        assert res.states - 1 <= res.children
+        assert 1 <= res.peak_frontier <= res.states
+        single = explore(scenario("floodmax", 1, 0, inputs=(1,)), factory_of("floodmax"))
+        assert (single.states, single.children, single.peak_frontier) == (2, 1, 1)
+
+    def test_results_pinned(self):
+        # states, terminals, profiles, violations and witness schedules of
+        # small jobs of every explorable algorithm and mutant
+        assert explore_digest() == (EXPLORE_JOBS, EXPLORE_SHA256)
 
     def test_budget_flagged(self):
         sc = scenario("lockmin", 3, 1, inputs=(0, 1, 1))
