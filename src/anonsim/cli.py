@@ -272,9 +272,7 @@ def _explore_scenario(scenario: ScenarioConfig, out: str | None, max_states: int
             + "\n"
         )
         print(f"witness written to {out_path}/violation.*")
-    if result.partial:
-        return EXIT_PROPERTY
-    return EXIT_OK if result.violation_count == 0 else EXIT_PROPERTY
+    return EXIT_OK if result.ok else EXIT_PROPERTY
 
 
 def cmd_explore(args: argparse.Namespace) -> int:

@@ -97,9 +97,6 @@ class LockMinConsensus(Automaton):
     def _lock_rule(self, proposed: set[int]) -> int | None:
         return self.v if len(proposed) == 1 else None
 
-    def _adopt_locked(self, value: int) -> None:
-        self.v = value
-
     def on_poll(self, ctx: Ctx) -> bool:
         if self.phase == "propose-send":
             if not self.started:
@@ -132,7 +129,7 @@ class LockMinConsensus(Automaton):
             tags = [m[2] for m in locks]
             present = sorted(t for t in set(tags) if t is not None)
             if present:
-                self._adopt_locked(present[0])
+                self.v = present[0]
                 if all(t == self.v for t in tags):
                     self.decided = self.v
                     self.decide_round = self.r

@@ -274,8 +274,6 @@ def is_anonymous(
     pattern: FailurePattern,
     history: DetectorHistory,
     perms: Iterable[Permutation] | None = None,
-    max_samples: int = 100,
-    seed: int = 0,
 ) -> AnonymityVerdict:
     """Check closure of spec.validates under simultaneous relabelling.
 
@@ -289,9 +287,10 @@ def is_anonymous(
     quantifies over the whole permutation group, inverting one side does
     not change which detectors count as anonymous.
 
-    Exhaustive over all n! permutations for n <= 4, Monte-Carlo sampled
-    above (or over an explicit `perms` iterable).  Reports the first
-    violating permutation.  The input history must itself be valid.
+    Exhaustive over all n! permutations for n <= 4, over 100 permutations
+    drawn from a fixed seed above (or over an explicit `perms` iterable).
+    Reports the first violating permutation.  The input history must itself
+    be valid.
     """
     if not spec.validates(history, pattern):
         raise ValueError("input history does not validate against the spec")
@@ -299,8 +298,8 @@ def is_anonymous(
         if history.n <= 4:
             perms = all_permutations(history.n)
         else:
-            rng = random.Random(f"{seed}/anonymity")
-            perms = (random_permutation(history.n, rng) for _ in range(max_samples))
+            rng = random.Random("0/anonymity")
+            perms = (random_permutation(history.n, rng) for _ in range(100))
     tested = 0
     for pi in perms:
         tested += 1

@@ -694,8 +694,8 @@ class Simulation(_Engine):
         return Trace(scenario=self.scenario, events=self.events, truncated=truncated, pending=pending)
 
 
-def run(scenario: ScenarioConfig, factory: AutomatonFactory, oracle: Any = None) -> Trace:
-    return Simulation(scenario, factory, oracle).run()
+def run(scenario: ScenarioConfig, factory: AutomatonFactory) -> Trace:
+    return Simulation(scenario, factory).run()
 
 
 def run_schedule(
@@ -742,31 +742,48 @@ def run_schedule(
 
 
 class NullMonitor:
-    """Monitor that only summarizes terminal outcomes."""
+    """The monitor protocol, and the monitor that checks nothing.
+
+    `explore` gives each explored state its own monitor and calls its hooks
+    as that state's events happen:
+
+    * `on_send(state, p, payload)` when p broadcasts, before any copy is
+      delivered;
+    * `on_decide(state, p, value, r)` when p decides;
+    * `on_round(state, p, r)` when p switches to round r;
+    * `on_output(state, p, value)` when p emits a detector output;
+    * `on_crash(state, p)` when a crash action strikes p.
+
+    A state whose `violation()` is not None is not expanded: its verdict is
+    reported as an invariant violation.  At a terminal state (every live
+    process halted or decided, no enabled action) `terminal_checks` lists
+    its failures and `terminal_profile` names its outcome.
+
+    `key()` joins the state's identity, so it must fold in every field that
+    a later verdict can depend on; states with equal keys merge.  `clone()`
+    gives each child a shallow copy of the parent's fields, so a hook must
+    replace a container field with a new one, never change it in place.
+    A subclass writes the hooks it checks and inherits the rest; setting
+    `flag` makes `violation()` report it.
+    """
+
+    flag: str | None = None
+
+    def ignore(self, state: "_XState", *event: Any) -> None:
+        """The hook of an event the monitor does not check."""
+
+    on_send = on_decide = on_round = on_output = on_crash = ignore
 
     def clone(self) -> "NullMonitor":
-        return self
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        return clone
 
     def key(self) -> tuple:
         return ()
 
-    def on_send(self, state: "_XState", p: int, payload: Payload) -> None:
-        pass
-
-    def on_decide(self, state: "_XState", p: int, value: Any, r: Any) -> None:
-        pass
-
-    def on_round(self, state: "_XState", p: int, r: int) -> None:
-        pass
-
-    def on_output(self, state: "_XState", p: int, value: Any) -> None:
-        pass
-
-    def on_crash(self, state: "_XState", p: int) -> None:
-        pass
-
     def violation(self) -> str | None:
-        return None
+        return self.flag
 
     def terminal_checks(self, state: "_XState") -> list[str]:
         return []
@@ -924,6 +941,9 @@ class _XEngine(_Engine):
         self.state.monitor.on_output(self.state, p, value)
 
 
+KEEP_WITNESSES = 10  # violations `explore` keeps a schedule for; the rest are only counted
+
+
 @dataclass
 class Violation:
     check: str
@@ -953,7 +973,6 @@ def explore(
     monitor: Any = None,
     max_crashes: int | None = None,
     max_states: int = 1_500_000,
-    keep_witnesses: int = 10,
     crash_round_limit: int | None = None,
 ) -> ExploreResult:
     """Enumerate every schedule of a small scenario (n <= 3).
@@ -994,7 +1013,9 @@ def explore(
     init_key = init.key(identified, ids)
     # the visited map: a state's key -> (its parent's key, the action between)
     parents: dict[tuple, tuple | None] = {init_key: None}
-    queue: deque[tuple[_XState, tuple]] = deque([(init, init_key)])
+    # reaching the budget ends the search, the initial state's included
+    partial = len(parents) >= max_states
+    queue: deque[tuple[_XState, tuple]] = deque() if partial else deque([(init, init_key)])
 
     def schedule_of(key: tuple) -> list[tuple]:
         chain: list[tuple] = []
@@ -1007,7 +1028,6 @@ def explore(
     terminals = 0
     violations: list[Violation] = []
     violation_count = 0
-    partial = False
     profiles: Counter = Counter()
     children = 0
     peak_frontier = 1
@@ -1041,7 +1061,7 @@ def explore(
         else:
             found = [("stuck", "no enabled action but an undecided live process never halted")]
         violation_count += len(found)
-        for check, detail in found[: keep_witnesses - len(violations)]:
+        for check, detail in found[: KEEP_WITNESSES - len(violations)]:
             violations.append(Violation(check, detail, schedule_of(key)))
 
     return ExploreResult(

@@ -51,7 +51,7 @@ from .model import (
     Permutation,
     is_anonymous,
 )
-from .simulator import ScenarioError, Trace
+from .simulator import NullMonitor, ScenarioError, Trace
 
 PASS = "pass"
 FAIL = "fail"
@@ -199,11 +199,11 @@ def check_unique_decide(trace: Trace) -> CheckReport:
     return CheckReport("unique-decide", PASS)
 
 
-def check_round_skew(trace: Trace, bound: int | None = None, initial_round: int = 0) -> CheckReport:
+def check_round_skew(trace: Trace) -> CheckReport:
     """Live processes' round counters never drift apart by more than f+1."""
     cfg = trace.scenario.cfg
-    bound = cfg.f + 1 if bound is None else bound
-    rounds = {p: initial_round for p in cfg.processes}
+    bound = cfg.f + 1
+    rounds = {p: 0 for p in cfg.processes}
     crashed: set[int] = set()
     worst = 0
     for i, ev in enumerate(trace.events):
@@ -313,22 +313,19 @@ def check_permutation_closure(
 # --- monitors for exhaustive exploration ---------------------------------------
 
 
-class ConsensusMonitor:
+class ConsensusMonitor(NullMonitor):
     """Continuous + terminal consensus verdicts folded into explored states."""
 
+    # inherited hooks, named again because perfbench/tracer.py times only the
+    # hooks in a class's own namespace
+    clone, violation = NullMonitor.clone, NullMonitor.violation
+    on_round = on_output = on_crash = NullMonitor.ignore
+
     def __init__(self, n: int, f: int, inputs: tuple[int, ...], spread: bool = False):
-        self.n = n
-        self.f = f
         self.inputs = inputs
         self.spread = spread
         self.decide_counts = (0,) * n
         self.locks: tuple[tuple[int, tuple], ...] = ()
-        self.flag: str | None = None
-
-    def clone(self) -> "ConsensusMonitor":
-        clone = object.__new__(ConsensusMonitor)
-        clone.__dict__.update(self.__dict__)
-        return clone
 
     def key(self) -> tuple:
         return (self.decide_counts, self.locks, self.flag)
@@ -362,18 +359,6 @@ class ConsensusMonitor:
         elif value not in self.inputs:
             self.flag = f"validity: decided {value!r}, inputs {sorted(set(self.inputs))}"
 
-    def on_round(self, state, p: int, r: int) -> None:
-        pass
-
-    def on_output(self, state, p: int, value) -> None:
-        pass
-
-    def on_crash(self, state, p: int) -> None:
-        pass
-
-    def violation(self) -> str | None:
-        return self.flag
-
     def terminal_checks(self, state) -> list[str]:
         problems = []
         correct = [p for p in sorted(state.automata) if p not in state.crashed]
@@ -397,7 +382,7 @@ class ConsensusMonitor:
         )
 
 
-class SuspectorMonitor:
+class SuspectorMonitor(NullMonitor):
     """Suspicion validity folded into explored states.
 
     With strong accuracy on, any emitted suspect set containing a process
@@ -409,28 +394,19 @@ class SuspectorMonitor:
     tracked against its bound along the way.
     """
 
+    # inherited hooks, named again because perfbench/tracer.py times only the
+    # hooks in a class's own namespace
+    clone, violation = NullMonitor.clone, NullMonitor.violation
+    on_send = on_decide = on_crash = NullMonitor.ignore
+
     def __init__(self, n: int, f: int, strong_accuracy: bool, skew_bound: int | None = None):
-        self.n = n
-        self.f = f
         self.strong_accuracy = strong_accuracy
         self.skew_bound = skew_bound if skew_bound is not None else f + 1
         self.enforce_skew = skew_bound is not None
         self.skew_max = 0
-        self.flag: str | None = None
-
-    def clone(self) -> "SuspectorMonitor":
-        clone = object.__new__(SuspectorMonitor)
-        clone.__dict__.update(self.__dict__)
-        return clone
 
     def key(self) -> tuple:
         return (self.skew_max, self.flag)
-
-    def on_send(self, state, p: int, payload) -> None:
-        pass
-
-    def on_decide(self, state, p: int, value, r) -> None:
-        pass
 
     def on_round(self, state, p: int, r: int) -> None:
         live = [
@@ -446,12 +422,6 @@ class SuspectorMonitor:
             early = sorted(set(value) - state.crashed)
             if early:
                 self.flag = f"strong-accuracy: process {p} suspected live {early}"
-
-    def on_crash(self, state, p: int) -> None:
-        pass
-
-    def violation(self) -> str | None:
-        return self.flag
 
     def terminal_checks(self, state) -> list[str]:
         problems = []
@@ -477,32 +447,13 @@ class SuspectorMonitor:
         )
 
 
-class SelfTrustTerminalMonitor:
+class SelfTrustTerminalMonitor(NullMonitor):
     """Terminal uniqueness of the randomized construction's self-truster."""
 
-    def clone(self) -> "SelfTrustTerminalMonitor":
-        return self
-
-    def key(self) -> tuple:
-        return ()
-
-    def on_send(self, state, p, payload) -> None:
-        pass
-
-    def on_decide(self, state, p, value, r) -> None:
-        pass
-
-    def on_round(self, state, p, r) -> None:
-        pass
-
-    def on_output(self, state, p, value) -> None:
-        pass
-
-    def on_crash(self, state, p) -> None:
-        pass
-
-    def violation(self) -> str | None:
-        return None
+    # inherited hooks, named again because perfbench/tracer.py times only the
+    # hooks in a class's own namespace
+    clone, key, violation = NullMonitor.clone, NullMonitor.key, NullMonitor.violation
+    on_send = on_decide = on_round = on_output = on_crash = NullMonitor.ignore
 
     def terminal_checks(self, state) -> list[str]:
         live = [p for p in sorted(state.automata) if p not in state.crashed]

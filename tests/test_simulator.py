@@ -197,11 +197,12 @@ class TestExplore:
         # small jobs of every explorable algorithm and mutant
         assert explore_digest() == (EXPLORE_JOBS, EXPLORE_SHA256)
 
-    def test_budget_flagged(self):
+    @pytest.mark.parametrize("budget", [1, 2, 50])
+    def test_budget_flagged(self, budget):
         sc = scenario("lockmin", 3, 1, inputs=(0, 1, 1))
         res = explore(sc, factory_of("lockmin"),
-                      monitor=monitor_for("lockmin", 3, 1, (0, 1, 1)), max_states=50)
-        assert res.partial
+                      monitor=monitor_for("lockmin", 3, 1, (0, 1, 1)), max_states=budget)
+        assert res.partial and res.states == budget
 
     def test_nonempty_pattern_rejected(self):
         sc = scenario("floodmax", 2, 1, inputs=(0, 1), crashes={2: 3})

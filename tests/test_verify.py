@@ -28,6 +28,7 @@ from anonsim.mutants import (
     hasty_suspector,
     lonely_lock,
 )
+from anonsim.simulator import NullMonitor
 from anonsim.transforms import output_history
 from anonsim.verify import (
     FAIL,
@@ -199,7 +200,9 @@ class TestLemmaCheckers:
         trace = run(sc, factory_of(algorithm))
         assert [r.prop for r in check_lemma_invariants(trace)] == lemmas
         if explorable:
-            assert monitor_for(algorithm, 3, 1, sc.inputs) is not None
+            monitor = monitor_for(algorithm, 3, 1, sc.inputs)
+            assert isinstance(monitor, NullMonitor)
+            assert monitor.clone().key() == monitor.key()
         else:
             with pytest.raises(ScenarioError):
                 monitor_for(algorithm, 3, 1, sc.inputs)
