@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
+import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
@@ -231,6 +233,12 @@ def explore_crash_limit(scenario: ScenarioConfig) -> int | None:
     return max(scenario.rounds - margin(scenario.cfg.f), 0)
 
 
+def peak_rss_mb() -> float:
+    """The high-water mark of this process's resident set, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)  # bytes on macOS, KiB elsewhere
+
+
 def _explore_scenario(scenario: ScenarioConfig, out: str | None, max_states: int | None = None) -> int:
     info = algorithm_info(scenario.algorithm)
     scenario = replace(scenario, rounds=_default_rounds(scenario))
@@ -238,6 +246,7 @@ def _explore_scenario(scenario: ScenarioConfig, out: str | None, max_states: int
         scenario.algorithm, scenario.cfg.n, scenario.cfg.f, scenario.inputs
     )
     kwargs = {} if max_states is None else {"max_states": max_states}
+    start = time.perf_counter()
     result = explore(
         scenario,
         info.factory,
@@ -245,10 +254,13 @@ def _explore_scenario(scenario: ScenarioConfig, out: str | None, max_states: int
         crash_round_limit=explore_crash_limit(scenario),
         **kwargs,
     )
+    seconds = time.perf_counter() - start
     print(f"explored states: {result.states}")
     new_per_child = (result.states - 1) / result.children if result.children else 0.0
     print(f"children built: {result.children} (dedup ratio: {new_per_child:.4f} new states per child)")
     print(f"peak frontier: {result.peak_frontier}")
+    print(f"states/s: {result.states / seconds:.0f} ({seconds:.3f} s)")
+    print(f"peak memory: {peak_rss_mb():.1f} MB")
     print(f"terminal states: {result.terminals}")
     print(f"distinct outcomes: {len(result.terminal_profiles)}")
     if result.partial:

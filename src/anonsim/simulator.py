@@ -19,15 +19,23 @@ crash placements are all branching choices.  Local computation runs eagerly
 to its next blocking wait after each choice, which is sound here because an
 automaton only observes its own inbox and the oracle.
 
-A state's identity in `explore` is a flat tuple of small ints.  Each explore
-call owns one `InternTable`, freed when the call returns, that numbers every
-state component it meets in first-seen order: an automaton's key, an
-inbox's contents, the multiset of messages pending to a receiver and the
-monitor's key.  A key holds those ids, the crashed, halted and woken sets as
-bit masks, and the crash budget left.  The table is a bijection on
-components, so states merge exactly when their components are equal.  One
-map, from each visited key to its parent's key and the action between,
-is both the visited set and the source of witness schedules.
+A state's identity in `explore` is a sequence of small ints, packed 4 bytes
+each into a `bytes` key.  Each explore call owns one `InternTable`, freed
+when the call returns, that numbers every state component it meets in
+first-seen order: an automaton's key, an inbox's contents, the multiset of
+messages pending to a receiver and the monitor's key.  A key holds those
+ids, the crashed, halted and woken sets as bit masks, and the crash budget
+left.  The table is a bijection on components, so states merge exactly when
+their components are equal.  One map, from each visited key to its
+parent's key and the action between, is both the visited set and the
+source of witness schedules; equal actions in it share one tuple.
+
+An explored state holds only what is its own.  A child shares its parent's
+automata, inboxes and inbox rounds until an action replaces them, and the
+crashed, halted and woken sets are frozensets that a change replaces.  It
+also inherits its parent's guard-probe verdicts, except for the process the
+action touched (all of them after a crash), so a probe runs again only when
+what it reads has changed.
 
 Seeded runs (`Simulation`), replays (`run_schedule`) and `explore` (on an
 `_XEngine`) apply one set of transition rules, `_Engine`: the poll loop, the
@@ -38,6 +46,7 @@ from __future__ import annotations
 
 import json
 import random
+from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
@@ -192,21 +201,23 @@ class Inbox:
 
     Messages for future rounds stay buffered until the process reaches that
     round; switching to round r discards everything tagged below r.
-    Untagged messages (decision announcements) are always visible.
+    Untagged messages (decision announcements) are always visible.  Each
+    round's items, and the untagged ones, form a tuple that a delivery
+    replaces, so a clone shares every round with its original.
     """
 
     def __init__(self) -> None:
-        self.by_round: dict[int, list[tuple[int, Payload]]] = {}
-        self.untagged: list[tuple[int, Payload]] = []
+        self.by_round: dict[int, tuple[tuple[int, Payload], ...]] = {}
+        self.untagged: tuple[tuple[int, Payload], ...] = ()
         self.floor = 0
         self._key: int | None = None
 
     def deliver(self, sender: int, payload: Payload, round_tag: int | None) -> None:
         self._key = None
         if round_tag is None:
-            self.untagged.append((sender, payload))
+            self.untagged += ((sender, payload),)
         elif round_tag >= self.floor:
-            self.by_round.setdefault(round_tag, []).append((sender, payload))
+            self.by_round[round_tag] = self.by_round.get(round_tag, ()) + ((sender, payload),)
 
     def advance(self, new_floor: int) -> None:
         if new_floor > self.floor:
@@ -216,18 +227,18 @@ class Inbox:
                 del self.by_round[r]
 
     def payloads(self, r: int) -> list[Payload]:
-        return [payload for _, payload in self.by_round.get(r, [])]
+        return [payload for _, payload in self.by_round.get(r, ())]
 
     def senders(self, r: int, tag: str) -> list[int]:
-        return [s for s, payload in self.by_round.get(r, []) if payload[0] == tag]
+        return [s for s, payload in self.by_round.get(r, ()) if payload[0] == tag]
 
     def untagged_payloads(self) -> list[Payload]:
         return [payload for _, payload in self.untagged]
 
     def clone(self) -> "Inbox":
         other = Inbox()
-        other.by_round = {r: list(items) for r, items in self.by_round.items()}
-        other.untagged = list(self.untagged)
+        other.by_round = dict(self.by_round)
+        other.untagged = self.untagged
         other.floor = self.floor
         other._key = self._key
         return other
@@ -240,7 +251,7 @@ class Inbox:
         inbox changes, so an inbox is keyed in one table only."""
         if self._key is None:
 
-            def bag(items: list[tuple[int, Payload]]) -> tuple[int, ...]:
+            def bag(items: tuple[tuple[int, Payload], ...]) -> tuple[int, ...]:
                 return tuple(sorted([ids[item if identified else item[1]] for item in items]))
 
             rounds = tuple((r, bag(items)) for r, items in sorted(self.by_round.items()))
@@ -458,8 +469,10 @@ class _Engine:
     A subclass holds the `automata`, `inboxes`, `crashed` and `halted` of
     the execution it drives and applies the effects that automata request
     through Ctx (`do_broadcast`, `do_decide`, `do_halt`, `do_round` and
-    `do_output`).  Here live the poll loop, the guard probe and the test
-    that every live process has halted or decided.
+    `do_output`).  `crashed` and `halted` are frozensets that a crash or a
+    halt replaces, never changes, so explored states can share them.  Here
+    live the poll loop, the guard probe and the test that every live
+    process has halted or decided.
     """
 
     def __init__(self, scenario: ScenarioConfig, factory: AutomatonFactory, oracle: Any):
@@ -472,12 +485,12 @@ class _Engine:
             for p in self.cfg.processes
         }
         self.inboxes = {p: Inbox() for p in self.cfg.processes}
-        self.crashed: set[int] = set()
-        self.halted: set[int] = set()
+        self.crashed: frozenset[int] = frozenset()
+        self.halted: frozenset[int] = frozenset()
         self.quiesce_limit = 1000 + 8 * (scenario.rounds or 0)
 
     def oracle_read(self, p: int) -> Any:
-        return self.oracle.read(p, self.t, frozenset(self.crashed))
+        return self.oracle.read(p, self.t, self.crashed)
 
     def quiesce(self, p: int) -> None:
         """Poll p's automaton from its current wait to its next blocking one."""
@@ -578,7 +591,7 @@ class Simulation(_Engine):
         self.events.append({"step": self.t, "ev": "decide", "proc": p, "value": value, "r": r})
 
     def do_halt(self, p: int) -> None:
-        self.halted.add(p)
+        self.halted = self.halted | {p}
         self.events.append({"step": self.t, "ev": "halt", "proc": p})
 
     def do_round(self, p: int, r: int, snapshot: dict) -> None:
@@ -595,7 +608,7 @@ class Simulation(_Engine):
     # -- engine internals ------------------------------------------------------
 
     def _crash(self, p: int) -> None:
-        self.crashed.add(p)
+        self.crashed = self.crashed | {p}
         self.pending[p].clear()
         self.events.append({"step": self.t, "ev": "crash", "proc": p})
 
@@ -793,39 +806,42 @@ class NullMonitor:
 
 
 class _XState:
-    __slots__ = ("automata", "inboxes", "pending", "crashed", "halted", "woken", "crashes_left", "monitor")
+    __slots__ = (
+        "automata", "inboxes", "pending", "crashed", "halted", "woken", "crashes_left", "monitor",
+        "probed", "moves",
+    )
 
-    def __init__(self, automata, inboxes, pending, crashed, halted, woken, crashes_left, monitor):
+    def __init__(self, automata, inboxes, pending, crashed, halted, woken, crashes_left, monitor,
+                 probed=0, moves=0):
         self.automata = automata
         self.inboxes = inboxes
         self.pending = pending  # list of (receiver, sender, payload, round_tag, message id)
-        self.crashed = crashed
+        self.crashed = crashed  # crashed, halted, woken: frozensets, shared until replaced
         self.halted = halted
         self.woken = woken
         self.crashes_left = crashes_left
         self.monitor = monitor
+        # guard-probe verdicts as bit masks: the processes whose verdict is
+        # known, and those among them whose next poll would move
+        self.probed = probed
+        self.moves = moves
 
     def clone(self) -> "_XState":
         # copy-on-write: automata and inboxes are shared until an action
         # touches them (_XEngine.apply swaps in a private copy first)
         return _XState(
-            automata=dict(self.automata),
-            inboxes=dict(self.inboxes),
-            pending=list(self.pending),
-            crashed=set(self.crashed),
-            halted=set(self.halted),
-            woken=set(self.woken),
-            crashes_left=self.crashes_left,
-            monitor=self.monitor.clone(),
+            dict(self.automata), dict(self.inboxes), list(self.pending), self.crashed, self.halted,
+            self.woken, self.crashes_left, self.monitor.clone(), self.probed, self.moves,
         )
 
-    def key(self, identified: bool, ids: InternTable) -> tuple[int, ...]:
-        """The state's identity, a flat tuple of small ints: per process the
-        ids of its automaton, of its inbox and of the multiset of messages
-        pending to it (the sorted tuple of their message ids), then the
-        crashed, halted and woken sets as bit masks, the crash budget left
-        and the id of the monitor's key.  Two states of one explore call
-        share a key exactly when their components are equal."""
+    def key(self, identified: bool, ids: InternTable) -> bytes:
+        """The state's identity, a sequence of small ints packed 4 bytes
+        each: per process the ids of its automaton, of its inbox and of the
+        multiset of messages pending to it (the sorted tuple of their
+        message ids), then the crashed, halted and woken sets as bit masks,
+        the crash budget left and the id of the monitor's key.  Two states
+        of one explore call share a key exactly when their components are
+        equal.  The probe verdicts are derived data and stay out of it."""
         pending: dict[int, list[int]] = {p: [] for p in self.automata}
         for m in self.pending:
             pending[m[0]].append(m[4])
@@ -843,7 +859,7 @@ class _XState:
             self.crashes_left,
             ids[self.monitor.key()],
         )
-        return tuple(key)
+        return array("I", key).tobytes()
 
 
 _BIT = (1).__lshift__  # p -> the bit of process p; a set of processes is the sum of its bits
@@ -861,7 +877,7 @@ class _XEngine(_Engine):
         self.crash_round_limit = crash_round_limit
         self.ids = InternTable()  # lives as long as this engine: one explore call
         self.state = _XState(
-            self.automata, self.inboxes, [], self.crashed, self.halted, set(), crashes_left, monitor
+            self.automata, self.inboxes, [], self.crashed, self.halted, frozenset(), crashes_left, monitor
         )
 
     def load(self, state: _XState) -> "_XEngine":
@@ -869,6 +885,17 @@ class _XEngine(_Engine):
         self.automata, self.inboxes = state.automata, state.inboxes
         self.crashed, self.halted = state.crashed, state.halted
         return self
+
+    def would_move(self, st: _XState, p: int) -> bool:
+        """`can_progress(p)` on the loaded state `st`.  A guard probe reads
+        only p's automaton, p's inbox and the oracle, whose reading follows
+        the crashed set; so a verdict holds, and a child inherits it, until
+        `apply` wakes, polls or delivers to p or crashes anyone."""
+        bit = _BIT(p)
+        if not st.probed & bit:
+            st.probed |= bit
+            st.moves = st.moves | bit if self.can_progress(p) else st.moves & ~bit
+        return bool(st.moves & bit)
 
     def actions(self, st: _XState) -> list[tuple]:
         """The enabled actions of a state; one deliver action per class of
@@ -880,7 +907,7 @@ class _XEngine(_Engine):
                 continue
             if p not in st.woken:
                 acts.append(("wake", p))
-            elif self.can_progress(p):
+            elif self.would_move(st, p):
                 acts.append(("poll", p))
             if st.crashes_left > 0 and (
                 self.crash_round_limit is None
@@ -897,11 +924,14 @@ class _XEngine(_Engine):
     def apply(self, st: _XState, action: tuple) -> None:
         kind, p = action[0], action[1]
         if kind == "crash":
-            st.crashed.add(p)
+            st.crashed = st.crashed | {p}
             st.crashes_left -= 1
             st.pending = [m for m in st.pending if m[0] != p]
+            st.probed = 0
             st.monitor.on_crash(st, p)
-        elif kind == "deliver":
+            return
+        st.probed &= ~_BIT(p)
+        if kind == "deliver":
             idx = next(
                 i for i, m in enumerate(st.pending)
                 if m[0] == p and _matches(action, m[1], m[2], m[3], self.scenario.identified)
@@ -910,7 +940,8 @@ class _XEngine(_Engine):
             st.inboxes[p] = st.inboxes[p].clone()
             st.inboxes[p].deliver(*action[2:])
         else:  # wake or poll, on private copies of what the poll changes
-            st.woken.add(p)
+            if kind == "wake":
+                st.woken = st.woken | {p}
             st.automata[p] = st.automata[p].copy()
             st.inboxes[p] = st.inboxes[p].clone()
             self.load(st).quiesce(p)
@@ -930,7 +961,7 @@ class _XEngine(_Engine):
 
     def do_halt(self, p: int) -> None:
         st = self.state
-        st.halted.add(p)
+        st.halted = self.halted = st.halted | {p}
         st.pending = [m for m in st.pending if m[0] != p]
 
     def do_round(self, p: int, r: int, snapshot: dict) -> None:
@@ -1012,12 +1043,15 @@ def explore(
     init = engine.state
     init_key = init.key(identified, ids)
     # the visited map: a state's key -> (its parent's key, the action between)
-    parents: dict[tuple, tuple | None] = {init_key: None}
+    parents: dict[bytes, tuple | None] = {init_key: None}
+    # equal actions share one tuple; the repr keeps apart payloads that
+    # compare equal but differ in type, such as 1 and True
+    shared_actions: dict[tuple, tuple] = {}
     # reaching the budget ends the search, the initial state's included
     partial = len(parents) >= max_states
-    queue: deque[tuple[_XState, tuple]] = deque() if partial else deque([(init, init_key)])
+    queue: deque[tuple[_XState, bytes]] = deque() if partial else deque([(init, init_key)])
 
-    def schedule_of(key: tuple) -> list[tuple]:
+    def schedule_of(key: bytes) -> list[tuple]:
         chain: list[tuple] = []
         while parents[key] is not None:
             key, action = parents[key]
@@ -1044,7 +1078,7 @@ def explore(
                 child_key = child.key(identified, ids)
                 if child_key in parents:
                     continue
-                parents[child_key] = (key, action)
+                parents[child_key] = (key, shared_actions.setdefault((repr(action), action), action))
                 queue.append((child, child_key))
                 peak_frontier = max(peak_frontier, len(queue))
                 if len(parents) >= max_states:

@@ -88,21 +88,34 @@ def campaign_reports():
 
 
 class TestCriterion1ExhaustiveConsensus:
+    # (states, terminals) of each job: a search change that loses or merges
+    # schedules without tripping a check still moves these
+    COUNTS = {
+        ("floodmax", 2, 1): {
+            "00": (88, 21), "01": (92, 25), "10": (92, 25), "11": (88, 21),
+        },
+        ("floodmax", 3, 2): {
+            "000": (12227, 1417), "001": (22594, 2330), "010": (22594, 2330), "011": (16838, 1721),
+            "100": (22594, 2330), "101": (16838, 1721), "110": (16838, 1721), "111": (12227, 1417),
+        },
+        ("lockmin", 3, 1): {
+            "000": (7694, 403), "001": (30538, 605), "010": (30538, 605), "011": (36536, 707),
+            "100": (30538, 605), "101": (36536, 707), "110": (36536, 707), "111": (7694, 403),
+        },
+    }
+
     def test_exhaustive_small_instance_consensus(self):
         t0 = time.time()
-        jobs = [
-            ("floodmax", 2, 1),
-            ("floodmax", 3, 2),
-            ("lockmin", 3, 1),
-        ]
         total_states = total_terminals = 0
-        for algorithm, n, f in jobs:
+        for (algorithm, n, f), counts in self.COUNTS.items():
             for inputs in itertools.product((0, 1), repeat=n):
                 sc = scenario(algorithm, n, f, inputs=inputs)
                 res = explore(sc, factory_of(algorithm),
                               monitor=monitor_for(algorithm, n, f, inputs))
                 assert not res.partial, (algorithm, inputs)
                 assert res.violation_count == 0, (algorithm, inputs, res.violations[:2])
+                pinned = counts["".join(map(str, inputs))]
+                assert (res.states, res.terminals) == pinned, (algorithm, inputs)
                 total_states += res.states
                 total_terminals += res.terminals
         stamp(
@@ -213,6 +226,7 @@ class TestCriterion4Transformations:
                       monitor=monitor_for("eventual-suspector", 3, 1, ()),
                       crash_round_limit=5)
         assert not res.partial and res.violation_count == 0, res.violations[:2]
+        assert (res.states, res.terminals) == (170_081, 289)
         stamp(
             f"criterion 4 PASS: eventually-perfect emulation valid on {res.terminals} "
             f"terminal schedules ({res.states} states)",
@@ -226,6 +240,7 @@ class TestCriterion4Transformations:
                       monitor=monitor_for("stable-suspector", 3, 1, ()),
                       crash_round_limit=2)
         assert not res.partial and res.violation_count == 0, res.violations[:2]
+        assert (res.states, res.terminals) == (222_137, 457)
         stamp(
             f"criterion 4 PASS: perfect emulation valid, zero false suspicions, on "
             f"{res.terminals} terminal schedules ({res.states} states)",

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import resource
 
 import pytest
 from helpers import scenario
@@ -225,6 +227,15 @@ class TestExplore:
         assert "violations: 0" in out
         assert "explored states: 92" in out and "children built: 146 (dedup ratio: 0.6233" in out
         assert "peak frontier: 18" in out
+
+    def test_explore_reports_rate_and_peak_memory(self, tmp_path, capsys):
+        sc = scenario("floodmax", 2, 1, inputs=(0, 1)).to_dict()
+        assert main(["explore", write(tmp_path, "e.json", sc)]) == 0
+        out = capsys.readouterr().out
+        rate, seconds = re.search(r"^states/s: (\d+) \((\d+\.\d+) s\)$", out, re.M).groups()
+        peak = float(re.search(r"^peak memory: (\d+\.\d) MB$", out, re.M).group(1))
+        assert int(rate) > 0 and float(seconds) > 0
+        assert 0 < peak <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     def test_size_guard_exits_2(self, tmp_path, capsys):
         doc = {

@@ -1,5 +1,7 @@
 """Engine-level behavior: determinism, reliability, crash semantics, explore."""
 
+from collections import Counter
+
 import pytest
 from helpers import factory_of, scenario
 from pins import EXPLORE_JOBS, EXPLORE_SHA256, explore_digest
@@ -14,7 +16,7 @@ from anonsim import (
     run,
     run_schedule,
 )
-from anonsim.simulator import Inbox
+from anonsim.simulator import Inbox, _XEngine
 from anonsim.verify import monitor_for
 
 
@@ -196,6 +198,29 @@ class TestExplore:
         # states, terminals, profiles, violations and witness schedules of
         # small jobs of every explorable algorithm and mutant
         assert explore_digest() == (EXPLORE_JOBS, EXPLORE_SHA256)
+
+    def test_inherited_probe_verdicts_match_fresh_probes(self, monkeypatch):
+        # a child keeps its parent's guard-probe verdicts until an action
+        # touches what the probe reads; re-probe every kept verdict, in a
+        # job whose states crash and halt processes
+        seen = Counter()
+        actions = _XEngine.actions
+
+        def checked(engine, st):
+            engine.load(st)
+            for p in engine.cfg.processes:
+                if st.probed >> p & 1:
+                    assert p not in st.crashed and p not in st.halted
+                    assert bool(st.moves >> p & 1) == engine.can_progress(p), (p, st.probed, st.moves)
+                    seen["kept"] += 1
+                    seen["kept with crash and halt"] += bool(st.crashed and st.halted)
+            return actions(engine, st)
+
+        monkeypatch.setattr(_XEngine, "actions", checked)
+        sc = scenario("floodmax", 3, 1, inputs=(0, 1, 1))
+        res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", 3, 1, (0, 1, 1)))
+        assert (res.states, res.terminals, res.violation_count) == (3837, 81, 0)
+        assert seen["kept"] > 1000 and seen["kept with crash and halt"] > 100
 
     @pytest.mark.parametrize("budget", [1, 2, 50])
     def test_budget_flagged(self, budget):
