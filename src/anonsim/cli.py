@@ -31,6 +31,7 @@ from . import verify
 from .detectors import ALL_KINDS, DetectorSpec
 from .model import history_from_json, pattern_from_json
 from .simulator import (
+    POLICIES,
     ScenarioConfig,
     ScenarioError,
     Trace,
@@ -336,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario")
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--horizon", type=int)
-    p_run.add_argument("--policy", choices=("fifo", "random", "crash-adjacent"))
+    p_run.add_argument("--policy", choices=POLICIES)
     p_run.add_argument("--out", default="out")
     p_run.set_defaults(fn=cmd_run)
 

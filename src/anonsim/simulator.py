@@ -40,6 +40,11 @@ what it reads has changed.
 Seeded runs (`Simulation`), replays (`run_schedule`) and `explore` (on an
 `_XEngine`) apply one set of transition rules, `_Engine`: the poll loop, the
 guard probe and the test that every live process has halted or decided.
+They share one action vocabulary too, each engine running it through its
+`apply`: ("wake"|"poll", p), ("crash", p) and a deliver, which in a seeded
+run names an index into `pending[p]`.  A policy is a picker in `POLICIES`
+that chooses the actions of one scheduler step; the scheduled crashes, the
+final drain and a replayed schedule go through `Simulation.apply` as well.
 """
 
 from __future__ import annotations
@@ -62,7 +67,6 @@ from .detectors import (
 from .model import FailurePattern, ReceiveLog, SystemConfig, correct_set
 
 SCHEMA = 1
-POLICIES = ("fifo", "random", "crash-adjacent")
 
 Payload = tuple
 AutomatonFactory = Callable[["ScenarioConfig", int, random.Random], Any]
@@ -121,7 +125,7 @@ class ScenarioConfig:
         if self.rounds is not None and self.rounds < 0:
             raise ScenarioError("rounds must not be negative")
         if self.policy not in POLICIES:
-            raise ScenarioError(f"unknown policy {self.policy!r} (choose from {POLICIES})")
+            raise ScenarioError(f"unknown policy {self.policy!r} (choose from {', '.join(POLICIES)})")
         if self.oracle_kind not in ALL_KINDS:
             raise ScenarioError(f"unknown oracle kind {self.oracle_kind!r}")
         try:
@@ -167,26 +171,31 @@ class ScenarioConfig:
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
         if not isinstance(doc, dict):
             raise ScenarioError("a scenario must be a JSON object")
+        if doc.get("n") is None or doc.get("f") is None:
+            raise ScenarioError("a scenario needs integers 'n' and 'f'")
+        oracle, crash = _object_field(doc, "oracle"), _object_field(doc, "crash")
+        inputs, identified = doc.get("inputs", []), doc.get("identified", False)
+        if not isinstance(inputs, list) or any(type(v) is not int for v in [*inputs, *crash.values()]):
+            raise ScenarioError("inputs must be a list of integers, and crash steps integers")
+        if type(identified) is not bool:
+            raise ScenarioError(f"'identified' must be true or false, not {identified!r}")
         try:
-            cfg = SystemConfig(n=int(doc["n"]), f=int(doc["f"]))
-            oracle = _object_field(doc, "oracle")
+            cfg = SystemConfig(n=int_field(doc, "n"), f=int_field(doc, "f"))
             scenario = cls(
                 cfg=cfg,
                 algorithm=str(doc["algorithm"]),
-                inputs=tuple(int(v) for v in doc.get("inputs", [])),
-                pattern=FailurePattern.of(
-                    cfg.n, {int(p): int(s) for p, s in _object_field(doc, "crash").items()}
-                ),
+                inputs=tuple(inputs),
+                pattern=FailurePattern.of(cfg.n, {int(p): s for p, s in crash.items()}),
                 oracle_kind=str(oracle.get("kind", "")),
                 profile=OracleProfile(
                     behavior=str(oracle.get("behavior", "adversarial")),
-                    convergence=int(oracle.get("convergence", 0)),
+                    convergence=int_field(oracle, "convergence", 0),
                 ),
                 policy=str(doc.get("policy", "fifo")),
-                seed=int(doc.get("seed", 0)),
+                seed=int_field(doc, "seed", 0),
                 horizon=int_field(doc, "horizon"),
                 rounds=int_field(doc, "rounds"),
-                identified=bool(doc.get("identified", False)),
+                identified=identified,
             )
         except ScenarioError:
             raise
@@ -544,12 +553,7 @@ def _matches(action: tuple, sender: int, payload: Payload, round_tag: int | None
 class Simulation(_Engine):
     """Single run of a scenario under its scheduling policy."""
 
-    def __init__(
-        self,
-        scenario: ScenarioConfig,
-        factory: AutomatonFactory,
-        oracle: Any = None,
-    ):
+    def __init__(self, scenario: ScenarioConfig, factory: AutomatonFactory, oracle: Any = None):
         scenario.validate()
         super().__init__(scenario, factory, oracle if oracle is not None else build_oracle(scenario))
         self.horizon = scenario.effective_horizon
@@ -562,9 +566,6 @@ class Simulation(_Engine):
         self._last_output: dict[int, Any] = {}
         self._seq = 0
         self._rr = 0
-        self._crash_at: dict[int, list[int]] = {}
-        for p, s in scenario.pattern.crash_steps:
-            self._crash_at.setdefault(s, []).append(p)
 
     # -- hooks used by Ctx ---------------------------------------------------
 
@@ -605,16 +606,23 @@ class Simulation(_Engine):
         out = sorted(value) if isinstance(value, frozenset) else value
         self.events.append({"step": self.t, "ev": "output", "proc": p, "value": out})
 
-    # -- engine internals ------------------------------------------------------
+    # -- actions ---------------------------------------------------------------
 
-    def _crash(self, p: int) -> None:
-        self.crashed = self.crashed | {p}
-        self.pending[p].clear()
-        self.events.append({"step": self.t, "ev": "crash", "proc": p})
-
-    def _apply_crashes(self) -> None:
-        for p in self._crash_at.get(self.t, []):
-            self._crash(p)
+    def apply(self, action: tuple) -> None:
+        """Run one action: ("wake", p) or ("poll", p) polls p to its next
+        blocking wait, ("crash", p) crashes p and drops what is pending to
+        it, and ("deliver", p, i) delivers `pending[p][i]`."""
+        kind, p = action[0], action[1]
+        if kind == "deliver":
+            sender, payload, round_tag, _ = self.pending[p].pop(action[2])
+            self.inboxes[p].deliver(sender, payload, round_tag)
+            self.events.append({"step": self.t, "ev": "deliver", "proc": p, "from": sender, "payload": payload})
+        elif kind == "crash":
+            self.crashed = self.crashed | {p}
+            self.pending[p].clear()
+            self.events.append({"step": self.t, "ev": "crash", "proc": p})
+        else:
+            self.quiesce(p)
 
     def _live_unhalted(self) -> list[int]:
         return [p for p in self.cfg.processes if p not in self.crashed and p not in self.halted]
@@ -629,124 +637,111 @@ class Simulation(_Engine):
             and not any(self.can_progress(p) for p in live)
         )
 
-    def _done(self) -> bool:
-        return not self._live_unhalted() or self._settled()
-
-    def _deliver_index(self, p: int, idx: int) -> None:
-        sender, payload, round_tag, _ = self.pending[p].pop(idx)
-        self.inboxes[p].deliver(sender, payload, round_tag)
-        self.events.append(
-            {"step": self.t, "ev": "deliver", "proc": p, "from": sender, "payload": payload}
-        )
-
-    def _step_fifo(self) -> None:
-        candidates = self._live_unhalted()
-        order = sorted(candidates, key=lambda p: ((p - self._rr - 1) % self.cfg.n, p))
-        p = order[0]
-        self._rr = p
-        if self.pending[p]:
-            self._deliver_index(p, 0)
-        self.quiesce(p)
-
-    def _step_random(self) -> None:
-        # delivery and process steps are independent choices, so a wait can
-        # fire with more than its threshold already in the inbox
-        actions: list[tuple[str, int]] = []
-        for p in self._live_unhalted():
-            if self.pending[p]:
-                actions.append(("deliver", p))
-            actions.append(("poll", p))
-        kind, p = self.rng.choice(actions)
-        if kind == "deliver":
-            self._deliver_index(p, self.rng.randrange(len(self.pending[p])))
-        else:
-            self.quiesce(p)
-
-    def _step_crash_adjacent(self) -> None:
-        # post-mortem messages outrace everything else
-        best: tuple[int, int, int] | None = None
-        for p in self._live_unhalted():
-            for idx, (sender, _, _, seq) in enumerate(self.pending[p]):
-                if sender in self.crashed and (best is None or seq < best[0]):
-                    best = (seq, p, idx)
-        if best is not None:
-            _, p, idx = best
-            self._deliver_index(p, idx)
-            self.quiesce(p)
-        else:
-            self._step_fifo()
-
-    def _drain(self) -> None:
-        for p in sorted(self.cfg.processes):
-            if p in self.crashed:
-                continue
-            while self.pending[p]:
-                self._deliver_index(p, 0)
-
     def run(self) -> Trace:
-        step = {
-            "fifo": self._step_fifo,
-            "random": self._step_random,
-            "crash-adjacent": self._step_crash_adjacent,
-        }[self.scenario.policy]
+        pick = POLICIES[self.scenario.policy]
         while self.t < self.horizon:
-            self._apply_crashes()
-            if self._done():
+            for p, s in self.scenario.pattern.crash_steps:
+                if s == self.t:
+                    self.apply(("crash", p))
+            if self._settled():
                 break
-            step()
+            for action in pick(self):
+                self.apply(action)
             self.t += 1
         return self._finish()
 
     def _finish(self) -> Trace:
         """The trace so far; a finished run first delivers what is in flight."""
-        truncated = not self._done()
-        pending = sum(len(q) for p, q in self.pending.items() if p not in self.crashed)
+        truncated = not self._settled()
         if not truncated:
-            self._drain()
-            pending = 0
+            for p in self.cfg.processes:
+                while p not in self.crashed and self.pending[p]:
+                    self.apply(("deliver", p, 0))
+        pending = sum(len(q) for p, q in self.pending.items() if p not in self.crashed)
         return Trace(scenario=self.scenario, events=self.events, truncated=truncated, pending=pending)
+
+
+# --- scheduling policies: each picks the actions of one scheduler step ------
+
+
+def _fifo(sim: Simulation) -> list[tuple]:
+    # round robin over the live unhalted processes: deliver the oldest
+    # message pending to the next one, then poll it
+    p = min(sim._live_unhalted(), key=lambda p: ((p - sim._rr - 1) % sim.cfg.n, p))
+    sim._rr = p
+    return [("deliver", p, 0), ("poll", p)] if sim.pending[p] else [("poll", p)]
+
+
+def _random(sim: Simulation) -> list[tuple]:
+    # delivery and process steps are independent choices, so a wait can
+    # fire with more than its threshold already in the inbox
+    choices: list[tuple] = []
+    for p in sim._live_unhalted():
+        if sim.pending[p]:
+            choices.append(("deliver", p))
+        choices.append(("poll", p))
+    action = sim.rng.choice(choices)
+    if action[0] == "deliver":
+        action += (sim.rng.randrange(len(sim.pending[action[1]])),)
+    return [action]
+
+
+def _crash_adjacent(sim: Simulation) -> list[tuple]:
+    # post-mortem messages outrace everything else
+    best: tuple[int, int, int] | None = None
+    for p in sim._live_unhalted():
+        for idx, (sender, _, _, seq) in enumerate(sim.pending[p]):
+            if sender in sim.crashed and (best is None or seq < best[0]):
+                best = (seq, p, idx)
+    if best is None:
+        return _fifo(sim)
+    _, p, idx = best
+    return [("deliver", p, idx), ("poll", p)]
+
+
+POLICIES = {"fifo": _fifo, "random": _random, "crash-adjacent": _crash_adjacent}  # name -> picker
 
 
 def run(scenario: ScenarioConfig, factory: AutomatonFactory) -> Trace:
     return Simulation(scenario, factory).run()
 
 
-def run_schedule(
-    scenario: ScenarioConfig,
-    factory: AutomatonFactory,
-    schedule: Iterable[tuple],
-) -> Trace:
+_ARITY = {"wake": 2, "poll": 2, "crash": 2, "deliver": 5}  # the length of each explore action
+
+
+def _replayed(sim: Simulation, action: Any) -> tuple:
+    """An explore action as `Simulation.apply` takes it: a deliver names the
+    first pending message that matches it.  Anything else is a
+    ScenarioError."""
+    kind = action[0] if isinstance(action, (tuple, list)) and action else None
+    if (not isinstance(kind, str) or _ARITY.get(kind) != len(action)
+            or kind == "deliver" and not isinstance(action[3], (tuple, list))):
+        raise ScenarioError(f"malformed schedule action {action!r}")
+    p = action[1]
+    if type(p) is not int or p not in sim.cfg.processes:
+        raise ScenarioError(f"schedule action {list(action)} names no process in 1..{sim.cfg.n}")
+    if kind != "deliver":
+        return (kind, p)
+    _, _, sender, payload, round_tag = action
+    action = (kind, p, sender, tuple(payload), round_tag)
+    for i, (s, pl, rt, _) in enumerate(sim.pending[p]):
+        if _matches(action, s, pl, rt, sim.scenario.identified):
+            return (kind, p, i)
+    raise ScenarioError(f"schedule action {list(action)} matches no pending message")
+
+
+def run_schedule(scenario: ScenarioConfig, factory: AutomatonFactory, schedule: Iterable[tuple]) -> Trace:
     """Re-execute an explicit explore schedule, producing a full trace.
 
     Actions are ("wake", p), ("poll", p), ("crash", p) or ("deliver", p,
     sender, payload, round_tag) exactly as explore() reports them; the
-    oracle is the same truthful live oracle exploration uses.  An action
-    naming no process in 1..n, or delivering no pending message, is a
-    ScenarioError.
+    oracle is the same truthful live oracle exploration uses.  A malformed
+    action, one naming no process in 1..n, or one delivering no pending
+    message, is a ScenarioError.
     """
     sim = Simulation(scenario, factory, oracle=LiveOracle(scenario.oracle_kind, scenario.cfg.n))
     for action in schedule:
-        kind, p = action[0], action[1]
-        if type(p) is not int or p not in sim.cfg.processes:
-            raise ScenarioError(f"schedule action {list(action)} names no process in 1..{sim.cfg.n}")
-        if kind in ("wake", "poll"):
-            sim.quiesce(p)
-        elif kind == "crash":
-            sim._crash(p)
-        elif kind == "deliver":
-            _, _, sender, payload, round_tag = action
-            action = (kind, p, sender, tuple(payload), round_tag)
-            matching = (
-                i
-                for i, (s, pl, rt, _) in enumerate(sim.pending[p])
-                if _matches(action, s, pl, rt, scenario.identified)
-            )
-            idx = next(matching, None)
-            if idx is None:
-                raise ScenarioError(f"schedule action {list(action)} matches no pending message")
-            sim._deliver_index(p, idx)
-        else:
-            raise ScenarioError(f"unknown schedule action {kind!r}")
+        sim.apply(_replayed(sim, action))
         sim.t += 1
     return sim._finish()
 

@@ -30,6 +30,9 @@ GRID_TABLES = 2376
 TRACE_SHA256 = "340efff0f48edc3052ce931986d10199041c53aeb41bf0f68b661f4c9993cb39"
 TRACE_ALGORITHMS = ("floodmax", "lockmin", "leadervote", "random-selftrust")
 TRACE_SEEDS = range(20)
+POLICY_TRACE_SHA256 = "fba391a97fa355df5bd1341f4e81cdcd92daecf55345bc6e9283add832a72ce8"
+POLICY_TRACE_POLICIES = ("fifo", "crash-adjacent")
+POLICY_TRACE_SEEDS = range(5)
 EXPLORE_SHA256 = "dc976fe09165c7ac4e96cbd5b38cec63c3863303e8c777a2b06e9e507bc623ed"
 EXPLORE_JOBS = 23
 
@@ -71,6 +74,20 @@ def trace_digest() -> str:
     return digest.hexdigest()
 
 
+def policy_trace_digest() -> str:
+    """Every algorithm at n=3 f=1 with process 2 crashing at step 7, under
+    the fifo and crash-adjacent policies, seeds 0-4."""
+    digest = hashlib.sha256()
+    for algorithm, info in ALGORITHMS.items():
+        for policy in POLICY_TRACE_POLICIES:
+            for seed in POLICY_TRACE_SEEDS:
+                sc = scenario(algorithm, 3, 1, crashes={2: 7}, behavior="adversarial", convergence=30,
+                              horizon=400, policy=policy, seed=seed,
+                              **({"inputs": (0, 1, 1)} if info.consensus else {"rounds": 8}))
+                digest.update(run(sc, info.factory).to_jsonl().encode())
+    return digest.hexdigest()
+
+
 def explore_jobs():
     """(algorithm, factory, scenario): every algorithm with a monitor and
     every mutant, at n=2 and at n=3 without crashes, with the crash round
@@ -105,10 +122,11 @@ def explore_digest() -> tuple[int, str]:
 if __name__ == "__main__":
     count, grid = grid_digest()
     trace = trace_digest()
+    policy_trace = policy_trace_digest()
     jobs, explored = explore_digest()
-    ok = (count, grid, trace, jobs, explored) == (
-        GRID_TABLES, GRID_SHA256, TRACE_SHA256, EXPLORE_JOBS, EXPLORE_SHA256
+    ok = (count, grid, trace, policy_trace, jobs, explored) == (
+        GRID_TABLES, GRID_SHA256, TRACE_SHA256, POLICY_TRACE_SHA256, EXPLORE_JOBS, EXPLORE_SHA256
     )
     print(f"python {sys.version.split()[0]}: grid {count} tables {grid}, traces {trace}, "
-          f"explore {jobs} jobs {explored}: {'match' if ok else 'MISMATCH'}")
+          f"policy traces {policy_trace}, explore {jobs} jobs {explored}: {'match' if ok else 'MISMATCH'}")
     sys.exit(0 if ok else 1)

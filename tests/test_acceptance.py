@@ -20,7 +20,7 @@ import time
 
 import pytest
 from helpers import campaign_scenario, factory_of, scenario, selftrust_scenario
-from pins import TRACE_SHA256, trace_digest
+from pins import POLICY_TRACE_SHA256, TRACE_SHA256, policy_trace_digest, trace_digest
 
 from anonsim import (
     CRASH_COUNT,
@@ -378,3 +378,9 @@ class TestCriterion7Determinism:
         t0 = time.time()
         assert trace_digest() == TRACE_SHA256
         stamp("criterion 7 PASS: 80 seeded traces match their pinned digest", t0)
+
+    def test_policy_trace_bytes_pinned(self):
+        # every algorithm under the fifo and crash-adjacent policies, seeds 0-4
+        t0 = time.time()
+        assert policy_trace_digest() == POLICY_TRACE_SHA256
+        stamp("criterion 7 PASS: 70 fifo and crash-adjacent traces match their pinned digest", t0)

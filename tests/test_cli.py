@@ -4,6 +4,7 @@ import json
 import math
 import re
 import resource
+from pathlib import Path
 
 import pytest
 from helpers import scenario
@@ -26,6 +27,8 @@ FLOODMAX = {
     "seed": 7,
     "horizon": 600,
 }
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def write(tmp_path, name, doc):
@@ -77,10 +80,26 @@ class TestRun:
     @pytest.mark.parametrize("field, value", [
         ("horizon", "abc"), ("horizon", 2.5), ("horizon", True), ("rounds", "x"), ("rounds", 1.0),
         ("rounds", -200), ("oracle", "crash-count"), ("crash", [1, 2]),
+        # numbers are read strictly: no float, string or boolean is coerced into
+        # an integer, and only a JSON boolean is a boolean
+        ("n", 3.9), ("f", True), ("inputs", [0, "1", 1]), ("inputs", [0, 1, 1.7]), ("inputs", [0, True, 0]),
+        ("crash", {"3": 4.5}), ("oracle", dict(FLOODMAX["oracle"], convergence=2.5)), ("seed", 7.9),
+        ("identified", "false"), ("identified", 0),
     ])
     def test_malformed_fields_exit_2(self, tmp_path, capsys, field, value):
-        assert main(["run", write(tmp_path, "bad.json", dict(FLOODMAX, **{field: value}))]) == 2
+        path = write(tmp_path, "bad.json", dict(FLOODMAX, **{field: value}))
+        assert main(["run", path, "--out", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda path: path.name)
+    def test_shipped_scenarios_run(self, tmp_path, capsys, path):
+        doc = json.loads(path.read_text())
+        if "scenario" in doc:  # a campaign: its template, for one seed
+            doc["seeds"] = {"start": 0, "count": 1}
+            assert main(["campaign", write(tmp_path, path.name, doc)]) == 0
+        else:
+            assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
 
 
 class TestCheck:
@@ -235,7 +254,9 @@ class TestExplore:
         rate, seconds = re.search(r"^states/s: (\d+) \((\d+\.\d+) s\)$", out, re.M).groups()
         peak = float(re.search(r"^peak memory: (\d+\.\d) MB$", out, re.M).group(1))
         assert int(rate) > 0 and float(seconds) > 0
-        assert 0 < peak <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        # the printed peak is rounded to 0.1 MB, so round the bound the same way
+        bound = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        assert 0 < peak <= float(f"{bound:.1f}")
 
     def test_size_guard_exits_2(self, tmp_path, capsys):
         doc = {

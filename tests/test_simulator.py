@@ -261,6 +261,10 @@ class TestReplay:
         ("deliver", 1, 2, ("Propose", 1, 1), 1),  # nothing is pending yet
         ("poll", 3),
         ("crash", 0),
+        ("deliver", 2, 1),  # too short
+        ("deliver", 2, 1, 5, 1),  # a payload that is no sequence
+        ("wake",),
+        (),
     ])
     def test_bad_action_rejected(self, action):
         sc = scenario("floodmax", 2, 1, inputs=(0, 1))
