@@ -720,6 +720,9 @@ def _replayed(sim: Simulation, action: Any) -> tuple:
     p = action[1]
     if type(p) is not int or p not in sim.cfg.processes:
         raise ScenarioError(f"schedule action {list(action)} names no process in 1..{sim.cfg.n}")
+    if kind == "crash" and (p in sim.crashed or len(sim.crashed) >= sim.cfg.f):
+        what = f"process {p} twice" if p in sim.crashed else f"more than f={sim.cfg.f} processes"
+        raise ScenarioError(f"schedule action {list(action)} crashes {what}")
     if kind != "deliver":
         return (kind, p)
     _, _, sender, payload, round_tag = action
@@ -736,8 +739,8 @@ def run_schedule(scenario: ScenarioConfig, factory: AutomatonFactory, schedule: 
     Actions are ("wake", p), ("poll", p), ("crash", p) or ("deliver", p,
     sender, payload, round_tag) exactly as explore() reports them; the
     oracle is the same truthful live oracle exploration uses.  A malformed
-    action, one naming no process in 1..n, or one delivering no pending
-    message, is a ScenarioError.
+    action, one naming no process in 1..n, one delivering no pending
+    message, or a crash of a crashed process or beyond f, is a ScenarioError.
     """
     sim = Simulation(scenario, factory, oracle=LiveOracle(scenario.oracle_kind, scenario.cfg.n))
     for action in schedule:
@@ -1005,13 +1008,14 @@ def explore(
 
     Branching choices: which process starts, which pending message class is
     delivered to whom, when a process takes a step (runs from its blocking
-    wait to the next one), and where up to `max_crashes` crashes strike.
-    Message delivery and process steps are independent choices, so a wait
-    can be evaluated with any superset of the messages that first satisfy
-    it.  States reached by different interleavings merge: the search is
-    over the reachable state graph, with the monitor's accumulated verdicts
-    folded into the state identity.  The oracle is the truthful live oracle
-    (its reading is a function of the crashes chosen so far).
+    wait to the next one), and where up to `max_crashes` crashes strike
+    (0..f, f by default).  Message delivery and process steps are
+    independent choices, so a wait can be evaluated with any superset of
+    the messages that first satisfy it.  States reached by different
+    interleavings merge: the search is over the reachable state graph,
+    with the monitor's accumulated verdicts folded into the state identity.
+    The oracle is the truthful live oracle (its reading is a function of
+    the crashes chosen so far).
 
     `crash_round_limit` restricts crash placements to processes whose round
     counter is still at or below the limit.  Round-capped transformations
@@ -1027,11 +1031,14 @@ def explore(
         raise ScenarioError(
             "exploration chooses crash placements itself; use an empty crash map"
         )
+    max_crashes = scenario.cfg.f if max_crashes is None else max_crashes
+    if not 0 <= max_crashes <= scenario.cfg.f:
+        raise ScenarioError(f"the crash limit must be in 0..f={scenario.cfg.f}, not {max_crashes}")
     engine = _XEngine(
         scenario,
         factory,
         monitor if monitor is not None else NullMonitor(),
-        scenario.cfg.f if max_crashes is None else max_crashes,
+        max_crashes,
         crash_round_limit,
     )
     identified, ids = scenario.identified, engine.ids

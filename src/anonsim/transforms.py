@@ -22,14 +22,18 @@ Anonymous randomized transformation:
   heard this round.  Distinct identifiers make the largest-id correct process
   the eventual unique self-truster; a collision is the priced-in failure mode.
 
-Table-to-table translations (no messages needed) are plain functions:
-suspect-set sizes emulate crash counts, and a leader table restricted to
-"am I the leader" emulates self-trust.
+The two suspectors and ``MaxIdSelfTrust`` share one heartbeat round loop,
+``_Heartbeats``: broadcast, wait for the oracle's alive count, advance.
+
+Table-to-table translations (no messages needed) are plain functions that
+one constructor, ``_translation``, builds: suspect-set sizes emulate crash
+counts, and a leader table restricted to "am I the leader" emulates
+self-trust.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .detectors import (
@@ -50,36 +54,53 @@ def _require_identified(scenario: ScenarioConfig, name: str) -> None:
 
 
 @dataclass
-class EventualSuspector(Automaton):
-    """suspect = P minus the senders heard this round (eventually accurate)."""
+class _Heartbeats(Automaton):
+    """The round loop shared by the heartbeat emulations.
+
+    Round r broadcasts a heartbeat tagged r, then waits for as many round-r
+    heartbeats as the count oracle says are alive.  `_send` runs every phase
+    but the wait; each `on_poll` keeps the wait and the round advance inline,
+    because guard probes poll waiting processes and pay for every call.
+    """
 
     n: int
     f: int
     proc: int
     rounds_cap: int | None
     r: int = 1
-    suspect: frozenset = frozenset()
     phase: str = "send"
     started: bool = False
+
+    def _send(self, ctx: Ctx, output: Any, heartbeat: tuple) -> bool:
+        """Start round r with `output` on the first poll, halt past the cap,
+        or else broadcast `heartbeat` and start waiting."""
+        if self.phase == "done":
+            return False
+        if not self.started:
+            self.started = True
+            ctx.switch_round(self.r)
+            ctx.emit_output(output)
+        if self.rounds_cap is not None and self.r > self.rounds_cap:
+            ctx.halt()
+            self.phase = "done"
+            return True
+        ctx.broadcast(heartbeat, round_tag=self.r)
+        self.phase = "wait"
+        return True
+
+
+@dataclass
+class EventualSuspector(_Heartbeats):
+    """suspect = P minus the senders heard this round (eventually accurate)."""
+
+    suspect: frozenset = frozenset()
 
     def key(self) -> tuple:
         return (self.r, tuple(sorted(self.suspect)), self.phase, self.started)
 
     def on_poll(self, ctx: Ctx) -> bool:
-        if self.phase == "done":
-            return False
-        if self.phase == "send":
-            if not self.started:
-                self.started = True
-                ctx.switch_round(self.r)
-                ctx.emit_output(self.suspect)
-            if self.rounds_cap is not None and self.r > self.rounds_cap:
-                ctx.halt()
-                self.phase = "done"
-                return True
-            ctx.broadcast(("ALIVE", self.r), round_tag=self.r)
-            self.phase = "wait"
-            return True
+        if self.phase != "wait":
+            return self._send(ctx, self.suspect, ("ALIVE", self.r))
         senders = set(ctx.senders(self.r, "ALIVE"))
         if len(senders) < ctx.alive_count():
             return False
@@ -92,19 +113,13 @@ class EventualSuspector(Automaton):
 
 
 @dataclass
-class StableSuspector(Automaton):
+class StableSuspector(_Heartbeats):
     """Suspect only after the sender set held still for f+2 rounds."""
 
-    n: int
-    f: int
-    proc: int
-    rounds_cap: int | None
     r: int = 0
     suspect: frozenset = frozenset()
     earlier_alive: frozenset = frozenset()
     last_change: int = 0
-    phase: str = "send"
-    started: bool = False
 
     def key(self) -> tuple:
         return (
@@ -120,20 +135,8 @@ class StableSuspector(Automaton):
         return self.r >= self.last_change + self.f + 2
 
     def on_poll(self, ctx: Ctx) -> bool:
-        if self.phase == "done":
-            return False
-        if self.phase == "send":
-            if not self.started:
-                self.started = True
-                ctx.switch_round(self.r)
-                ctx.emit_output(self.suspect)
-            if self.rounds_cap is not None and self.r > self.rounds_cap:
-                ctx.halt()
-                self.phase = "done"
-                return True
-            ctx.broadcast(("ALIVE", self.r), round_tag=self.r)
-            self.phase = "wait"
-            return True
+        if self.phase != "wait":
+            return self._send(ctx, self.suspect, ("ALIVE", self.r))
         senders = set(ctx.senders(self.r, "ALIVE"))
         need = ctx.alive_count()
         if len(senders) < need:
@@ -205,37 +208,18 @@ class SelfTrustAnnouncer(Automaton):
 
 
 @dataclass
-class MaxIdSelfTrust(Automaton):
+class MaxIdSelfTrust(_Heartbeats):
     """Trust yourself iff your random identifier tops this round's heartbeats."""
 
-    n: int
-    f: int
-    proc: int
-    my_id: int
-    rounds_cap: int | None
-    r: int = 1
+    my_id: int = field(kw_only=True)
     output: bool = True  # the rule applied to the singleton {own id}
-    phase: str = "send"
-    started: bool = False
 
     def key(self) -> tuple:
         return (self.r, self.my_id, self.output, self.phase, self.started)
 
     def on_poll(self, ctx: Ctx) -> bool:
-        if self.phase == "done":
-            return False
-        if self.phase == "send":
-            if not self.started:
-                self.started = True
-                ctx.switch_round(self.r)
-                ctx.emit_output(self.output)
-            if self.rounds_cap is not None and self.r > self.rounds_cap:
-                ctx.halt()
-                self.phase = "done"
-                return True
-            ctx.broadcast(("HB", self.r, self.my_id), round_tag=self.r)
-            self.phase = "wait"
-            return True
+        if self.phase != "wait":
+            return self._send(ctx, self.output, ("HB", self.r, self.my_id))
         beats = [m for m in ctx.msgs(self.r) if m[0] == "HB"]
         if len(beats) < ctx.alive_count():
             return False
@@ -275,13 +259,8 @@ def max_id_self_trust(scenario: ScenarioConfig, proc: int, rng) -> MaxIdSelfTrus
     if scenario.identified:
         raise ValueError("the randomized self-trust construction is an anonymous protocol")
     cfg = scenario.cfg
-    return MaxIdSelfTrust(
-        n=cfg.n,
-        f=cfg.f,
-        proc=proc,
-        my_id=rng.getrandbits(DEFAULT_ID_BITS),
-        rounds_cap=scenario.rounds,
-    )
+    return MaxIdSelfTrust(n=cfg.n, f=cfg.f, proc=proc, rounds_cap=scenario.rounds,
+                          my_id=rng.getrandbits(DEFAULT_ID_BITS))
 
 
 def forced_id_factory(ids: dict[int, int]) -> Callable:
@@ -344,50 +323,31 @@ def id_collision(trace: Trace) -> bool:
 # --- table-to-table translations ------------------------------------------------
 
 
+def _translation(history: DetectorHistory, targets: dict[str, str], expected: str, name: str,
+                 row: Callable[[int, tuple], tuple]) -> DetectorHistory:
+    """The history that `row(p, source row)` emulates for every process p;
+    `targets` maps each accepted source kind to its target kind."""
+    if history.kind not in targets:
+        raise ValueError(f"expected a {expected} history, got kind {history.kind!r}")
+    rows = tuple(row(p, r) for p, r in enumerate(history.rows, start=1))
+    return DetectorHistory(targets[history.kind], history.n, history.horizon, rows,
+                           convergence=history.convergence, emulated_from=(history.kind, name, 0))
+
+
 def suspected_count(history: DetectorHistory) -> DetectorHistory:
     """Suspect-set sizes as a crash count: perfect -> crash-count and
     eventually-perfect -> eventual-crash-count."""
-    if history.kind not in (PERFECT, EVENTUALLY_PERFECT):
-        raise ValueError(f"expected a suspect-set history, got kind {history.kind!r}")
-    target = CRASH_COUNT if history.kind == PERFECT else EVENTUAL_CRASH_COUNT
-    rows = tuple(tuple(len(v) for v in row) for row in history.rows)
-    return DetectorHistory(
-        target,
-        history.n,
-        history.horizon,
-        rows,
-        convergence=history.convergence,
-        emulated_from=(history.kind, "suspected-count", 0),
-    )
+    return _translation(history, {PERFECT: CRASH_COUNT, EVENTUALLY_PERFECT: EVENTUAL_CRASH_COUNT},
+                        "suspect-set", "suspected-count", lambda p, row: tuple(len(v) for v in row))
 
 
 def leader_self_trust(history: DetectorHistory) -> DetectorHistory:
     """Restrict a leader table to "is it me": leader -> self-trust."""
-    if history.kind != LEADER:
-        raise ValueError(f"expected a leader history, got kind {history.kind!r}")
-    rows = tuple(
-        tuple(v == p for v in row) for p, row in enumerate(history.rows, start=1)
-    )
-    return DetectorHistory(
-        SELF_TRUST,
-        history.n,
-        history.horizon,
-        rows,
-        convergence=history.convergence,
-        emulated_from=(history.kind, "leader-self-trust", 0),
-    )
+    return _translation(history, {LEADER: SELF_TRUST}, "leader", "leader-self-trust",
+                        lambda p, row: tuple(v == p for v in row))
 
 
 def count_weakening(history: DetectorHistory) -> DetectorHistory:
     """Identity embedding: every always-accurate count is an eventual one."""
-    if history.kind != CRASH_COUNT:
-        raise ValueError(f"expected a crash-count history, got kind {history.kind!r}")
-    return DetectorHistory(
-        EVENTUAL_CRASH_COUNT,
-        history.n,
-        history.horizon,
-        history.rows,
-        convergence=history.convergence,
-        emulated_from=(history.kind, "count-weakening", 0),
-    )
-
+    return _translation(history, {CRASH_COUNT: EVENTUAL_CRASH_COUNT}, "crash-count", "count-weakening",
+                        lambda p, row: row)

@@ -229,6 +229,13 @@ class TestExplore:
                       monitor=monitor_for("lockmin", 3, 1, (0, 1, 1)), max_states=budget)
         assert res.partial and res.states == budget
 
+    @pytest.mark.parametrize("max_crashes", [-1, 2, 3])
+    def test_crash_limit_outside_0_to_f_rejected(self, max_crashes):
+        # beyond f the search ran outside the model, crashing every process
+        sc = scenario("floodmax", 3, 1, inputs=(0, 1, 1))
+        with pytest.raises(ScenarioError):
+            explore(sc, factory_of("floodmax"), max_crashes=max_crashes)
+
     def test_nonempty_pattern_rejected(self):
         sc = scenario("floodmax", 2, 1, inputs=(0, 1), crashes={2: 3})
         with pytest.raises(ScenarioError):
@@ -270,6 +277,13 @@ class TestReplay:
         sc = scenario("floodmax", 2, 1, inputs=(0, 1))
         with pytest.raises(ScenarioError):
             run_schedule(sc, factory_of("floodmax"), [("wake", 1), action])
+
+    @pytest.mark.parametrize("crashes", [(1, 2), (1, 1)])
+    def test_crash_outside_model_rejected(self, crashes):
+        # more than f crashes, or one process crashed twice
+        sc = scenario("floodmax", 2, 1, inputs=(0, 1))
+        with pytest.raises(ScenarioError):
+            run_schedule(sc, factory_of("floodmax"), [("crash", p) for p in crashes])
 
     def test_live_oracle_tracks_crashes(self):
         oracle = LiveOracle("crash-count", 3)

@@ -232,12 +232,19 @@ class TestTableTranslations:
         assert not validate_crash_count(loose, pat)
 
     def test_kind_guards(self):
-        pat = self.pattern()
-        src = sample_history(DetectorSpec(LEADER, 3), pat, OracleProfile("optimistic", 4), seed=0, horizon=8)
-        with pytest.raises(ValueError):
-            suspected_count(src)
-        with pytest.raises(ValueError):
-            count_weakening(src)
+        # each translation, a source kind it accepts, and one it must refuse
+        pat, profile = self.pattern(), OracleProfile("optimistic", 4)
+        for translate, kind, wrong, name in [
+            (suspected_count, PERFECT, LEADER, "suspected-count"),
+            (suspected_count, EVENTUALLY_PERFECT, CRASH_COUNT, "suspected-count"),
+            (leader_self_trust, LEADER, PERFECT, "leader-self-trust"),
+            (count_weakening, CRASH_COUNT, EVENTUAL_CRASH_COUNT, "count-weakening"),
+        ]:
+            src = sample_history(DetectorSpec(kind, 3), pat, profile, seed=0, horizon=8)
+            bad = sample_history(DetectorSpec(wrong, 3), pat, profile, seed=0, horizon=8)
+            assert translate(src).emulated_from == (kind, name, 0)
+            with pytest.raises(ValueError, match="expected a"):
+                translate(bad)
 
 
 class TestEmulatedAnonymity:
