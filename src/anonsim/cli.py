@@ -32,6 +32,7 @@ from .detectors import ALL_KINDS, DetectorSpec
 from .model import history_from_json, pattern_from_json
 from .simulator import (
     POLICIES,
+    SCHEMA,
     ScenarioConfig,
     ScenarioError,
     Trace,
@@ -79,10 +80,7 @@ def _read_json(path: str | Path, what: str):
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    doc = _read_json(path, "scenario")
-    if isinstance(doc, dict) and doc.get("schema") not in (None, 1):
-        raise ScenarioError(f"unsupported scenario schema {doc.get('schema')!r}")
-    return normalize_scenario(ScenarioConfig.from_dict(doc))
+    return normalize_scenario(ScenarioConfig.from_dict(_read_json(path, "scenario")))
 
 
 def run_and_check(scenario: ScenarioConfig) -> tuple[Trace, list[verify.CheckReport], dict]:
@@ -107,8 +105,7 @@ def _print_reports(reports: list[verify.CheckReport], reproduce: str | None = No
 
 
 def _campaign_worker(scenario_json: str, seed: int) -> dict:
-    scenario = ScenarioConfig.from_dict(json.loads(scenario_json)).reseeded(seed)
-    scenario = normalize_scenario(scenario)
+    scenario = normalize_scenario(ScenarioConfig.from_dict(json.loads(scenario_json)).reseeded(seed))
     _, reports, extras = run_and_check(scenario)
     return {
         "seed": seed,
@@ -153,6 +150,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     doc = _read_json(args.campaign, "campaign")
     if not isinstance(doc, dict) or "scenario" not in doc:
         raise ScenarioError("campaign file needs a JSON object with a 'scenario' template")
+    if int_field(doc, "schema", SCHEMA) != SCHEMA:
+        raise ScenarioError(f"unsupported campaign schema {doc['schema']!r}")
     scenario = normalize_scenario(ScenarioConfig.from_dict(doc["scenario"]))
     mode = doc.get("mode", "sweep")
     if mode == "explore":
@@ -300,7 +299,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         text = Path(args.trace).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read trace file: {exc}")
-    return _print_reports(verify.check_trace(Trace.from_jsonl(text)))
+    trace = Trace.from_jsonl(text)
+    if normalize_scenario(trace.scenario) != trace.scenario:
+        raise ScenarioError("the trace's scenario differs from what run would record for it")
+    return _print_reports(verify.check_trace(trace))
 
 
 def cmd_validate_history(args: argparse.Namespace) -> int:

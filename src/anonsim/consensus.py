@@ -16,31 +16,48 @@ means the process is blocked at a wait condition.  Ties that the pseudo-code
 leaves to message arrival order (several simultaneous leader claims, several
 non-null votes) are broken by value, which keeps the automata insensitive to
 inbox ordering and lets exhaustive exploration merge equivalent states.
+The three share one base, ``_Consensus``, for their common fields, start and
+decision; as for every automaton, the key is every field but n, f and proc.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from .simulator import Automaton, Ctx, ScenarioConfig
 
 
 @dataclass
-class FloodMaxConsensus(Automaton):
-    n: int
-    f: int
-    proc: int
+class _Consensus(Automaton):
+    """What the protocols share.  Each keeps its own `on_poll` and tests
+    `started` inline before `_start`: guard probes poll waiting processes."""
+
     v: int
-    r: int = 1
-    phase: str = "send"  # send | collect | done
+    r: int = 0
+    phase: str = "done"
     started: bool = False
     decided: Any = None
     decide_round: int | None = None
 
-    def key(self) -> tuple:
-        return (self.v, self.r, self.phase, self.started, self.decided)
+    def _start(self, ctx: Ctx) -> None:
+        self.started = True
+        ctx.switch_round(self.r, v=self.v)
+
+    def _decide(self, ctx: Ctx, value: int, halt: bool) -> None:
+        self.decided = value
+        self.decide_round = self.r
+        ctx.decide(value, r=self.r)
+        if halt:
+            ctx.halt()
+            self.phase = "done"
+
+
+@dataclass
+class FloodMaxConsensus(_Consensus):
+    r: int = 1
+    phase: str = "send"  # send | collect | done
 
     def _merge(self, values: set[int]) -> int:
         return max(values)
@@ -48,8 +65,7 @@ class FloodMaxConsensus(Automaton):
     def on_poll(self, ctx: Ctx) -> bool:
         if self.phase == "send":
             if not self.started:
-                self.started = True
-                ctx.switch_round(self.r, v=self.v)
+                self._start(ctx)
             ctx.broadcast(("Propose", self.r, self.v), round_tag=self.r)
             self.phase = "collect"
             return True
@@ -60,11 +76,7 @@ class FloodMaxConsensus(Automaton):
             values = {self.v} | {m[2] for m in props}
             self.v = self._merge(values)
             if self.r == self.f + 1:
-                self.decided = self.v
-                self.decide_round = self.r
-                ctx.decide(self.v, r=self.r)
-                ctx.halt()
-                self.phase = "done"
+                self._decide(ctx, self.v, halt=True)
             else:
                 self.r += 1
                 ctx.switch_round(self.r, v=self.v)
@@ -74,20 +86,9 @@ class FloodMaxConsensus(Automaton):
 
 
 @dataclass
-class LockMinConsensus(Automaton):
-    n: int
-    f: int
-    proc: int
-    v: int
-    r: int = 0
-    lock: int | None = None
-    decided: Any = None
-    decide_round: int | None = None
+class LockMinConsensus(_Consensus):
     phase: str = "propose-send"  # propose-send | propose-wait | lock-send | lock-wait | done
-    started: bool = False
-
-    def key(self) -> tuple:
-        return (self.v, self.r, self.lock, self.phase, self.started, self.decided, self.decide_round)
+    lock: int | None = None
 
     def _need(self, ctx: Ctx) -> int:
         # waiting for fewer than n-f messages is never necessary and would
@@ -100,8 +101,7 @@ class LockMinConsensus(Automaton):
     def on_poll(self, ctx: Ctx) -> bool:
         if self.phase == "propose-send":
             if not self.started:
-                self.started = True
-                ctx.switch_round(self.r, v=self.v)
+                self._start(ctx)
             ctx.broadcast(("Propose", self.r, self.v), round_tag=self.r)
             self.phase = "propose-wait"
             return True
@@ -131,9 +131,7 @@ class LockMinConsensus(Automaton):
             if present:
                 self.v = present[0]
                 if all(t == self.v for t in tags):
-                    self.decided = self.v
-                    self.decide_round = self.r
-                    ctx.decide(self.v, r=self.r)
+                    self._decide(ctx, self.v, halt=False)
             else:
                 self.v = min(m[3] for m in locks)
             self.r += 1
@@ -144,20 +142,9 @@ class LockMinConsensus(Automaton):
 
 
 @dataclass
-class LeaderVoteConsensus(Automaton):
-    n: int
-    f: int
-    proc: int
-    v: int
-    r: int = 0
-    aux: int | None = None
+class LeaderVoteConsensus(_Consensus):
     phase: str = "lead"  # lead | report-wait | vote-wait | done
-    started: bool = False
-    decided: Any = None
-    decide_round: int | None = None
-
-    def key(self) -> tuple:
-        return (self.v, self.r, self.aux, self.phase, self.started, self.decided)
+    aux: int | None = None
 
     def _majority(self, counts: Counter) -> int | None:
         for w in sorted(counts):
@@ -172,18 +159,12 @@ class LeaderVoteConsensus(Automaton):
         # once, decide the carried value, halt
         for m in ctx.untagged():
             if m[0] == "Decide":
-                w = m[1]
-                ctx.broadcast(("Decide", w))
-                self.decided = w
-                self.decide_round = self.r
-                ctx.decide(w, r=self.r)
-                ctx.halt()
-                self.phase = "done"
+                ctx.broadcast(("Decide", m[1]))
+                self._decide(ctx, m[1], halt=True)
                 return True
         if self.phase == "lead":
             if not self.started:
-                self.started = True
-                ctx.switch_round(self.r, v=self.v)
+                self._start(ctx)
             leaders = [m for m in ctx.msgs(self.r) if m[0] == "Leader"]
             if leaders:
                 self.v = min(m[2] for m in leaders)
@@ -218,20 +199,18 @@ class LeaderVoteConsensus(Automaton):
         return False
 
 
-def flood_max(scenario: ScenarioConfig, proc: int, rng) -> FloodMaxConsensus:
-    cfg = scenario.cfg
-    return FloodMaxConsensus(n=cfg.n, f=cfg.f, proc=proc, v=scenario.inputs[proc - 1])
+def _factory(cls: type, majority_name: str | None = None) -> Callable:
+    """The factory of `cls`; a protocol with a `majority_name` needs n > 2f."""
+
+    def factory(scenario: ScenarioConfig, proc: int, rng) -> _Consensus:
+        cfg = scenario.cfg
+        if majority_name is not None and cfg.n <= 2 * cfg.f:
+            raise ValueError(f"{majority_name} consensus needs n > 2f, got n={cfg.n}, f={cfg.f}")
+        return cls(n=cfg.n, f=cfg.f, proc=proc, v=scenario.inputs[proc - 1])
+
+    return factory
 
 
-def lock_min(scenario: ScenarioConfig, proc: int, rng) -> LockMinConsensus:
-    cfg = scenario.cfg
-    if cfg.n <= 2 * cfg.f:
-        raise ValueError(f"lock-min consensus needs n > 2f, got n={cfg.n}, f={cfg.f}")
-    return LockMinConsensus(n=cfg.n, f=cfg.f, proc=proc, v=scenario.inputs[proc - 1])
-
-
-def leader_vote(scenario: ScenarioConfig, proc: int, rng) -> LeaderVoteConsensus:
-    cfg = scenario.cfg
-    if cfg.n <= 2 * cfg.f:
-        raise ValueError(f"leader-vote consensus needs n > 2f, got n={cfg.n}, f={cfg.f}")
-    return LeaderVoteConsensus(n=cfg.n, f=cfg.f, proc=proc, v=scenario.inputs[proc - 1])
+flood_max = _factory(FloodMaxConsensus)
+lock_min = _factory(LockMinConsensus, "lock-min")
+leader_vote = _factory(LeaderVoteConsensus, "leader-vote")

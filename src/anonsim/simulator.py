@@ -22,13 +22,13 @@ automaton only observes its own inbox and the oracle.
 A state's identity in `explore` is a sequence of small ints, packed 4 bytes
 each into a `bytes` key.  Each explore call owns one `InternTable`, freed
 when the call returns, that numbers every state component it meets in
-first-seen order: an automaton's key, an inbox's contents, the multiset of
-messages pending to a receiver and the monitor's key.  A key holds those
-ids, the crashed, halted and woken sets as bit masks, and the crash budget
-left.  The table is a bijection on components, so states merge exactly when
-their components are equal.  One map, from each visited key to its
-parent's key and the action between, is both the visited set and the
-source of witness schedules; equal actions in it share one tuple.
+first-seen order: an automaton's key (its non-constant fields), an inbox's
+contents, the multiset of messages pending to a receiver and the monitor's
+key.  A key holds those ids, the crashed, halted and woken sets as bit masks,
+and the crash budget left.  The table is a bijection on components, so states
+merge exactly when their components are equal.  One map, from each visited
+key to its parent's key and the action between, is both the visited set and
+the source of witness schedules; equal actions in it share one tuple.
 
 An explored state holds only what is its own.  A child shares its parent's
 automata, inboxes and inbox rounds until an action replaces them, and the
@@ -53,7 +53,8 @@ import json
 import random
 from array import array
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from typing import Any, Callable, Iterable
 
 from .detectors import (
@@ -171,6 +172,8 @@ class ScenarioConfig:
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
         if not isinstance(doc, dict):
             raise ScenarioError("a scenario must be a JSON object")
+        if int_field(doc, "schema", SCHEMA) != SCHEMA:
+            raise ScenarioError(f"unsupported scenario schema {doc['schema']!r}")
         if doc.get("n") is None or doc.get("f") is None:
             raise ScenarioError("a scenario needs integers 'n' and 'f'")
         oracle, crash = _object_field(doc, "oracle"), _object_field(doc, "crash")
@@ -279,8 +282,30 @@ class InternTable(dict):
         return ident
 
 
+class _StateGetters(dict):
+    """Each automaton class to the getter of its compared fields."""
+
+    def __missing__(self, cls: type) -> attrgetter:
+        getter = self[cls] = attrgetter(*(f.name for f in fields(cls) if f.compare))
+        return getter
+
+
+_STATE_OF = _StateGetters()
+
+
+@dataclass
 class Automaton:
-    """Base for process automata: state-only objects with a cheap copy."""
+    """Base for process automata: state-only dataclasses with a cheap copy.
+    `key()`, an automaton's identity in `explore`, is its fields in
+    declaration order, less the constants of the process (n, f, proc, a
+    cap), which are declared `field(compare=False)`: no key holds `proc`."""
+
+    n: int = field(compare=False)
+    f: int = field(compare=False)
+    proc: int = field(compare=False)
+
+    def key(self) -> tuple:
+        return _STATE_OF[type(self)](self)
 
     def copy(self):
         clone = object.__new__(type(self))
@@ -304,7 +329,6 @@ class Ctx:
         self._engine = engine
         self.proc = proc
         self.n = engine.cfg.n
-        self.f = engine.cfg.f
 
     def oracle(self) -> Any:
         return self._engine.oracle_read(self.proc)
@@ -391,11 +415,7 @@ class Trace:
 
     def to_jsonl(self) -> str:
         lines = [json.dumps({"ev": "meta", "scenario": self.scenario.to_dict()}, sort_keys=True)]
-        for ev in self.events:
-            doc = dict(ev)
-            if "payload" in doc:
-                doc["payload"] = list(doc["payload"])
-            lines.append(json.dumps(doc, sort_keys=True))
+        lines += (json.dumps(ev, sort_keys=True) for ev in self.events)
         lines.append(
             json.dumps({"ev": "end", "truncated": self.truncated, "pending": self.pending}, sort_keys=True)
         )

@@ -63,10 +63,7 @@ class _Heartbeats(Automaton):
     because guard probes poll waiting processes and pay for every call.
     """
 
-    n: int
-    f: int
-    proc: int
-    rounds_cap: int | None
+    rounds_cap: int | None = field(compare=False)
     r: int = 1
     phase: str = "send"
     started: bool = False
@@ -95,9 +92,6 @@ class EventualSuspector(_Heartbeats):
 
     suspect: frozenset = frozenset()
 
-    def key(self) -> tuple:
-        return (self.r, tuple(sorted(self.suspect)), self.phase, self.started)
-
     def on_poll(self, ctx: Ctx) -> bool:
         if self.phase != "wait":
             return self._send(ctx, self.suspect, ("ALIVE", self.r))
@@ -120,16 +114,6 @@ class StableSuspector(_Heartbeats):
     suspect: frozenset = frozenset()
     earlier_alive: frozenset = frozenset()
     last_change: int = 0
-
-    def key(self) -> tuple:
-        return (
-            self.r,
-            tuple(sorted(self.suspect)),
-            tuple(sorted(self.earlier_alive)),
-            self.last_change,
-            self.phase,
-            self.started,
-        )
 
     def _stable_enough(self) -> bool:
         return self.r >= self.last_change + self.f + 2
@@ -159,19 +143,13 @@ class StableSuspector(_Heartbeats):
 class SelfTrustAnnouncer(Automaton):
     """Tell everyone when the oracle trusts you; adopt the latest claim."""
 
-    n: int
-    f: int
-    proc: int
-    ticks_cap: int | None
+    ticks_cap: int | None = field(compare=False)
     output: int = 0  # leader estimate; starts as self
     ticks: int = 0
     last_claim: int = -8
     claims_seen: int = 0
     started: bool = False
     halted: bool = False
-
-    def key(self) -> tuple:
-        return (self.output, self.ticks, self.last_claim, self.claims_seen, self.started, self.halted)
 
     def on_poll(self, ctx: Ctx) -> bool:
         if self.halted:
@@ -213,9 +191,6 @@ class MaxIdSelfTrust(_Heartbeats):
 
     my_id: int = field(kw_only=True)
     output: bool = True  # the rule applied to the singleton {own id}
-
-    def key(self) -> tuple:
-        return (self.r, self.my_id, self.output, self.phase, self.started)
 
     def on_poll(self, ctx: Ctx) -> bool:
         if self.phase != "wait":

@@ -84,7 +84,7 @@ class TestRun:
         # an integer, and only a JSON boolean is a boolean
         ("n", 3.9), ("f", True), ("inputs", [0, "1", 1]), ("inputs", [0, 1, 1.7]), ("inputs", [0, True, 0]),
         ("crash", {"3": 4.5}), ("oracle", dict(FLOODMAX["oracle"], convergence=2.5)), ("seed", 7.9),
-        ("identified", "false"), ("identified", 0),
+        ("identified", "false"), ("identified", 0), ("schema", 99), ("schema", True),
     ])
     def test_malformed_fields_exit_2(self, tmp_path, capsys, field, value):
         path = write(tmp_path, "bad.json", dict(FLOODMAX, **{field: value}))
@@ -135,6 +135,21 @@ class TestCheck:
         trace_file.write_text("\n".join(lines) + "\n")
         assert main(["check", str(trace_file)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("field, value", [
+        # a scenario run would refuse, or would record otherwise
+        ("inputs", []), ("oracle", dict(FLOODMAX["oracle"], kind="self-trust")), ("algorithm", "leadervote"),
+        ("identified", True), ("schema", 99),
+    ])
+    def test_meta_scenario_run_would_refuse_exits_2(self, tmp_path, capsys, field, value):
+        main(["run", write(tmp_path, "s.json", FLOODMAX), "--out", str(tmp_path / "out")])
+        trace_file = tmp_path / "out" / "floodmax-seed7.trace.jsonl"
+        lines = trace_file.read_text().splitlines()
+        meta = json.loads(lines[0])
+        meta["scenario"][field] = value
+        trace_file.write_text("\n".join([json.dumps(meta), *lines[1:]]) + "\n")
+        assert main(["check", str(trace_file)]) == 2
+        assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_check_reports_what_run_reports(self, tmp_path, capsys, algorithm):
@@ -196,6 +211,7 @@ class TestCampaign:
     @pytest.mark.parametrize("field, value", [
         ("seeds", "0-9"), ("seeds", [1, "2"]), ("seeds", {"start": "a", "count": 2}),
         ("seeds", {"count": 1.5}), ("jobs", "x"), ("jobs", 2.5), ("mode", ["sweep"]), ("scenario", [1]),
+        ("schema", 99), ("scenario", dict(FLOODMAX, schema=99)),
     ])
     def test_malformed_campaign_exits_2(self, tmp_path, capsys, field, value):
         doc = dict(self.campaign_doc(2), **{field: value})

@@ -1,6 +1,8 @@
 """Engine-level behavior: determinism, reliability, crash semantics, explore."""
 
+import random
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 from helpers import factory_of, scenario
@@ -12,12 +14,37 @@ from anonsim import (
     ScenarioError,
     Trace,
     anonymous_receive,
+    consensus,
     explore,
+    mutants,
     run,
     run_schedule,
+    transforms,
 )
-from anonsim.simulator import Inbox, _XEngine
+from anonsim.cli import ALGORITHMS
+from anonsim.simulator import Automaton, Inbox, _XEngine
 from anonsim.verify import monitor_for
+
+# the fields that stay constant through a run of one process
+CONSTANTS = ("n", "f", "proc", "rounds_cap", "ticks_cap")
+
+
+def automaton_classes() -> list[type]:
+    """Every public automaton class of the protocol, emulation and mutant modules."""
+    return sorted(
+        (obj for module in (consensus, transforms, mutants) for obj in vars(module).values()
+         if isinstance(obj, type) and issubclass(obj, Automaton)
+         and obj.__module__ == module.__name__ and not obj.__name__.startswith("_")),
+        key=lambda cls: cls.__name__,
+    )
+
+
+def factory_built() -> dict[type, Automaton]:
+    """Process 1's automaton from every algorithm's and mutant's factory, at n=3 f=1."""
+    factories = [(name, info.factory) for name, info in ALGORITHMS.items()]
+    factories += [(name, factory) for name, _, factory in mutants.MUTANTS.values()]
+    built = (factory(scenario(name, 3, 1, rounds=5), 1, random.Random(0)) for name, factory in factories)
+    return {type(automaton): automaton for automaton in built}
 
 
 class TestInbox:
@@ -164,6 +191,19 @@ class TestAnonymityOfRuns:
         other = next(p for p in (1, 2, 3) if p not in (sender,))
         pi = Permutation.swap(3, sender, other)
         assert anonymous_receive(log, pi, receiver, other, step) == log.values[slot]
+
+
+class TestAutomatonKey:
+    @pytest.mark.parametrize("cls", automaton_classes(), ids=lambda cls: cls.__name__)
+    def test_key_covers_the_state_and_only_the_state(self, cls):
+        # explore merges states whose automata have equal keys: a field left
+        # out of the key would merge distinct states, and a constant in it
+        # (proc above all) would keep apart states that symmetry could merge
+        automaton = factory_built()[cls]
+        for name in (f.name for f in fields(automaton)):
+            changed = automaton.copy()
+            setattr(changed, name, object())
+            assert (changed.key() == automaton.key()) == (name in CONSTANTS), name
 
 
 class TestExplore:
