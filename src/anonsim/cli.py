@@ -153,6 +153,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if int_field(doc, "schema", SCHEMA) != SCHEMA:
         raise ScenarioError(f"unsupported campaign schema {doc['schema']!r}")
     scenario = normalize_scenario(ScenarioConfig.from_dict(doc["scenario"]))
+    jobs = args.jobs if args.jobs is not None else int_field(doc, "jobs", 1)
+    if jobs < 1:
+        raise ScenarioError(f"jobs must be at least 1, not {jobs}")
     mode = doc.get("mode", "sweep")
     if mode == "explore":
         return _explore_scenario(scenario, args.out, max_states=int_field(doc, "max_states"))
@@ -172,7 +175,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     else:
         raise ScenarioError(f"unknown campaign mode {mode!r}")
 
-    jobs = args.jobs if args.jobs is not None else int_field(doc, "jobs", 1)
     scenario_json = json.dumps(scenario.to_dict(), sort_keys=True)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -259,6 +261,7 @@ def _explore_scenario(scenario: ScenarioConfig, out: str | None, max_states: int
     new_per_child = (result.states - 1) / result.children if result.children else 0.0
     print(f"children built: {result.children} (dedup ratio: {new_per_child:.4f} new states per child)")
     print(f"peak frontier: {result.peak_frontier}")
+    print(f"local transitions: {result.computed} computed, {result.replayed} replayed")
     print(f"states/s: {result.states / seconds:.0f} ({seconds:.3f} s)")
     print(f"peak memory: {peak_rss_mb():.1f} MB")
     print(f"terminal states: {result.terminals}")
@@ -302,6 +305,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     trace = Trace.from_jsonl(text)
     if normalize_scenario(trace.scenario) != trace.scenario:
         raise ScenarioError("the trace's scenario differs from what run would record for it")
+    # a run applies each scheduled crash at its step, unless it ended first
+    last = max((ev["step"] for ev in trace.events), default=-1)
+    crashes = sorted((ev["proc"], ev["step"]) for ev in trace.events if ev["ev"] == "crash")
+    if crashes != [(p, s) for p, s in sorted(trace.scenario.pattern.crash_steps) if s <= last]:
+        raise ScenarioError("the trace's crash events differ from its scenario's crash map")
     return _print_reports(verify.check_trace(trace))
 
 

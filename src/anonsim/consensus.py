@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .simulator import Automaton, Ctx, ScenarioConfig
+from .simulator import Automaton, Ctx, ScenarioConfig, ScenarioError
 
 
 @dataclass
@@ -200,12 +200,15 @@ class LeaderVoteConsensus(_Consensus):
 
 
 def _factory(cls: type, majority_name: str | None = None) -> Callable:
-    """The factory of `cls`; a protocol with a `majority_name` needs n > 2f."""
+    """The factory of `cls`: it needs one input per process, and a protocol
+    with a `majority_name` needs n > 2f."""
 
     def factory(scenario: ScenarioConfig, proc: int, rng) -> _Consensus:
         cfg = scenario.cfg
         if majority_name is not None and cfg.n <= 2 * cfg.f:
-            raise ValueError(f"{majority_name} consensus needs n > 2f, got n={cfg.n}, f={cfg.f}")
+            raise ScenarioError(f"{majority_name} consensus needs n > 2f, got n={cfg.n}, f={cfg.f}")
+        if len(scenario.inputs) != cfg.n:
+            raise ScenarioError(f"consensus needs one input per process, got {len(scenario.inputs)} for n={cfg.n}")
         return cls(n=cfg.n, f=cfg.f, proc=proc, v=scenario.inputs[proc - 1])
 
     return factory

@@ -37,6 +37,19 @@ also inherits its parent's guard-probe verdicts, except for the process the
 action touched (all of them after a crash), so a probe runs again only when
 what it reads has changed.
 
+Each local transition runs once per explore call.  A poll of p reads only
+p's automaton, p's inbox and the oracle, whose reading follows the crashed
+set; states merge on those same ids, so the search already takes p's next
+move to depend on nothing else.  The engine memoizes, under (p, automaton
+id, inbox id, crashed set), each probe's verdict and each poll's outcome:
+the automaton and inbox it leaves, which later polls share, and its ordered
+global effects (sends, decisions, halts, round switches, outputs).  A later
+poll of the same local state replays those effects against its own state,
+so pending receivers and monitor hooks follow that state's crashes, halts
+and peers, and a hook sees p's automaton as it was when the effect fired.
+The memo lives as long as the call, because keys leave out the round and
+tick caps that differ between calls.
+
 Seeded runs (`Simulation`), replays (`run_schedule`) and `explore` (on an
 `_XEngine`) apply one set of transition rules, `_Engine`: the poll loop, the
 guard probe and the test that every live process has halted or decided.
@@ -761,12 +774,16 @@ def run_schedule(scenario: ScenarioConfig, factory: AutomatonFactory, schedule: 
     oracle is the same truthful live oracle exploration uses.  A malformed
     action, one naming no process in 1..n, one delivering no pending
     message, or a crash of a crashed process or beyond f, is a ScenarioError.
+    The trace's scenario maps each crashed process to the step of its crash
+    action, so `anonsim check` reads the trace as it reads a run's.
     """
     sim = Simulation(scenario, factory, oracle=LiveOracle(scenario.oracle_kind, scenario.cfg.n))
     for action in schedule:
         sim.apply(_replayed(sim, action))
         sim.t += 1
-    return sim._finish()
+    trace = sim._finish()
+    trace.scenario = replace(scenario, pattern=FailurePattern.of(scenario.cfg.n, trace.crashes))
+    return trace
 
 
 # --- exhaustive schedule exploration -----------------------------------------
@@ -789,6 +806,10 @@ class NullMonitor:
     reported as an invariant violation.  At a terminal state (every live
     process halted or decided, no enabled action) `terminal_checks` lists
     its failures and `terminal_profile` names its outcome.
+
+    A hook may read the state's automata and its crashed and halted sets;
+    the hooks of a poll see the polling process's automaton as it was when
+    each effect fired.
 
     `key()` joins the state's identity, so it must fold in every field that
     a later verdict can depend on; states with equal keys merge.  `clone()`
@@ -887,13 +908,30 @@ class _XEngine(_Engine):
     """Explore's engine: the shared rules applied to explored states.  The
     poll loop and the guard probe run on the state that `load` last pointed
     the engine at, whose containers they read and change in place; the
-    effects feed that state's monitor."""
+    effects feed that state's monitor.
+
+    Each local transition runs once per engine.  A poll's outcome and a
+    probe's verdict are memoized under p's local state: (p, the id of its
+    automaton's key, the id of its inbox, the crashed set).  A poll's entry
+    holds p's final automaton and inbox, which later polls share, and its
+    log of global effects (`_send`, `_decide`, `_halt`, `_round`,
+    `_output`), which a later poll replays against its own state.  Each
+    effect is logged with a copy of p's automaton as it was when the effect
+    fired, and the replay shows the effect's monitor hook that copy.
+    """
 
     def __init__(self, scenario: ScenarioConfig, factory: AutomatonFactory, monitor: Any,
                  crashes_left: int, crash_round_limit: int | None):
         super().__init__(scenario, factory, LiveOracle(scenario.oracle_kind, scenario.cfg.n))
         self.crash_round_limit = crash_round_limit
-        self.ids = InternTable()  # lives as long as this engine: one explore call
+        # these live as long as this engine: one explore call, whose caps
+        # (which keys leave out) are fixed
+        self.ids = InternTable()
+        self.polls: dict[tuple, tuple] = {}  # local state -> (automaton, inbox, effect log)
+        self.probes: dict[tuple, bool] = {}  # local state -> would its next poll move
+        self.log: list[tuple] = []  # the effects of the poll being computed
+        self.seen: dict[tuple, Automaton] = {}  # (p, automaton key) -> the copy that effects log
+        self.computed = self.replayed = 0  # polls run, polls replayed
         self.state = _XState(
             self.automata, self.inboxes, [], self.crashed, self.halted, frozenset(), crashes_left, monitor
         )
@@ -912,8 +950,18 @@ class _XEngine(_Engine):
         bit = _BIT(p)
         if not st.probed & bit:
             st.probed |= bit
-            st.moves = st.moves | bit if self.can_progress(p) else st.moves & ~bit
+            local = self.local_state(st, p)
+            moves = self.probes.get(local)
+            if moves is None:
+                moves = self.probes[local] = self.can_progress(p)
+            st.moves = st.moves | bit if moves else st.moves & ~bit
         return bool(st.moves & bit)
+
+    def local_state(self, st: _XState, p: int) -> tuple:
+        """What p's next poll reads: p, its automaton, its inbox and the
+        crashed set, which fixes the oracle's reading."""
+        return (p, st.automata[p].cached_key(self.ids), st.inboxes[p].key(self.scenario.identified, self.ids),
+                st.crashed)
 
     def actions(self, st: _XState) -> list[tuple]:
         """The enabled actions of a state; one deliver action per class of
@@ -957,36 +1005,77 @@ class _XEngine(_Engine):
             del st.pending[idx]
             st.inboxes[p] = st.inboxes[p].clone()
             st.inboxes[p].deliver(*action[2:])
-        else:  # wake or poll, on private copies of what the poll changes
+        else:  # wake or poll
             if kind == "wake":
                 st.woken = st.woken | {p}
-            st.automata[p] = st.automata[p].copy()
-            st.inboxes[p] = st.inboxes[p].clone()
-            self.load(st).quiesce(p)
+            self.load(st)
+            local = self.local_state(st, p)
+            done = self.polls.get(local)
+            if done is None:  # run the poll on private copies of what it changes
+                self.computed += 1
+                st.automata[p] = st.automata[p].copy()
+                st.inboxes[p] = st.inboxes[p].clone()
+                self.log = []
+                self.quiesce(p)
+                self.polls[local] = (st.automata[p], st.inboxes[p], self.log)
+                return
+            self.replayed += 1
+            automaton, st.inboxes[p], log = done
+            for effect, args, seen in log:
+                st.automata[p] = seen
+                effect(self, *args)
+            st.automata[p] = automaton
+
+    def _effect(self, effect: Callable, *args: Any) -> None:
+        """Log a global effect of the poll being computed, with a copy of
+        p's automaton as it is now, then apply it.  Equal copies share one
+        object."""
+        automaton = self.state.automata[args[0]]
+        slot = (args[0], automaton.key())
+        seen = self.seen.get(slot)
+        if seen is None:
+            seen = self.seen[slot] = automaton.copy()
+        self.log.append((effect, args, seen))
+        effect(self, *args)
 
     def do_broadcast(self, p: int, payload: Payload, round_tag: int | None) -> None:
-        st = self.state
-        st.monitor.on_send(st, p, payload)
-        st.inboxes[p].deliver(p, payload, round_tag)
+        self.state.inboxes[p].deliver(p, payload, round_tag)
         # the message id: what the receiver can tell apart
         message = self.ids[(p, payload, round_tag) if self.scenario.identified else (payload, round_tag)]
+        self._effect(_XEngine._send, p, payload, round_tag, message)
+
+    def _send(self, p: int, payload: Payload, round_tag: int | None, message: int) -> None:
+        st = self.state
+        st.monitor.on_send(st, p, payload)
         for q in self.cfg.processes:
             if q != p and q not in st.crashed and q not in st.halted:
                 st.pending.append((q, p, payload, round_tag, message))
 
     def do_decide(self, p: int, value: Any, r: Any) -> None:
+        self._effect(_XEngine._decide, p, value, r)
+
+    def _decide(self, p: int, value: Any, r: Any) -> None:
         self.state.monitor.on_decide(self.state, p, value, r)
 
     def do_halt(self, p: int) -> None:
+        self._effect(_XEngine._halt, p)
+
+    def _halt(self, p: int) -> None:
         st = self.state
         st.halted = self.halted = st.halted | {p}
         st.pending = [m for m in st.pending if m[0] != p]
 
     def do_round(self, p: int, r: int, snapshot: dict) -> None:
         self.state.inboxes[p].advance(r)
+        self._effect(_XEngine._round, p, r)
+
+    def _round(self, p: int, r: int) -> None:
         self.state.monitor.on_round(self.state, p, r)
 
     def do_output(self, p: int, value: Any) -> None:
+        self._effect(_XEngine._output, p, value)
+
+    def _output(self, p: int, value: Any) -> None:
         self.state.monitor.on_output(self.state, p, value)
 
 
@@ -1010,6 +1099,8 @@ class ExploreResult:
     terminal_profiles: Counter
     children: int  # child states built, new or not
     peak_frontier: int  # most states discovered but not yet expanded at once
+    computed: int  # polls run: each local state's first
+    replayed: int  # polls replayed from the outcome of an equal local state's
 
     @property
     def ok(self) -> bool:
@@ -1129,4 +1220,6 @@ def explore(
         terminal_profiles=profiles,
         children=children,
         peak_frontier=peak_frontier,
+        computed=engine.computed,
+        replayed=engine.replayed,
     )

@@ -11,7 +11,7 @@ from helpers import scenario
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from anonsim import run
+from anonsim import run, run_schedule
 from anonsim.cli import ALGORITHMS, main
 from anonsim.transforms import forced_id_factory
 
@@ -151,6 +151,39 @@ class TestCheck:
         assert main(["check", str(trace_file)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("crash", [{}, {"3": 10}, {"2": 9}])
+    def test_crash_events_off_the_meta_crash_map_exit_2(self, tmp_path, capsys, crash):
+        # the run crashed process 3 at step 9; a meta scenario naming another
+        # crash map describes some other run
+        main(["run", str(SCENARIOS / "floodmax-n3.json"), "--out", str(tmp_path / "out")])
+        trace_file = tmp_path / "out" / "floodmax-seed7.trace.jsonl"
+        lines = trace_file.read_text().splitlines()
+        assert any(json.loads(line) == {"ev": "crash", "proc": 3, "step": 9} for line in lines)
+        meta = json.loads(lines[0])
+        meta["scenario"]["crash"] = crash
+        trace_file.write_text("\n".join([json.dumps(meta), *lines[1:]]) + "\n")
+        assert main(["check", str(trace_file)]) == 2
+        assert "crash" in capsys.readouterr().err
+
+    def test_crash_after_the_run_ended_is_accepted(self, tmp_path, capsys):
+        # a run that settles before a scheduled crash's step never applies it
+        doc = dict(FLOODMAX, policy="fifo", crash={"3": 500})
+        main(["run", write(tmp_path, "s.json", doc), "--out", str(tmp_path / "out")])
+        trace_file = tmp_path / "out" / "floodmax-seed7.trace.jsonl"
+        assert '"ev": "crash"' not in trace_file.read_text()
+        assert main(["check", str(trace_file)]) == 0
+        capsys.readouterr()
+
+    def test_replayed_schedule_trace_is_checkable(self, tmp_path, capsys):
+        # an explore witness names its crashes in its meta scenario
+        sc = scenario("floodmax", 2, 1, inputs=(0, 1))
+        schedule = [("wake", 1), ("wake", 2), ("crash", 2), ("deliver", 1, 2, ("Propose", 1, 1), 1),
+                    ("poll", 1), ("poll", 1)]
+        trace_file = tmp_path / "witness.trace.jsonl"
+        trace_file.write_text(run_schedule(sc, ALGORITHMS["floodmax"].factory, schedule).to_jsonl())
+        assert main(["check", str(trace_file)]) in (0, 1)
+        capsys.readouterr()
+
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_check_reports_what_run_reports(self, tmp_path, capsys, algorithm):
         consensus = ALGORITHMS[algorithm].consensus
@@ -211,12 +244,18 @@ class TestCampaign:
     @pytest.mark.parametrize("field, value", [
         ("seeds", "0-9"), ("seeds", [1, "2"]), ("seeds", {"start": "a", "count": 2}),
         ("seeds", {"count": 1.5}), ("jobs", "x"), ("jobs", 2.5), ("mode", ["sweep"]), ("scenario", [1]),
-        ("schema", 99), ("scenario", dict(FLOODMAX, schema=99)),
+        ("schema", 99), ("scenario", dict(FLOODMAX, schema=99)), ("jobs", -3), ("jobs", 0),
     ])
     def test_malformed_campaign_exits_2(self, tmp_path, capsys, field, value):
         doc = dict(self.campaign_doc(2), **{field: value})
         assert main(["campaign", write(tmp_path, "c.json", doc)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_flag_below_1_exits_2(self, tmp_path, capsys, jobs):
+        path = write(tmp_path, "c.json", self.campaign_doc(2))
+        assert main(["campaign", path, "--jobs", jobs]) == 2
+        assert "jobs must be at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n, crash, convergence, rounds, successes, code", [
         (3, {"3": 6}, 8, 2, 25, 0),
@@ -262,6 +301,9 @@ class TestExplore:
         assert "violations: 0" in out
         assert "explored states: 92" in out and "children built: 146 (dedup ratio: 0.6233" in out
         assert "peak frontier: 18" in out
+        computed, replayed = map(int, re.search(
+            r"^local transitions: (\d+) computed, (\d+) replayed$", out, re.M).groups())
+        assert 0 < computed < replayed
 
     def test_explore_reports_rate_and_peak_memory(self, tmp_path, capsys):
         sc = scenario("floodmax", 2, 1, inputs=(0, 1)).to_dict()

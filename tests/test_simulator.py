@@ -11,6 +11,7 @@ from pins import EXPLORE_JOBS, EXPLORE_SHA256, explore_digest
 from anonsim import (
     LiveOracle,
     Permutation,
+    ScenarioConfig,
     ScenarioError,
     Trace,
     anonymous_receive,
@@ -22,7 +23,7 @@ from anonsim import (
     transforms,
 )
 from anonsim.cli import ALGORITHMS
-from anonsim.simulator import Automaton, Inbox, _XEngine
+from anonsim.simulator import Automaton, Inbox, NullMonitor, _XEngine
 from anonsim.verify import monitor_for
 
 # the fields that stay constant through a run of one process
@@ -262,6 +263,56 @@ class TestExplore:
         assert (res.states, res.terminals, res.violation_count) == (3837, 81, 0)
         assert seen["kept"] > 1000 and seen["kept with crash and halt"] > 100
 
+    def test_each_local_state_polled_once(self, monkeypatch):
+        # a poll runs on the engine only for the first state that has its
+        # local state; every other poll of that local state is replayed
+        polled, applied = Counter(), Counter()
+        quiesce, apply = _XEngine.quiesce, _XEngine.apply
+
+        def counted_quiesce(engine, p):
+            identified, ids = engine.scenario.identified, engine.ids
+            polled[p, engine.automata[p].key(), engine.inboxes[p].key(identified, ids), engine.crashed] += 1
+            quiesce(engine, p)
+
+        def counted_apply(engine, st, action):
+            applied[action[0]] += 1
+            apply(engine, st, action)
+
+        monkeypatch.setattr(_XEngine, "quiesce", counted_quiesce)
+        monkeypatch.setattr(_XEngine, "apply", counted_apply)
+        sc = scenario("floodmax", 3, 1, inputs=(0, 1, 1))
+        res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", 3, 1, (0, 1, 1)))
+        assert (res.states, res.terminals, res.violation_count) == (3837, 81, 0)
+        assert set(polled.values()) == {1} and len(polled) == res.computed
+        assert res.computed + res.replayed == applied["wake"] + applied["poll"]
+        assert res.replayed > 10 * res.computed
+
+    @pytest.mark.parametrize("algorithm, n, f, rounds", [
+        ("floodmax", 3, 1, None), ("stable-suspector", 2, 1, 4), ("eventual-suspector", 2, 1, 3),
+    ])
+    def test_replayed_hooks_see_the_automaton_as_it_was(self, algorithm, n, f, rounds):
+        # a replayed effect shows the monitor p's automaton as it was when
+        # the effect first fired, not as the poll left it: these protocols
+        # broadcast round r's message in phase "send" of round r, and switch
+        # to round r with r already set
+        class MidPoll(NullMonitor):
+            def key(self):
+                return (self.flag,)
+
+            def on_send(self, state, p, payload):
+                seen = state.automata[p]
+                if (seen.phase, seen.r) != ("send", payload[1]):
+                    self.flag = f"process {p} sent {payload} from {seen}"
+
+            def on_round(self, state, p, r):
+                if state.automata[p].r != r:
+                    self.flag = f"process {p} switched to round {r} as {state.automata[p]}"
+
+        sc = scenario(algorithm, n, f, inputs=(0, 1, 1)[:n] if rounds is None else None, rounds=rounds)
+        res = explore(sc, factory_of(algorithm), monitor=MidPoll())
+        assert res.replayed > res.computed
+        assert res.violation_count == 0, res.violations[0].detail
+
     @pytest.mark.parametrize("budget", [1, 2, 50])
     def test_budget_flagged(self, budget):
         sc = scenario("lockmin", 3, 1, inputs=(0, 1, 1))
@@ -287,6 +338,17 @@ class TestExplore:
             explore(sc, factory_of("floodmax"))
 
 
+@pytest.mark.parametrize("entry", [
+    lambda sc: run(sc, consensus.flood_max),
+    lambda sc: run_schedule(sc, consensus.flood_max, [("wake", 1)]),
+    lambda sc: explore(sc, consensus.flood_max),
+], ids=["run", "run_schedule", "explore"])
+def test_consensus_without_inputs_rejected(entry):
+    sc = ScenarioConfig.from_dict({"algorithm": "floodmax", "n": 3, "f": 1, "oracle": {"kind": "crash-count"}})
+    with pytest.raises(ScenarioError, match="one input per process"):
+        entry(sc)
+
+
 class TestReplay:
     def test_schedule_replays_to_full_trace(self):
         sc = scenario("floodmax", 2, 1, inputs=(0, 1))
@@ -300,6 +362,8 @@ class TestReplay:
         ]
         trace = run_schedule(sc, factory_of("floodmax"), schedule)
         assert trace.crashes == {2: 2}
+        # the trace's scenario names the crash the schedule placed
+        assert trace.scenario.pattern.crash_steps == ((2, 2),)
         # round 1 evaluated after the posthumous delivery: the 1 was counted
         assert trace.decisions[1][0][1] == 1
         assert not trace.truncated
