@@ -259,8 +259,10 @@ def _explore_scenario(scenario: ScenarioConfig, out: str | None, max_states: int
     seconds = time.perf_counter() - start
     print(f"explored states: {result.states}")
     new_per_child = (result.states - 1) / result.children if result.children else 0.0
-    print(f"children built: {result.children} (dedup ratio: {new_per_child:.4f} new states per child)")
+    print(f"children: {result.children} (dedup ratio: {new_per_child:.4f} new states per child), "
+          f"{result.skipped} skipped unbuilt")
     print(f"peak frontier: {result.peak_frontier}")
+    print(f"depth: {result.depth}")
     print(f"local transitions: {result.computed} computed, {result.replayed} replayed")
     print(f"states/s: {result.states / seconds:.0f} ({seconds:.3f} s)")
     print(f"peak memory: {peak_rss_mb():.1f} MB")

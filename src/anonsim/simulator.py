@@ -30,6 +30,13 @@ merge exactly when their components are equal.  One map, from each visited
 key to its parent's key and the action between, is both the visited set and
 the source of witness schedules; equal actions in it share one tuple.
 
+Only the initial state's key is computed from scratch.  A child's key is its
+parent's with only the slots its action changed rewritten, and the ids a
+message moves an inbox or a pending multiset to are memoized per call.  A
+delivery changes only the receiver's inbox and pending slots and calls no
+monitor hook, so its child's key is derived before the child is built, and
+a child whose key was visited is counted and skipped, never built.
+
 An explored state holds only what is its own.  A child shares its parent's
 automata, inboxes and inbox rounds until an action replaces them, and the
 crashed, halted and woken sets are frozensets that a change replaces.  It
@@ -811,6 +818,12 @@ class NullMonitor:
     the hooks of a poll see the polling process's automaton as it was when
     each effect fired.
 
+    A delivery calls no hook.  `explore` relies on that: it derives a
+    delivery child's key from its parent's key, changing only the
+    receiver's inbox and pending slots, and skips the child unbuilt when
+    that key was visited.  A future delivery hook must therefore have
+    deliveries keyed like polls, from the built child.
+
     `key()` joins the state's identity, so it must fold in every field that
     a later verdict can depend on; states with equal keys merge.  `clone()`
     gives each child a shallow copy of the parent's fields, so a hook must
@@ -873,35 +886,46 @@ class _XState:
             self.woken, self.crashes_left, self.monitor.clone(), self.probed, self.moves,
         )
 
-    def key(self, identified: bool, ids: InternTable) -> bytes:
+    def key(self, identified: bool, ids: InternTable, slots: array | None = None) -> bytes:
         """The state's identity, a sequence of small ints packed 4 bytes
-        each: per process the ids of its automaton, of its inbox and of the
-        multiset of messages pending to it (the sorted tuple of their
-        message ids), then the crashed, halted and woken sets as bit masks,
-        the crash budget left and the id of the monitor's key.  Two states
-        of one explore call share a key exactly when their components are
-        equal.  The probe verdicts are derived data and stay out of it."""
-        pending: dict[int, list[int]] = {p: [] for p in self.automata}
-        for m in self.pending:
-            pending[m[0]].append(m[4])
-        key: list[int] = []
-        for p, automaton in self.automata.items():
+        each: per process p, at slots 3p-3, 3p-2 and 3p-1, the ids of its
+        automaton, of its inbox and of the multiset of messages pending to
+        it (the sorted tuple of their message ids), then the crashed,
+        halted and woken sets as bit masks, the crash budget left and the
+        id of the monitor's key.  Two states of one explore call share a key
+        exactly when their components are equal.  The probe verdicts are
+        derived data and stay out of it.
+
+        A child passes `slots`, its parent's slots with those its action
+        changed rewritten (`_XEngine.apply`), and only the monitor's id is
+        taken here; without them the key is computed from scratch, as for
+        the initial state."""
+        if slots is None:
+            pending: dict[int, list[int]] = {p: [] for p in self.automata}
+            for m in self.pending:
+                pending[m[0]].append(m[4])
+            key: list[int] = []
+            for p, automaton in self.automata.items():
+                key += (
+                    automaton.cached_key(ids),
+                    self.inboxes[p].key(identified, ids),
+                    ids[tuple(sorted(pending[p]))],
+                )
             key += (
-                automaton.cached_key(ids),
-                self.inboxes[p].key(identified, ids),
-                ids[tuple(sorted(pending[p]))],
+                sum(map(_BIT, self.crashed)),
+                sum(map(_BIT, self.halted)),
+                sum(map(_BIT, self.woken)),
+                self.crashes_left,
+                0,
             )
-        key += (
-            sum(map(_BIT, self.crashed)),
-            sum(map(_BIT, self.halted)),
-            sum(map(_BIT, self.woken)),
-            self.crashes_left,
-            ids[self.monitor.key()],
-        )
-        return array("I", key).tobytes()
+            slots = array("I", key)
+        slots[_MONITOR] = ids[self.monitor.key()]
+        return slots.tobytes()
 
 
 _BIT = (1).__lshift__  # p -> the bit of process p; a set of processes is the sum of its bits
+# the global slots of a key, counted from its end
+_CRASHED, _HALTED, _WOKEN, _BUDGET, _MONITOR = range(-5, 0)
 
 
 class _XEngine(_Engine):
@@ -918,6 +942,12 @@ class _XEngine(_Engine):
     `_output`), which a later poll replays against its own state.  Each
     effect is logged with a copy of p's automaton as it was when the effect
     fired, and the replay shows the effect's monitor hook that copy.
+
+    `apply` and the `_send` and `_halt` effects rewrite the key slots they
+    change in `slots`, the parent's slots copied for the child being built,
+    and `delivered` derives a delivery child's slots before it is built.
+    The ids a message moves a pending multiset or an inbox to are memoized
+    under (the id before, the message id).
     """
 
     def __init__(self, scenario: ScenarioConfig, factory: AutomatonFactory, monitor: Any,
@@ -932,6 +962,12 @@ class _XEngine(_Engine):
         self.log: list[tuple] = []  # the effects of the poll being computed
         self.seen: dict[tuple, Automaton] = {}  # (p, automaton key) -> the copy that effects log
         self.computed = self.replayed = 0  # polls run, polls replayed
+        # (id before, message id) -> id after: of an inbox the message is
+        # delivered to, and of a pending multiset it joins or leaves
+        self.inbox_after: dict[tuple[int, int], int] = {}
+        self.pending_after_send: dict[tuple[int, int], int] = {}
+        self.pending_after_delivery: dict[tuple[int, int], int] = {}
+        self.slots = array("I")  # the key slots of the child being built
         self.state = _XState(
             self.automata, self.inboxes, [], self.crashed, self.halted, frozenset(), crashes_left, monitor
         )
@@ -987,44 +1023,90 @@ class _XEngine(_Engine):
                 acts.append(("deliver", receiver, sender, payload, round_tag))
         return acts
 
+    def delivered(self, st: _XState, slots: array, action: tuple) -> array:
+        """The key slots of the child that `action`, a deliver to p, makes
+        of `st`, derived from `st`'s `slots` without building the child.  A
+        delivery changes only p's inbox and the multiset pending to p, and
+        calls no monitor hook, so only those two slots change.  A memo miss
+        computes its entry once, from `st`."""
+        p, sender, payload, round_tag = action[1:]
+        identified, ids = self.scenario.identified, self.ids
+        message = ids[(sender, payload, round_tag) if identified else (payload, round_tag)]
+        child = slots[:]
+        inbox = self.inbox_after.get((slots[3 * p - 2], message))
+        if inbox is None:
+            scratch = st.inboxes[p].clone()
+            scratch.deliver(sender, payload, round_tag)
+            inbox = self.inbox_after[slots[3 * p - 2], message] = scratch.key(identified, ids)
+        child[3 * p - 2] = inbox
+        self._repend(child, st, p, message, sent=False)
+        return child
+
+    def _repend(self, slots: array, st: _XState, q: int, message: int, sent: bool) -> None:
+        """Rewrite q's pending slot in `slots` for `message` joining the
+        messages pending to q in `st` (`sent`) or leaving them."""
+        memo = self.pending_after_send if sent else self.pending_after_delivery
+        before = slots[3 * q - 1]
+        after = memo.get((before, message))
+        if after is None:
+            bag = [m[4] for m in st.pending if m[0] == q]
+            if sent:
+                bag.append(message)
+            else:
+                bag.remove(message)
+            after = memo[before, message] = self.ids[tuple(sorted(bag))]
+        slots[3 * q - 1] = after
+
     def apply(self, st: _XState, action: tuple) -> None:
+        """Apply `action` to `st`, a fresh clone of its parent, rewriting
+        the key slots it changes in `slots`, which hold the parent's (a
+        delivery's, as `delivered` derived them)."""
         kind, p = action[0], action[1]
+        slots, bit = self.slots, _BIT(p)
         if kind == "crash":
             st.crashed = st.crashed | {p}
             st.crashes_left -= 1
             st.pending = [m for m in st.pending if m[0] != p]
             st.probed = 0
+            slots[_CRASHED] |= bit
+            slots[_BUDGET] -= 1
+            slots[3 * p - 1] = self.ids[()]
             st.monitor.on_crash(st, p)
             return
-        st.probed &= ~_BIT(p)
+        st.probed &= ~bit
         if kind == "deliver":
             idx = next(
                 i for i, m in enumerate(st.pending)
                 if m[0] == p and _matches(action, m[1], m[2], m[3], self.scenario.identified)
             )
             del st.pending[idx]
+            inbox = st.inboxes[p] = st.inboxes[p].clone()
+            inbox.deliver(*action[2:])
+            inbox._key = slots[3 * p - 2]  # the id `delivered` derived: no bag is rebuilt
+            return
+        # wake or poll
+        if kind == "wake":
+            st.woken = st.woken | {p}
+            slots[_WOKEN] |= bit
+        self.load(st)
+        local = self.local_state(st, p)
+        done = self.polls.get(local)
+        if done is None:  # run the poll on private copies of what it changes
+            self.computed += 1
+            st.automata[p] = st.automata[p].copy()
             st.inboxes[p] = st.inboxes[p].clone()
-            st.inboxes[p].deliver(*action[2:])
-        else:  # wake or poll
-            if kind == "wake":
-                st.woken = st.woken | {p}
-            self.load(st)
-            local = self.local_state(st, p)
-            done = self.polls.get(local)
-            if done is None:  # run the poll on private copies of what it changes
-                self.computed += 1
-                st.automata[p] = st.automata[p].copy()
-                st.inboxes[p] = st.inboxes[p].clone()
-                self.log = []
-                self.quiesce(p)
-                self.polls[local] = (st.automata[p], st.inboxes[p], self.log)
-                return
+            self.log = []
+            self.quiesce(p)
+            self.polls[local] = (st.automata[p], st.inboxes[p], self.log)
+        else:
             self.replayed += 1
             automaton, st.inboxes[p], log = done
             for effect, args, seen in log:
                 st.automata[p] = seen
                 effect(self, *args)
             st.automata[p] = automaton
+        slots[3 * p - 3] = st.automata[p].cached_key(self.ids)
+        slots[3 * p - 2] = st.inboxes[p].key(self.scenario.identified, self.ids)
 
     def _effect(self, effect: Callable, *args: Any) -> None:
         """Log a global effect of the poll being computed, with a copy of
@@ -1049,6 +1131,7 @@ class _XEngine(_Engine):
         st.monitor.on_send(st, p, payload)
         for q in self.cfg.processes:
             if q != p and q not in st.crashed and q not in st.halted:
+                self._repend(self.slots, st, q, message, sent=True)
                 st.pending.append((q, p, payload, round_tag, message))
 
     def do_decide(self, p: int, value: Any, r: Any) -> None:
@@ -1064,6 +1147,8 @@ class _XEngine(_Engine):
         st = self.state
         st.halted = self.halted = st.halted | {p}
         st.pending = [m for m in st.pending if m[0] != p]
+        self.slots[_HALTED] |= _BIT(p)
+        self.slots[3 * p - 1] = self.ids[()]
 
     def do_round(self, p: int, r: int, snapshot: dict) -> None:
         self.state.inboxes[p].advance(r)
@@ -1097,8 +1182,10 @@ class ExploreResult:
     violation_count: int
     partial: bool
     terminal_profiles: Counter
-    children: int  # child states built, new or not
+    children: int  # child states reached, new or not: one per enabled action of every expanded state
+    skipped: int  # deliveries recognized as visited from their parent's key, never built
     peak_frontier: int  # most states discovered but not yet expanded at once
+    depth: int  # the BFS depth reached: the most actions between the initial state and a state
     computed: int  # polls run: each local state's first
     replayed: int  # polls replayed from the outcome of an equal local state's
 
@@ -1176,23 +1263,39 @@ def explore(
     violations: list[Violation] = []
     violation_count = 0
     profiles: Counter = Counter()
-    children = 0
+    children = skipped = 0
     peak_frontier = 1
+    # the BFS level being expanded, its states not yet expanded and the
+    # states queued for the next level
+    level, left, queued = 0, 1, 0
 
     while queue:
+        if not left:
+            level, left, queued = level + 1, queued, 0
+        left -= 1
         state, key = queue.popleft()
         broken = state.monitor.violation()
         acts = engine.actions(state) if broken is None else []
         if acts:
+            parent_slots = array("I", key)
             for action in acts:
-                child = state.clone()
-                engine.apply(child, action)
                 children += 1
-                child_key = child.key(identified, ids)
+                if action[0] == "deliver":
+                    slots = engine.delivered(state, parent_slots, action)
+                    if slots.tobytes() in parents:
+                        skipped += 1
+                        continue
+                else:
+                    slots = parent_slots[:]
+                child = state.clone()
+                engine.slots = slots
+                engine.apply(child, action)
+                child_key = child.key(identified, ids, slots)
                 if child_key in parents:
                     continue
                 parents[child_key] = (key, shared_actions.setdefault((repr(action), action), action))
                 queue.append((child, child_key))
+                queued += 1
                 peak_frontier = max(peak_frontier, len(queue))
                 if len(parents) >= max_states:
                     partial = True
@@ -1219,7 +1322,9 @@ def explore(
         partial=partial,
         terminal_profiles=profiles,
         children=children,
+        skipped=skipped,
         peak_frontier=peak_frontier,
+        depth=level + 1 if queued else level,
         computed=engine.computed,
         replayed=engine.replayed,
     )

@@ -299,8 +299,9 @@ class TestExplore:
         assert main(["explore", write(tmp_path, "e.json", doc)]) == 0
         out = capsys.readouterr().out
         assert "violations: 0" in out
-        assert "explored states: 92" in out and "children built: 146 (dedup ratio: 0.6233" in out
-        assert "peak frontier: 18" in out
+        assert "explored states: 92" in out
+        assert "children: 146 (dedup ratio: 0.6233 new states per child), 8 skipped unbuilt" in out
+        assert "peak frontier: 18" in out and "depth: 8" in out
         computed, replayed = map(int, re.search(
             r"^local transitions: (\d+) computed, (\d+) replayed$", out, re.M).groups())
         assert 0 < computed < replayed

@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import pytest
 from helpers import factory_of, scenario
-from pins import EXPLORE_JOBS, EXPLORE_SHA256, explore_digest
+from pins import EXPLORE_JOBS, EXPLORE_SHA256, explore_digest, explore_jobs
 
 from anonsim import (
     LiveOracle,
@@ -22,8 +22,8 @@ from anonsim import (
     run_schedule,
     transforms,
 )
-from anonsim.cli import ALGORITHMS
-from anonsim.simulator import Automaton, Inbox, NullMonitor, _XEngine
+from anonsim.cli import ALGORITHMS, explore_crash_limit
+from anonsim.simulator import Automaton, Inbox, NullMonitor, _XEngine, _XState
 from anonsim.verify import monitor_for
 
 # the fields that stay constant through a run of one process
@@ -234,6 +234,80 @@ class TestExplore:
         assert 1 <= res.peak_frontier <= res.states
         single = explore(scenario("floodmax", 1, 0, inputs=(1,)), factory_of("floodmax"))
         assert (single.states, single.children, single.peak_frontier) == (2, 1, 1)
+
+    def test_depth(self):
+        # the two states of n=1 are joined by one wake
+        single = explore(scenario("floodmax", 1, 0, inputs=(1,)), factory_of("floodmax"))
+        assert single.depth == 1
+        sc = scenario("floodmax", 2, 1, inputs=(0, 1))
+        res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", 2, 1, (0, 1)))
+        assert (res.states, res.depth) == (92, 8)
+        assert explore(sc, factory_of("floodmax"), max_states=1).depth == 0
+
+    def test_visited_deliveries_skipped_unbuilt(self, monkeypatch):
+        # a delivery whose key, derived from its parent's, was visited is
+        # counted but never cloned, applied or keyed
+        clones = Counter()
+        clone = _XState.clone
+
+        def counted_clone(st):
+            clones["state"] += 1
+            return clone(st)
+
+        monkeypatch.setattr(_XState, "clone", counted_clone)
+        sc = scenario("floodmax", 3, 0, inputs=(0, 0, 1))
+        res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", 3, 0, (0, 0, 1)))
+        assert (res.states, res.children, res.skipped) == (157, 442, 176)
+        assert clones["state"] == 266
+
+    def test_incremental_keys_match_keys_from_scratch(self, monkeypatch):
+        # a child's key is its parent's with the slots its action changed
+        # rewritten: recompute each built child's key from scratch, and
+        # build each derived delivery, skipped or not, to check its key and
+        # that it was visited
+        key, delivered = _XState.key, _XEngine.delivered
+        visited: set[bytes] = set()
+        derived_keys: list[bytes] = []
+        built = Counter()
+
+        def from_scratch(st, identified, ids):
+            # fresh copies hold no cached automaton or inbox ids
+            inboxes = {p: inbox.clone() for p, inbox in st.inboxes.items()}
+            for inbox in inboxes.values():
+                inbox._key = None
+            fresh = _XState({p: a.copy() for p, a in st.automata.items()}, inboxes, st.pending,
+                            st.crashed, st.halted, st.woken, st.crashes_left, st.monitor)
+            return key(fresh, identified, ids)
+
+        def checked_key(st, identified, ids, slots=None):
+            got = key(st, identified, ids, slots)
+            if slots is not None:
+                assert got == from_scratch(st, identified, ids)
+                built["children"] += 1
+            visited.add(got)
+            return got
+
+        def checked_delivered(engine, st, slots, action):
+            derived = delivered(engine, st, slots, action)
+            child = st.clone()
+            engine.slots = derived
+            engine.apply(child, action)
+            assert derived.tobytes() == from_scratch(child, engine.scenario.identified, engine.ids)
+            derived_keys.append(derived.tobytes())
+            return derived
+
+        monkeypatch.setattr(_XState, "key", checked_key)
+        monkeypatch.setattr(_XEngine, "delivered", checked_delivered)
+        skipped = 0
+        for algorithm, factory, sc in explore_jobs():
+            cfg = sc.cfg
+            visited.clear()  # keys compare only within one call's intern table
+            derived_keys.clear()
+            res = explore(sc, factory, monitor=monitor_for(algorithm, cfg.n, cfg.f, sc.inputs),
+                          crash_round_limit=explore_crash_limit(sc))
+            assert not res.partial and set(derived_keys) <= visited
+            skipped += res.skipped
+        assert built["children"] > 10_000 and skipped > 1_000
 
     def test_results_pinned(self):
         # states, terminals, profiles, violations and witness schedules of
