@@ -30,32 +30,32 @@ merge exactly when their components are equal.  One map, from each visited
 key to its parent's key and the action between, is both the visited set and
 the source of witness schedules; equal actions in it share one tuple.
 
-Only the initial state's key is computed from scratch.  A child's key is its
-parent's with only the slots its action changed rewritten, and the ids a
-message moves an inbox or a pending multiset to are memoized per call.  A
+An explored state holds its key's slots and what the slots only name: its
+automata, inboxes, pending messages and monitor.  The slots are the only
+record of the crashed, halted and woken sets and of the crash budget.  A
+child shares its parent's automata, inboxes and inbox rounds until an
+action replaces them, and a delivery child shares its parent's monitor.
+
+Only the initial state's slots are computed from scratch.  A child's slots
+are its parent's with only those its action changed rewritten, and the ids
+a message moves an inbox or a pending multiset to are memoized per call.  A
 delivery changes only the receiver's inbox and pending slots and calls no
 monitor hook, so its child's key is derived before the child is built, and
 a child whose key was visited is counted and skipped, never built.
-
-An explored state holds only what is its own.  A child shares its parent's
-automata, inboxes and inbox rounds until an action replaces them, and the
-crashed, halted and woken sets are frozensets that a change replaces.  It
-also inherits its parent's guard-probe verdicts, except for the process the
-action touched (all of them after a crash), so a probe runs again only when
-what it reads has changed.
 
 Each local transition runs once per explore call.  A poll of p reads only
 p's automaton, p's inbox and the oracle, whose reading follows the crashed
 set; states merge on those same ids, so the search already takes p's next
 move to depend on nothing else.  The engine memoizes, under (p, automaton
-id, inbox id, crashed set), each probe's verdict and each poll's outcome:
+id, inbox id, crashed mask), each probe's verdict and each poll's outcome:
 the automaton and inbox it leaves, which later polls share, and its ordered
 global effects (sends, decisions, halts, round switches, outputs).  A later
 poll of the same local state replays those effects against its own state,
 so pending receivers and monitor hooks follow that state's crashes, halts
 and peers, and a hook sees p's automaton as it was when the effect fired.
-The memo lives as long as the call, because keys leave out the round and
-tick caps that differ between calls.
+A delivery's outcome, the inbox it leaves, is memoized and shared the same
+way, under (inbox id, message id).  The memos live as long as the call,
+because keys leave out the round and tick caps that differ between calls.
 
 Seeded runs (`Simulation`), replays (`run_schedule`) and `explore` (on an
 `_XEngine`) apply one set of transition rules, `_Engine`: the poll loop, the
@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field, fields, replace
@@ -141,8 +142,8 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         horizon = self.effective_horizon
-        if horizon < 1:
-            raise ScenarioError("horizon must be at least 1")
+        if not 1 <= horizon < sys.maxsize:  # an oracle table has horizon + 1 cells per row
+            raise ScenarioError(f"horizon must be in 1..{sys.maxsize - 1}, not {horizon}")
         if self.rounds is not None and self.rounds < 0:
             raise ScenarioError("rounds must not be negative")
         if self.policy not in POLICIES:
@@ -583,13 +584,6 @@ class _ProbeEngine:
     do_broadcast = do_decide = do_halt = do_round = do_output = _drop
 
 
-def _matches(action: tuple, sender: int, payload: Payload, round_tag: int | None, identified: bool) -> bool:
-    """Whether a pending message is one that the ("deliver", receiver, sender,
-    payload, round_tag) action names; an anonymous receiver cannot tell
-    senders apart, so any sender matches."""
-    return action[3] == payload and action[4] == round_tag and (not identified or action[2] == sender)
-
-
 class Simulation(_Engine):
     """Single run of a scenario under its scheduling policy."""
 
@@ -768,7 +762,8 @@ def _replayed(sim: Simulation, action: Any) -> tuple:
     _, _, sender, payload, round_tag = action
     action = (kind, p, sender, tuple(payload), round_tag)
     for i, (s, pl, rt, _) in enumerate(sim.pending[p]):
-        if _matches(action, s, pl, rt, sim.scenario.identified):
+        # an anonymous receiver cannot tell senders apart, so any sender matches
+        if pl == action[3] and rt == round_tag and (not sim.scenario.identified or s == sender):
             return (kind, p, i)
     raise ScenarioError(f"schedule action {list(action)} matches no pending message")
 
@@ -821,13 +816,15 @@ class NullMonitor:
     A delivery calls no hook.  `explore` relies on that: it derives a
     delivery child's key from its parent's key, changing only the
     receiver's inbox and pending slots, and skips the child unbuilt when
-    that key was visited.  A future delivery hook must therefore have
-    deliveries keyed like polls, from the built child.
+    that key was visited; a delivery child it builds shares its parent's
+    monitor.  A future delivery hook must therefore have deliveries keyed
+    like polls, from the built child, with a monitor of its own.
 
     `key()` joins the state's identity, so it must fold in every field that
-    a later verdict can depend on; states with equal keys merge.  `clone()`
-    gives each child a shallow copy of the parent's fields, so a hook must
-    replace a container field with a new one, never change it in place.
+    a later verdict can depend on; states with equal keys merge.  A crash,
+    wake or poll child gets `clone()`, a shallow copy of its parent's
+    monitor, so a hook must replace a container field with a new one, never
+    change it in place.
     A subclass writes the hooks it checks and inherits the rest; setting
     `flag` makes `violation()` report it.
     """
@@ -858,69 +855,43 @@ class NullMonitor:
 
 
 class _XState:
-    __slots__ = (
-        "automata", "inboxes", "pending", "crashed", "halted", "woken", "crashes_left", "monitor",
-        "probed", "moves",
-    )
+    """An explored state: `slots`, its key as `_XEngine` keeps it current,
+    and the automata, inboxes, pending messages and monitor the slots name.
+    The crashed, halted and woken sets and the crash budget live only in
+    the slots; `crashed` and `halted` look their masks up."""
 
-    def __init__(self, automata, inboxes, pending, crashed, halted, woken, crashes_left, monitor,
-                 probed=0, moves=0):
+    __slots__ = ("automata", "inboxes", "pending", "monitor", "slots")
+
+    def __init__(self, automata, inboxes, pending, monitor, slots):
         self.automata = automata
         self.inboxes = inboxes
         self.pending = pending  # list of (receiver, sender, payload, round_tag, message id)
-        self.crashed = crashed  # crashed, halted, woken: frozensets, shared until replaced
-        self.halted = halted
-        self.woken = woken
-        self.crashes_left = crashes_left
         self.monitor = monitor
-        # guard-probe verdicts as bit masks: the processes whose verdict is
-        # known, and those among them whose next poll would move
-        self.probed = probed
-        self.moves = moves
+        self.slots = slots
 
-    def clone(self) -> "_XState":
-        # copy-on-write: automata and inboxes are shared until an action
-        # touches them (_XEngine.apply swaps in a private copy first)
-        return _XState(
-            dict(self.automata), dict(self.inboxes), list(self.pending), self.crashed, self.halted,
-            self.woken, self.crashes_left, self.monitor.clone(), self.probed, self.moves,
-        )
+    @property
+    def crashed(self) -> frozenset[int]:
+        return _PROCS[self.slots[_CRASHED]]
 
-    def key(self, identified: bool, ids: InternTable, slots: array | None = None) -> bytes:
-        """The state's identity, a sequence of small ints packed 4 bytes
-        each: per process p, at slots 3p-3, 3p-2 and 3p-1, the ids of its
-        automaton, of its inbox and of the multiset of messages pending to
-        it (the sorted tuple of their message ids), then the crashed,
-        halted and woken sets as bit masks, the crash budget left and the
-        id of the monitor's key.  Two states of one explore call share a key
-        exactly when their components are equal.  The probe verdicts are
-        derived data and stay out of it.
+    @property
+    def halted(self) -> frozenset[int]:
+        return _PROCS[self.slots[_HALTED]]
 
-        A child passes `slots`, its parent's slots with those its action
-        changed rewritten (`_XEngine.apply`), and only the monitor's id is
-        taken here; without them the key is computed from scratch, as for
-        the initial state."""
-        if slots is None:
-            pending: dict[int, list[int]] = {p: [] for p in self.automata}
-            for m in self.pending:
-                pending[m[0]].append(m[4])
-            key: list[int] = []
-            for p, automaton in self.automata.items():
-                key += (
-                    automaton.cached_key(ids),
-                    self.inboxes[p].key(identified, ids),
-                    ids[tuple(sorted(pending[p]))],
-                )
-            key += (
-                sum(map(_BIT, self.crashed)),
-                sum(map(_BIT, self.halted)),
-                sum(map(_BIT, self.woken)),
-                self.crashes_left,
-                0,
-            )
-            slots = array("I", key)
-        slots[_MONITOR] = ids[self.monitor.key()]
-        return slots.tobytes()
+    def clone(self, slots: array) -> "_XState":
+        # copy-on-write: automata, inboxes and the monitor are shared until
+        # an action touches them (_XEngine.apply swaps in a private copy first)
+        return _XState(dict(self.automata), dict(self.inboxes), list(self.pending), self.monitor, slots)
+
+    def key(self, ids: InternTable) -> bytes:
+        """The state's identity, its slots packed 4 bytes each: per process
+        p, at slots 3p-3, 3p-2 and 3p-1, the ids of its automaton, of its
+        inbox and of the multiset of messages pending to it (the sorted
+        tuple of their message ids), then the crashed, halted and woken sets
+        as bit masks, the crash budget left and the id of the monitor's key,
+        which is written in here.  Two states of one explore call share a
+        key exactly when their components are equal."""
+        self.slots[_MONITOR] = ids[self.monitor.key()]
+        return self.slots.tobytes()
 
 
 _BIT = (1).__lshift__  # p -> the bit of process p; a set of processes is the sum of its bits
@@ -928,26 +899,41 @@ _BIT = (1).__lshift__  # p -> the bit of process p; a set of processes is the su
 _CRASHED, _HALTED, _WOKEN, _BUDGET, _MONITOR = range(-5, 0)
 
 
+class _Procs(dict):
+    """Each bit mask of processes to the frozenset of them."""
+
+    def __missing__(self, mask: int) -> frozenset[int]:
+        procs = self[mask] = frozenset(p for p in range(mask.bit_length()) if mask >> p & 1)
+        return procs
+
+
+_PROCS = _Procs()
+
+
 class _XEngine(_Engine):
     """Explore's engine: the shared rules applied to explored states.  The
     poll loop and the guard probe run on the state that `load` last pointed
-    the engine at, whose containers they read and change in place; the
-    effects feed that state's monitor.
+    the engine at, whose containers and slots they read and change in
+    place; the effects feed that state's monitor.
 
     Each local transition runs once per engine.  A poll's outcome and a
     probe's verdict are memoized under p's local state: (p, the id of its
-    automaton's key, the id of its inbox, the crashed set).  A poll's entry
-    holds p's final automaton and inbox, which later polls share, and its
-    log of global effects (`_send`, `_decide`, `_halt`, `_round`,
-    `_output`), which a later poll replays against its own state.  Each
-    effect is logged with a copy of p's automaton as it was when the effect
-    fired, and the replay shows the effect's monitor hook that copy.
+    automaton's key, the id of its inbox, the crashed mask), read from the
+    state's slots.  A poll's entry holds p's final automaton and inbox,
+    which later polls share, and its log of global effects (`_send`,
+    `_decide`, `_halt`, `_round`, `_output`), which a later poll replays
+    against its own state.  Each effect is logged with a copy of p's
+    automaton as it was when the effect fired, and the replay shows the
+    effect's monitor hook that copy.  A delivery's outcome, the inbox it
+    leaves, is memoized under (the inbox's id, the message id) and shared
+    the same way.
 
-    `apply` and the `_send` and `_halt` effects rewrite the key slots they
-    change in `slots`, the parent's slots copied for the child being built,
-    and `delivered` derives a delivery child's slots before it is built.
-    The ids a message moves a pending multiset or an inbox to are memoized
-    under (the id before, the message id).
+    `apply` and the `_send` and `_halt` effects rewrite the slots they
+    change, and `delivered` derives a delivery child's slots before it is
+    built.  The ids a message moves a pending multiset to are memoized
+    under (the id before, the message id).  A delivery child shares its
+    parent's monitor, since a delivery calls no hook; `apply` gives a
+    crash, wake or poll child a clone.
     """
 
     def __init__(self, scenario: ScenarioConfig, factory: AutomatonFactory, monitor: Any,
@@ -956,21 +942,23 @@ class _XEngine(_Engine):
         self.crash_round_limit = crash_round_limit
         # these live as long as this engine: one explore call, whose caps
         # (which keys leave out) are fixed
-        self.ids = InternTable()
+        self.ids = ids = InternTable()
         self.polls: dict[tuple, tuple] = {}  # local state -> (automaton, inbox, effect log)
         self.probes: dict[tuple, bool] = {}  # local state -> would its next poll move
         self.log: list[tuple] = []  # the effects of the poll being computed
         self.seen: dict[tuple, Automaton] = {}  # (p, automaton key) -> the copy that effects log
         self.computed = self.replayed = 0  # polls run, polls replayed
-        # (id before, message id) -> id after: of an inbox the message is
-        # delivered to, and of a pending multiset it joins or leaves
-        self.inbox_after: dict[tuple[int, int], int] = {}
+        self.inbox_after: dict[tuple[int, int], Inbox] = {}  # (inbox id, message id) -> inbox after
+        # (id before, message id) -> id after, of a pending multiset a message joins or leaves
         self.pending_after_send: dict[tuple[int, int], int] = {}
         self.pending_after_delivery: dict[tuple[int, int], int] = {}
-        self.slots = array("I")  # the key slots of the child being built
-        self.state = _XState(
-            self.automata, self.inboxes, [], self.crashed, self.halted, frozenset(), crashes_left, monitor
-        )
+        # the initial state's slots, the only ones computed from scratch; no
+        # process has crashed, halted or woken, and `key` writes the monitor's id
+        slots, identified = array("I"), scenario.identified
+        for p in self.cfg.processes:
+            slots.extend((self.automata[p].cached_key(ids), self.inboxes[p].key(identified, ids), ids[()]))
+        slots.extend((0, 0, 0, crashes_left, 0))
+        self.state = _XState(self.automata, self.inboxes, [], monitor, slots)
 
     def load(self, state: _XState) -> "_XEngine":
         self.state = state
@@ -978,40 +966,40 @@ class _XEngine(_Engine):
         self.crashed, self.halted = state.crashed, state.halted
         return self
 
-    def would_move(self, st: _XState, p: int) -> bool:
-        """`can_progress(p)` on the loaded state `st`.  A guard probe reads
-        only p's automaton, p's inbox and the oracle, whose reading follows
-        the crashed set; so a verdict holds, and a child inherits it, until
-        `apply` wakes, polls or delivers to p or crashes anyone."""
-        bit = _BIT(p)
-        if not st.probed & bit:
-            st.probed |= bit
-            local = self.local_state(st, p)
-            moves = self.probes.get(local)
-            if moves is None:
-                moves = self.probes[local] = self.can_progress(p)
-            st.moves = st.moves | bit if moves else st.moves & ~bit
-        return bool(st.moves & bit)
-
     def local_state(self, st: _XState, p: int) -> tuple:
-        """What p's next poll reads: p, its automaton, its inbox and the
-        crashed set, which fixes the oracle's reading."""
-        return (p, st.automata[p].cached_key(self.ids), st.inboxes[p].key(self.scenario.identified, self.ids),
-                st.crashed)
+        """What p's next poll reads, as `st`'s slots name it: p, its
+        automaton, its inbox and the crashed set, which fixes the oracle's
+        reading."""
+        slots = st.slots
+        return (p, slots[3 * p - 3], slots[3 * p - 2], slots[_CRASHED])
+
+    def message_id(self, sender: int, payload: Payload, round_tag: int | None) -> int:
+        """The id of a message: what its receiver can tell apart."""
+        return self.ids[(sender, payload, round_tag) if self.scenario.identified else (payload, round_tag)]
 
     def actions(self, st: _XState) -> list[tuple]:
         """The enabled actions of a state; one deliver action per class of
-        pending messages a receiver cannot tell apart."""
+        pending messages a receiver cannot tell apart.  A woken process may
+        poll when its guard probe, `can_progress`, says its next poll would
+        move; the verdict is memoized under its local state."""
         self.load(st)
+        slots = st.slots
+        gone, woken, crashes_left = slots[_CRASHED] | slots[_HALTED], slots[_WOKEN], slots[_BUDGET]
         acts: list[tuple] = []
         for p in self.cfg.processes:
-            if p in st.crashed or p in st.halted:
+            bit = _BIT(p)
+            if gone & bit:
                 continue
-            if p not in st.woken:
+            if not woken & bit:
                 acts.append(("wake", p))
-            elif self.would_move(st, p):
-                acts.append(("poll", p))
-            if st.crashes_left > 0 and (
+            else:
+                local = self.local_state(st, p)
+                moves = self.probes.get(local)
+                if moves is None:
+                    moves = self.probes[local] = self.can_progress(p)
+                if moves:
+                    acts.append(("poll", p))
+            if crashes_left > 0 and (
                 self.crash_round_limit is None
                 or getattr(st.automata[p], "r", 0) <= self.crash_round_limit
             ):
@@ -1023,24 +1011,31 @@ class _XEngine(_Engine):
                 acts.append(("deliver", receiver, sender, payload, round_tag))
         return acts
 
-    def delivered(self, st: _XState, slots: array, action: tuple) -> array:
-        """The key slots of the child that `action`, a deliver to p, makes
-        of `st`, derived from `st`'s `slots` without building the child.  A
+    def delivered(self, st: _XState, action: tuple) -> array:
+        """The slots of the child that `action`, a deliver to p, makes of
+        `st`, derived from `st`'s slots without building the child.  A
         delivery changes only p's inbox and the multiset pending to p, and
-        calls no monitor hook, so only those two slots change.  A memo miss
-        computes its entry once, from `st`."""
-        p, sender, payload, round_tag = action[1:]
-        identified, ids = self.scenario.identified, self.ids
-        message = ids[(sender, payload, round_tag) if identified else (payload, round_tag)]
-        child = slots[:]
-        inbox = self.inbox_after.get((slots[3 * p - 2], message))
-        if inbox is None:
-            scratch = st.inboxes[p].clone()
-            scratch.deliver(sender, payload, round_tag)
-            inbox = self.inbox_after[slots[3 * p - 2], message] = scratch.key(identified, ids)
-        child[3 * p - 2] = inbox
+        calls no monitor hook, so only those two slots change."""
+        p = action[1]
+        message, inbox = self._delivery(st, action)
+        child = st.slots[:]
+        child[3 * p - 2] = inbox.key(self.scenario.identified, self.ids)
         self._repend(child, st, p, message, sent=False)
         return child
+
+    def _delivery(self, st: _XState, action: tuple) -> tuple[int, Inbox]:
+        """The id of the message that `action`, a deliver to p, names, and
+        the inbox it leaves p with in `st`.  The inbox is memoized under
+        (the id of p's inbox, the message id), and a miss computes it from
+        `st`."""
+        _, p, sender, payload, round_tag = action
+        message = self.message_id(sender, payload, round_tag)
+        before = st.inboxes[p].key(self.scenario.identified, self.ids)
+        inbox = self.inbox_after.get((before, message))
+        if inbox is None:
+            inbox = self.inbox_after[before, message] = st.inboxes[p].clone()
+            inbox.deliver(sender, payload, round_tag)
+        return message, inbox
 
     def _repend(self, slots: array, st: _XState, q: int, message: int, sent: bool) -> None:
         """Rewrite q's pending slot in `slots` for `message` joining the
@@ -1059,34 +1054,25 @@ class _XEngine(_Engine):
 
     def apply(self, st: _XState, action: tuple) -> None:
         """Apply `action` to `st`, a fresh clone of its parent, rewriting
-        the key slots it changes in `slots`, which hold the parent's (a
-        delivery's, as `delivered` derived them)."""
+        the slots it changes; a delivery's, `delivered` already derived.  A
+        delivery installs its memoized inbox and keeps the parent's
+        monitor, which a crash, wake or poll clones first."""
         kind, p = action[0], action[1]
-        slots, bit = self.slots, _BIT(p)
+        if kind == "deliver":
+            message, st.inboxes[p] = self._delivery(st, action)
+            st.pending.remove((*action[1:], message))
+            return
+        slots, bit = st.slots, _BIT(p)
+        st.monitor = st.monitor.clone()
         if kind == "crash":
-            st.crashed = st.crashed | {p}
-            st.crashes_left -= 1
-            st.pending = [m for m in st.pending if m[0] != p]
-            st.probed = 0
             slots[_CRASHED] |= bit
             slots[_BUDGET] -= 1
             slots[3 * p - 1] = self.ids[()]
+            st.pending = [m for m in st.pending if m[0] != p]
             st.monitor.on_crash(st, p)
-            return
-        st.probed &= ~bit
-        if kind == "deliver":
-            idx = next(
-                i for i, m in enumerate(st.pending)
-                if m[0] == p and _matches(action, m[1], m[2], m[3], self.scenario.identified)
-            )
-            del st.pending[idx]
-            inbox = st.inboxes[p] = st.inboxes[p].clone()
-            inbox.deliver(*action[2:])
-            inbox._key = slots[3 * p - 2]  # the id `delivered` derived: no bag is rebuilt
             return
         # wake or poll
         if kind == "wake":
-            st.woken = st.woken | {p}
             slots[_WOKEN] |= bit
         self.load(st)
         local = self.local_state(st, p)
@@ -1122,16 +1108,15 @@ class _XEngine(_Engine):
 
     def do_broadcast(self, p: int, payload: Payload, round_tag: int | None) -> None:
         self.state.inboxes[p].deliver(p, payload, round_tag)
-        # the message id: what the receiver can tell apart
-        message = self.ids[(p, payload, round_tag) if self.scenario.identified else (payload, round_tag)]
-        self._effect(_XEngine._send, p, payload, round_tag, message)
+        self._effect(_XEngine._send, p, payload, round_tag, self.message_id(p, payload, round_tag))
 
     def _send(self, p: int, payload: Payload, round_tag: int | None, message: int) -> None:
         st = self.state
         st.monitor.on_send(st, p, payload)
+        gone = st.slots[_CRASHED] | st.slots[_HALTED]
         for q in self.cfg.processes:
-            if q != p and q not in st.crashed and q not in st.halted:
-                self._repend(self.slots, st, q, message, sent=True)
+            if q != p and not gone & _BIT(q):
+                self._repend(st.slots, st, q, message, sent=True)
                 st.pending.append((q, p, payload, round_tag, message))
 
     def do_decide(self, p: int, value: Any, r: Any) -> None:
@@ -1145,10 +1130,10 @@ class _XEngine(_Engine):
 
     def _halt(self, p: int) -> None:
         st = self.state
-        st.halted = self.halted = st.halted | {p}
+        st.slots[_HALTED] |= _BIT(p)
+        st.slots[3 * p - 1] = self.ids[()]
         st.pending = [m for m in st.pending if m[0] != p]
-        self.slots[_HALTED] |= _BIT(p)
-        self.slots[3 * p - 1] = self.ids[()]
+        self.halted = st.halted
 
     def do_round(self, p: int, r: int, snapshot: dict) -> None:
         self.state.inboxes[p].advance(r)
@@ -1239,9 +1224,9 @@ def explore(
         max_crashes,
         crash_round_limit,
     )
-    identified, ids = scenario.identified, engine.ids
+    ids = engine.ids
     init = engine.state
-    init_key = init.key(identified, ids)
+    init_key = init.key(ids)
     # the visited map: a state's key -> (its parent's key, the action between)
     parents: dict[bytes, tuple | None] = {init_key: None}
     # equal actions share one tuple; the repr keeps apart payloads that
@@ -1277,20 +1262,18 @@ def explore(
         broken = state.monitor.violation()
         acts = engine.actions(state) if broken is None else []
         if acts:
-            parent_slots = array("I", key)
             for action in acts:
                 children += 1
                 if action[0] == "deliver":
-                    slots = engine.delivered(state, parent_slots, action)
+                    slots = engine.delivered(state, action)
                     if slots.tobytes() in parents:
                         skipped += 1
                         continue
                 else:
-                    slots = parent_slots[:]
-                child = state.clone()
-                engine.slots = slots
+                    slots = state.slots[:]
+                child = state.clone(slots)
                 engine.apply(child, action)
-                child_key = child.key(identified, ids, slots)
+                child_key = child.key(ids)
                 if child_key in parents:
                     continue
                 parents[child_key] = (key, shared_actions.setdefault((repr(action), action), action))

@@ -23,8 +23,8 @@ from anonsim import (
     transforms,
 )
 from anonsim.cli import ALGORITHMS, explore_crash_limit
-from anonsim.simulator import Automaton, Inbox, NullMonitor, _XEngine, _XState
-from anonsim.verify import monitor_for
+from anonsim.simulator import _BUDGET, _WOKEN, Automaton, Inbox, NullMonitor, _XEngine, _XState
+from anonsim.verify import ConsensusMonitor, monitor_for
 
 # the fields that stay constant through a run of one process
 CONSTANTS = ("n", "f", "proc", "rounds_cap", "ticks_cap")
@@ -250,9 +250,9 @@ class TestExplore:
         clones = Counter()
         clone = _XState.clone
 
-        def counted_clone(st):
+        def counted_clone(st, *args):
             clones["state"] += 1
-            return clone(st)
+            return clone(st, *args)
 
         monkeypatch.setattr(_XState, "clone", counted_clone)
         sc = scenario("floodmax", 3, 0, inputs=(0, 0, 1))
@@ -260,39 +260,65 @@ class TestExplore:
         assert (res.states, res.children, res.skipped) == (157, 442, 176)
         assert clones["state"] == 266
 
+    def test_delivery_children_share_their_parents_monitor(self, monkeypatch):
+        # a delivery calls no monitor hook, so of the built children only
+        # crashes, wakes and polls clone their parent's monitor
+        clones = Counter()
+        state_clone, monitor_clone = _XState.clone, ConsensusMonitor.clone
+
+        def counted_state_clone(st, *args):
+            clones["state"] += 1
+            return state_clone(st, *args)
+
+        def counted_monitor_clone(monitor):
+            clones["monitor"] += 1
+            return monitor_clone(monitor)
+
+        monkeypatch.setattr(_XState, "clone", counted_state_clone)
+        monkeypatch.setattr(ConsensusMonitor, "clone", counted_monitor_clone)
+        sc = scenario("floodmax", 3, 0, inputs=(0, 0, 1))
+        res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", 3, 0, (0, 0, 1)))
+        assert (res.states, res.children, res.skipped) == (157, 442, 176)
+        assert (clones["state"], clones["monitor"]) == (266, 136)
+
     def test_incremental_keys_match_keys_from_scratch(self, monkeypatch):
-        # a child's key is its parent's with the slots its action changed
-        # rewritten: recompute each built child's key from scratch, and
-        # build each derived delivery, skipped or not, to check its key and
-        # that it was visited
+        # a child's slots are its parent's with those its action changed
+        # rewritten: recompute every per-process slot of each keyed state
+        # from scratch, and check the global slots, the only record of the
+        # crashed and halted sets and the crash budget, against what they
+        # imply; build each derived delivery, skipped or not, to check its
+        # slots and that its key was visited
         key, delivered = _XState.key, _XEngine.delivered
         visited: set[bytes] = set()
         derived_keys: list[bytes] = []
         built = Counter()
+        identified, crash_limit = False, 0  # those of the job being explored
 
-        def from_scratch(st, identified, ids):
-            # fresh copies hold no cached automaton or inbox ids
-            inboxes = {p: inbox.clone() for p, inbox in st.inboxes.items()}
-            for inbox in inboxes.values():
+        def check_slots(st, slots, identified, ids):
+            for p, automaton in st.automata.items():
+                # fresh copies hold no cached automaton or inbox ids
+                inbox = st.inboxes[p].clone()
                 inbox._key = None
-            fresh = _XState({p: a.copy() for p, a in st.automata.items()}, inboxes, st.pending,
-                            st.crashed, st.halted, st.woken, st.crashes_left, st.monitor)
-            return key(fresh, identified, ids)
+                pending = tuple(sorted(m[4] for m in st.pending if m[0] == p))
+                assert list(slots[3 * p - 3:3 * p]) == [
+                    automaton.copy().cached_key(ids), inbox.key(identified, ids), ids[pending]
+                ]
+            assert slots[_BUDGET] + len(st.crashed) == crash_limit
+            assert not any(m[0] in st.crashed or m[0] in st.halted for m in st.pending)
 
-        def checked_key(st, identified, ids, slots=None):
-            got = key(st, identified, ids, slots)
-            if slots is not None:
-                assert got == from_scratch(st, identified, ids)
-                built["children"] += 1
+        def checked_key(st, ids):
+            got = key(st, ids)
+            check_slots(st, st.slots, identified, ids)
+            built["keyed"] += 1
             visited.add(got)
             return got
 
-        def checked_delivered(engine, st, slots, action):
-            derived = delivered(engine, st, slots, action)
-            child = st.clone()
-            engine.slots = derived
+        def checked_delivered(engine, st, action):
+            derived = delivered(engine, st, action)
+            child = st.clone(derived[:])
             engine.apply(child, action)
-            assert derived.tobytes() == from_scratch(child, engine.scenario.identified, engine.ids)
+            assert child.monitor is st.monitor
+            check_slots(child, derived, engine.scenario.identified, engine.ids)
             derived_keys.append(derived.tobytes())
             return derived
 
@@ -301,41 +327,44 @@ class TestExplore:
         skipped = 0
         for algorithm, factory, sc in explore_jobs():
             cfg = sc.cfg
+            identified, crash_limit = sc.identified, cfg.f
             visited.clear()  # keys compare only within one call's intern table
             derived_keys.clear()
             res = explore(sc, factory, monitor=monitor_for(algorithm, cfg.n, cfg.f, sc.inputs),
                           crash_round_limit=explore_crash_limit(sc))
             assert not res.partial and set(derived_keys) <= visited
             skipped += res.skipped
-        assert built["children"] > 10_000 and skipped > 1_000
+        assert built["keyed"] > 10_000 and skipped > 1_000
 
     def test_results_pinned(self):
         # states, terminals, profiles, violations and witness schedules of
         # small jobs of every explorable algorithm and mutant
         assert explore_digest() == (EXPLORE_JOBS, EXPLORE_SHA256)
 
-    def test_inherited_probe_verdicts_match_fresh_probes(self, monkeypatch):
-        # a child keeps its parent's guard-probe verdicts until an action
-        # touches what the probe reads; re-probe every kept verdict, in a
-        # job whose states crash and halt processes
+    def test_memoized_probe_verdicts_match_fresh_probes(self, monkeypatch):
+        # `actions` enables a woken process's poll on the guard-probe verdict
+        # memoized under its local state; re-probe every verdict it uses, in
+        # a job whose states crash and halt processes
         seen = Counter()
         actions = _XEngine.actions
 
         def checked(engine, st):
-            engine.load(st)
-            for p in engine.cfg.processes:
-                if st.probed >> p & 1:
-                    assert p not in st.crashed and p not in st.halted
-                    assert bool(st.moves >> p & 1) == engine.can_progress(p), (p, st.probed, st.moves)
-                    seen["kept"] += 1
-                    seen["kept with crash and halt"] += bool(st.crashed and st.halted)
-            return actions(engine, st)
+            woken = [p for p in engine.cfg.processes
+                     if st.slots[_WOKEN] >> p & 1 and p not in st.crashed and p not in st.halted]
+            hits = {p for p in woken if engine.local_state(st, p) in engine.probes}
+            acts = actions(engine, st)  # loads st, as can_progress needs
+            for p in woken:
+                verdict = engine.probes[engine.local_state(st, p)]
+                assert verdict == engine.can_progress(p) == (("poll", p) in acts), p
+                seen["hits"] += p in hits
+                seen["hits with crash and halt"] += p in hits and bool(st.crashed and st.halted)
+            return acts
 
         monkeypatch.setattr(_XEngine, "actions", checked)
         sc = scenario("floodmax", 3, 1, inputs=(0, 1, 1))
         res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", 3, 1, (0, 1, 1)))
         assert (res.states, res.terminals, res.violation_count) == (3837, 81, 0)
-        assert seen["kept"] > 1000 and seen["kept with crash and halt"] > 100
+        assert seen["hits"] > 1000 and seen["hits with crash and halt"] > 100
 
     def test_each_local_state_polled_once(self, monkeypatch):
         # a poll runs on the engine only for the first state that has its
