@@ -79,6 +79,18 @@ def _read_json(path: str | Path, what: str):
         raise ScenarioError(f"{what} file is not valid JSON: {exc}")
 
 
+def _write(files: dict[Path, str], directory: Path | None = None) -> None:
+    """Write each file's text, after making `directory` if one is given; an
+    output that cannot be written is a usage error."""
+    try:
+        if directory is not None:
+            directory.mkdir(parents=True, exist_ok=True)
+        for path, text in files.items():
+            path.write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write output: {exc}")
+
+
 def load_scenario(path: str | Path) -> ScenarioConfig:
     return normalize_scenario(ScenarioConfig.from_dict(_read_json(path, "scenario")))
 
@@ -126,10 +138,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     trace, reports, extras = run_and_check(scenario)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     stem = f"{scenario.algorithm}-seed{scenario.seed}"
     trace_path = out / f"{stem}.trace.jsonl"
-    trace_path.write_text(trace.to_jsonl())
     report_path = out / f"{stem}.report.json"
     report_doc = {
         "scenario": scenario.to_dict(),
@@ -138,7 +148,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         "extras": extras,
         "ok": _reports_ok(reports),
     }
-    report_path.write_text(json.dumps(report_doc, indent=2, sort_keys=True) + "\n")
+    report = json.dumps(report_doc, indent=2, sort_keys=True) + "\n"
+    _write({trace_path: trace.to_jsonl(), report_path: report}, out)
 
     code = _print_reports(reports, f"anonsim run {args.scenario} --seed {scenario.seed}")
     print(f"trace: {trace_path}")
@@ -215,7 +226,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             "counts": {f"{p}/{v}": c for (p, v), c in sorted(counts.items())},
             "failures": [{"seed": s, **r} for s, r in failures],
         }
-        Path(args.out).write_text(json.dumps(out_doc, indent=2, sort_keys=True) + "\n")
+        _write({Path(args.out): json.dumps(out_doc, indent=2, sort_keys=True) + "\n"})
     return EXIT_OK if not failures else EXIT_PROPERTY
 
 
@@ -263,7 +274,7 @@ def _explore_scenario(scenario: ScenarioConfig, out: str | None, max_states: int
           f"{result.skipped} skipped unbuilt")
     print(f"peak frontier: {result.peak_frontier}")
     print(f"depth: {result.depth}")
-    print(f"local transitions: {result.computed} computed, {result.replayed} replayed")
+    print(f"local transitions: {result.computed} computed, {result.replayed} replayed, {result.reused} reused")
     print(f"states/s: {result.states / seconds:.0f} ({seconds:.3f} s)")
     print(f"peak memory: {peak_rss_mb():.1f} MB")
     print(f"terminal states: {result.terminals}")
@@ -278,16 +289,11 @@ def _explore_scenario(scenario: ScenarioConfig, out: str | None, max_states: int
         witness = result.violations[0]
         trace = run_schedule(scenario, info.factory, witness.schedule)
         out_path = Path(out)
-        out_path.mkdir(parents=True, exist_ok=True)
-        (out_path / "violation.trace.jsonl").write_text(trace.to_jsonl())
-        (out_path / "violation.schedule.json").write_text(
-            json.dumps(
-                {"scenario": scenario.to_dict(), "schedule": [list(a) for a in witness.schedule]},
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        schedule = {"scenario": scenario.to_dict(), "schedule": [list(a) for a in witness.schedule]}
+        _write({
+            out_path / "violation.trace.jsonl": trace.to_jsonl(),
+            out_path / "violation.schedule.json": json.dumps(schedule, indent=2, sort_keys=True) + "\n",
+        }, out_path)
         print(f"witness written to {out_path}/violation.*")
     return EXIT_OK if result.ok else EXIT_PROPERTY
 

@@ -38,22 +38,27 @@ action replaces them, and a delivery child shares its parent's monitor.
 
 Only the initial state's slots are computed from scratch.  A child's slots
 are its parent's with only those its action changed rewritten, and the ids
-a message moves an inbox or a pending multiset to are memoized per call.  A
-delivery changes only the receiver's inbox and pending slots and calls no
-monitor hook, so its child's key is derived before the child is built, and
-a child whose key was visited is counted and skipped, never built.
+a message moves an inbox or a pending multiset to are memoized per call.
+A delivery's child, and a poll's child whose outcome is memoized, has its
+key derived before it is built, and a child whose key was visited is
+counted and skipped, never built.
 
 Each local transition runs once per explore call.  A poll of p reads only
 p's automaton, p's inbox and the oracle, whose reading follows the crashed
 set; states merge on those same ids, so the search already takes p's next
 move to depend on nothing else.  The engine memoizes, under (p, automaton
-id, inbox id, crashed mask), each probe's verdict and each poll's outcome:
-the automaton and inbox it leaves, which later polls share, and its ordered
+id, inbox id, crashed mask), each probe's verdict and each poll's run: the
+automaton and inbox it leaves, which later polls share, and its ordered
 global effects (sends, decisions, halts, round switches, outputs).  A later
 poll of the same local state replays those effects against its own state,
 so pending receivers and monitor hooks follow that state's crashes, halts
 and peers, and a hook sees p's automaton as it was when the effect fired.
-A delivery's outcome, the inbox it leaves, is memoized and shared the same
+A poll's whole outcome on a state (the pending entries it appends, whether
+p halts, the monitor after it) is memoized as well, under what the sends
+and hooks read beyond the local state: the halted mask, the monitor's id
+and every automaton id.  Hooks read nothing else (see `NullMonitor`), so a
+later poll with the same ids installs that outcome and runs nothing.  A
+delivery's outcome, the inbox it leaves, is memoized and shared the same
 way, under (inbox id, message id).  The memos live as long as the call,
 because keys leave out the round and tick caps that differ between calls.
 
@@ -294,12 +299,18 @@ class Inbox:
 
 class InternTable(dict):
     """State components to small ints: `table[component]` is the
-    component's index in first-seen order, assigned on first lookup.  A
-    table is a bijection on the components it has seen, so a tuple of ids
-    identifies a tuple of components."""
+    component's index in first-seen order, assigned on first lookup, and
+    `table.components[ident]` the component back.  A table is a bijection
+    on the components it has seen, so a tuple of ids identifies a tuple of
+    components."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.components: list = []
 
     def __missing__(self, component: Any) -> int:
-        ident = self[component] = len(self)
+        ident = self[component] = len(self.components)
+        self.components.append(component)
         return ident
 
 
@@ -809,22 +820,27 @@ class NullMonitor:
     process halted or decided, no enabled action) `terminal_checks` lists
     its failures and `terminal_profile` names its outcome.
 
-    A hook may read the state's automata and its crashed and halted sets;
-    the hooks of a poll see the polling process's automaton as it was when
-    each effect fired.
+    A hook may read the state's automata and its crashed and halted sets,
+    and nothing else: never the inboxes or the pending messages.  The hooks
+    of a poll see the polling process's automaton as it was when each
+    effect fired.  `explore` relies on this: it memoizes a poll's outcome,
+    the monitor after it included, under p's local state, the halted mask,
+    every automaton id and the monitor's id, and installs it, running no
+    hook, in any later state with the same ids.
 
-    A delivery calls no hook.  `explore` relies on that: it derives a
+    A delivery calls no hook.  `explore` relies on that too: it derives a
     delivery child's key from its parent's key, changing only the
     receiver's inbox and pending slots, and skips the child unbuilt when
     that key was visited; a delivery child it builds shares its parent's
     monitor.  A future delivery hook must therefore have deliveries keyed
-    like polls, from the built child, with a monitor of its own.
+    like polls, with a monitor of their own.
 
     `key()` joins the state's identity, so it must fold in every field that
-    a later verdict can depend on; states with equal keys merge.  A crash,
-    wake or poll child gets `clone()`, a shallow copy of its parent's
-    monitor, so a hook must replace a container field with a new one, never
-    change it in place.
+    a later verdict or hook can depend on; states with equal keys merge, and
+    monitors with equal keys may be shared across states.  A crash, wake or
+    poll that runs gets `clone()`, a shallow copy of its parent's monitor,
+    so a hook must replace a container field with a new one, never change
+    it in place.
     A subclass writes the hooks it checks and inherits the rest; setting
     `flag` makes `violation()` report it.
     """
@@ -882,15 +898,14 @@ class _XState:
         # an action touches them (_XEngine.apply swaps in a private copy first)
         return _XState(dict(self.automata), dict(self.inboxes), list(self.pending), self.monitor, slots)
 
-    def key(self, ids: InternTable) -> bytes:
+    def key(self) -> bytes:
         """The state's identity, its slots packed 4 bytes each: per process
         p, at slots 3p-3, 3p-2 and 3p-1, the ids of its automaton, of its
         inbox and of the multiset of messages pending to it (the sorted
         tuple of their message ids), then the crashed, halted and woken sets
-        as bit masks, the crash budget left and the id of the monitor's key,
-        which is written in here.  Two states of one explore call share a
-        key exactly when their components are equal."""
-        self.slots[_MONITOR] = ids[self.monitor.key()]
+        as bit masks, the crash budget left and the id of the monitor's key.
+        Two states of one explore call share a key exactly when their
+        components are equal."""
         return self.slots.tobytes()
 
 
@@ -916,24 +931,30 @@ class _XEngine(_Engine):
     the engine at, whose containers and slots they read and change in
     place; the effects feed that state's monitor.
 
-    Each local transition runs once per engine.  A poll's outcome and a
-    probe's verdict are memoized under p's local state: (p, the id of its
+    Each local transition runs once per engine.  A poll's run and a probe's
+    verdict are memoized under p's local state: (p, the id of its
     automaton's key, the id of its inbox, the crashed mask), read from the
     state's slots.  A poll's entry holds p's final automaton and inbox,
     which later polls share, and its log of global effects (`_send`,
-    `_decide`, `_halt`, `_round`, `_output`), which a later poll replays
-    against its own state.  Each effect is logged with a copy of p's
-    automaton as it was when the effect fired, and the replay shows the
-    effect's monitor hook that copy.  A delivery's outcome, the inbox it
-    leaves, is memoized under (the inbox's id, the message id) and shared
-    the same way.
+    `_decide`, `_halt`, `_round`, `_output`), each logged with a copy of p's
+    automaton as it was when the effect fired, which a later poll replays
+    against its own state, showing each hook that copy.
 
-    `apply` and the `_send` and `_halt` effects rewrite the slots they
-    change, and `delivered` derives a delivery child's slots before it is
-    built.  The ids a message moves a pending multiset to are memoized
-    under (the id before, the message id).  A delivery child shares its
-    parent's monitor, since a delivery calls no hook; `apply` gives a
-    crash, wake or poll child a clone.
+    The entry's outcomes memoize a poll's whole effect under what its sends
+    and hooks read beyond the local state (`reads`): the pending entries it
+    appends, whether p halts, and the monitor after it, one object per
+    monitor id.  Sends skip crashed and halted receivers, hooks read only
+    automata and the crashed and halted sets, and monitors with equal keys
+    are interchangeable, so those ids fix the outcome.  A delivery's
+    outcome, the inbox it leaves and that inbox's id, is memoized under
+    (the inbox's id, the message id).  The id a message moves a pending
+    multiset to is memoized under (the id before, the message id), and
+    computed from the multiset that the intern table gives back.
+
+    `delivered`, and `polled` on a memoized outcome, derive a child's slots
+    from its parent's before the child is built, and `build` installs what
+    they found.  `apply` runs a crash, a wake or a poll not memoized yet on
+    a clone with a clone of the parent's monitor, rewriting its slots.
     """
 
     def __init__(self, scenario: ScenarioConfig, factory: AutomatonFactory, monitor: Any,
@@ -943,21 +964,29 @@ class _XEngine(_Engine):
         # these live as long as this engine: one explore call, whose caps
         # (which keys leave out) are fixed
         self.ids = ids = InternTable()
-        self.polls: dict[tuple, tuple] = {}  # local state -> (automaton, inbox, effect log)
+        # local state -> (automaton, inbox, effect log, outcomes); outcomes maps
+        # what the poll read beyond the local state to (pending entries appended,
+        # whether p halts, monitor after, its id)
+        self.polls: dict[tuple, tuple] = {}
         self.probes: dict[tuple, bool] = {}  # local state -> would its next poll move
         self.log: list[tuple] = []  # the effects of the poll being computed
+        self.sent: list[tuple] = []  # the pending entries the poll being applied appends
         self.seen: dict[tuple, Automaton] = {}  # (p, automaton key) -> the copy that effects log
-        self.computed = self.replayed = 0  # polls run, polls replayed
-        self.inbox_after: dict[tuple[int, int], Inbox] = {}  # (inbox id, message id) -> inbox after
+        self.monitors: dict[int, Any] = {}  # monitor id -> the monitor that poll outcomes share
+        self.computed = self.replayed = self.reused = 0  # polls run, replayed, and taken from an outcome
+        # p -> its wake, poll and crash actions, which every state shares
+        self.moves = {p: (("wake", p), ("poll", p), ("crash", p)) for p in self.cfg.processes}
+        # (inbox id, message id) -> (inbox after, its id)
+        self.inbox_after: dict[tuple[int, int], tuple[Inbox, int]] = {}
         # (id before, message id) -> id after, of a pending multiset a message joins or leaves
         self.pending_after_send: dict[tuple[int, int], int] = {}
         self.pending_after_delivery: dict[tuple[int, int], int] = {}
         # the initial state's slots, the only ones computed from scratch; no
-        # process has crashed, halted or woken, and `key` writes the monitor's id
+        # process has crashed, halted or woken
         slots, identified = array("I"), scenario.identified
         for p in self.cfg.processes:
             slots.extend((self.automata[p].cached_key(ids), self.inboxes[p].key(identified, ids), ids[()]))
-        slots.extend((0, 0, 0, crashes_left, 0))
+        slots.extend((0, 0, 0, crashes_left, ids[monitor.key()]))
         self.state = _XState(self.automata, self.inboxes, [], monitor, slots)
 
     def load(self, state: _XState) -> "_XEngine":
@@ -973,78 +1002,120 @@ class _XEngine(_Engine):
         slots = st.slots
         return (p, slots[3 * p - 3], slots[3 * p - 2], slots[_CRASHED])
 
+    @staticmethod
+    def reads(slots: array) -> tuple:
+        """What a poll's sends and hooks read beyond its local state, as
+        `slots` name it: the halted mask, the monitor's id and every
+        process's automaton id."""
+        return (slots[_HALTED], slots[_MONITOR], slots[:_CRASHED:3].tobytes())
+
     def message_id(self, sender: int, payload: Payload, round_tag: int | None) -> int:
         """The id of a message: what its receiver can tell apart."""
         return self.ids[(sender, payload, round_tag) if self.scenario.identified else (payload, round_tag)]
 
     def actions(self, st: _XState) -> list[tuple]:
-        """The enabled actions of a state; one deliver action per class of
-        pending messages a receiver cannot tell apart.  A woken process may
-        poll when its guard probe, `can_progress`, says its next poll would
-        move; the verdict is memoized under its local state."""
-        self.load(st)
+        """The enabled actions of a state, read from its slots: ("wake",
+        p), ("poll", p), ("crash", p), and ("deliver", entry) for each class
+        of pending messages a receiver cannot tell apart, `entry` the
+        class's first pending entry.  A woken process may poll when its
+        guard probe, `can_progress`, says its next poll would move; the
+        verdict is memoized under its local state, and only a miss loads
+        `st` into the engine."""
         slots = st.slots
-        gone, woken, crashes_left = slots[_CRASHED] | slots[_HALTED], slots[_WOKEN], slots[_BUDGET]
+        crashed, woken, crashes_left = slots[_CRASHED], slots[_WOKEN], slots[_BUDGET]
+        gone = crashed | slots[_HALTED]
         acts: list[tuple] = []
-        for p in self.cfg.processes:
+        for p, (wake, poll, crash) in self.moves.items():
             bit = _BIT(p)
             if gone & bit:
                 continue
             if not woken & bit:
-                acts.append(("wake", p))
+                acts.append(wake)
             else:
-                local = self.local_state(st, p)
+                local = (p, slots[3 * p - 3], slots[3 * p - 2], crashed)  # as `local_state` reads it
                 moves = self.probes.get(local)
                 if moves is None:
-                    moves = self.probes[local] = self.can_progress(p)
+                    moves = self.probes[local] = self.load(st).can_progress(p)
                 if moves:
-                    acts.append(("poll", p))
+                    acts.append(poll)
             if crashes_left > 0 and (
                 self.crash_round_limit is None
                 or getattr(st.automata[p], "r", 0) <= self.crash_round_limit
             ):
-                acts.append(("crash", p))
+                acts.append(crash)
         seen: set[tuple] = set()
-        for receiver, sender, payload, round_tag, message in st.pending:
-            if (receiver, message) not in seen:
-                seen.add((receiver, message))
-                acts.append(("deliver", receiver, sender, payload, round_tag))
+        for entry in st.pending:
+            cls = entry[0], entry[4]
+            if cls not in seen:
+                seen.add(cls)
+                acts.append(("deliver", entry))
         return acts
 
-    def delivered(self, st: _XState, action: tuple) -> array:
-        """The slots of the child that `action`, a deliver to p, makes of
-        `st`, derived from `st`'s slots without building the child.  A
-        delivery changes only p's inbox and the multiset pending to p, and
-        calls no monitor hook, so only those two slots change."""
-        p = action[1]
-        message, inbox = self._delivery(st, action)
-        child = st.slots[:]
-        child[3 * p - 2] = inbox.key(self.scenario.identified, self.ids)
-        self._repend(child, st, p, message, sent=False)
+    def delivered(self, st: _XState, entry: tuple) -> tuple[array, Inbox]:
+        """The slots of the child that delivering `entry`, pending to p,
+        makes of `st`, derived from `st`'s slots without building the child,
+        and the inbox it leaves p with.  A delivery changes only p's inbox
+        and the multiset pending to p, and calls no monitor hook, so only
+        those two slots change."""
+        p, message = entry[0], entry[4]
+        before = st.slots[3 * p - 2]
+        after = self.inbox_after.get((before, message))
+        if after is None:
+            inbox = st.inboxes[p].clone()
+            inbox.deliver(*entry[1:4])
+            after = self.inbox_after[before, message] = (inbox, inbox.key(self.scenario.identified, self.ids))
+        slots = st.slots[:]
+        slots[3 * p - 2] = after[1]
+        self._repend(slots, p, message, sent=False)
+        return slots, after[0]
+
+    def polled(self, st: _XState, p: int) -> tuple[array, tuple] | None:
+        """The slots of the child that a poll of p makes of `st`, derived
+        from `st`'s slots without building the child, and the poll's entry
+        and outcome; None when that outcome is not memoized yet."""
+        slots = st.slots
+        done = self.polls.get(self.local_state(st, p))
+        outcome = done and done[3].get(self.reads(slots))
+        if outcome is None:
+            return None
+        self.reused += 1
+        child = slots[:]
+        child[3 * p - 3] = done[0].cached_key(self.ids)
+        child[3 * p - 2] = done[1].key(self.scenario.identified, self.ids)
+        for entry in outcome[0]:
+            self._repend(child, entry[0], entry[4], sent=True)
+        if outcome[1]:
+            child[_HALTED] |= _BIT(p)
+            child[3 * p - 1] = self.ids[()]
+        child[_MONITOR] = outcome[3]
+        return child, (done, outcome)
+
+    def build(self, st: _XState, action: tuple, slots: array, found: Any) -> _XState:
+        """The child that `action` makes of `st`, with the slots that
+        `delivered` or `polled` derived and what it found: a delivery
+        installs the memoized inbox and keeps `st`'s monitor, a memoized
+        poll installs p's automaton and inbox, the pending entries and the
+        monitor of its outcome.  No poll runs and no hook is called."""
+        child = st.clone(slots)
+        if action[0] == "deliver":
+            child.inboxes[action[1][0]] = found
+            child.pending.remove(action[1])
+            return child
+        p, (done, (sent, halts, monitor, _)) = action[1], found
+        child.automata[p], child.inboxes[p], child.monitor = done[0], done[1], monitor
+        if halts:
+            child.pending = [m for m in child.pending if m[0] != p]
+        child.pending += sent
         return child
 
-    def _delivery(self, st: _XState, action: tuple) -> tuple[int, Inbox]:
-        """The id of the message that `action`, a deliver to p, names, and
-        the inbox it leaves p with in `st`.  The inbox is memoized under
-        (the id of p's inbox, the message id), and a miss computes it from
-        `st`."""
-        _, p, sender, payload, round_tag = action
-        message = self.message_id(sender, payload, round_tag)
-        before = st.inboxes[p].key(self.scenario.identified, self.ids)
-        inbox = self.inbox_after.get((before, message))
-        if inbox is None:
-            inbox = self.inbox_after[before, message] = st.inboxes[p].clone()
-            inbox.deliver(sender, payload, round_tag)
-        return message, inbox
-
-    def _repend(self, slots: array, st: _XState, q: int, message: int, sent: bool) -> None:
+    def _repend(self, slots: array, q: int, message: int, sent: bool) -> None:
         """Rewrite q's pending slot in `slots` for `message` joining the
-        messages pending to q in `st` (`sent`) or leaving them."""
+        multiset it names (`sent`) or leaving it."""
         memo = self.pending_after_send if sent else self.pending_after_delivery
         before = slots[3 * q - 1]
         after = memo.get((before, message))
         if after is None:
-            bag = [m[4] for m in st.pending if m[0] == q]
+            bag = list(self.ids.components[before])
             if sent:
                 bag.append(message)
             else:
@@ -1053,15 +1124,11 @@ class _XEngine(_Engine):
         slots[3 * q - 1] = after
 
     def apply(self, st: _XState, action: tuple) -> None:
-        """Apply `action` to `st`, a fresh clone of its parent, rewriting
-        the slots it changes; a delivery's, `delivered` already derived.  A
-        delivery installs its memoized inbox and keeps the parent's
-        monitor, which a crash, wake or poll clones first."""
-        kind, p = action[0], action[1]
-        if kind == "deliver":
-            message, st.inboxes[p] = self._delivery(st, action)
-            st.pending.remove((*action[1:], message))
-            return
+        """Apply `action`, a crash, a wake or a poll, to `st`, a fresh clone
+        of its parent, rewriting the slots it changes; its hooks feed a
+        clone of the parent's monitor.  A poll records its outcome for
+        `polled`, and the monitor it leaves becomes the one of its id."""
+        kind, p = action
         slots, bit = st.slots, _BIT(p)
         st.monitor = st.monitor.clone()
         if kind == "crash":
@@ -1070,29 +1137,36 @@ class _XEngine(_Engine):
             slots[3 * p - 1] = self.ids[()]
             st.pending = [m for m in st.pending if m[0] != p]
             st.monitor.on_crash(st, p)
+            slots[_MONITOR] = self.ids[st.monitor.key()]
             return
         # wake or poll
         if kind == "wake":
             slots[_WOKEN] |= bit
+        reads = self.reads(slots) if kind == "poll" else None
         self.load(st)
         local = self.local_state(st, p)
         done = self.polls.get(local)
+        self.sent = []
         if done is None:  # run the poll on private copies of what it changes
             self.computed += 1
             st.automata[p] = st.automata[p].copy()
             st.inboxes[p] = st.inboxes[p].clone()
             self.log = []
             self.quiesce(p)
-            self.polls[local] = (st.automata[p], st.inboxes[p], self.log)
+            done = self.polls[local] = (st.automata[p], st.inboxes[p], self.log, {})
         else:
             self.replayed += 1
-            automaton, st.inboxes[p], log = done
+            automaton, st.inboxes[p], log, _ = done
             for effect, args, seen in log:
                 st.automata[p] = seen
                 effect(self, *args)
             st.automata[p] = automaton
         slots[3 * p - 3] = st.automata[p].cached_key(self.ids)
         slots[3 * p - 2] = st.inboxes[p].key(self.scenario.identified, self.ids)
+        slots[_MONITOR] = monitor_id = self.ids[st.monitor.key()]
+        if reads is not None:
+            st.monitor = self.monitors.setdefault(monitor_id, st.monitor)
+            done[3][reads] = (tuple(self.sent), bool(slots[_HALTED] & bit), st.monitor, monitor_id)
 
     def _effect(self, effect: Callable, *args: Any) -> None:
         """Log a global effect of the poll being computed, with a copy of
@@ -1116,8 +1190,10 @@ class _XEngine(_Engine):
         gone = st.slots[_CRASHED] | st.slots[_HALTED]
         for q in self.cfg.processes:
             if q != p and not gone & _BIT(q):
-                self._repend(st.slots, st, q, message, sent=True)
-                st.pending.append((q, p, payload, round_tag, message))
+                self._repend(st.slots, q, message, sent=True)
+                entry = (q, p, payload, round_tag, message)
+                st.pending.append(entry)
+                self.sent.append(entry)
 
     def do_decide(self, p: int, value: Any, r: Any) -> None:
         self._effect(_XEngine._decide, p, value, r)
@@ -1168,11 +1244,12 @@ class ExploreResult:
     partial: bool
     terminal_profiles: Counter
     children: int  # child states reached, new or not: one per enabled action of every expanded state
-    skipped: int  # deliveries recognized as visited from their parent's key, never built
+    skipped: int  # deliveries and memoized polls recognized as visited from their parent's key, never built
     peak_frontier: int  # most states discovered but not yet expanded at once
     depth: int  # the BFS depth reached: the most actions between the initial state and a state
     computed: int  # polls run: each local state's first
-    replayed: int  # polls replayed from the outcome of an equal local state's
+    replayed: int  # polls replayed from the run of an equal local state's
+    reused: int  # polls whose whole outcome was memoized: derived, then built or skipped unbuilt
 
     @property
     def ok(self) -> bool:
@@ -1224,9 +1301,8 @@ def explore(
         max_crashes,
         crash_round_limit,
     )
-    ids = engine.ids
     init = engine.state
-    init_key = init.key(ids)
+    init_key = init.key()
     # the visited map: a state's key -> (its parent's key, the action between)
     parents: dict[bytes, tuple | None] = {init_key: None}
     # equal actions share one tuple; the repr keeps apart payloads that
@@ -1264,19 +1340,28 @@ def explore(
         if acts:
             for action in acts:
                 children += 1
-                if action[0] == "deliver":
-                    slots = engine.delivered(state, action)
-                    if slots.tobytes() in parents:
-                        skipped += 1
-                        continue
+                kind = action[0]
+                if kind == "deliver":
+                    found = engine.delivered(state, action[1])
+                elif kind == "poll":
+                    found = engine.polled(state, action[1])
                 else:
-                    slots = state.slots[:]
-                child = state.clone(slots)
-                engine.apply(child, action)
-                child_key = child.key(ids)
+                    found = None
+                if found is None:  # a crash, a wake or a poll not memoized yet
+                    child = state.clone(state.slots[:])
+                    engine.apply(child, action)
+                elif found[0].tobytes() in parents:
+                    skipped += 1
+                    continue
+                else:
+                    child = engine.build(state, action, *found)
+                child_key = child.key()
                 if child_key in parents:
                     continue
-                parents[child_key] = (key, shared_actions.setdefault((repr(action), action), action))
+                if kind == "deliver":  # the engine shares every other action already
+                    action = ("deliver", *action[1][:4])
+                    action = shared_actions.setdefault((repr(action), action), action)
+                parents[child_key] = (key, action)
                 queue.append((child, child_key))
                 queued += 1
                 peak_frontier = max(peak_frontier, len(queue))
@@ -1310,4 +1395,5 @@ def explore(
         depth=level + 1 if queued else level,
         computed=engine.computed,
         replayed=engine.replayed,
+        reused=engine.reused,
     )

@@ -302,11 +302,11 @@ class TestExplore:
         out = capsys.readouterr().out
         assert "violations: 0" in out
         assert "explored states: 92" in out
-        assert "children: 146 (dedup ratio: 0.6233 new states per child), 8 skipped unbuilt" in out
+        assert "children: 146 (dedup ratio: 0.6233 new states per child), 17 skipped unbuilt" in out
         assert "peak frontier: 18" in out and "depth: 8" in out
-        computed, replayed = map(int, re.search(
-            r"^local transitions: (\d+) computed, (\d+) replayed$", out, re.M).groups())
-        assert 0 < computed < replayed
+        computed, replayed, reused = map(int, re.search(
+            r"^local transitions: (\d+) computed, (\d+) replayed, (\d+) reused$", out, re.M).groups())
+        assert 0 < computed < replayed + reused and replayed > 0
 
     def test_explore_reports_rate_and_peak_memory(self, tmp_path, capsys):
         sc = scenario("floodmax", 2, 1, inputs=(0, 1)).to_dict()
@@ -454,6 +454,31 @@ TRACES = tuple(
 def contract_holds(code: int, capsys) -> None:
     err = capsys.readouterr().err
     assert code in (0, 1, 2), err
+
+
+class TestUnwritableOut:
+    # an --out that cannot be written is a usage error, not a bug in anonsim
+    SUSPECTOR = {"schema": 1, "algorithm": "stable-suspector", "n": 2, "f": 1, "rounds": 1,
+                 "oracle": {"kind": "crash-count"}}
+
+    @pytest.mark.parametrize("case", ["run-into-file", "campaign-into-directory",
+                                      "campaign-into-missing-directory", "explore-into-file"])
+    def test_exits_2(self, tmp_path, capsys, case):
+        existing = tmp_path / "existing"
+        existing.write_text("")
+        campaign = write(tmp_path, "c.json", {"schema": 1, "seeds": {"start": 0, "count": 2}, "scenario": FLOODMAX})
+        argv = {
+            "run-into-file": ["run", str(SCENARIOS / "floodmax-n3.json"), "--out", str(existing)],
+            "campaign-into-directory": ["campaign", campaign, "--out", str(tmp_path)],
+            "campaign-into-missing-directory": ["campaign", campaign, "--out", str(tmp_path / "missing" / "x.json")],
+            # this scenario has violations, so explore writes a witness
+            "explore-into-file": ["explore", write(tmp_path, "e.json", self.SUSPECTOR), "--out", str(existing)],
+        }[case]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert "error: cannot write output" in out.err and "Traceback" not in out.err
+        if case == "explore-into-file":
+            assert "violations: 0" not in out.out
 
 
 class TestExitCodeContract:

@@ -2,7 +2,7 @@
 
 import random
 from collections import Counter
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import pytest
 from helpers import factory_of, scenario
@@ -23,7 +23,7 @@ from anonsim import (
     transforms,
 )
 from anonsim.cli import ALGORITHMS, explore_crash_limit
-from anonsim.simulator import _BUDGET, _WOKEN, Automaton, Inbox, NullMonitor, _XEngine, _XState
+from anonsim.simulator import _BUDGET, _MONITOR, _WOKEN, Automaton, Inbox, NullMonitor, _XEngine, _XState
 from anonsim.verify import ConsensusMonitor, monitor_for
 
 # the fields that stay constant through a run of one process
@@ -46,6 +46,43 @@ def factory_built() -> dict[type, Automaton]:
     factories += [(name, factory) for name, _, factory in mutants.MUTANTS.values()]
     built = (factory(scenario(name, 3, 1, rounds=5), 1, random.Random(0)) for name, factory in factories)
     return {type(automaton): automaton for automaton in built}
+
+
+@dataclass
+class Gossip(Automaton):
+    """A toy protocol whose halting leaves its key unchanged: a process
+    broadcasts when woken and again once it has heard two messages, its own
+    included, takes a silent step at four, and halts at five, with its
+    fields as they were."""
+
+    stage: int = 0
+
+    def on_poll(self, ctx) -> bool:
+        if len(ctx.untagged()) < (0, 2, 4, 5)[self.stage]:
+            return False
+        if self.stage == 3:
+            ctx.halt()
+            return True
+        if self.stage < 2:
+            ctx.broadcast(("M",))
+        self.stage += 1
+        return True
+
+
+class Recorder(NullMonitor):
+    """A monitor whose key holds what its send hook read: the first sender
+    of the run, which no automaton records, and every automaton at the
+    latest send."""
+
+    first: int | None = None
+    peers: tuple = ()
+
+    def key(self) -> tuple:
+        return (self.first, self.peers)
+
+    def on_send(self, state, p, payload) -> None:
+        self.first = p if self.first is None else self.first
+        self.peers = tuple(state.automata[q].key() for q in sorted(state.automata))
 
 
 class TestInbox:
@@ -245,8 +282,9 @@ class TestExplore:
         assert explore(sc, factory_of("floodmax"), max_states=1).depth == 0
 
     def test_visited_deliveries_skipped_unbuilt(self, monkeypatch):
-        # a delivery whose key, derived from its parent's, was visited is
-        # counted but never cloned, applied or keyed
+        # a delivery, or a poll whose outcome is memoized, whose key, derived
+        # from its parent's, was visited is counted but never cloned, built
+        # or keyed
         clones = Counter()
         clone = _XState.clone
 
@@ -257,12 +295,13 @@ class TestExplore:
         monkeypatch.setattr(_XState, "clone", counted_clone)
         sc = scenario("floodmax", 3, 0, inputs=(0, 0, 1))
         res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", 3, 0, (0, 0, 1)))
-        assert (res.states, res.children, res.skipped) == (157, 442, 176)
-        assert clones["state"] == 266
+        assert (res.states, res.children, res.skipped) == (157, 442, 224)
+        assert clones["state"] == res.children - res.skipped == 218
 
     def test_delivery_children_share_their_parents_monitor(self, monkeypatch):
         # a delivery calls no monitor hook, so of the built children only
-        # crashes, wakes and polls clone their parent's monitor
+        # crashes, wakes and polls not memoized yet clone their parent's
+        # monitor; a memoized poll installs its outcome's
         clones = Counter()
         state_clone, monitor_clone = _XState.clone, ConsensusMonitor.clone
 
@@ -278,21 +317,26 @@ class TestExplore:
         monkeypatch.setattr(ConsensusMonitor, "clone", counted_monitor_clone)
         sc = scenario("floodmax", 3, 0, inputs=(0, 0, 1))
         res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", 3, 0, (0, 0, 1)))
-        assert (res.states, res.children, res.skipped) == (157, 442, 176)
-        assert (clones["state"], clones["monitor"]) == (266, 136)
+        assert (res.states, res.children, res.skipped) == (157, 442, 224)
+        assert (clones["state"], clones["monitor"]) == (218, 83)
 
     def test_incremental_keys_match_keys_from_scratch(self, monkeypatch):
         # a child's slots are its parent's with those its action changed
-        # rewritten: recompute every per-process slot of each keyed state
-        # from scratch, and check the global slots, the only record of the
-        # crashed and halted sets and the crash budget, against what they
-        # imply; build each derived delivery, skipped or not, to check its
-        # slots and that its key was visited
-        key, delivered = _XState.key, _XEngine.delivered
+        # rewritten: recompute every per-process slot and the monitor's slot
+        # of each keyed state from scratch, and check the other global slots,
+        # the only record of the crashed and halted sets and the crash
+        # budget, against what they imply; build each derived delivery,
+        # skipped or not, to check its slots and that its key was visited
+        key, delivered, init = _XState.key, _XEngine.delivered, _XEngine.__init__
         visited: set[bytes] = set()
         derived_keys: list[bytes] = []
         built = Counter()
+        engines = []  # the engine of the job being explored is the last
         identified, crash_limit = False, 0  # those of the job being explored
+
+        def kept_init(engine, *args):
+            init(engine, *args)
+            engines.append(engine)
 
         def check_slots(st, slots, identified, ids):
             for p, automaton in st.automata.items():
@@ -303,25 +347,26 @@ class TestExplore:
                 assert list(slots[3 * p - 3:3 * p]) == [
                     automaton.copy().cached_key(ids), inbox.key(identified, ids), ids[pending]
                 ]
+            assert slots[_MONITOR] == ids[st.monitor.key()]
             assert slots[_BUDGET] + len(st.crashed) == crash_limit
             assert not any(m[0] in st.crashed or m[0] in st.halted for m in st.pending)
 
-        def checked_key(st, ids):
-            got = key(st, ids)
-            check_slots(st, st.slots, identified, ids)
+        def checked_key(st):
+            got = key(st)
+            check_slots(st, st.slots, identified, engines[-1].ids)
             built["keyed"] += 1
             visited.add(got)
             return got
 
-        def checked_delivered(engine, st, action):
-            derived = delivered(engine, st, action)
-            child = st.clone(derived[:])
-            engine.apply(child, action)
-            assert child.monitor is st.monitor
-            check_slots(child, derived, engine.scenario.identified, engine.ids)
-            derived_keys.append(derived.tobytes())
+        def checked_delivered(engine, st, entry):
+            slots, inbox = derived = delivered(engine, st, entry)
+            child = engine.build(st, ("deliver", entry), slots[:], inbox)
+            assert child.monitor is st.monitor and len(child.pending) == len(st.pending) - 1
+            check_slots(child, slots, engine.scenario.identified, engine.ids)
+            derived_keys.append(slots.tobytes())
             return derived
 
+        monkeypatch.setattr(_XEngine, "__init__", kept_init)
         monkeypatch.setattr(_XState, "key", checked_key)
         monkeypatch.setattr(_XEngine, "delivered", checked_delivered)
         skipped = 0
@@ -335,6 +380,60 @@ class TestExplore:
             assert not res.partial and set(derived_keys) <= visited
             skipped += res.skipped
         assert built["keyed"] > 10_000 and skipped > 1_000
+
+    def test_memoized_poll_outcomes_match_polls_run(self, monkeypatch):
+        # a poll whose outcome is memoized under its local state and what its
+        # sends and hooks read is derived and built without running: for
+        # every memo hit, also run the poll on a throwaway clone, as a miss
+        # would, and compare the two children; every derived key, the skipped
+        # children's included, must have been visited
+        key, polled = _XState.key, _XEngine.polled
+        visited: set[bytes] = set()
+        derived_keys: list[bytes] = []
+        hits = Counter()
+
+        def recorded_key(st):
+            got = key(st)
+            visited.add(got)
+            return got
+
+        def checked_polled(engine, st, p):
+            found = polled(engine, st, p)
+            if found is not None:
+                slots, outcome = found
+                child = engine.build(st, ("poll", p), slots[:], outcome)
+                run_child = st.clone(st.slots[:])
+                engine.apply(run_child, ("poll", p))
+                ids, identified = engine.ids, engine.scenario.identified
+                assert child.slots == run_child.slots
+                assert child.pending == run_child.pending
+                assert child.monitor.key() == run_child.monitor.key()
+                for q in engine.cfg.processes:
+                    assert child.automata[q].key() == run_child.automata[q].key()
+                    assert child.inboxes[q].key(identified, ids) == run_child.inboxes[q].key(identified, ids)
+                hits["polls"] += 1
+                hits["with a halted process"] += bool(st.halted)
+                hits["with a send"] += bool(outcome[1][0])
+                derived_keys.append(slots.tobytes())
+            return found
+
+        monkeypatch.setattr(_XState, "key", recorded_key)
+        monkeypatch.setattr(_XEngine, "polled", checked_polled)
+        # in every protocol of the package an automaton's key shows that it
+        # halted, and their monitors read little of their peers; Gossip and
+        # Recorder are what tells a memo key short of the halted mask, a
+        # peer's automaton id or the monitor's id
+        jobs = [(sc, factory, monitor_for(algorithm, sc.cfg.n, sc.cfg.f, sc.inputs), explore_crash_limit(sc))
+                for algorithm, factory, sc in explore_jobs()]
+        gossip = scenario("floodmax", 3, 0, inputs=(0, 0, 0))
+        jobs.append((gossip, lambda sc, p, rng: Gossip(sc.cfg.n, sc.cfg.f, p), Recorder(), None))
+        for sc, factory, monitor, crash_round_limit in jobs:
+            visited.clear()  # keys compare only within one call's intern table
+            derived_keys.clear()
+            res = explore(sc, factory, monitor=monitor, crash_round_limit=crash_round_limit)
+            assert not res.partial and set(derived_keys) <= visited
+            hits["skipped"] += res.skipped
+        assert hits["polls"] > 4_000 and hits["with a halted process"] > 1_000 and hits["with a send"] > 3_000
 
     def test_results_pinned(self):
         # states, terminals, profiles, violations and witness schedules of
@@ -352,7 +451,8 @@ class TestExplore:
             woken = [p for p in engine.cfg.processes
                      if st.slots[_WOKEN] >> p & 1 and p not in st.crashed and p not in st.halted]
             hits = {p for p in woken if engine.local_state(st, p) in engine.probes}
-            acts = actions(engine, st)  # loads st, as can_progress needs
+            acts = actions(engine, st)
+            engine.load(st)  # can_progress probes the loaded state; actions loads it only on a miss
             for p in woken:
                 verdict = engine.probes[engine.local_state(st, p)]
                 assert verdict == engine.can_progress(p) == (("poll", p) in acts), p
@@ -368,9 +468,10 @@ class TestExplore:
 
     def test_each_local_state_polled_once(self, monkeypatch):
         # a poll runs on the engine only for the first state that has its
-        # local state; every other poll of that local state is replayed
-        polled, applied = Counter(), Counter()
-        quiesce, apply = _XEngine.quiesce, _XEngine.apply
+        # local state; every other poll of that local state is replayed, or
+        # takes its whole outcome from the memo and reaches no `apply`
+        polled, applied, enabled = Counter(), Counter(), Counter()
+        quiesce, apply, actions = _XEngine.quiesce, _XEngine.apply, _XEngine.actions
 
         def counted_quiesce(engine, p):
             identified, ids = engine.scenario.identified, engine.ids
@@ -381,14 +482,21 @@ class TestExplore:
             applied[action[0]] += 1
             apply(engine, st, action)
 
+        def counted_actions(engine, st):
+            acts = actions(engine, st)
+            enabled.update(action[0] for action in acts)
+            return acts
+
         monkeypatch.setattr(_XEngine, "quiesce", counted_quiesce)
         monkeypatch.setattr(_XEngine, "apply", counted_apply)
+        monkeypatch.setattr(_XEngine, "actions", counted_actions)
         sc = scenario("floodmax", 3, 1, inputs=(0, 1, 1))
         res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", 3, 1, (0, 1, 1)))
         assert (res.states, res.terminals, res.violation_count) == (3837, 81, 0)
         assert set(polled.values()) == {1} and len(polled) == res.computed
         assert res.computed + res.replayed == applied["wake"] + applied["poll"]
-        assert res.replayed > 10 * res.computed
+        assert res.computed + res.replayed + res.reused == enabled["wake"] + enabled["poll"]
+        assert res.replayed > 0 and res.replayed + res.reused > 10 * res.computed
 
     @pytest.mark.parametrize("algorithm, n, f, rounds", [
         ("floodmax", 3, 1, None), ("stable-suspector", 2, 1, 4), ("eventual-suspector", 2, 1, 3),
@@ -413,7 +521,8 @@ class TestExplore:
 
         sc = scenario(algorithm, n, f, inputs=(0, 1, 1)[:n] if rounds is None else None, rounds=rounds)
         res = explore(sc, factory_of(algorithm), monitor=MidPoll())
-        assert res.replayed > res.computed
+        # reused polls install outcomes whose hooks ran in a computed or replayed poll
+        assert res.replayed > 0 and res.replayed + res.reused > res.computed
         assert res.violation_count == 0, res.violations[0].detail
 
     @pytest.mark.parametrize("budget", [1, 2, 50])
