@@ -26,9 +26,10 @@ first-seen order: an automaton's key (its non-constant fields), an inbox's
 contents, the multiset of messages pending to a receiver and the monitor's
 key.  A key holds those ids, the crashed, halted and woken sets as bit masks,
 and the crash budget left.  The table is a bijection on components, so states
-merge exactly when their components are equal.  One map, from each visited
-key to its parent's key and the action between, is both the visited set and
-the source of witness schedules; equal actions in it share one tuple.
+merge exactly when their components are equal.  The visited states are a
+set of keys and nothing more: each state, numbered in discovery order, finds
+its parent's number and the action between in two arrays, from which a
+witness schedule is read back.
 
 An explored state holds its key's slots and what the slots only name: its
 automata, inboxes, pending messages and monitor.  The slots are the only
@@ -36,31 +37,14 @@ record of the crashed, halted and woken sets and of the crash budget.  A
 child shares its parent's automata, inboxes and inbox rounds until an
 action replaces them, and a delivery child shares its parent's monitor.
 
-Only the initial state's slots are computed from scratch.  A child's slots
-are its parent's with only those its action changed rewritten, and the ids
-a message moves an inbox or a pending multiset to are memoized per call.
-A delivery's child, and a poll's child whose outcome is memoized, has its
-key derived before it is built, and a child whose key was visited is
-counted and skipped, never built.
-
-Each local transition runs once per explore call.  A poll of p reads only
-p's automaton, p's inbox and the oracle, whose reading follows the crashed
-set; states merge on those same ids, so the search already takes p's next
-move to depend on nothing else.  The engine memoizes, under (p, automaton
-id, inbox id, crashed mask), each probe's verdict and each poll's run: the
-automaton and inbox it leaves, which later polls share, and its ordered
-global effects (sends, decisions, halts, round switches, outputs).  A later
-poll of the same local state replays those effects against its own state,
-so pending receivers and monitor hooks follow that state's crashes, halts
-and peers, and a hook sees p's automaton as it was when the effect fired.
-A poll's whole outcome on a state (the pending entries it appends, whether
-p halts, the monitor after it) is memoized as well, under what the sends
-and hooks read beyond the local state: the halted mask, the monitor's id
-and every automaton id.  Hooks read nothing else (see `NullMonitor`), so a
-later poll with the same ids installs that outcome and runs nothing.  A
-delivery's outcome, the inbox it leaves, is memoized and shared the same
-way, under (inbox id, message id).  The memos live as long as the call,
-because keys leave out the round and tick caps that differ between calls.
+Only the initial state's slots are computed from scratch: a child's are its
+parent's with those its action changed rewritten.  Each local transition
+runs once per explore call: `_XEngine` memoizes a probe's verdict and a
+poll's run under p's local state, and a poll's or a delivery's whole
+outcome under the ids it reads, for the whole call, since keys leave out the
+round and tick caps that differ between calls.  A delivery's child, and a
+poll's child whose outcome is memoized, has its key derived before it is
+built, and a child whose key was visited is counted and skipped, never built.
 
 Seeded runs (`Simulation`), replays (`run_schedule`) and `explore` (on an
 `_XEngine`) apply one set of transition rules, `_Engine`: the poll loop, the
@@ -80,6 +64,7 @@ import sys
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from operator import attrgetter
 from typing import Any, Callable, Iterable
 
@@ -524,6 +509,21 @@ def build_oracle(scenario: ScenarioConfig) -> OracleRuntime:
     return OracleRuntime(spec, history)
 
 
+class _LazyRandom:
+    """`random.Random(seed)`, seeded at its first use: seeding costs more than
+    building a small automaton, and only randomized constructions draw."""
+
+    def __init__(self, seed: str):
+        self._seed = seed
+
+    @cached_property
+    def _rng(self) -> random.Random:
+        return random.Random(self._seed)
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self._rng, name)
+
+
 class _Engine:
     """The transition rules that seeded runs, replays and explore share.
 
@@ -542,7 +542,7 @@ class _Engine:
         self.oracle = oracle
         self.t = 0
         self.automata = {
-            p: factory(scenario, p, random.Random(f"{scenario.seed}/proc/{p}"))
+            p: factory(scenario, p, _LazyRandom(f"{scenario.seed}/proc/{p}"))
             for p in self.cfg.processes
         }
         self.inboxes = {p: Inbox() for p in self.cfg.processes}
@@ -1294,29 +1294,28 @@ def explore(
     max_crashes = scenario.cfg.f if max_crashes is None else max_crashes
     if not 0 <= max_crashes <= scenario.cfg.f:
         raise ScenarioError(f"the crash limit must be in 0..f={scenario.cfg.f}, not {max_crashes}")
-    engine = _XEngine(
-        scenario,
-        factory,
-        monitor if monitor is not None else NullMonitor(),
-        max_crashes,
-        crash_round_limit,
-    )
+    engine = _XEngine(scenario, factory, monitor if monitor is not None else NullMonitor(),
+                      max_crashes, crash_round_limit)
     init = engine.state
-    init_key = init.key()
-    # the visited map: a state's key -> (its parent's key, the action between)
-    parents: dict[bytes, tuple | None] = {init_key: None}
-    # equal actions share one tuple; the repr keeps apart payloads that
-    # compare equal but differ in type, such as 1 and True
-    shared_actions: dict[tuple, tuple] = {}
+    # the visited keys, and per state in discovery order its parent's index
+    # in these arrays and the index in `moves` of the action between
+    visited = {init.key()}
+    parent, via = array("I", [0]), array("I", [0])
+    moves = [move for shared in engine.moves.values() for move in shared]
+    # an action -> its index in `moves`; a deliver is keyed with its repr too,
+    # which keeps apart payloads that compare equal but differ in type: 1, True
+    number = {move: i for i, move in enumerate(moves)}
     # reaching the budget ends the search, the initial state's included
-    partial = len(parents) >= max_states
-    queue: deque[tuple[_XState, bytes]] = deque() if partial else deque([(init, init_key)])
+    partial = len(visited) >= max_states
+    # first in, first out: a state's index is the count of states popped before it
+    queue: deque[_XState] = deque() if partial else deque([init])
+    index = -1
 
-    def schedule_of(key: bytes) -> list[tuple]:
+    def schedule_of(index: int) -> list[tuple]:
         chain: list[tuple] = []
-        while parents[key] is not None:
-            key, action = parents[key]
-            chain.append(action)
+        while index:
+            chain.append(moves[via[index]])
+            index = parent[index]
         chain.reverse()
         return chain
 
@@ -1334,7 +1333,8 @@ def explore(
         if not left:
             level, left, queued = level + 1, queued, 0
         left -= 1
-        state, key = queue.popleft()
+        state = queue.popleft()
+        index += 1
         broken = state.monitor.violation()
         acts = engine.actions(state) if broken is None else []
         if acts:
@@ -1350,22 +1350,28 @@ def explore(
                 if found is None:  # a crash, a wake or a poll not memoized yet
                     child = state.clone(state.slots[:])
                     engine.apply(child, action)
-                elif found[0].tobytes() in parents:
+                elif found[0].tobytes() in visited:
                     skipped += 1
                     continue
                 else:
                     child = engine.build(state, action, *found)
                 child_key = child.key()
-                if child_key in parents:
+                if child_key in visited:
                     continue
-                if kind == "deliver":  # the engine shares every other action already
+                visited.add(child_key)
+                if kind != "deliver":
+                    move = number[action]
+                else:  # numbered when it first reaches a new state
                     action = ("deliver", *action[1][:4])
-                    action = shared_actions.setdefault((repr(action), action), action)
-                parents[child_key] = (key, action)
-                queue.append((child, child_key))
+                    move = number.setdefault((repr(action), action), len(moves))
+                    if move == len(moves):
+                        moves.append(action)
+                queue.append(child)
+                parent.append(index)
+                via.append(move)
                 queued += 1
                 peak_frontier = max(peak_frontier, len(queue))
-                if len(parents) >= max_states:
+                if len(visited) >= max_states:
                     partial = True
                     queue.clear()
                     break
@@ -1380,10 +1386,10 @@ def explore(
             found = [("stuck", "no enabled action but an undecided live process never halted")]
         violation_count += len(found)
         for check, detail in found[: KEEP_WITNESSES - len(violations)]:
-            violations.append(Violation(check, detail, schedule_of(key)))
+            violations.append(Violation(check, detail, schedule_of(index)))
 
     return ExploreResult(
-        states=len(parents),
+        states=len(visited),
         terminals=terminals,
         violations=violations,
         violation_count=violation_count,

@@ -342,11 +342,8 @@ class ConsensusMonitor(NullMonitor):
         tags.add(tag)
         locks[r] = tuple(sorted(tags))
         # rounds every live process has left can no longer gain lock messages
-        active = [
-            state.automata[q].r
-            for q in state.automata
-            if q not in state.crashed and q not in state.halted
-        ]
+        crashed, halted = state.crashed, state.halted
+        active = [state.automata[q].r for q in state.automata if q not in crashed and q not in halted]
         floor = min(active, default=r + 1)
         self.locks = tuple(sorted((rr, tt) for rr, tt in locks.items() if rr >= floor))
 
@@ -409,9 +406,8 @@ class SuspectorMonitor(NullMonitor):
         return (self.skew_max, self.flag)
 
     def on_round(self, state, p: int, r: int) -> None:
-        live = [
-            state.automata[q].r for q in state.automata if q not in state.crashed
-        ]
+        crashed = state.crashed
+        live = [state.automata[q].r for q in state.automata if q not in crashed]
         skew = max(live) - min(live)
         self.skew_max = min(max(self.skew_max, skew), self.skew_bound + 1)
         if self.enforce_skew and self.skew_max > self.skew_bound and not self.flag:

@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
 import re
 import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -318,6 +321,14 @@ class TestExplore:
         # the printed peak is rounded to 0.1 MB, so round the bound the same way
         bound = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         assert 0 < peak <= float(f"{bound:.1f}")
+
+    def test_python_m_anonsim_from_the_source_tree(self):
+        # the command the bench-smoke CI job runs, with the package not installed
+        path = os.pathsep.join(filter(None, [str(SCENARIOS.parent / "src"), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "anonsim", "explore", str(SCENARIOS / "explore-lockmin-n3.json")],
+                              env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert "explored states: 36536\n" in done.stdout
 
     def test_size_guard_exits_2(self, tmp_path, capsys):
         doc = {

@@ -5,7 +5,7 @@ from collections import Counter
 from dataclasses import dataclass, fields
 
 import pytest
-from helpers import factory_of, scenario
+from helpers import factory_of, scenario, selftrust_scenario
 from pins import EXPLORE_JOBS, EXPLORE_SHA256, explore_digest, explore_jobs
 
 from anonsim import (
@@ -24,7 +24,7 @@ from anonsim import (
 )
 from anonsim.cli import ALGORITHMS, explore_crash_limit
 from anonsim.simulator import _BUDGET, _MONITOR, _WOKEN, Automaton, Inbox, NullMonitor, _XEngine, _XState
-from anonsim.verify import ConsensusMonitor, monitor_for
+from anonsim.verify import ConsensusMonitor, check_trace, monitor_for
 
 # the fields that stay constant through a run of one process
 CONSTANTS = ("n", "f", "proc", "rounds_cap", "ticks_cap")
@@ -85,6 +85,37 @@ class Recorder(NullMonitor):
         self.peers = tuple(state.automata[q].key() for q in sorted(state.automata))
 
 
+@dataclass
+class Twins(Automaton):
+    """A toy protocol that broadcasts ("v", 1) and then ("v", True), payloads
+    that compare equal but differ in type, and halts once it has heard both
+    of every process's."""
+
+    sent: bool = False
+
+    def on_poll(self, ctx) -> bool:
+        if not self.sent:
+            ctx.broadcast(("v", 1))
+            ctx.broadcast(("v", True))
+            self.sent = True
+            return True
+        if len(ctx.untagged()) < 2 * self.n:
+            return False
+        ctx.halt()
+        return True
+
+
+class EveryTerminal(NullMonitor):
+    """A monitor that fails every terminal state, so that each has a witness."""
+
+    def terminal_checks(self, state) -> list[str]:
+        return ["reached: a terminal state"]
+
+
+# a monitor's check -> the trace check that fails on its witness's replay
+TRACE_PROPS = {"completeness": "target-validity"}
+
+
 class TestInbox:
     def test_future_round_buffered_until_reached(self):
         box = Inbox()
@@ -130,6 +161,25 @@ class TestDeterminism:
         b = run(scenario("lockmin", 3, 1, inputs=(0, 1, 1), policy="random", seed=2),
                 factory_of("lockmin"))
         assert a.events != b.events
+
+    def test_process_generators_seeded_only_when_drawn(self, monkeypatch):
+        # a process's generator is seeded from "{seed}/proc/{p}" at its first
+        # draw, not when its engine is built: seeding costs more than building
+        # a small automaton, and only the randomized construction draws
+        seeded = []
+        seed = random.Random.seed
+
+        def recorded(rng, a=None, version=2):
+            seeded.append(a)
+            seed(rng, a, version)
+
+        monkeypatch.setattr(random.Random, "seed", recorded)
+        run(scenario("floodmax", 3, 1, inputs=(0, 1, 1), policy="random", seed=4), factory_of("floodmax"))
+        explore(scenario("floodmax", 2, 1, inputs=(0, 1)), factory_of("floodmax"))
+        assert "4/sched" in seeded and not [a for a in seeded if "/proc/" in str(a)]
+        seeded.clear()
+        run(selftrust_scenario(3), factory_of("random-selftrust"))
+        assert sorted(a for a in seeded if "/proc/" in str(a)) == [f"3/proc/{p}" for p in range(1, 6)]
 
 
 class TestRunSemantics:
@@ -434,6 +484,33 @@ class TestExplore:
             assert not res.partial and set(derived_keys) <= visited
             hits["skipped"] += res.skipped
         assert hits["polls"] > 4_000 and hits["with a halted process"] > 1_000 and hits["with a send"] > 3_000
+
+    def test_witnesses_replay_with_their_exact_payloads(self):
+        # every witness replays through run_schedule, each remote delivery of
+        # the replay carrying the payload its deliver action names, types
+        # included (True stays True), and its trace fails the check the
+        # monitor flagged; Twins sends payloads that compare equal, 1 and True
+        jobs = [(algorithm, factory, sc, monitor_for(algorithm, sc.cfg.n, sc.cfg.f, sc.inputs),
+                 explore_crash_limit(sc)) for algorithm, factory, sc in explore_jobs()]
+        twins = scenario("floodmax", 2, 0, inputs=(0, 0))
+        jobs.append((None, lambda sc, p, rng: Twins(sc.cfg.n, sc.cfg.f, p), twins, EveryTerminal(), None))
+        witnessed = Counter()
+        for algorithm, factory, sc, monitor, crash_round_limit in jobs:
+            res = explore(sc, factory, monitor=monitor, crash_round_limit=crash_round_limit)
+            for violation in res.violations:
+                trace = run_schedule(sc, factory, violation.schedule)
+                named = [(a[1], repr(a[3])) for a in violation.schedule if a[0] == "deliver"]
+                delivered = [(e["proc"], repr(e["payload"])) for e in trace.events
+                             if e["ev"] == "deliver" and e["from"] != e["proc"]]
+                assert delivered[:len(named)] == named
+                if algorithm is None:
+                    witnessed["True"] += sum(payload == "('v', True)" for _, payload in named)
+                    continue
+                check = violation.detail.split(":")[0]
+                assert TRACE_PROPS.get(check, check) in {r.prop for r in check_trace(trace) if r.failed}
+                witnessed[algorithm] += 1
+        # Twins reaches one terminal state, whose witness delivers a True to each process
+        assert witnessed == {"True": 2, "lockmin": 10, "stable-suspector": 7}
 
     def test_results_pinned(self):
         # states, terminals, profiles, violations and witness schedules of
