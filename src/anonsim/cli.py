@@ -8,16 +8,17 @@ Subcommands:
 * ``check``            re-run the checkers on a saved trace
 * ``validate-history`` run a detector validator on a history file
 
-Exit codes: 0 all checks pass, 1 property failure, 2 usage or config error,
-3 internal error.  Every failure line printed by any command carries the
-scenario path, the seed, and (for explore) the schedule, so it can be
-reproduced with a single command.
+Exit codes: 0 all checks pass, 1 property failure, 2 usage or config error
+(a closed standard output included), 3 internal error.  Every failure line
+printed by any command carries the scenario path, the seed, and (for
+explore) the schedule, so it can be reproduced with a single command.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import sys
 import time
@@ -274,7 +275,7 @@ def _explore_scenario(scenario: ScenarioConfig, out: str | None, max_states: int
           f"{result.skipped} skipped unbuilt")
     print(f"peak frontier: {result.peak_frontier}")
     print(f"depth: {result.depth}")
-    print(f"local transitions: {result.computed} computed, {result.replayed} replayed, {result.reused} reused")
+    print(f"local transitions: {result.computed} computed, {result.reused} reused")
     print(f"states/s: {result.states / seconds:.0f} ({seconds:.3f} s)")
     print(f"peak memory: {peak_rss_mb():.1f} MB")
     print(f"terminal states: {result.terminals}")
@@ -392,7 +393,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`anonsim explore ... | head`); send what
+        # is still buffered to devnull, or the interpreter's flush at exit
+        # raises again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed", file=sys.stderr)
+        return EXIT_USAGE
     except (ScenarioError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

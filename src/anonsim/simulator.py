@@ -38,13 +38,14 @@ child shares its parent's automata, inboxes and inbox rounds until an
 action replaces them, and a delivery child shares its parent's monitor.
 
 Only the initial state's slots are computed from scratch: a child's are its
-parent's with those its action changed rewritten.  Each local transition
-runs once per explore call: `_XEngine` memoizes a probe's verdict and a
-poll's run under p's local state, and a poll's or a delivery's whole
-outcome under the ids it reads, for the whole call, since keys leave out the
-round and tick caps that differ between calls.  A delivery's child, and a
-poll's child whose outcome is memoized, has its key derived before it is
-built, and a child whose key was visited is counted and skipped, never built.
+parent's with those its action changed rewritten.  `_XEngine` memoizes, for
+the whole call, a probe's verdict under p's local state, a wake's or a
+poll's whole outcome under p's local state and the ids its sends and hooks
+read, and a delivery's under the ids it reads; the memos last no longer,
+since keys leave out the round and tick caps that differ between calls.  A
+delivery's child, and a wake's or a poll's child whose outcome is memoized,
+has its key derived before it is built, and a child whose key was visited is
+counted and skipped, never built.
 
 Seeded runs (`Simulation`), replays (`run_schedule`) and `explore` (on an
 `_XEngine`) apply one set of transition rules, `_Engine`: the poll loop, the
@@ -602,7 +603,10 @@ class Simulation(_Engine):
         scenario.validate()
         super().__init__(scenario, factory, oracle if oracle is not None else build_oracle(scenario))
         self.horizon = scenario.effective_horizon
-        self.rng = random.Random(f"{scenario.seed}/sched")
+        # the scheduler's generator, seeded at its first draw, since only the
+        # random policy draws; a plain attribute, because on CPython 3.11 a
+        # cached_property's write to __dict__ slows every later attribute load
+        self.rng: random.Random | None = None
         self.events: list[dict] = []
         self.pending: dict[int, list[tuple[int, Payload, int | None, int]]] = {
             p: [] for p in self.cfg.processes
@@ -725,9 +729,12 @@ def _random(sim: Simulation) -> list[tuple]:
         if sim.pending[p]:
             choices.append(("deliver", p))
         choices.append(("poll", p))
-    action = sim.rng.choice(choices)
+    rng = sim.rng
+    if rng is None:
+        rng = sim.rng = random.Random(f"{sim.scenario.seed}/sched")
+    action = rng.choice(choices)
     if action[0] == "deliver":
-        action += (sim.rng.randrange(len(sim.pending[action[1]])),)
+        action += (rng.randrange(len(sim.pending[action[1]])),)
     return [action]
 
 
@@ -822,11 +829,11 @@ class NullMonitor:
 
     A hook may read the state's automata and its crashed and halted sets,
     and nothing else: never the inboxes or the pending messages.  The hooks
-    of a poll see the polling process's automaton as it was when each
-    effect fired.  `explore` relies on this: it memoizes a poll's outcome,
-    the monitor after it included, under p's local state, the halted mask,
-    every automaton id and the monitor's id, and installs it, running no
-    hook, in any later state with the same ids.
+    of a wake or a poll see the polling process's automaton as it is when
+    each effect fires.  `explore` relies on this: it memoizes a wake's or a
+    poll's outcome, the monitor after it included, under p's local state,
+    the halted mask, every automaton id and the monitor's id, and installs
+    it, running no hook, in any later state with the same ids.
 
     A delivery calls no hook.  `explore` relies on that too: it derives a
     delivery child's key from its parent's key, changing only the
@@ -931,19 +938,17 @@ class _XEngine(_Engine):
     the engine at, whose containers and slots they read and change in
     place; the effects feed that state's monitor.
 
-    Each local transition runs once per engine.  A poll's run and a probe's
-    verdict are memoized under p's local state: (p, the id of its
-    automaton's key, the id of its inbox, the crashed mask), read from the
-    state's slots.  A poll's entry holds p's final automaton and inbox,
-    which later polls share, and its log of global effects (`_send`,
-    `_decide`, `_halt`, `_round`, `_output`), each logged with a copy of p's
-    automaton as it was when the effect fired, which a later poll replays
-    against its own state, showing each hook that copy.
-
-    The entry's outcomes memoize a poll's whole effect under what its sends
+    A wake or a poll runs p from its wait to its next blocking one; it
+    runs once per engine for each pair of p's local state and `reads`.  A
+    probe's verdict and a poll's entry are memoized under p's local state:
+    (p, the id of its automaton's key, the id of its inbox, the crashed
+    mask), read from the state's slots.  The entry holds p's final
+    automaton and inbox, which later polls of that local state share, and
+    its outcomes, which memoize a poll's whole effect under what its sends
     and hooks read beyond the local state (`reads`): the pending entries it
     appends, whether p halts, and the monitor after it, one object per
-    monitor id.  Sends skip crashed and halted receivers, hooks read only
+    monitor id.  A wake's outcome is a poll's; its child also sets p's
+    woken bit.  Sends skip crashed and halted receivers, hooks read only
     automata and the crashed and halted sets, and monitors with equal keys
     are interchangeable, so those ids fix the outcome.  A delivery's
     outcome, the inbox it leaves and that inbox's id, is memoized under
@@ -954,7 +959,9 @@ class _XEngine(_Engine):
     `delivered`, and `polled` on a memoized outcome, derive a child's slots
     from its parent's before the child is built, and `build` installs what
     they found.  `apply` runs a crash, a wake or a poll not memoized yet on
-    a clone with a clone of the parent's monitor, rewriting its slots.
+    a clone with a clone of the parent's monitor, rewriting its slots; each
+    effect a poll requests through Ctx applies at once, and its hook sees
+    p's automaton as it is then.
     """
 
     def __init__(self, scenario: ScenarioConfig, factory: AutomatonFactory, monitor: Any,
@@ -964,16 +971,14 @@ class _XEngine(_Engine):
         # these live as long as this engine: one explore call, whose caps
         # (which keys leave out) are fixed
         self.ids = ids = InternTable()
-        # local state -> (automaton, inbox, effect log, outcomes); outcomes maps
-        # what the poll read beyond the local state to (pending entries appended,
+        # local state -> (automaton, inbox, outcomes); outcomes maps what the
+        # poll read beyond the local state to (pending entries appended,
         # whether p halts, monitor after, its id)
         self.polls: dict[tuple, tuple] = {}
         self.probes: dict[tuple, bool] = {}  # local state -> would its next poll move
-        self.log: list[tuple] = []  # the effects of the poll being computed
         self.sent: list[tuple] = []  # the pending entries the poll being applied appends
-        self.seen: dict[tuple, Automaton] = {}  # (p, automaton key) -> the copy that effects log
         self.monitors: dict[int, Any] = {}  # monitor id -> the monitor that poll outcomes share
-        self.computed = self.replayed = self.reused = 0  # polls run, replayed, and taken from an outcome
+        self.computed = self.reused = 0  # wakes and polls run, and taken from an outcome
         # p -> its wake, poll and crash actions, which every state shares
         self.moves = {p: (("wake", p), ("poll", p), ("crash", p)) for p in self.cfg.processes}
         # (inbox id, message id) -> (inbox after, its id)
@@ -1069,17 +1074,21 @@ class _XEngine(_Engine):
         self._repend(slots, p, message, sent=False)
         return slots, after[0]
 
-    def polled(self, st: _XState, p: int) -> tuple[array, tuple] | None:
-        """The slots of the child that a poll of p makes of `st`, derived
-        from `st`'s slots without building the child, and the poll's entry
-        and outcome; None when that outcome is not memoized yet."""
+    def polled(self, st: _XState, action: tuple) -> tuple[array, tuple] | None:
+        """The slots of the child that `action`, a wake or a poll of p,
+        makes of `st`, derived from `st`'s slots without building the child,
+        and the poll's entry and outcome; None when that outcome is not
+        memoized yet."""
+        kind, p = action
         slots = st.slots
         done = self.polls.get(self.local_state(st, p))
-        outcome = done and done[3].get(self.reads(slots))
+        outcome = done and done[2].get(self.reads(slots))
         if outcome is None:
             return None
         self.reused += 1
         child = slots[:]
+        if kind == "wake":
+            child[_WOKEN] |= _BIT(p)
         child[3 * p - 3] = done[0].cached_key(self.ids)
         child[3 * p - 2] = done[1].key(self.scenario.identified, self.ids)
         for entry in outcome[0]:
@@ -1094,8 +1103,9 @@ class _XEngine(_Engine):
         """The child that `action` makes of `st`, with the slots that
         `delivered` or `polled` derived and what it found: a delivery
         installs the memoized inbox and keeps `st`'s monitor, a memoized
-        poll installs p's automaton and inbox, the pending entries and the
-        monitor of its outcome.  No poll runs and no hook is called."""
+        wake or poll installs p's automaton and inbox, the pending entries
+        and the monitor of its outcome.  No poll runs and no hook is
+        called."""
         child = st.clone(slots)
         if action[0] == "deliver":
             child.inboxes[action[1][0]] = found
@@ -1126,8 +1136,10 @@ class _XEngine(_Engine):
     def apply(self, st: _XState, action: tuple) -> None:
         """Apply `action`, a crash, a wake or a poll, to `st`, a fresh clone
         of its parent, rewriting the slots it changes; its hooks feed a
-        clone of the parent's monitor.  A poll records its outcome for
-        `polled`, and the monitor it leaves becomes the one of its id."""
+        clone of the parent's monitor.  A wake or a poll runs on private
+        copies of p's automaton and inbox, shares the ones of p's local
+        state once it has an entry, and records its outcome for `polled`;
+        the monitor it leaves becomes the one of its id."""
         kind, p = action
         slots, bit = st.slots, _BIT(p)
         st.monitor = st.monitor.clone()
@@ -1139,54 +1151,31 @@ class _XEngine(_Engine):
             st.monitor.on_crash(st, p)
             slots[_MONITOR] = self.ids[st.monitor.key()]
             return
-        # wake or poll
         if kind == "wake":
             slots[_WOKEN] |= bit
-        reads = self.reads(slots) if kind == "poll" else None
+        local, reads = self.local_state(st, p), self.reads(slots)
+        self.computed += 1
         self.load(st)
-        local = self.local_state(st, p)
-        done = self.polls.get(local)
+        st.automata[p] = st.automata[p].copy()
+        st.inboxes[p] = st.inboxes[p].clone()
         self.sent = []
-        if done is None:  # run the poll on private copies of what it changes
-            self.computed += 1
-            st.automata[p] = st.automata[p].copy()
-            st.inboxes[p] = st.inboxes[p].clone()
-            self.log = []
-            self.quiesce(p)
-            done = self.polls[local] = (st.automata[p], st.inboxes[p], self.log, {})
-        else:
-            self.replayed += 1
-            automaton, st.inboxes[p], log, _ = done
-            for effect, args, seen in log:
-                st.automata[p] = seen
-                effect(self, *args)
-            st.automata[p] = automaton
-        slots[3 * p - 3] = st.automata[p].cached_key(self.ids)
-        slots[3 * p - 2] = st.inboxes[p].key(self.scenario.identified, self.ids)
+        self.quiesce(p)
+        done = self.polls.get(local)
+        if done is None:
+            done = self.polls[local] = (st.automata[p], st.inboxes[p], {})
+        else:  # equal to what this poll left
+            st.automata[p], st.inboxes[p] = done[0], done[1]
+        slots[3 * p - 3] = done[0].cached_key(self.ids)
+        slots[3 * p - 2] = done[1].key(self.scenario.identified, self.ids)
         slots[_MONITOR] = monitor_id = self.ids[st.monitor.key()]
-        if reads is not None:
-            st.monitor = self.monitors.setdefault(monitor_id, st.monitor)
-            done[3][reads] = (tuple(self.sent), bool(slots[_HALTED] & bit), st.monitor, monitor_id)
-
-    def _effect(self, effect: Callable, *args: Any) -> None:
-        """Log a global effect of the poll being computed, with a copy of
-        p's automaton as it is now, then apply it.  Equal copies share one
-        object."""
-        automaton = self.state.automata[args[0]]
-        slot = (args[0], automaton.key())
-        seen = self.seen.get(slot)
-        if seen is None:
-            seen = self.seen[slot] = automaton.copy()
-        self.log.append((effect, args, seen))
-        effect(self, *args)
+        st.monitor = self.monitors.setdefault(monitor_id, st.monitor)
+        done[2][reads] = (tuple(self.sent), bool(slots[_HALTED] & bit), st.monitor, monitor_id)
 
     def do_broadcast(self, p: int, payload: Payload, round_tag: int | None) -> None:
-        self.state.inboxes[p].deliver(p, payload, round_tag)
-        self._effect(_XEngine._send, p, payload, round_tag, self.message_id(p, payload, round_tag))
-
-    def _send(self, p: int, payload: Payload, round_tag: int | None, message: int) -> None:
         st = self.state
+        st.inboxes[p].deliver(p, payload, round_tag)
         st.monitor.on_send(st, p, payload)
+        message = self.message_id(p, payload, round_tag)
         gone = st.slots[_CRASHED] | st.slots[_HALTED]
         for q in self.cfg.processes:
             if q != p and not gone & _BIT(q):
@@ -1196,15 +1185,9 @@ class _XEngine(_Engine):
                 self.sent.append(entry)
 
     def do_decide(self, p: int, value: Any, r: Any) -> None:
-        self._effect(_XEngine._decide, p, value, r)
-
-    def _decide(self, p: int, value: Any, r: Any) -> None:
         self.state.monitor.on_decide(self.state, p, value, r)
 
     def do_halt(self, p: int) -> None:
-        self._effect(_XEngine._halt, p)
-
-    def _halt(self, p: int) -> None:
         st = self.state
         st.slots[_HALTED] |= _BIT(p)
         st.slots[3 * p - 1] = self.ids[()]
@@ -1213,15 +1196,9 @@ class _XEngine(_Engine):
 
     def do_round(self, p: int, r: int, snapshot: dict) -> None:
         self.state.inboxes[p].advance(r)
-        self._effect(_XEngine._round, p, r)
-
-    def _round(self, p: int, r: int) -> None:
         self.state.monitor.on_round(self.state, p, r)
 
     def do_output(self, p: int, value: Any) -> None:
-        self._effect(_XEngine._output, p, value)
-
-    def _output(self, p: int, value: Any) -> None:
         self.state.monitor.on_output(self.state, p, value)
 
 
@@ -1244,12 +1221,11 @@ class ExploreResult:
     partial: bool
     terminal_profiles: Counter
     children: int  # child states reached, new or not: one per enabled action of every expanded state
-    skipped: int  # deliveries and memoized polls recognized as visited from their parent's key, never built
+    skipped: int  # deliveries and memoized wakes and polls recognized as visited from their parent's key, never built
     peak_frontier: int  # most states discovered but not yet expanded at once
     depth: int  # the BFS depth reached: the most actions between the initial state and a state
-    computed: int  # polls run: each local state's first
-    replayed: int  # polls replayed from the run of an equal local state's
-    reused: int  # polls whose whole outcome was memoized: derived, then built or skipped unbuilt
+    computed: int  # wakes and polls run: the first of each pair of local state and what it reads beyond
+    reused: int  # wakes and polls whose whole outcome was memoized: derived, then built or skipped unbuilt
 
     @property
     def ok(self) -> bool:
@@ -1343,10 +1319,10 @@ def explore(
                 kind = action[0]
                 if kind == "deliver":
                     found = engine.delivered(state, action[1])
-                elif kind == "poll":
-                    found = engine.polled(state, action[1])
-                else:
+                elif kind == "crash":
                     found = None
+                else:
+                    found = engine.polled(state, action)
                 if found is None:  # a crash, a wake or a poll not memoized yet
                     child = state.clone(state.slots[:])
                     engine.apply(child, action)
@@ -1400,6 +1376,5 @@ def explore(
         peak_frontier=peak_frontier,
         depth=level + 1 if queued else level,
         computed=engine.computed,
-        replayed=engine.replayed,
         reused=engine.reused,
     )

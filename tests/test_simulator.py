@@ -165,7 +165,9 @@ class TestDeterminism:
     def test_process_generators_seeded_only_when_drawn(self, monkeypatch):
         # a process's generator is seeded from "{seed}/proc/{p}" at its first
         # draw, not when its engine is built: seeding costs more than building
-        # a small automaton, and only the randomized construction draws
+        # a small automaton, and only the randomized construction draws; the
+        # scheduler's, from "{seed}/sched", likewise, and only the random
+        # policy draws
         seeded = []
         seed = random.Random.seed
 
@@ -176,8 +178,14 @@ class TestDeterminism:
         monkeypatch.setattr(random.Random, "seed", recorded)
         run(scenario("floodmax", 3, 1, inputs=(0, 1, 1), policy="random", seed=4), factory_of("floodmax"))
         explore(scenario("floodmax", 2, 1, inputs=(0, 1)), factory_of("floodmax"))
-        assert "4/sched" in seeded and not [a for a in seeded if "/proc/" in str(a)]
+        assert [a for a in seeded if "/sched" in str(a)] == ["4/sched"]
+        assert not [a for a in seeded if "/proc/" in str(a)]
         seeded.clear()
+        run(scenario("floodmax", 3, 1, inputs=(0, 1, 1), seed=4), factory_of("floodmax"))
+        run(scenario("floodmax", 3, 1, inputs=(0, 1, 1), policy="crash-adjacent", crashes={3: 2}, seed=4),
+            factory_of("floodmax"))
+        run_schedule(scenario("floodmax", 2, 1, inputs=(0, 1)), factory_of("floodmax"), [("wake", 1), ("wake", 2)])
+        assert not [a for a in seeded if "/sched" in str(a) or "/proc/" in str(a)]
         run(selftrust_scenario(3), factory_of("random-selftrust"))
         assert sorted(a for a in seeded if "/proc/" in str(a)) == [f"3/proc/{p}" for p in range(1, 6)]
 
@@ -332,9 +340,9 @@ class TestExplore:
         assert explore(sc, factory_of("floodmax"), max_states=1).depth == 0
 
     def test_visited_deliveries_skipped_unbuilt(self, monkeypatch):
-        # a delivery, or a poll whose outcome is memoized, whose key, derived
-        # from its parent's, was visited is counted but never cloned, built
-        # or keyed
+        # a delivery, or a wake or a poll whose outcome is memoized, whose
+        # key, derived from its parent's, was visited is counted but never
+        # cloned, built or keyed
         clones = Counter()
         clone = _XState.clone
 
@@ -345,13 +353,13 @@ class TestExplore:
         monkeypatch.setattr(_XState, "clone", counted_clone)
         sc = scenario("floodmax", 3, 0, inputs=(0, 0, 1))
         res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", 3, 0, (0, 0, 1)))
-        assert (res.states, res.children, res.skipped) == (157, 442, 224)
-        assert clones["state"] == res.children - res.skipped == 218
+        assert (res.states, res.children, res.skipped) == (157, 442, 262)
+        assert clones["state"] == res.children - res.skipped == 180
 
     def test_delivery_children_share_their_parents_monitor(self, monkeypatch):
         # a delivery calls no monitor hook, so of the built children only
         # crashes, wakes and polls not memoized yet clone their parent's
-        # monitor; a memoized poll installs its outcome's
+        # monitor; a memoized wake or poll installs its outcome's
         clones = Counter()
         state_clone, monitor_clone = _XState.clone, ConsensusMonitor.clone
 
@@ -367,8 +375,8 @@ class TestExplore:
         monkeypatch.setattr(ConsensusMonitor, "clone", counted_monitor_clone)
         sc = scenario("floodmax", 3, 0, inputs=(0, 0, 1))
         res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", 3, 0, (0, 0, 1)))
-        assert (res.states, res.children, res.skipped) == (157, 442, 224)
-        assert (clones["state"], clones["monitor"]) == (218, 83)
+        assert (res.states, res.children, res.skipped) == (157, 442, 262)
+        assert (clones["state"], clones["monitor"]) == (180, 38)
 
     def test_incremental_keys_match_keys_from_scratch(self, monkeypatch):
         # a child's slots are its parent's with those its action changed
@@ -432,9 +440,9 @@ class TestExplore:
         assert built["keyed"] > 10_000 and skipped > 1_000
 
     def test_memoized_poll_outcomes_match_polls_run(self, monkeypatch):
-        # a poll whose outcome is memoized under its local state and what its
-        # sends and hooks read is derived and built without running: for
-        # every memo hit, also run the poll on a throwaway clone, as a miss
+        # a wake or a poll whose outcome is memoized under its local state and
+        # what its sends and hooks read is derived and built without running:
+        # for every memo hit, also run it on a throwaway clone, as a miss
         # would, and compare the two children; every derived key, the skipped
         # children's included, must have been visited
         key, polled = _XState.key, _XEngine.polled
@@ -447,13 +455,13 @@ class TestExplore:
             visited.add(got)
             return got
 
-        def checked_polled(engine, st, p):
-            found = polled(engine, st, p)
+        def checked_polled(engine, st, action):
+            found = polled(engine, st, action)
             if found is not None:
                 slots, outcome = found
-                child = engine.build(st, ("poll", p), slots[:], outcome)
+                child = engine.build(st, action, slots[:], outcome)
                 run_child = st.clone(st.slots[:])
-                engine.apply(run_child, ("poll", p))
+                engine.apply(run_child, action)
                 ids, identified = engine.ids, engine.scenario.identified
                 assert child.slots == run_child.slots
                 assert child.pending == run_child.pending
@@ -461,7 +469,7 @@ class TestExplore:
                 for q in engine.cfg.processes:
                     assert child.automata[q].key() == run_child.automata[q].key()
                     assert child.inboxes[q].key(identified, ids) == run_child.inboxes[q].key(identified, ids)
-                hits["polls"] += 1
+                hits[action[0]] += 1
                 hits["with a halted process"] += bool(st.halted)
                 hits["with a send"] += bool(outcome[1][0])
                 derived_keys.append(slots.tobytes())
@@ -483,7 +491,7 @@ class TestExplore:
             res = explore(sc, factory, monitor=monitor, crash_round_limit=crash_round_limit)
             assert not res.partial and set(derived_keys) <= visited
             hits["skipped"] += res.skipped
-        assert hits["polls"] > 4_000 and hits["with a halted process"] > 1_000 and hits["with a send"] > 3_000
+        assert hits["wake"] > 500 and hits["poll"] > 4_000 and hits["with a halted process"] > 1_000 and hits["with a send"] > 3_000
 
     def test_witnesses_replay_with_their_exact_payloads(self):
         # every witness replays through run_schedule, each remote delivery of
@@ -544,15 +552,16 @@ class TestExplore:
         assert seen["hits"] > 1000 and seen["hits with crash and halt"] > 100
 
     def test_each_local_state_polled_once(self, monkeypatch):
-        # a poll runs on the engine only for the first state that has its
-        # local state; every other poll of that local state is replayed, or
+        # a wake or a poll runs on the engine only for the first state that
+        # has its local state and what its sends and hooks read; every other
         # takes its whole outcome from the memo and reaches no `apply`
         polled, applied, enabled = Counter(), Counter(), Counter()
         quiesce, apply, actions = _XEngine.quiesce, _XEngine.apply, _XEngine.actions
 
         def counted_quiesce(engine, p):
             identified, ids = engine.scenario.identified, engine.ids
-            polled[p, engine.automata[p].key(), engine.inboxes[p].key(identified, ids), engine.crashed] += 1
+            local = (p, engine.automata[p].key(), engine.inboxes[p].key(identified, ids), engine.crashed)
+            polled[local, engine.reads(engine.state.slots)] += 1
             quiesce(engine, p)
 
         def counted_apply(engine, st, action):
@@ -571,18 +580,60 @@ class TestExplore:
         res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", 3, 1, (0, 1, 1)))
         assert (res.states, res.terminals, res.violation_count) == (3837, 81, 0)
         assert set(polled.values()) == {1} and len(polled) == res.computed
-        assert res.computed + res.replayed == applied["wake"] + applied["poll"]
-        assert res.computed + res.replayed + res.reused == enabled["wake"] + enabled["poll"]
-        assert res.replayed > 0 and res.replayed + res.reused > 10 * res.computed
+        assert res.computed == applied["wake"] + applied["poll"]
+        assert res.computed + res.reused == enabled["wake"] + enabled["poll"]
+        # local states recur under new reads, and a run of one shares its entry's automaton
+        assert len({local for local, _ in polled}) < res.computed
+        assert (res.computed, res.reused) == (412, 3105)
+
+    def test_visited_wake_children_skipped_unbuilt(self, monkeypatch):
+        # a wake whose outcome is memoized has its child's key derived from
+        # its parent's, setting p's woken bit, and is skipped unbuilt when
+        # that key was visited: fewer wakes reach `apply` than are enabled
+        applied, enabled = Counter(), Counter()
+        visited: set[bytes] = set()
+        derived_keys: list[bytes] = []
+        key, polled, apply, actions = _XState.key, _XEngine.polled, _XEngine.apply, _XEngine.actions
+
+        def recorded_key(st):
+            got = key(st)
+            visited.add(got)
+            return got
+
+        def recorded_polled(engine, st, action):
+            found = polled(engine, st, action)
+            if found is not None and action[0] == "wake":
+                assert found[0][_WOKEN] == st.slots[_WOKEN] | 1 << action[1]
+                derived_keys.append(found[0].tobytes())
+            return found
+
+        def counted_apply(engine, st, action):
+            applied[action[0]] += 1
+            apply(engine, st, action)
+
+        def counted_actions(engine, st):
+            acts = actions(engine, st)
+            enabled.update(action[0] for action in acts)
+            return acts
+
+        monkeypatch.setattr(_XState, "key", recorded_key)
+        monkeypatch.setattr(_XEngine, "polled", recorded_polled)
+        monkeypatch.setattr(_XEngine, "apply", counted_apply)
+        monkeypatch.setattr(_XEngine, "actions", counted_actions)
+        sc = scenario("floodmax", 3, 0, inputs=(0, 0, 1))
+        res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", 3, 0, (0, 0, 1)))
+        assert (res.states, res.terminals, res.violation_count) == (157, 1, 0)
+        assert (enabled["wake"], applied["wake"], len(derived_keys)) == (71, 26, 45)
+        assert set(derived_keys) <= visited
 
     @pytest.mark.parametrize("algorithm, n, f, rounds", [
         ("floodmax", 3, 1, None), ("stable-suspector", 2, 1, 4), ("eventual-suspector", 2, 1, 3),
     ])
-    def test_replayed_hooks_see_the_automaton_as_it_was(self, algorithm, n, f, rounds):
-        # a replayed effect shows the monitor p's automaton as it was when
-        # the effect first fired, not as the poll left it: these protocols
-        # broadcast round r's message in phase "send" of round r, and switch
-        # to round r with r already set
+    def test_hooks_see_the_automaton_as_an_effect_fires(self, algorithm, n, f, rounds):
+        # an effect shows the monitor p's automaton as it is when the effect
+        # fires, not as the poll leaves it: these protocols broadcast round
+        # r's message in phase "send" of round r, and switch to round r with
+        # r already set
         class MidPoll(NullMonitor):
             def key(self):
                 return (self.flag,)
@@ -598,9 +649,10 @@ class TestExplore:
 
         sc = scenario(algorithm, n, f, inputs=(0, 1, 1)[:n] if rounds is None else None, rounds=rounds)
         res = explore(sc, factory_of(algorithm), monitor=MidPoll())
-        # reused polls install outcomes whose hooks ran in a computed or replayed poll
-        assert res.replayed > 0 and res.replayed + res.reused > res.computed
         assert res.violation_count == 0, res.violations[0].detail
+        # reused wakes and polls install outcomes whose hooks ran in a computed one
+        computed_reused = {"floodmax": (412, 3105), "stable-suspector": (102, 56), "eventual-suspector": (62, 32)}
+        assert (res.computed, res.reused) == computed_reused[algorithm]
 
     @pytest.mark.parametrize("budget", [1, 2, 50])
     def test_budget_flagged(self, budget):
