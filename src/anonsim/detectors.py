@@ -32,12 +32,20 @@ profiles) are copied in bulk and cost no RNG calls; only the cells that use
 randomness draw, in step order.  That draw order is part of the replay
 contract: the same (seed, kind, profile, pattern, horizon) yields the same
 table, and so the same trace, on every supported interpreter.
+
+The random cells of a segment are drawn in batches (`_randints`, `_flips`):
+one `getrandbits` call returns as many Mersenne-Twister words as cells are
+still missing, and byte operations keep exactly the words that one
+`randint` or `random() < 0.5` call per cell would have used.  The batches
+consume the same words in the same order as the per-cell calls, and never a
+word more, so they give the same tables.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from typing import Any
 
 from .model import DetectorHistory, FailurePattern
@@ -234,35 +242,74 @@ class OracleProfile:
             raise ValueError("convergence step must be >= 0")
 
 
-def _randints(rng: random.Random, tops: list[int]) -> list[int]:
-    """`[rng.randint(0, top) for top in tops]`, drawn straight from `getrandbits`.
+def _randints(rng: random.Random, top: int, count: int) -> list[int]:
+    """`[rng.randint(0, top) for _ in range(count)]`, drawn in batches of words.
 
-    Consumes the generator exactly as `Random.randint` does on CPython
-    3.10-3.13 (k = (top+1).bit_length() bits per try, redrawn while the
-    result is out of range), so tables stay byte-identical, at a fraction
-    of the per-call cost.
+    `Random.randint` on CPython 3.10-3.13 takes `getrandbits(k)`, the top
+    k = (top+1).bit_length() bits of one 32-bit word, until the result is
+    in range.  For a bound top+1 <= 255, one `getrandbits(32*need)` returns
+    the next `need` words, the first in the least significant bits, where
+    `need` is the number of cells still missing; the words whose top byte
+    gives an in-range value are kept, in order, and the others are the
+    rejected tries.  A batch keeps at most `need` words, so it draws no word
+    the per-call loop would not: the draws are consumed in batches, but the
+    same words in the same order give the same values and leave the
+    generator in the same state.  Larger bounds take the per-call loop.
     """
+    bound = top + 1
     getrandbits = rng.getrandbits
-    out = []
-    for top in tops:
-        bound = top + 1
+    out: list[int] = []
+    if bound > 255:
         k = bound.bit_length()
-        r = getrandbits(k)
-        while r >= bound:
+        for _ in range(count):
             r = getrandbits(k)
-        out.append(r)
+            while r >= bound:
+                r = getrandbits(k)
+            out.append(r)
+        return out
+    table, rejected = _top_byte_values(bound)
+    while count:
+        kept = getrandbits(32 * count).to_bytes(4 * count, "little")[3::4].translate(table, rejected)
+        out += kept
+        count -= len(kept)
     return out
 
 
-def _crashed_by_step(crash: dict[int, int], horizon: int) -> list[frozenset[int]]:
-    """F(t) for t in 0..horizon, one shared set per stretch between crashes."""
+@cache
+def _top_byte_values(bound: int) -> tuple[bytes, bytes]:
+    """For a bound of at most 255: the value `getrandbits(k)` takes for each
+    top byte of a word, k = bound.bit_length(), and the top bytes whose
+    value is out of range."""
+    shift = 8 - bound.bit_length()
+    return bytes(v >> shift for v in range(256)), bytes(v for v in range(256) if v >> shift >= bound)
+
+
+_HEADS = bytes(v < 128 for v in range(256))  # 1 where a word's top byte has its top bit clear
+
+
+def _flips(rng: random.Random, count: int) -> list[bool]:
+    """`[rng.random() < 0.5 for _ in range(count)]`, drawn in one batch.
+
+    `random()` takes two words and is below 0.5 exactly when the first of
+    them has its top bit clear, so one `getrandbits(64*count)` holds every
+    draw, the first word in the least significant bits.
+    """
+    return list(map(bool, rng.getrandbits(64 * count).to_bytes(8 * count, "little")[3::8].translate(_HEADS)))
+
+
+def _crashed_by_step(crash: dict[int, int], horizon: int) -> tuple[list[frozenset[int]], list[int]]:
+    """F(t) for t in 0..horizon, one shared set per stretch between crashes,
+    and the length of each stretch, so that |F(t)| is i on stretch i."""
     failed: list[frozenset[int]] = []
+    stretches: list[int] = []
     so_far: set[int] = set()
     for s, p in sorted((s, p) for p, s in crash.items()):
-        failed += [frozenset(so_far)] * (s - len(failed))
+        stretches.append(s - len(failed))
+        failed += [frozenset(so_far)] * stretches[-1]
         so_far.add(p)
-    failed += [frozenset(so_far)] * (horizon + 1 - len(failed))
-    return failed
+    stretches.append(horizon + 1 - len(failed))
+    failed += [frozenset(so_far)] * stretches[-1]
+    return failed, stretches
 
 
 def sample_history(
@@ -291,8 +338,10 @@ def sample_history(
     conv = max(profile.convergence, pattern.last_crash)
     crash = dict(pattern.crash_steps)
     crashed_total = len(crash)
-    failed = _crashed_by_step(crash, horizon)  # failed[t] is F(t)
-    current = [len(f) for f in failed]
+    failed, stretches = _crashed_by_step(crash, horizon)  # failed[t] is F(t)
+    current = []  # current[t] is |F(t)|
+    for count, length in enumerate(stretches):
+        current += [count] * length
     width = horizon + 1
     rows = []
 
@@ -305,24 +354,26 @@ def sample_history(
             if behavior == "optimistic" or (spec.kind == CRASH_COUNT and behavior == "pessimistic"):
                 row = current[:pre_end]
             elif spec.kind == CRASH_COUNT:
-                # permanent accuracy caps live cells at the current count
-                row = _randints(rng, current[:pre_end])
+                # permanent accuracy caps live cells at the current count,
+                # drawn one stretch between crashes at a time
+                row = []
+                for count, length in enumerate(stretches):
+                    row += _randints(rng, count, min(length, pre_end - len(row)))
             else:
                 # eventual accuracy: anything in range goes before convergence;
                 # adversarial claims everyone alive, for maximal waiting
                 row = [n if behavior == "pessimistic" else 0] * pre_end
             row += [crashed_total] * (live_end - pre_end)
-            row += _randints(rng, [n] * (width - live_end)) if adversarial else current[live_end:]
+            row += _randints(rng, n, width - live_end) if adversarial else current[live_end:]
             rows.append(tuple(row))
     elif spec.kind == SELF_TRUST:
         leader = rng.choice(sorted(pattern.correct))
-        flip = rng.random
         for p in range(1, n + 1):
             if p in crash:
-                row = [flip() < 0.5 for _ in range(width)] if adversarial else [False] * width
+                row = _flips(rng, width) if adversarial else [False] * width
             else:
                 pre = 0 if behavior == "optimistic" else conv
-                row = [flip() < 0.5 for _ in range(pre)] if adversarial else [False] * pre
+                row = _flips(rng, pre) if adversarial else [False] * pre
                 row += [p == leader] * (width - pre)
             rows.append(tuple(row))
     elif spec.kind in (PERFECT, EVENTUALLY_PERFECT):
@@ -343,7 +394,7 @@ def sample_history(
         for p in range(1, n + 1):
             pre = 0 if behavior == "optimistic" else conv
             if adversarial:
-                row = [1 + v for v in _randints(rng, [n - 1] * pre)]
+                row = [1 + v for v in _randints(rng, n - 1, pre)]
             else:
                 row = [p] * pre
             row += [leader] * (width - pre)

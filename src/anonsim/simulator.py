@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import json
 import random
-import sys
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field, fields, replace
@@ -83,6 +82,13 @@ SCHEMA = 1
 
 Payload = tuple
 AutomatonFactory = Callable[["ScenarioConfig", int, random.Random], Any]
+
+
+# The most cells an oracle table may hold, n x (horizon + 1), since every run
+# draws its table whole.  At the cap, a count table builds in about 0.05 s and
+# 40 MB, and the costliest table, an adversarial perfect or eventually-perfect
+# history converging at the horizon (one set per cell), in about 2 s and 270 MB.
+MAX_TABLE_CELLS = 1 << 20
 
 
 def default_horizon(cfg: SystemConfig) -> int:
@@ -133,8 +139,14 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         horizon = self.effective_horizon
-        if not 1 <= horizon < sys.maxsize:  # an oracle table has horizon + 1 cells per row
-            raise ScenarioError(f"horizon must be in 1..{sys.maxsize - 1}, not {horizon}")
+        if horizon < 1:
+            raise ScenarioError(f"horizon must be at least 1, not {horizon}")
+        cells = self.cfg.n * (horizon + 1)
+        if cells > MAX_TABLE_CELLS:
+            raise ScenarioError(
+                f"an oracle table of n x (horizon + 1) = {cells} cells is above the cap of "
+                f"{MAX_TABLE_CELLS}; lower the horizon"
+            )
         if self.rounds is not None and self.rounds < 0:
             raise ScenarioError("rounds must not be negative")
         if self.policy not in POLICIES:
@@ -432,11 +444,36 @@ class Trace:
         return log
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps({"ev": "meta", "scenario": self.scenario.to_dict()}, sort_keys=True)]
-        lines += (json.dumps(ev, sort_keys=True) for ev in self.events)
-        lines.append(
-            json.dumps({"ev": "end", "truncated": self.truncated, "pending": self.pending}, sort_keys=True)
-        )
+        """One line per event between a meta and an end line, each byte for
+        byte `json.dumps(line, sort_keys=True)`.
+
+        An event is written field by field in sorted key order: an exact
+        `int` by `int.__repr__`, as json does, and every other key or value
+        by one shared encoder.  The encoded text of a key and of a value is
+        memoized by object identity, never by equality (`1 == True`), which
+        holds only because the events hold those objects for the whole call;
+        so a payload that a send shares with its deliveries is encoded once.
+        """
+        encode = json.JSONEncoder(sort_keys=True).encode
+        keys: dict[int, str] = {}
+        values: dict[int, str] = {}
+        lines = [encode({"ev": "meta", "scenario": self.scenario.to_dict()})]
+        for ev in self.events:
+            parts = []
+            for key in sorted(ev):
+                name = keys.get(id(key))
+                if name is None:
+                    name = keys[id(key)] = encode(key) + ": "
+                value = ev[key]
+                if type(value) is int:
+                    parts.append(name + int.__repr__(value))
+                    continue
+                text = values.get(id(value))
+                if text is None:
+                    text = values[id(value)] = encode(value)
+                parts.append(name + text)
+            lines.append("{" + ", ".join(parts) + "}")
+        lines.append(encode({"ev": "end", "truncated": self.truncated, "pending": self.pending}))
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -88,8 +88,9 @@ class TestRun:
         ("n", 3.9), ("f", True), ("inputs", [0, "1", 1]), ("inputs", [0, 1, 1.7]), ("inputs", [0, True, 0]),
         ("crash", {"3": 4.5}), ("oracle", dict(FLOODMAX["oracle"], convergence=2.5)), ("seed", 7.9),
         ("identified", "false"), ("identified", 0), ("schema", 99), ("schema", True),
-        # an oracle table of more cells than a list can index
-        ("horizon", 10**30),
+        # oracle tables above the cell cap: the largest horizon below
+        # sys.maxsize once raised MemoryError, exit 3
+        ("horizon", 10**30), ("horizon", 9223372036854775806),
     ])
     def test_malformed_fields_exit_2(self, tmp_path, capsys, field, value):
         path = write(tmp_path, "bad.json", dict(FLOODMAX, **{field: value}))

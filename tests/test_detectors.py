@@ -23,6 +23,7 @@ from anonsim import (
 from anonsim.detectors import (
     BEHAVIORS,
     LowestCrashedIndex,
+    _flips,
     _randints,
     validate_crash_count,
     validate_eventual_crash_count,
@@ -302,11 +303,29 @@ class TestSamplerDrawOrder:
         assert grid_digest() == (GRID_TABLES, GRID_SHA256)
 
     def test_randints_matches_randint(self):
-        tops = [top for top in range(10) for _ in range(5)]
-        for i in range(50):
+        # runs of one top, as the sampler draws them: short runs of every small
+        # top, long runs, single cells between runs, and the tops on both sides
+        # of the batched path, which reads the top byte of each word for a
+        # bound top + 1 of at most 255
+        runs = [(top, 5) for top in range(10)]
+        runs += [(4, 1500), (0, 1), (7, 700), (3, 1), (2, 1), (0, 300), (127, 1), (128, 2), (5, 0)]
+        runs += [(254, 400), (255, 400), (256, 400), (254, 1), (255, 1), (256, 1), (1, 1)]
+        for i in range(30):
             ours, theirs = random.Random(f"draw/{i}"), random.Random(f"draw/{i}")
-            assert _randints(ours, tops) == [theirs.randint(0, top) for top in tops]
-            assert ours.getstate() == theirs.getstate()
+            for top, count in runs:
+                drawn = _randints(ours, top, count)
+                assert drawn == [theirs.randint(0, top) for _ in range(count)]
+                assert all(type(v) is int for v in drawn)
+                assert ours.getstate() == theirs.getstate()
+
+    def test_flips_match_random(self):
+        for i in range(30):
+            ours, theirs = random.Random(f"flip/{i}"), random.Random(f"flip/{i}")
+            for count in (0, 1, 2, 1501, 7, 0, 1, 300):
+                drawn = _flips(ours, count)
+                assert drawn == [theirs.random() < 0.5 for _ in range(count)]
+                assert all(type(v) is bool for v in drawn)
+                assert ours.getstate() == theirs.getstate()
 
 
 class TestAnonymityOfKinds:

@@ -1,5 +1,6 @@
 """Engine-level behavior: determinism, reliability, crash semantics, explore."""
 
+import json
 import random
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -23,7 +24,7 @@ from anonsim import (
     transforms,
 )
 from anonsim.cli import ALGORITHMS, explore_crash_limit
-from anonsim.simulator import _BUDGET, _MONITOR, _WOKEN, Automaton, Inbox, NullMonitor, _XEngine, _XState
+from anonsim.simulator import MAX_TABLE_CELLS, _BUDGET, _MONITOR, _WOKEN, Automaton, Inbox, NullMonitor, _XEngine, _XState
 from anonsim.verify import ConsensusMonitor, check_trace, monitor_for
 
 # the fields that stay constant through a run of one process
@@ -258,6 +259,46 @@ class TestRunSemantics:
         assert again.crashes == trace.crashes
         assert again.halts == trace.halts
         assert again.truncated == trace.truncated
+
+    def test_oracle_table_cells_capped(self):
+        # every run draws its oracle table whole: n x (horizon + 1) cells
+        assert MAX_TABLE_CELLS == 1 << 20
+        for n, f in ((1, 0), (3, 1), (4, 2)):
+            largest = MAX_TABLE_CELLS // n - 1
+            assert n * (largest + 1) <= MAX_TABLE_CELLS < n * (largest + 2)
+            scenario("floodmax", n, f, horizon=largest)
+            with pytest.raises(ScenarioError, match="above the cap"):
+                scenario("floodmax", n, f, horizon=largest + 1)
+        # default horizons, 50 x (f + 2) x n steps, fit up to n=27 at f = n - 1
+        assert scenario("floodmax", 27, 26).effective_horizon == 37_800
+        with pytest.raises(ScenarioError, match="above the cap"):
+            scenario("floodmax", 28, 27)
+
+    def test_to_jsonl_is_json_dumps_with_sorted_keys(self):
+        # to_jsonl memoizes encoded values by identity; equal values of other
+        # types ((v, 1) and (v, True), 0 and False) must each keep their own
+        # text, and a payload shared by a send and its deliveries is one object
+        shared = ("v", 1)
+        events = [
+            {"step": 0, "ev": "send", "proc": 1, "payload": shared},
+            {"step": 0, "ev": "deliver", "proc": 1, "from": 1, "payload": shared},
+            {"step": 1, "ev": "deliver", "proc": 2, "from": 1, "payload": shared},
+            {"step": 2, "ev": "send", "proc": 2, "payload": ("v", True)},
+            {"step": 3, "ev": "send", "proc": 3, "payload": tuple(["v", 1])},
+            {"step": 4, "ev": "deliver", "proc": 3, "from": 2, "payload": ("v", True)},
+            {"step": 5, "ev": "oracle", "proc": 1, "value": 0},
+            {"step": 6, "ev": "oracle", "proc": 2, "value": False},
+            {"step": 7, "ev": "oracle", "proc": 3, "value": None},
+            {"step": 8, "ev": "output", "proc": 1, "value": 'say "hi" \\ caf\u00e9 \u2603 \U0001f600\n'},
+            {"step": 9, "ev": "send", "proc": 1, "payload": ("Propose", (2, (None, ("x", 1.5))), True)},
+            {"step": 10, "ev": "round", "proc": 2, "r": 3, "v": 1, "locked": False, "est": [0, {"b": 1, "a": "\\"}]},
+            {"step": 11, "ev": "decide", "proc": 2, "value": 1, "r": 3},
+            {"step": 12, "ev": "crash", "proc": 3},
+        ]
+        trace = Trace(scenario=scenario("floodmax", 3, 1), events=events, truncated=True, pending=2)
+        lines = [{"ev": "meta", "scenario": trace.scenario.to_dict()}, *events,
+                 {"ev": "end", "truncated": True, "pending": 2}]
+        assert trace.to_jsonl() == "".join(json.dumps(doc, sort_keys=True) + "\n" for doc in lines)
 
     def test_decide_round_matches_round_bound(self):
         sc = scenario("floodmax", 3, 1, inputs=(0, 1, 0))
