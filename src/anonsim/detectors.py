@@ -297,6 +297,15 @@ def _flips(rng: random.Random, count: int) -> list[bool]:
     return list(map(bool, rng.getrandbits(64 * count).to_bytes(8 * count, "little")[3::8].translate(_HEADS)))
 
 
+class _SuspectSets(dict):
+    """Member tuples to one frozenset each: `sets[members]` builds the set on
+    first lookup, so the equal cells of a table share one object."""
+
+    def __missing__(self, members: tuple[int, ...]) -> frozenset[int]:
+        value = self[members] = frozenset(members)
+        return value
+
+
 def _crashed_by_step(crash: dict[int, int], horizon: int) -> tuple[list[frozenset[int]], list[int]]:
     """F(t) for t in 0..horizon, one shared set per stretch between crashes,
     and the length of each stretch, so that |F(t)| is i on stretch i."""
@@ -378,6 +387,7 @@ def sample_history(
             rows.append(tuple(row))
     elif spec.kind in (PERFECT, EVENTUALLY_PERFECT):
         tail = [pattern.crashed] * (width - conv) if spec.kind == EVENTUALLY_PERFECT else failed[conv:]
+        sets = _SuspectSets()  # one object per distinct drawn set, at most 2^n of them
         for p in range(1, n + 1):
             if behavior == "optimistic" or (spec.kind == PERFECT and behavior == "pessimistic"):
                 row = failed[:conv]
@@ -385,9 +395,9 @@ def sample_history(
                 row = [frozenset(range(1, n + 1))] * conv
             elif spec.kind == PERFECT:
                 # strong accuracy binds every pre-crash cell
-                row = [frozenset(q for q in sorted(failed[t]) if rng.random() < 0.5) for t in range(conv)]
+                row = [sets[tuple([q for q in sorted(failed[t]) if rng.random() < 0.5])] for t in range(conv)]
             else:
-                row = [frozenset(q for q in range(1, n + 1) if rng.random() < 0.3) for _ in range(conv)]
+                row = [sets[tuple([q for q in range(1, n + 1) if rng.random() < 0.3])] for _ in range(conv)]
             rows.append(tuple(row + tail))
     elif spec.kind == LEADER:
         leader = rng.choice(sorted(pattern.correct))

@@ -86,8 +86,9 @@ AutomatonFactory = Callable[["ScenarioConfig", int, random.Random], Any]
 
 # The most cells an oracle table may hold, n x (horizon + 1), since every run
 # draws its table whole.  At the cap, a count table builds in about 0.05 s and
-# 40 MB, and the costliest table, an adversarial perfect or eventually-perfect
-# history converging at the horizon (one set per cell), in about 2 s and 270 MB.
+# 40 MB, and the slowest table, an adversarial perfect or eventually-perfect
+# history converging at the horizon (one `random()` per process per cell), in
+# about 1 s and 40 MB.
 MAX_TABLE_CELLS = 1 << 20
 
 
@@ -634,7 +635,16 @@ class _ProbeEngine:
 
 
 class Simulation(_Engine):
-    """Single run of a scenario under its scheduling policy."""
+    """Single run of a scenario under its scheduling policy.
+
+    The scheduler's state is kept between steps, not recomputed at each.
+    `live` lists the live, unhalted processes in index order; it gets a new
+    list only from a crash (in `apply`) and a halt (`do_halt`), the two
+    actions that change it, and the policies and `_settled` read it.  `run`
+    builds its crash timetable once: each step with a crash to the
+    processes crashing then, in process order.  `explore`'s terminal test
+    keeps `all_decided`, which walks every process.
+    """
 
     def __init__(self, scenario: ScenarioConfig, factory: AutomatonFactory, oracle: Any = None):
         scenario.validate()
@@ -648,6 +658,7 @@ class Simulation(_Engine):
         self.pending: dict[int, list[tuple[int, Payload, int | None, int]]] = {
             p: [] for p in self.cfg.processes
         }
+        self.live: list[int] = list(self.cfg.processes)
         self._last_oracle: dict[int, Any] = {}
         self._last_output: dict[int, Any] = {}
         self._seq = 0
@@ -679,6 +690,7 @@ class Simulation(_Engine):
 
     def do_halt(self, p: int) -> None:
         self.halted = self.halted | {p}
+        self.live = [q for q in self.live if q != p]
         self.events.append({"step": self.t, "ev": "halt", "proc": p})
 
     def do_round(self, p: int, r: int, snapshot: dict) -> None:
@@ -705,30 +717,31 @@ class Simulation(_Engine):
             self.events.append({"step": self.t, "ev": "deliver", "proc": p, "from": sender, "payload": payload})
         elif kind == "crash":
             self.crashed = self.crashed | {p}
+            self.live = [q for q in self.live if q != p]
             self.pending[p].clear()
             self.events.append({"step": self.t, "ev": "crash", "proc": p})
         else:
             self.quiesce(p)
 
-    def _live_unhalted(self) -> list[int]:
-        return [p for p in self.cfg.processes if p not in self.crashed and p not in self.halted]
-
     def _settled(self) -> bool:
         # the run is complete when every live process halted or decided and
-        # nothing can move anymore
-        live = self._live_unhalted()
-        return (
-            self.all_decided()
-            and not any(self.pending[p] for p in live)
-            and not any(self.can_progress(p) for p in live)
-        )
+        # nothing can move anymore; the first undecided live process ends the
+        # test before any pending list is read or any probe runs
+        automata, live = self.automata, self.live
+        for p in live:
+            if getattr(automata[p], "decided", None) is None:
+                return False
+        pending = self.pending
+        return not any(pending[p] for p in live) and not any(self.can_progress(p) for p in live)
 
     def run(self) -> Trace:
         pick = POLICIES[self.scenario.policy]
+        crashes: dict[int, list[int]] = {}  # step -> the processes crashing then, in process order
+        for p, s in self.scenario.pattern.crash_steps:
+            crashes.setdefault(s, []).append(p)
         while self.t < self.horizon:
-            for p, s in self.scenario.pattern.crash_steps:
-                if s == self.t:
-                    self.apply(("crash", p))
+            for p in crashes.get(self.t, ()):
+                self.apply(("crash", p))
             if self._settled():
                 break
             for action in pick(self):
@@ -753,7 +766,7 @@ class Simulation(_Engine):
 def _fifo(sim: Simulation) -> list[tuple]:
     # round robin over the live unhalted processes: deliver the oldest
     # message pending to the next one, then poll it
-    p = min(sim._live_unhalted(), key=lambda p: ((p - sim._rr - 1) % sim.cfg.n, p))
+    p = min(sim.live, key=lambda p: ((p - sim._rr - 1) % sim.cfg.n, p))
     sim._rr = p
     return [("deliver", p, 0), ("poll", p)] if sim.pending[p] else [("poll", p)]
 
@@ -762,7 +775,7 @@ def _random(sim: Simulation) -> list[tuple]:
     # delivery and process steps are independent choices, so a wait can
     # fire with more than its threshold already in the inbox
     choices: list[tuple] = []
-    for p in sim._live_unhalted():
+    for p in sim.live:
         if sim.pending[p]:
             choices.append(("deliver", p))
         choices.append(("poll", p))
@@ -778,7 +791,7 @@ def _random(sim: Simulation) -> list[tuple]:
 def _crash_adjacent(sim: Simulation) -> list[tuple]:
     # post-mortem messages outrace everything else
     best: tuple[int, int, int] | None = None
-    for p in sim._live_unhalted():
+    for p in sim.live:
         for idx, (sender, _, _, seq) in enumerate(sim.pending[p]):
             if sender in sim.crashed and (best is None or seq < best[0]):
                 best = (seq, p, idx)

@@ -1,5 +1,6 @@
 """Detector validators, samplers, and the alive-count view."""
 
+import hashlib
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from anonsim.detectors import (
     validate_perfect,
     validate_self_trust,
 )
+from anonsim.model import history_to_json
 
 
 def table(kind, rows):
@@ -317,6 +319,31 @@ class TestSamplerDrawOrder:
                 assert drawn == [theirs.randint(0, top) for _ in range(count)]
                 assert all(type(v) is int for v in drawn)
                 assert ours.getstate() == theirs.getstate()
+
+    # adversarial suspect-set tables at n=4, crashes at steps 5 and 20,
+    # converging at 60 of 80: the digests of their rows as drawn when every
+    # pre-convergence cell was a set of its own
+    SUSPECT_TABLE_SHA256 = {
+        PERFECT: "70966f9816caaf22d09d7a6cc80e771958ec0fedce0694864ac11deae5116190",
+        EVENTUALLY_PERFECT: "d5267be8a53eab7c87e1fcbabeb8530c8db30aa163a3e2c80256e268d433beca",
+    }
+
+    @staticmethod
+    def suspect_table(kind: str) -> DetectorHistory:
+        pattern = FailurePattern.of(4, {1: 5, 3: 20})
+        return sample_history(DetectorSpec(kind, 4), pattern, OracleProfile("adversarial", 60), seed=7, horizon=80)
+
+    @pytest.mark.parametrize("kind", [PERFECT, EVENTUALLY_PERFECT])
+    def test_suspect_table_rows_pinned(self, kind):
+        digest = hashlib.sha256(history_to_json(self.suspect_table(kind)).encode()).hexdigest()
+        assert digest == self.SUSPECT_TABLE_SHA256[kind]
+
+    @pytest.mark.parametrize("kind", [PERFECT, EVENTUALLY_PERFECT])
+    def test_equal_suspect_sets_share_one_object(self, kind):
+        table = self.suspect_table(kind)
+        cells = [cell for p in range(1, 5) for cell in table.row(p)[:table.convergence]]
+        assert len(cells) == 240 and len(set(cells)) > 1
+        assert len({id(cell) for cell in cells}) == len(set(cells))
 
     def test_flips_match_random(self):
         for i in range(30):

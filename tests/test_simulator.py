@@ -1,5 +1,6 @@
 """Engine-level behavior: determinism, reliability, crash semantics, explore."""
 
+import hashlib
 import json
 import random
 from collections import Counter
@@ -24,7 +25,9 @@ from anonsim import (
     transforms,
 )
 from anonsim.cli import ALGORITHMS, explore_crash_limit
-from anonsim.simulator import MAX_TABLE_CELLS, _BUDGET, _MONITOR, _WOKEN, Automaton, Inbox, NullMonitor, _XEngine, _XState
+from anonsim.simulator import (
+    MAX_TABLE_CELLS, _BUDGET, _MONITOR, _WOKEN, Automaton, Inbox, NullMonitor, Simulation, _XEngine, _XState,
+)
 from anonsim.verify import ConsensusMonitor, check_trace, monitor_for
 
 # the fields that stay constant through a run of one process
@@ -304,6 +307,66 @@ class TestRunSemantics:
         sc = scenario("floodmax", 3, 1, inputs=(0, 1, 0))
         trace = run(sc, factory_of("floodmax"))
         assert all(ds[0][2] == 2 for ds in trace.decisions.values())  # f+1 rounds
+
+
+class TestKeptSchedulerState:
+    # two processes crashing at one step: the trace bytes of each policy, as
+    # computed when the crashes were still found by scanning the pattern
+    SAME_STEP_SHA256 = {
+        "fifo": "046d09148ae6345403cc456b865ff0ef50b8cfab009c1ce9e202bed44f26374e",
+        "random": "7a9678abf3b7051ded8475d9f7c71ad219db2c2faed676c8c9a152280f89d061",
+    }
+
+    @pytest.mark.parametrize("policy", ["fifo", "random", "crash-adjacent"])
+    def test_live_list_and_settle_test_match_a_recomputation(self, monkeypatch, policy):
+        # after every action, `live` is the live, unhalted processes in index
+        # order; at every step, `_settled` is all_decided, nothing pending to a
+        # live process and no live process that can progress
+        runs = []
+        for algorithm in ("floodmax", "lockmin", "leadervote", "stable-suspector"):
+            info = ALGORITHMS[algorithm]
+            kwargs = {"inputs": (0, 1, 0, 1, 1)} if info.consensus else {"rounds": 5}
+            for crashes in ({1: 0}, {3: 17}, {2: 9, 4: 9}):  # at step 0, mid-run, two at one step
+                sc = scenario(algorithm, 5, 2, crashes=crashes, behavior="adversarial", convergence=40,
+                              policy=policy, seed=5, **kwargs)
+                runs.append((sc, info.factory, run(sc, info.factory).to_jsonl()))
+        apply, settled = Simulation.apply, Simulation._settled
+        probed = []  # per settle test: whether it got past every live process deciding
+
+        def recomputed(sim):
+            return [p for p in sim.cfg.processes if p not in sim.crashed | sim.halted]
+
+        def checked_apply(sim, action):
+            apply(sim, action)
+            assert sim.live == recomputed(sim)
+
+        def checked_settled(sim):
+            live = recomputed(sim)
+            assert sim.live == live
+            decided = sim.all_decided()
+            expected = (decided and not any(sim.pending[p] for p in live)
+                        and not any(sim.can_progress(p) for p in live))
+            probed.append(decided and bool(live))
+            assert settled(sim) == expected
+            return expected
+
+        monkeypatch.setattr(Simulation, "apply", checked_apply)
+        monkeypatch.setattr(Simulation, "_settled", checked_settled)
+        for sc, factory, text in runs:
+            trace = run(sc, factory)
+            assert trace.to_jsonl() == text
+            assert trace.crashes == dict(sc.pattern.crash_steps) and trace.halts and not trace.truncated
+        assert any(probed)
+
+    @pytest.mark.parametrize("policy", ["fifo", "random"])
+    def test_crashes_at_one_step_in_process_order(self, policy):
+        sc = scenario("lockmin", 5, 2, inputs=(0, 1, 0, 1, 1), crashes={4: 11, 2: 11},
+                      behavior="adversarial", convergence=40, policy=policy, seed=3)
+        trace = run(sc, factory_of("lockmin"))
+        crashes = [i for i, ev in enumerate(trace.events) if ev["ev"] == "crash"]
+        assert [(trace.events[i]["step"], trace.events[i]["proc"]) for i in crashes] == [(11, 2), (11, 4)]
+        assert crashes[1] == crashes[0] + 1
+        assert hashlib.sha256(trace.to_jsonl().encode()).hexdigest() == self.SAME_STEP_SHA256[policy]
 
 
 class TestAnonymityOfRuns:
