@@ -49,6 +49,8 @@ EXIT_PROPERTY = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
+CAMPAIGN_CHUNK = 16  # seeds per task handed to a campaign worker
+
 
 class UsageError(Exception):
     pass
@@ -171,13 +173,14 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     mode = doc.get("mode", "sweep")
     if mode == "explore":
         return _explore_scenario(scenario, args.out, max_states=int_field(doc, "max_states"))
-    if mode == "single":
-        seeds = [scenario.seed]
-    elif mode == "sweep":
+    if mode == "sweep":
         spec = doc.get("seeds", {})
         if isinstance(spec, dict):
-            start = int_field(spec, "start", 0)
-            seeds = list(range(start, start + int_field(spec, "count", 0)))
+            start, count = int_field(spec, "start", 0), int_field(spec, "count", 0)
+            try:
+                seeds = list(range(start, start + count))
+            except (MemoryError, OverflowError):
+                raise ScenarioError(f"campaign seed count {count} is too large to list") from None
         else:
             seeds = spec
         if not isinstance(seeds, list) or any(type(s) is not int for s in seeds):
@@ -188,9 +191,13 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         raise ScenarioError(f"unknown campaign mode {mode!r}")
 
     scenario_json = json.dumps(scenario.to_dict(), sort_keys=True)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_campaign_worker, [scenario_json] * len(seeds), seeds, chunksize=16))
+    # a pool forks all its workers at the first submit, so start no more than
+    # there are chunks to hand out
+    workers = min(jobs, (len(seeds) + CAMPAIGN_CHUNK - 1) // CAMPAIGN_CHUNK)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_campaign_worker, [scenario_json] * len(seeds), seeds,
+                                    chunksize=CAMPAIGN_CHUNK))
     else:
         results = [_campaign_worker(scenario_json, seed) for seed in seeds]
 

@@ -203,7 +203,7 @@ def _factory(cls: type, majority_name: str | None = None) -> Callable:
     """The factory of `cls`: it needs one input per process, and a protocol
     with a `majority_name` needs n > 2f."""
 
-    def factory(scenario: ScenarioConfig, proc: int, rng) -> _Consensus:
+    def factory(scenario: ScenarioConfig, proc: int) -> _Consensus:
         cfg = scenario.cfg
         if majority_name is not None and cfg.n <= 2 * cfg.f:
             raise ScenarioError(f"{majority_name} consensus needs n > 2f, got n={cfg.n}, f={cfg.f}")

@@ -418,8 +418,7 @@ def sample_history(
 class OracleRuntime:
     """Reveals a pre-drawn valid history to a running simulation."""
 
-    def __init__(self, spec: DetectorSpec, history: DetectorHistory):
-        self.spec = spec
+    def __init__(self, history: DetectorHistory):
         self.history = history
 
     def read(self, p: int, t: int, crashed: frozenset[int]) -> Any:

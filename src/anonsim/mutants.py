@@ -71,7 +71,7 @@ class HastySuspector(StableSuspector):
 
 def _mutant(cls: type, protocol: Callable) -> Callable:
     """The factory of a mutant, built exactly as `protocol` builds the automaton it mutates."""
-    return lambda scenario, proc, rng: cls(**vars(protocol(scenario, proc, rng)))
+    return lambda scenario, proc: cls(**vars(protocol(scenario, proc)))
 
 
 flood_min = _mutant(FloodMinConsensus, flood_max)

@@ -64,7 +64,6 @@ import random
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
 from operator import attrgetter
 from typing import Any, Callable, Iterable
 
@@ -81,7 +80,9 @@ from .model import FailurePattern, ReceiveLog, SystemConfig, correct_set
 SCHEMA = 1
 
 Payload = tuple
-AutomatonFactory = Callable[["ScenarioConfig", int, random.Random], Any]
+# (scenario, proc) -> the automaton of process proc; a factory that draws
+# seeds its own generator from the scenario seed
+AutomatonFactory = Callable[["ScenarioConfig", int], Any]
 
 
 # The most cells an oracle table may hold, n x (horizon + 1), since every run
@@ -537,30 +538,14 @@ def _event(doc: dict, scenario: ScenarioConfig) -> dict:
 
 
 def build_oracle(scenario: ScenarioConfig) -> OracleRuntime:
-    spec = DetectorSpec(scenario.oracle_kind, scenario.cfg.n)
     history = sample_history(
-        spec,
+        DetectorSpec(scenario.oracle_kind, scenario.cfg.n),
         scenario.pattern,
         scenario.profile,
         seed=scenario.seed,
         horizon=scenario.effective_horizon,
     )
-    return OracleRuntime(spec, history)
-
-
-class _LazyRandom:
-    """`random.Random(seed)`, seeded at its first use: seeding costs more than
-    building a small automaton, and only randomized constructions draw."""
-
-    def __init__(self, seed: str):
-        self._seed = seed
-
-    @cached_property
-    def _rng(self) -> random.Random:
-        return random.Random(self._seed)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._rng, name)
+    return OracleRuntime(history)
 
 
 class _Engine:
@@ -580,10 +565,7 @@ class _Engine:
         self.cfg = scenario.cfg
         self.oracle = oracle
         self.t = 0
-        self.automata = {
-            p: factory(scenario, p, _LazyRandom(f"{scenario.seed}/proc/{p}"))
-            for p in self.cfg.processes
-        }
+        self.automata = {p: factory(scenario, p) for p in self.cfg.processes}
         self.inboxes = {p: Inbox() for p in self.cfg.processes}
         self.crashed: frozenset[int] = frozenset()
         self.halted: frozenset[int] = frozenset()

@@ -33,6 +33,7 @@ self-trust.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -211,38 +212,38 @@ class MaxIdSelfTrust(_Heartbeats):
 DEFAULT_ID_BITS = 64
 
 
-def eventual_suspector(scenario: ScenarioConfig, proc: int, rng) -> EventualSuspector:
+def eventual_suspector(scenario: ScenarioConfig, proc: int) -> EventualSuspector:
     _require_identified(scenario, "the eventual suspector")
     cfg = scenario.cfg
     return EventualSuspector(n=cfg.n, f=cfg.f, proc=proc, rounds_cap=scenario.rounds)
 
 
-def stable_suspector(scenario: ScenarioConfig, proc: int, rng) -> StableSuspector:
+def stable_suspector(scenario: ScenarioConfig, proc: int) -> StableSuspector:
     _require_identified(scenario, "the stable suspector")
     cfg = scenario.cfg
     return StableSuspector(n=cfg.n, f=cfg.f, proc=proc, rounds_cap=scenario.rounds)
 
 
-def self_trust_announcer(scenario: ScenarioConfig, proc: int, rng) -> SelfTrustAnnouncer:
+def self_trust_announcer(scenario: ScenarioConfig, proc: int) -> SelfTrustAnnouncer:
     _require_identified(scenario, "the self-trust announcer")
     cfg = scenario.cfg
     cap = 8 * scenario.rounds if scenario.rounds is not None else None
     return SelfTrustAnnouncer(n=cfg.n, f=cfg.f, proc=proc, ticks_cap=cap, output=proc)
 
 
-def max_id_self_trust(scenario: ScenarioConfig, proc: int, rng) -> MaxIdSelfTrust:
+def max_id_self_trust(scenario: ScenarioConfig, proc: int) -> MaxIdSelfTrust:
     if scenario.identified:
         raise ValueError("the randomized self-trust construction is an anonymous protocol")
     cfg = scenario.cfg
-    return MaxIdSelfTrust(n=cfg.n, f=cfg.f, proc=proc, rounds_cap=scenario.rounds,
-                          my_id=rng.getrandbits(DEFAULT_ID_BITS))
+    my_id = random.Random(f"{scenario.seed}/proc/{proc}").getrandbits(DEFAULT_ID_BITS)
+    return MaxIdSelfTrust(n=cfg.n, f=cfg.f, proc=proc, rounds_cap=scenario.rounds, my_id=my_id)
 
 
 def forced_id_factory(ids: dict[int, int]) -> Callable:
     """Factory with pinned identifiers, for exercising the collision failure mode."""
 
-    def factory(scenario: ScenarioConfig, proc: int, rng) -> MaxIdSelfTrust:
-        auto = max_id_self_trust(scenario, proc, rng)
+    def factory(scenario: ScenarioConfig, proc: int) -> MaxIdSelfTrust:
+        auto = max_id_self_trust(scenario, proc)
         auto.my_id = ids[proc]
         return auto
 

@@ -14,7 +14,7 @@ from helpers import scenario
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from anonsim import run, run_schedule
+from anonsim import cli, run, run_schedule
 from anonsim.cli import ALGORITHMS, main
 from anonsim.transforms import forced_id_factory
 
@@ -250,7 +250,9 @@ class TestCampaign:
     @pytest.mark.parametrize("field, value", [
         ("seeds", "0-9"), ("seeds", [1, "2"]), ("seeds", {"start": "a", "count": 2}),
         ("seeds", {"count": 1.5}), ("jobs", "x"), ("jobs", 2.5), ("mode", ["sweep"]), ("scenario", [1]),
-        ("schema", 99), ("scenario", dict(FLOODMAX, schema=99)), ("jobs", -3), ("jobs", 0),
+        ("schema", 99), ("scenario", dict(FLOODMAX, schema=99)), ("jobs", -3), ("jobs", 0), ("mode", "single"),
+        # counts that cannot be listed: refused before any memory is taken
+        ("seeds", {"start": 0, "count": 2**62}), ("seeds", {"start": 0, "count": 2**64}),
     ])
     def test_malformed_campaign_exits_2(self, tmp_path, capsys, field, value):
         doc = dict(self.campaign_doc(2), **{field: value})
@@ -284,8 +286,32 @@ class TestCampaign:
         failures = [f["property"] for f in json.loads(out_file.read_text())["failures"]]
         assert failures[-1:] == ([] if code == 0 else ["success-rate"])
 
+    def test_pool_starts_no_more_workers_than_chunks(self, tmp_path, capsys, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            # records its size and runs the work in this process, starting none
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        for count in (40, 2):  # 3 chunks of 16 seeds, then 1
+            assert main(["campaign", write(tmp_path, "c.json", self.campaign_doc(count)), "--jobs", "64"]) == 0
+        capsys.readouterr()
+        assert sizes == [3]
+
     def test_parallel_jobs_agree_with_serial(self, tmp_path, capsys):
-        path = write(tmp_path, "c.json", self.campaign_doc(8))
+        # 33 seeds make 3 chunks, so both workers get some
+        path = write(tmp_path, "c.json", self.campaign_doc(33))
         serial = tmp_path / "serial.json"
         parallel = tmp_path / "parallel.json"
         main(["campaign", path, "--out", str(serial), "--jobs", "1"])

@@ -48,7 +48,7 @@ def factory_built() -> dict[type, Automaton]:
     """Process 1's automaton from every algorithm's and mutant's factory, at n=3 f=1."""
     factories = [(name, info.factory) for name, info in ALGORITHMS.items()]
     factories += [(name, factory) for name, _, factory in mutants.MUTANTS.values()]
-    built = (factory(scenario(name, 3, 1, rounds=5), 1, random.Random(0)) for name, factory in factories)
+    built = (factory(scenario(name, 3, 1, rounds=5), 1) for name, factory in factories)
     return {type(automaton): automaton for automaton in built}
 
 
@@ -167,11 +167,10 @@ class TestDeterminism:
         assert a.events != b.events
 
     def test_process_generators_seeded_only_when_drawn(self, monkeypatch):
-        # a process's generator is seeded from "{seed}/proc/{p}" at its first
-        # draw, not when its engine is built: seeding costs more than building
-        # a small automaton, and only the randomized construction draws; the
-        # scheduler's, from "{seed}/sched", likewise, and only the random
-        # policy draws
+        # only the randomized construction's factory seeds a generator for a
+        # process, from "{seed}/proc/{p}", since only it draws; no other
+        # automaton gets one.  The scheduler's, from "{seed}/sched", is seeded
+        # at its first draw, and only the random policy draws
         seeded = []
         seed = random.Random.seed
 
@@ -588,7 +587,7 @@ class TestExplore:
         jobs = [(sc, factory, monitor_for(algorithm, sc.cfg.n, sc.cfg.f, sc.inputs), explore_crash_limit(sc))
                 for algorithm, factory, sc in explore_jobs()]
         gossip = scenario("floodmax", 3, 0, inputs=(0, 0, 0))
-        jobs.append((gossip, lambda sc, p, rng: Gossip(sc.cfg.n, sc.cfg.f, p), Recorder(), None))
+        jobs.append((gossip, lambda sc, p: Gossip(sc.cfg.n, sc.cfg.f, p), Recorder(), None))
         for sc, factory, monitor, crash_round_limit in jobs:
             visited.clear()  # keys compare only within one call's intern table
             derived_keys.clear()
@@ -605,7 +604,7 @@ class TestExplore:
         jobs = [(algorithm, factory, sc, monitor_for(algorithm, sc.cfg.n, sc.cfg.f, sc.inputs),
                  explore_crash_limit(sc)) for algorithm, factory, sc in explore_jobs()]
         twins = scenario("floodmax", 2, 0, inputs=(0, 0))
-        jobs.append((None, lambda sc, p, rng: Twins(sc.cfg.n, sc.cfg.f, p), twins, EveryTerminal(), None))
+        jobs.append((None, lambda sc, p: Twins(sc.cfg.n, sc.cfg.f, p), twins, EveryTerminal(), None))
         witnessed = Counter()
         for algorithm, factory, sc, monitor, crash_round_limit in jobs:
             res = explore(sc, factory, monitor=monitor, crash_round_limit=crash_round_limit)

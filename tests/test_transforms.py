@@ -155,7 +155,7 @@ class TestRandomizedSelfTrust:
 
         sc = scenario("random-selftrust", 3, 1, kind=CRASH_COUNT, rounds=4)
         with pytest.raises(ValueError):
-            factory_of("random-selftrust")(replace(sc, identified=True), 1, None)
+            factory_of("random-selftrust")(replace(sc, identified=True), 1)
 
 
 class TestSuspectorModeGuards:
@@ -165,7 +165,7 @@ class TestSuspectorModeGuards:
 
         sc = scenario(name, 3, 1, rounds=4)
         with pytest.raises(ValueError):
-            factory_of(name)(replace(sc, identified=False), 1, None)
+            factory_of(name)(replace(sc, identified=False), 1)
 
 
 class TestTableTranslations:
