@@ -26,6 +26,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from . import verify
@@ -95,7 +96,8 @@ def _write(files: dict[Path, str], directory: Path | None = None) -> None:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    return normalize_scenario(ScenarioConfig.from_dict(_read_json(path, "scenario")))
+    """A scenario file, parsed and validated, not yet normalized."""
+    return ScenarioConfig.from_dict(_read_json(path, "scenario"))
 
 
 def run_and_check(scenario: ScenarioConfig) -> tuple[Trace, list[verify.CheckReport], dict]:
@@ -119,9 +121,9 @@ def _print_reports(reports: list[verify.CheckReport], reproduce: str | None = No
     return EXIT_OK if _reports_ok(reports) else EXIT_PROPERTY
 
 
-def _campaign_worker(scenario_json: str, seed: int) -> dict:
-    scenario = normalize_scenario(ScenarioConfig.from_dict(json.loads(scenario_json)).reseeded(seed))
-    _, reports, extras = run_and_check(scenario)
+def _campaign_worker(scenario: ScenarioConfig, seed: int) -> dict:
+    """One seed of a campaign over `scenario`, which is normalized."""
+    _, reports, extras = run_and_check(scenario.reseeded(seed))
     return {
         "seed": seed,
         "reports": [r.to_dict() for r in reports],
@@ -171,8 +173,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if jobs < 1:
         raise ScenarioError(f"jobs must be at least 1, not {jobs}")
     mode = doc.get("mode", "sweep")
-    if mode == "explore":
-        return _explore_scenario(scenario, args.out, max_states=int_field(doc, "max_states"))
     if mode == "sweep":
         spec = doc.get("seeds", {})
         if isinstance(spec, dict):
@@ -190,16 +190,14 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     else:
         raise ScenarioError(f"unknown campaign mode {mode!r}")
 
-    scenario_json = json.dumps(scenario.to_dict(), sort_keys=True)
     # a pool forks all its workers at the first submit, so start no more than
     # there are chunks to hand out
     workers = min(jobs, (len(seeds) + CAMPAIGN_CHUNK - 1) // CAMPAIGN_CHUNK)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_campaign_worker, [scenario_json] * len(seeds), seeds,
-                                    chunksize=CAMPAIGN_CHUNK))
+            results = list(pool.map(partial(_campaign_worker, scenario), seeds, chunksize=CAMPAIGN_CHUNK))
     else:
-        results = [_campaign_worker(scenario_json, seed) for seed in seeds]
+        results = [_campaign_worker(scenario, seed) for seed in seeds]
 
     counts: Counter = Counter()
     failures = []
@@ -260,13 +258,17 @@ def peak_rss_mb() -> float:
     return peak / (2**20 if sys.platform == "darwin" else 2**10)  # bytes on macOS, KiB elsewhere
 
 
-def _explore_scenario(scenario: ScenarioConfig, out: str | None, max_states: int | None = None) -> int:
+def cmd_explore(args: argparse.Namespace) -> int:
+    scenario = load_scenario(args.scenario)
+    if args.seed is not None:
+        scenario = scenario.reseeded(args.seed)
+    scenario = normalize_scenario(scenario)
     info = algorithm_info(scenario.algorithm)
     scenario = replace(scenario, rounds=_default_rounds(scenario))
     monitor = verify.monitor_for(
         scenario.algorithm, scenario.cfg.n, scenario.cfg.f, scenario.inputs
     )
-    kwargs = {} if max_states is None else {"max_states": max_states}
+    kwargs = {} if args.max_states is None else {"max_states": args.max_states}
     start = time.perf_counter()
     result = explore(
         scenario,
@@ -293,10 +295,10 @@ def _explore_scenario(scenario: ScenarioConfig, out: str | None, max_states: int
     for v in result.violations:
         print(f"FAIL [{v.check}] {v.detail}")
         print(f"  schedule: {json.dumps([list(a) for a in v.schedule])}")
-    if out and result.violations:
+    if args.out and result.violations:
         witness = result.violations[0]
         trace = run_schedule(scenario, info.factory, witness.schedule)
-        out_path = Path(out)
+        out_path = Path(args.out)
         schedule = {"scenario": scenario.to_dict(), "schedule": [list(a) for a in witness.schedule]}
         _write({
             out_path / "violation.trace.jsonl": trace.to_jsonl(),
@@ -304,13 +306,6 @@ def _explore_scenario(scenario: ScenarioConfig, out: str | None, max_states: int
         }, out_path)
         print(f"witness written to {out_path}/violation.*")
     return EXIT_OK if result.ok else EXIT_PROPERTY
-
-
-def cmd_explore(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    if args.seed is not None:
-        scenario = scenario.reseeded(args.seed)
-    return _explore_scenario(scenario, args.out, max_states=args.max_states)
 
 
 def cmd_check(args: argparse.Namespace) -> int:

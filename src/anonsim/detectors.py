@@ -46,7 +46,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
-from typing import Any
+from typing import Any, Callable
 
 from .model import DetectorHistory, FailurePattern
 
@@ -63,38 +63,34 @@ ALL_KINDS = (CRASH_COUNT, EVENTUAL_CRASH_COUNT, SELF_TRUST, PERFECT, EVENTUALLY_
 BEHAVIORS = ("optimistic", "pessimistic", "adversarial")
 
 
-def _check_count_range(history: DetectorHistory) -> None:
-    for p in range(1, history.n + 1):
-        for v in history.row(p):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v <= history.n:
-                raise ValueError(f"count history cell out of range 0..{history.n}: {v!r}")
+def _check_cells(history: DetectorHistory, ok: Callable[[Any, int], bool], what: str) -> None:
+    """Raise a ValueError at the first cell v of `history` for which
+    `ok(v, n)` is false, naming `what` (n filled in for {n}) and v."""
+    n = history.n
+    for row in history.rows:
+        for v in row:
+            if not ok(v, n):
+                raise ValueError(f"{what.format(n=n)}: {v!r}")
 
 
-def _check_flag_range(history: DetectorHistory) -> None:
-    for p in range(1, history.n + 1):
-        for v in history.row(p):
-            if not isinstance(v, bool):
-                raise ValueError(f"self-trust history cell is not a bool: {v!r}")
+@cache
+def _procs(n: int) -> frozenset[int]:
+    return frozenset(range(1, n + 1))
 
 
-def _check_set_range(history: DetectorHistory) -> None:
-    procs = set(range(1, history.n + 1))
-    for p in range(1, history.n + 1):
-        for v in history.row(p):
-            if not isinstance(v, frozenset) or not v <= procs:
-                raise ValueError(f"suspect-set history cell is not a subset of P: {v!r}")
-
-
-def _check_pid_range(history: DetectorHistory) -> None:
-    for p in range(1, history.n + 1):
-        for v in history.row(p):
-            if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= history.n:
-                raise ValueError(f"leader history cell is not a process index: {v!r}")
+# what a cell of each family of tables may hold, as `_check_cells` takes it
+_COUNT_CELLS = (lambda v, n: isinstance(v, int) and not isinstance(v, bool) and 0 <= v <= n,
+                "count history cell out of range 0..{n}")
+_FLAG_CELLS = (lambda v, n: isinstance(v, bool), "self-trust history cell is not a bool")
+_SET_CELLS = (lambda v, n: isinstance(v, frozenset) and v <= _procs(n),
+              "suspect-set history cell is not a subset of P")
+_PID_CELLS = (lambda v, n: isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n,
+              "leader history cell is not a process index")
 
 
 def validate_crash_count(history: DetectorHistory, pattern: FailurePattern) -> bool:
     """Completeness (eventually >= |crashed|) plus permanent accuracy (<=)."""
-    _check_count_range(history)
+    _check_cells(history, *_COUNT_CELLS)
     crashed = len(pattern.crashed)
     h = history.horizon
     for q in pattern.correct:
@@ -108,21 +104,21 @@ def validate_crash_count(history: DetectorHistory, pattern: FailurePattern) -> b
 
 def validate_eventual_crash_count(history: DetectorHistory, pattern: FailurePattern) -> bool:
     """Completeness plus eventual accuracy: both reduce to the tail cells."""
-    _check_count_range(history)
+    _check_cells(history, *_COUNT_CELLS)
     crashed = len(pattern.crashed)
     return all(history.at(q, history.horizon) == crashed for q in pattern.correct)
 
 
 def validate_self_trust(history: DetectorHistory, pattern: FailurePattern) -> bool:
     """Eventually exactly one correct process outputs true, forever."""
-    _check_flag_range(history)
+    _check_cells(history, *_FLAG_CELLS)
     trusting = [q for q in pattern.correct if history.at(q, history.horizon)]
     return len(trusting) == 1
 
 
 def validate_perfect(history: DetectorHistory, pattern: FailurePattern) -> bool:
     """Strong completeness and strong accuracy (never suspected before crashing)."""
-    _check_set_range(history)
+    _check_cells(history, *_SET_CELLS)
     crashed = pattern.crashed
     for q in pattern.correct:
         if not crashed <= history.at(q, history.horizon):
@@ -147,14 +143,14 @@ def validate_perfect(history: DetectorHistory, pattern: FailurePattern) -> bool:
 
 def validate_eventually_perfect(history: DetectorHistory, pattern: FailurePattern) -> bool:
     """Strong completeness and eventual strong accuracy."""
-    _check_set_range(history)
+    _check_cells(history, *_SET_CELLS)
     crashed = pattern.crashed
     return all(history.at(q, history.horizon) == crashed for q in pattern.correct)
 
 
 def validate_leader(history: DetectorHistory, pattern: FailurePattern) -> bool:
     """Eventually all correct processes output the same correct process."""
-    _check_pid_range(history)
+    _check_cells(history, *_PID_CELLS)
     tails = {history.at(q, history.horizon) for q in pattern.correct}
     return len(tails) == 1 and next(iter(tails)) in pattern.correct
 
@@ -212,7 +208,7 @@ class LowestCrashedIndex:
 
 def alive_view(history: DetectorHistory) -> DetectorHistory:
     """The complementary table the algorithms read: alive(q,t) = n - H(q,t)."""
-    _check_count_range(history)
+    _check_cells(history, *_COUNT_CELLS)
     n = history.n
     rows = tuple(tuple(n - v for v in row) for row in history.rows)
     return DetectorHistory("alive-count", n, history.horizon, rows, history.convergence)

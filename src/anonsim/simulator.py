@@ -241,17 +241,17 @@ class Inbox:
     round; switching to round r discards everything tagged below r.
     Untagged messages (decision announcements) are always visible.  Each
     round's items, and the untagged ones, form a tuple that a delivery
-    replaces, so a clone shares every round with its original.
+    replaces, so a clone shares every round with its original.  An inbox
+    holds its contents and nothing else: `explore`'s engine keeps the ids
+    it gives them.
     """
 
     def __init__(self) -> None:
         self.by_round: dict[int, tuple[tuple[int, Payload], ...]] = {}
         self.untagged: tuple[tuple[int, Payload], ...] = ()
         self.floor = 0
-        self._key: int | None = None
 
     def deliver(self, sender: int, payload: Payload, round_tag: int | None) -> None:
-        self._key = None
         if round_tag is None:
             self.untagged += ((sender, payload),)
         elif round_tag >= self.floor:
@@ -259,7 +259,6 @@ class Inbox:
 
     def advance(self, new_floor: int) -> None:
         if new_floor > self.floor:
-            self._key = None
             self.floor = new_floor
             for r in [r for r in self.by_round if r < new_floor]:
                 del self.by_round[r]
@@ -278,23 +277,19 @@ class Inbox:
         other.by_round = dict(self.by_round)
         other.untagged = self.untagged
         other.floor = self.floor
-        other._key = self._key
         return other
 
     def key(self, identified: bool, ids: InternTable) -> int:
         """The id in `ids` of this inbox's contents: the floor, then per
         round the multiset of (sender, payload) items, or of bare payloads
         for an anonymous receiver, then the untagged ones.  A multiset is
-        the sorted tuple of its items' ids.  The id is cached until the
-        inbox changes, so an inbox is keyed in one table only."""
-        if self._key is None:
+        the sorted tuple of its items' ids."""
 
-            def bag(items: tuple[tuple[int, Payload], ...]) -> tuple[int, ...]:
-                return tuple(sorted([ids[item if identified else item[1]] for item in items]))
+        def bag(items: tuple[tuple[int, Payload], ...]) -> tuple[int, ...]:
+            return tuple(sorted([ids[item if identified else item[1]] for item in items]))
 
-            rounds = tuple((r, bag(items)) for r, items in sorted(self.by_round.items()))
-            self._key = ids[self.floor, rounds, bag(self.untagged)]
-        return self._key
+        rounds = tuple((r, bag(items)) for r, items in sorted(self.by_round.items()))
+        return ids[self.floor, rounds, bag(self.untagged)]
 
 
 class InternTable(dict):
@@ -330,7 +325,9 @@ class Automaton:
     """Base for process automata: state-only dataclasses with a cheap copy.
     `key()`, an automaton's identity in `explore`, is its fields in
     declaration order, less the constants of the process (n, f, proc, a
-    cap), which are declared `field(compare=False)`: no key holds `proc`."""
+    cap), which are declared `field(compare=False)`: no key holds `proc`.
+    An automaton holds its fields and nothing else: `explore`'s engine
+    keeps the ids it gives keys."""
 
     n: int = field(compare=False)
     f: int = field(compare=False)
@@ -342,16 +339,7 @@ class Automaton:
     def copy(self):
         clone = object.__new__(type(self))
         clone.__dict__.update(self.__dict__)
-        clone.__dict__.pop("_key_id", None)
         return clone
-
-    def cached_key(self, ids: InternTable) -> int:
-        """The id of `key()` in `ids`, cached on the automaton: safe while
-        exploration only mutates fresh copies."""
-        key = self.__dict__.get("_key_id")
-        if key is None:
-            key = self.__dict__["_key_id"] = ids[self.key()]
-        return key
 
 
 class Ctx:
@@ -975,18 +963,21 @@ class _XEngine(_Engine):
     probe's verdict and a poll's entry are memoized under p's local state:
     (p, the id of its automaton's key, the id of its inbox, the crashed
     mask), read from the state's slots.  The entry holds p's final
-    automaton and inbox, which later polls of that local state share, and
-    its outcomes, which memoize a poll's whole effect under what its sends
-    and hooks read beyond the local state (`reads`): the pending entries it
-    appends, whether p halts, and the monitor after it, one object per
-    monitor id.  A wake's outcome is a poll's; its child also sets p's
-    woken bit.  Sends skip crashed and halted receivers, hooks read only
-    automata and the crashed and halted sets, and monitors with equal keys
-    are interchangeable, so those ids fix the outcome.  A delivery's
-    outcome, the inbox it leaves and that inbox's id, is memoized under
-    (the inbox's id, the message id).  The id a message moves a pending
-    multiset to is memoized under (the id before, the message id), and
-    computed from the multiset that the intern table gives back.
+    automaton and inbox, which later polls of that local state share, with
+    their ids, computed once when the entry is made; and its outcomes,
+    which memoize a poll's whole effect under what its sends and hooks read
+    beyond the local state (`reads`): the pending entries it appends,
+    whether p halts, and the monitor after it, one object per monitor id.
+    A wake's outcome is a poll's; its child also sets p's woken bit.  Sends
+    skip crashed and halted receivers, hooks read only automata and the
+    crashed and halted sets, and monitors with equal keys are
+    interchangeable, so those ids fix the outcome.  A delivery's outcome,
+    the inbox it leaves and that inbox's id, is memoized under (the inbox's
+    id, the message id).  The id a message moves a pending multiset to is
+    memoized under (the id before, the message id), and computed from the
+    multiset that the intern table gives back.  The engine alone owns
+    component ids: automata and inboxes cache none, and only the initial
+    state's are computed outside these memos.
 
     `delivered`, and `polled` on a memoized outcome, derive a child's slots
     from its parent's before the child is built, and `build` installs what
@@ -1003,9 +994,9 @@ class _XEngine(_Engine):
         # these live as long as this engine: one explore call, whose caps
         # (which keys leave out) are fixed
         self.ids = ids = InternTable()
-        # local state -> (automaton, inbox, outcomes); outcomes maps what the
-        # poll read beyond the local state to (pending entries appended,
-        # whether p halts, monitor after, its id)
+        # local state -> (automaton, its id, inbox, its id, outcomes); outcomes
+        # maps what the poll read beyond the local state to (pending entries
+        # appended, whether p halts, monitor after, its id)
         self.polls: dict[tuple, tuple] = {}
         self.probes: dict[tuple, bool] = {}  # local state -> would its next poll move
         self.sent: list[tuple] = []  # the pending entries the poll being applied appends
@@ -1022,7 +1013,7 @@ class _XEngine(_Engine):
         # process has crashed, halted or woken
         slots, identified = array("I"), scenario.identified
         for p in self.cfg.processes:
-            slots.extend((self.automata[p].cached_key(ids), self.inboxes[p].key(identified, ids), ids[()]))
+            slots.extend((ids[self.automata[p].key()], self.inboxes[p].key(identified, ids), ids[()]))
         slots.extend((0, 0, 0, crashes_left, ids[monitor.key()]))
         self.state = _XState(self.automata, self.inboxes, [], monitor, slots)
 
@@ -1114,15 +1105,14 @@ class _XEngine(_Engine):
         kind, p = action
         slots = st.slots
         done = self.polls.get(self.local_state(st, p))
-        outcome = done and done[2].get(self.reads(slots))
+        outcome = done and done[4].get(self.reads(slots))
         if outcome is None:
             return None
         self.reused += 1
         child = slots[:]
         if kind == "wake":
             child[_WOKEN] |= _BIT(p)
-        child[3 * p - 3] = done[0].cached_key(self.ids)
-        child[3 * p - 2] = done[1].key(self.scenario.identified, self.ids)
+        child[3 * p - 3], child[3 * p - 2] = done[1], done[3]
         for entry in outcome[0]:
             self._repend(child, entry[0], entry[4], sent=True)
         if outcome[1]:
@@ -1144,7 +1134,7 @@ class _XEngine(_Engine):
             child.pending.remove(action[1])
             return child
         p, (done, (sent, halts, monitor, _)) = action[1], found
-        child.automata[p], child.inboxes[p], child.monitor = done[0], done[1], monitor
+        child.automata[p], child.inboxes[p], child.monitor = done[0], done[2], monitor
         if halts:
             child.pending = [m for m in child.pending if m[0] != p]
         child.pending += sent
@@ -1194,14 +1184,15 @@ class _XEngine(_Engine):
         self.quiesce(p)
         done = self.polls.get(local)
         if done is None:
-            done = self.polls[local] = (st.automata[p], st.inboxes[p], {})
+            automaton, inbox = st.automata[p], st.inboxes[p]
+            done = self.polls[local] = (automaton, self.ids[automaton.key()],
+                                        inbox, inbox.key(self.scenario.identified, self.ids), {})
         else:  # equal to what this poll left
-            st.automata[p], st.inboxes[p] = done[0], done[1]
-        slots[3 * p - 3] = done[0].cached_key(self.ids)
-        slots[3 * p - 2] = done[1].key(self.scenario.identified, self.ids)
+            st.automata[p], st.inboxes[p] = done[0], done[2]
+        slots[3 * p - 3], slots[3 * p - 2] = done[1], done[3]
         slots[_MONITOR] = monitor_id = self.ids[st.monitor.key()]
         st.monitor = self.monitors.setdefault(monitor_id, st.monitor)
-        done[2][reads] = (tuple(self.sent), bool(slots[_HALTED] & bit), st.monitor, monitor_id)
+        done[4][reads] = (tuple(self.sent), bool(slots[_HALTED] & bit), st.monitor, monitor_id)
 
     def do_broadcast(self, p: int, payload: Payload, round_tag: int | None) -> None:
         st = self.state

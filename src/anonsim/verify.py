@@ -387,8 +387,9 @@ class SuspectorMonitor(NullMonitor):
     perfect detector's accuracy clause evaluated cell by cell).  At terminal
     states the final suspect set of every live process must name exactly the
     crashed processes: the constant tail of the emulated history then
-    witnesses strong completeness (and eventual accuracy).  Round skew is
-    tracked against its bound along the way.
+    witnesses strong completeness (and eventual accuracy).  Given a
+    `skew_bound`, round skew is tracked against it along the way; without
+    one, it is not tracked at all, so it splits no states.
     """
 
     # inherited hooks, named again because perfbench/tracer.py times only the
@@ -396,21 +397,22 @@ class SuspectorMonitor(NullMonitor):
     clone, violation = NullMonitor.clone, NullMonitor.violation
     on_send = on_decide = on_crash = NullMonitor.ignore
 
-    def __init__(self, n: int, f: int, strong_accuracy: bool, skew_bound: int | None = None):
+    def __init__(self, strong_accuracy: bool, skew_bound: int | None = None):
         self.strong_accuracy = strong_accuracy
-        self.skew_bound = skew_bound if skew_bound is not None else f + 1
-        self.enforce_skew = skew_bound is not None
+        self.skew_bound = skew_bound
         self.skew_max = 0
 
     def key(self) -> tuple:
         return (self.skew_max, self.flag)
 
     def on_round(self, state, p: int, r: int) -> None:
+        if self.skew_bound is None:
+            return
         crashed = state.crashed
         live = [state.automata[q].r for q in state.automata if q not in crashed]
         skew = max(live) - min(live)
         self.skew_max = min(max(self.skew_max, skew), self.skew_bound + 1)
-        if self.enforce_skew and self.skew_max > self.skew_bound and not self.flag:
+        if self.skew_max > self.skew_bound and not self.flag:
             self.flag = f"round-skew: {skew} exceeds bound {self.skew_bound}"
 
     def on_output(self, state, p: int, value) -> None:
@@ -515,13 +517,13 @@ ALGORITHMS = {
         AlgorithmInfo(
             "eventual-suspector", transforms.eventual_suspector, (EVENTUAL_CRASH_COUNT, CRASH_COUNT),
             True, False, target_kind=EVENTUALLY_PERFECT,
-            monitor=lambda n, f, inputs: SuspectorMonitor(n, f, strong_accuracy=False),
+            monitor=lambda n, f, inputs: SuspectorMonitor(strong_accuracy=False),
             crash_margin=lambda f: 1,
         ),
         AlgorithmInfo(
             "stable-suspector", transforms.stable_suspector, (CRASH_COUNT,), True, False,
             target_kind=PERFECT, lemmas=(check_round_skew,),
-            monitor=lambda n, f, inputs: SuspectorMonitor(n, f, strong_accuracy=True, skew_bound=f + 1),
+            monitor=lambda n, f, inputs: SuspectorMonitor(strong_accuracy=True, skew_bound=f + 1),
             crash_margin=lambda f: f + 3,
         ),
         AlgorithmInfo(

@@ -33,8 +33,35 @@ TRACE_SEEDS = range(20)
 POLICY_TRACE_SHA256 = "fba391a97fa355df5bd1341f4e81cdcd92daecf55345bc6e9283add832a72ce8"
 POLICY_TRACE_POLICIES = ("fifo", "crash-adjacent")
 POLICY_TRACE_SEEDS = range(5)
-EXPLORE_SHA256 = "dc976fe09165c7ac4e96cbd5b38cec63c3863303e8c777a2b06e9e507bc623ed"
+EXPLORE_SHA256 = "8ceb20781f908fc8f9607823798a20aa914c77139fa0dce0c3d8204c98e90e5e"
 EXPLORE_JOBS = 23
+# each explore job's (states, terminals, violation_count), so that a moved
+# EXPLORE_SHA256 comes with the names of the jobs whose counts moved
+EXPLORE_COUNTS = {
+    "floodmax n=2 f=1": (92, 25, 0),
+    "floodmax n=3 f=0": (157, 1, 0),
+    "lockmin n=2 f=0": (68, 3, 0),
+    "lockmin n=3 f=0": (1358, 16, 0),
+    "leadervote n=2 f=0": (47, 9, 0),
+    "leadervote n=3 f=0": (1407, 253, 0),
+    "eventual-suspector n=2 f=1": (152, 29, 0),
+    "eventual-suspector n=3 f=0": (1082, 1, 0),
+    "stable-suspector n=2 f=1": (106, 19, 0),
+    "stable-suspector n=3 f=0": (1530, 1, 0),
+    "random-selftrust n=2 f=1": (152, 29, 0),
+    "random-selftrust n=3 f=0": (1082, 1, 0),
+    "flood-min n=2 f=1": (92, 25, 0),
+    "flood-min n=3 f=0": (157, 1, 0),
+    "eager-lock n=2 f=0": (44, 3, 0),
+    "eager-lock n=3 f=0": (872, 16, 0),
+    "lonely-lock n=2 f=0": (51, 4, 17),
+    "any-report n=2 f=0": (47, 9, 0),
+    "any-report n=3 f=0": (1407, 253, 0),
+    "free-running n=2 f=1": (7, 2, 4),
+    "free-running n=3 f=0": (4, 0, 3),
+    "hasty-suspector n=2 f=1": (106, 19, 0),
+    "hasty-suspector n=3 f=0": (1530, 1, 0),
+}
 
 
 def grid_tables():
@@ -89,10 +116,11 @@ def policy_trace_digest() -> str:
 
 
 def explore_jobs():
-    """(algorithm, factory, scenario): every algorithm with a monitor and
-    every mutant, at n=2 and at n=3 without crashes, with the crash round
-    limit `anonsim explore` uses.  lonely-lock at n=3 is left out: its
-    22,058 states take seconds."""
+    """(job, algorithm, factory, scenario): every algorithm with a monitor
+    and every mutant, at n=2 and at n=3 without crashes, with the crash
+    round limit `anonsim explore` uses; `job` names the algorithm or mutant,
+    n and f.  lonely-lock at n=3 is left out: its 22,058 states take
+    seconds."""
     explorable = [(name, name, info.factory) for name, info in ALGORITHMS.items() if info.monitor]
     explorable += [(name, algorithm, factory) for name, (algorithm, _, factory) in MUTANTS.items()]
     for name, algorithm, factory in explorable:
@@ -102,31 +130,38 @@ def explore_jobs():
                 continue
             inputs = (0, 1, 1)[:n] if info.consensus else None
             rounds = None if info.consensus else f + 3
-            yield algorithm, factory, scenario(algorithm, n, f, inputs=inputs, rounds=rounds)
+            sc = scenario(algorithm, n, f, inputs=inputs, rounds=rounds)
+            yield f"{name} n={n} f={f}", algorithm, factory, sc
 
 
-def explore_digest() -> tuple[int, str]:
+def explore_digest() -> tuple[int, str, dict[str, tuple[int, int, int]]]:
+    """The job count, the digest of every job's results, and each job's
+    (states, terminals, violation_count)."""
     digest = hashlib.sha256()
-    count = 0
-    for algorithm, factory, sc in explore_jobs():
+    counts = {}
+    for job, algorithm, factory, sc in explore_jobs():
         cfg = sc.cfg
         res = explore(sc, factory, monitor=monitor_for(algorithm, cfg.n, cfg.f, sc.inputs),
                       crash_round_limit=explore_crash_limit(sc))
         profiles = sorted(res.terminal_profiles.items(), key=repr)
         witnesses = [(v.check, v.detail, v.schedule) for v in res.violations]
         digest.update(repr((res.states, res.terminals, profiles, res.violation_count, witnesses)).encode())
-        count += 1
-    return count, digest.hexdigest()
+        counts[job] = (res.states, res.terminals, res.violation_count)
+    return len(counts), digest.hexdigest(), counts
 
 
 if __name__ == "__main__":
     count, grid = grid_digest()
     trace = trace_digest()
     policy_trace = policy_trace_digest()
-    jobs, explored = explore_digest()
-    ok = (count, grid, trace, policy_trace, jobs, explored) == (
-        GRID_TABLES, GRID_SHA256, TRACE_SHA256, POLICY_TRACE_SHA256, EXPLORE_JOBS, EXPLORE_SHA256
+    jobs, explored, counts = explore_digest()
+    ok = (count, grid, trace, policy_trace, jobs, explored, counts) == (
+        GRID_TABLES, GRID_SHA256, TRACE_SHA256, POLICY_TRACE_SHA256, EXPLORE_JOBS, EXPLORE_SHA256, EXPLORE_COUNTS
     )
     print(f"python {sys.version.split()[0]}: grid {count} tables {grid}, traces {trace}, "
           f"policy traces {policy_trace}, explore {jobs} jobs {explored}: {'match' if ok else 'MISMATCH'}")
+    for job in sorted(counts.keys() | EXPLORE_COUNTS.keys()):
+        if counts.get(job) != EXPLORE_COUNTS.get(job):
+            print(f"explore job {job} moved: (states, terminals, violations) pinned "
+                  f"{EXPLORE_COUNTS.get(job)}, now {counts.get(job)}")
     sys.exit(0 if ok else 1)

@@ -226,7 +226,7 @@ class TestCriterion4Transformations:
                       monitor=monitor_for("eventual-suspector", 3, 1, ()),
                       crash_round_limit=5)
         assert not res.partial and res.violation_count == 0, res.violations[:2]
-        assert (res.states, res.terminals) == (170_081, 289)
+        assert (res.states, res.terminals) == (124_685, 253)
         stamp(
             f"criterion 4 PASS: eventually-perfect emulation valid on {res.terminals} "
             f"terminal schedules ({res.states} states)",

@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 from helpers import scenario
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from anonsim import cli, run, run_schedule
+from anonsim import ScenarioConfig, cli, run, run_schedule
 from anonsim.cli import ALGORITHMS, main
 from anonsim.transforms import forced_id_factory
 
@@ -253,11 +253,26 @@ class TestCampaign:
         ("schema", 99), ("scenario", dict(FLOODMAX, schema=99)), ("jobs", -3), ("jobs", 0), ("mode", "single"),
         # counts that cannot be listed: refused before any memory is taken
         ("seeds", {"start": 0, "count": 2**62}), ("seeds", {"start": 0, "count": 2**64}),
+        ("mode", "explore"),
     ])
     def test_malformed_campaign_exits_2(self, tmp_path, capsys, field, value):
         doc = dict(self.campaign_doc(2), **{field: value})
         assert main(["campaign", write(tmp_path, "c.json", doc)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_scenario_parsed_once(self, tmp_path, capsys, monkeypatch):
+        # workers run the scenario the campaign admitted, reseeded, and parse
+        # nothing per seed
+        from_dict, parsed = ScenarioConfig.from_dict.__func__, []
+
+        def counted(cls, doc):
+            parsed.append(doc)
+            return from_dict(cls, doc)
+
+        monkeypatch.setattr(ScenarioConfig, "from_dict", classmethod(counted))
+        assert main(["campaign", write(tmp_path, "c.json", self.campaign_doc(33)), "--jobs", "1"]) == 0
+        assert "floodmax, 33 seeds" in capsys.readouterr().out
+        assert len(parsed) == 1
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_flag_below_1_exits_2(self, tmp_path, capsys, jobs):
@@ -400,8 +415,6 @@ class TestExplore:
     def test_budget_below_one_exits_2(self, tmp_path, capsys, budget):
         sc = scenario("floodmax", 2, 1, inputs=(0, 1)).to_dict()
         assert main(["explore", write(tmp_path, "e.json", sc), "--max-states", str(budget)]) == 2
-        campaign = {"schema": 1, "mode": "explore", "max_states": budget, "scenario": sc}
-        assert main(["campaign", write(tmp_path, "c.json", campaign)]) == 2
         captured = capsys.readouterr()
         assert "PARTIAL" not in captured.out and "state budget" in captured.err
 
@@ -544,7 +557,6 @@ class TestExitCodeContract:
     def test_campaign(self, tmp_path, capsys, data):
         base = {"schema": 1, "mode": "sweep", "seeds": {"start": 0, "count": 2}, "scenario": SMALL}
         doc = replace_fields(data, base, ("seeds", "scenario"))
-        assume(doc.get("mode") != "explore")
         contract_holds(main(["campaign", write(tmp_path, "c.json", doc), "--jobs", "1"]), capsys)
 
     @CONTRACT

@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+import re
+from functools import partial
 
 import pytest
 from pins import GRID_SHA256, GRID_TABLES, grid_digest
@@ -70,11 +72,15 @@ class TestCrashCountValidator:
         assert validate_crash_count(table(CRASH_COUNT, rows), pat)
 
     def test_range_violation_raises(self):
+        # every check of a count table: both validators and the alive view
         pat = FailurePattern.of(2, {})
-        with pytest.raises(ValueError):
-            validate_crash_count(table(CRASH_COUNT, [[0, 3], [0, 0]]), pat)
-        with pytest.raises(ValueError):
-            validate_crash_count(table(CRASH_COUNT, [[0, -1], [0, 0]]), pat)
+        checks = (partial(validate_crash_count, pattern=pat), partial(validate_eventual_crash_count, pattern=pat),
+                  alive_view)
+        for cell in (3, -1, True, "1"):
+            message = re.escape(f"count history cell out of range 0..2: {cell!r}")
+            for check in checks:
+                with pytest.raises(ValueError, match=message):
+                    check(table(CRASH_COUNT, [[0, cell], [0, 0]]))
 
     def test_empty_pattern_forces_zero(self):
         pat = FailurePattern.of(3, {})
@@ -133,8 +139,9 @@ class TestSelfTrustValidator:
 
     def test_range_violation(self):
         pat = FailurePattern.of(2, {})
-        with pytest.raises(ValueError):
-            validate_self_trust(table(SELF_TRUST, [[True, 1], [False, False]]), pat)
+        for cell in (1, None):
+            with pytest.raises(ValueError, match=re.escape(f"self-trust history cell is not a bool: {cell!r}")):
+                validate_self_trust(table(SELF_TRUST, [[True, cell], [False, False]]), pat)
 
 
 class TestSuspectSetValidators:
@@ -158,6 +165,15 @@ class TestSuspectSetValidators:
         assert not validate_perfect(table(PERFECT, [empty] * 3), pat)
         assert not validate_eventually_perfect(table(EVENTUALLY_PERFECT, [empty] * 3), pat)
 
+    def test_range_violation(self):
+        pat = FailurePattern.of(2, {})
+        validators = ((PERFECT, validate_perfect), (EVENTUALLY_PERFECT, validate_eventually_perfect))
+        for cell in (frozenset({3}), frozenset({0}), {1}, (1,)):
+            message = re.escape(f"suspect-set history cell is not a subset of P: {cell!r}")
+            for kind, validate in validators:
+                with pytest.raises(ValueError, match=message):
+                    validate(table(kind, [[frozenset(), cell], [frozenset(), frozenset()]]), pat)
+
     def test_tail_suspicion_of_never_crashing_process(self):
         pat = FailurePattern.of(3, {})
         sus = [frozenset(), frozenset({2})]
@@ -177,6 +193,13 @@ class TestLeaderValidator:
     def test_permanent_disagreement_rejected(self):
         pat = FailurePattern.of(3, {})
         assert not validate_leader(table(LEADER, [[1, 1], [2, 2], [1, 1]]), pat)
+
+    def test_range_violation(self):
+        pat = FailurePattern.of(3, {})
+        for cell in (0, 4, True, None):
+            message = re.escape(f"leader history cell is not a process index: {cell!r}")
+            with pytest.raises(ValueError, match=message):
+                validate_leader(table(LEADER, [[1, 1], [1, cell], [1, 1]]), pat)
 
 
 class TestAliveView:

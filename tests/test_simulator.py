@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 
 import pytest
 from helpers import factory_of, scenario, selftrust_scenario
-from pins import EXPLORE_JOBS, EXPLORE_SHA256, explore_digest, explore_jobs
+from pins import EXPLORE_COUNTS, EXPLORE_JOBS, EXPLORE_SHA256, explore_digest, explore_jobs
 
 from anonsim import (
     LiveOracle,
@@ -501,12 +501,9 @@ class TestExplore:
 
         def check_slots(st, slots, identified, ids):
             for p, automaton in st.automata.items():
-                # fresh copies hold no cached automaton or inbox ids
-                inbox = st.inboxes[p].clone()
-                inbox._key = None
                 pending = tuple(sorted(m[4] for m in st.pending if m[0] == p))
                 assert list(slots[3 * p - 3:3 * p]) == [
-                    automaton.copy().cached_key(ids), inbox.key(identified, ids), ids[pending]
+                    ids[automaton.key()], st.inboxes[p].key(identified, ids), ids[pending]
                 ]
             assert slots[_MONITOR] == ids[st.monitor.key()]
             assert slots[_BUDGET] + len(st.crashed) == crash_limit
@@ -531,7 +528,7 @@ class TestExplore:
         monkeypatch.setattr(_XState, "key", checked_key)
         monkeypatch.setattr(_XEngine, "delivered", checked_delivered)
         skipped = 0
-        for algorithm, factory, sc in explore_jobs():
+        for _, algorithm, factory, sc in explore_jobs():
             cfg = sc.cfg
             identified, crash_limit = sc.identified, cfg.f
             visited.clear()  # keys compare only within one call's intern table
@@ -585,7 +582,7 @@ class TestExplore:
         # Recorder are what tells a memo key short of the halted mask, a
         # peer's automaton id or the monitor's id
         jobs = [(sc, factory, monitor_for(algorithm, sc.cfg.n, sc.cfg.f, sc.inputs), explore_crash_limit(sc))
-                for algorithm, factory, sc in explore_jobs()]
+                for _, algorithm, factory, sc in explore_jobs()]
         gossip = scenario("floodmax", 3, 0, inputs=(0, 0, 0))
         jobs.append((gossip, lambda sc, p: Gossip(sc.cfg.n, sc.cfg.f, p), Recorder(), None))
         for sc, factory, monitor, crash_round_limit in jobs:
@@ -602,7 +599,7 @@ class TestExplore:
         # included (True stays True), and its trace fails the check the
         # monitor flagged; Twins sends payloads that compare equal, 1 and True
         jobs = [(algorithm, factory, sc, monitor_for(algorithm, sc.cfg.n, sc.cfg.f, sc.inputs),
-                 explore_crash_limit(sc)) for algorithm, factory, sc in explore_jobs()]
+                 explore_crash_limit(sc)) for _, algorithm, factory, sc in explore_jobs()]
         twins = scenario("floodmax", 2, 0, inputs=(0, 0))
         jobs.append((None, lambda sc, p: Twins(sc.cfg.n, sc.cfg.f, p), twins, EveryTerminal(), None))
         witnessed = Counter()
@@ -625,8 +622,31 @@ class TestExplore:
 
     def test_results_pinned(self):
         # states, terminals, profiles, violations and witness schedules of
-        # small jobs of every explorable algorithm and mutant
-        assert explore_digest() == (EXPLORE_JOBS, EXPLORE_SHA256)
+        # small jobs of every explorable algorithm and mutant; the counts
+        # name the jobs that moved
+        jobs, digest, counts = explore_digest()
+        assert counts == EXPLORE_COUNTS
+        assert (jobs, digest) == (EXPLORE_JOBS, EXPLORE_SHA256)
+
+    def test_components_hold_only_their_state(self, monkeypatch):
+        # the engine owns every component id: an explored automaton holds
+        # exactly its dataclass fields and an inbox its contents, no cached id
+        key = _XState.key
+        seen = Counter()
+
+        def checked_key(st):
+            for p, automaton in st.automata.items():
+                assert vars(automaton).keys() == {f.name for f in fields(automaton)}, automaton
+                assert vars(st.inboxes[p]).keys() == {"by_round", "untagged", "floor"}
+            seen["states"] += 1
+            return key(st)
+
+        monkeypatch.setattr(_XState, "key", checked_key)
+        for _, algorithm, factory, sc in explore_jobs():
+            cfg = sc.cfg
+            explore(sc, factory, monitor=monitor_for(algorithm, cfg.n, cfg.f, sc.inputs),
+                    crash_round_limit=explore_crash_limit(sc))
+        assert seen["states"] > 10_000
 
     def test_memoized_probe_verdicts_match_fresh_probes(self, monkeypatch):
         # `actions` enables a woken process's poll on the guard-probe verdict
