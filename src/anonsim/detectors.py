@@ -46,6 +46,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
+from operator import gt
 from typing import Any, Callable
 
 from .model import DetectorHistory, FailurePattern
@@ -89,15 +90,21 @@ _PID_CELLS = (lambda v, n: isinstance(v, int) and not isinstance(v, bool) and 1 
 
 
 def validate_crash_count(history: DetectorHistory, pattern: FailurePattern) -> bool:
-    """Completeness (eventually >= |crashed|) plus permanent accuracy (<=)."""
+    """Completeness (eventually >= |crashed|) plus permanent accuracy,
+    time-indexed like `validate_perfect`: no cell of a process before its
+    crash exceeds |F(t)|.  Past the horizon a correct process repeats its
+    last cell while |F(t)| can only grow, so the cells up to the horizon are
+    all that accuracy needs checked."""
     _check_cells(history, *_COUNT_CELLS)
     crashed = len(pattern.crashed)
     h = history.horizon
-    for q in pattern.correct:
-        row = history.row(q)
-        if row[h] < crashed:  # tail must witness completeness
+    bound = [len(pattern.at(t)) for t in range(h + 1)]  # |F(t)|
+    for p in range(1, history.n + 1):
+        row = history.row(p)
+        crash = pattern.crash_step(p)
+        if crash is None and row[h] < crashed:  # tail must witness completeness
             return False
-        if any(v > crashed for v in row):
+        if any(map(gt, row[:crash], bound)):
             return False
     return True
 

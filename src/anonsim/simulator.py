@@ -75,7 +75,7 @@ from .detectors import (
     OracleRuntime,
     sample_history,
 )
-from .model import FailurePattern, ReceiveLog, SystemConfig, correct_set
+from .model import FailurePattern, SystemConfig, correct_set
 
 SCHEMA = 1
 
@@ -411,11 +411,6 @@ class Trace:
     def correct(self) -> frozenset[int]:
         return frozenset(p for p in self.scenario.cfg.processes if p not in self.crashes)
 
-    def received(self, proc: int) -> Counter:
-        return Counter(
-            tuple(ev["payload"]) for ev in self.events if ev["ev"] == "deliver" and ev["proc"] == proc
-        )
-
     def sends(self) -> Counter:
         return Counter(tuple(ev["payload"]) for ev in self.events if ev["ev"] == "send")
 
@@ -426,43 +421,42 @@ class Trace:
             if ev["ev"] == "output" and ev["proc"] == proc
         ]
 
-    def receive_log(self) -> ReceiveLog:
-        log = ReceiveLog({})
-        for ev in self.events:
-            if ev["ev"] == "deliver":
-                log.record(ev["proc"], ev["from"], ev["step"], tuple(ev["payload"]))
-        return log
-
     def to_jsonl(self) -> str:
         """One line per event between a meta and an end line, each byte for
         byte `json.dumps(line, sort_keys=True)`.
 
-        An event is written field by field in sorted key order: an exact
-        `int` by `int.__repr__`, as json does, and every other key or value
-        by one shared encoder.  The encoded text of a key and of a value is
-        memoized by object identity, never by equality (`1 == True`), which
-        holds only because the events hold those objects for the whole call;
-        so a payload that a send shares with its deliveries is encoded once.
+        An event of a kind in `_EVENT_LINES`, with exactly that kind's keys
+        and an exact `int` in "step" and "proc", is written by its kind's
+        f-string, and any other event by one shared encoder.  Within such a
+        line an exact `int` is written by `int.__repr__`, as json does, and
+        any other value is encoded once per object: its text is memoized by
+        object identity, never by equality (`1 == True`), which holds only
+        because the events hold those objects for the whole call.  So a
+        payload that a send shares with its deliveries is encoded once.
         """
         encode = json.JSONEncoder(sort_keys=True).encode
-        keys: dict[int, str] = {}
-        values: dict[int, str] = {}
+        texts: dict[int, str] = {}
+
+        def text(value: Any) -> str:
+            if type(value) is int:
+                return int.__repr__(value)
+            known = texts.get(id(value))
+            if known is None:
+                known = texts[id(value)] = encode(value)
+            return known
+
         lines = [encode({"ev": "meta", "scenario": self.scenario.to_dict()})]
+        shapes = _EVENT_LINES
         for ev in self.events:
-            parts = []
-            for key in sorted(ev):
-                name = keys.get(id(key))
-                if name is None:
-                    name = keys[id(key)] = encode(key) + ": "
-                value = ev[key]
-                if type(value) is int:
-                    parts.append(name + int.__repr__(value))
-                    continue
-                text = values.get(id(value))
-                if text is None:
-                    text = values[id(value)] = encode(value)
-                parts.append(name + text)
-            lines.append("{" + ", ".join(parts) + "}")
+            line = None
+            try:
+                size, render = shapes[ev["ev"]]
+                step, proc = ev["step"], ev["proc"]
+                if len(ev) == size and type(step) is type(proc) is int:
+                    line = render(ev, step, proc, text)
+            except (KeyError, TypeError):  # no "ev", an unhashable or unknown kind, or a missing field
+                pass
+            lines.append(encode(ev) if line is None else line)
         lines.append(encode({"ev": "end", "truncated": self.truncated, "pending": self.pending}))
         return "\n".join(lines) + "\n"
 
@@ -488,6 +482,34 @@ _EVENT_FIELDS = {  # the fields of each trace event besides "ev" and "step"
     "send": ("proc", "payload"), "deliver": ("proc", "from", "payload"), "oracle": ("proc", "value"),
     "decide": ("proc", "value", "r"), "round": ("proc", "r"), "output": ("proc", "value"),
     "crash": ("proc",), "halt": ("proc",),
+}
+
+
+# The line of each event kind in the shape the engine writes it, for
+# `Trace.to_jsonl`: kind -> (key count, renderer of (event, step, proc,
+# text)).  `to_jsonl` renders an event that has the key count and an exact
+# int in "step" and "proc"; a renderer reads every other key of its shape,
+# so a missing one raises KeyError, and an event that renders has exactly
+# those keys.  `text` writes any other value as json does.  A round's shape
+# has a `v` snapshot, as floodmax and leadervote write it; lockmin's rounds,
+# which add `lock`, go to the encoder.
+_EVENT_LINES = {
+    "send": (4, lambda ev, step, proc, text:
+             f'{{"ev": "send", "payload": {text(ev["payload"])}, "proc": {proc}, "step": {step}}}'),
+    "deliver": (5, lambda ev, step, proc, text:
+                f'{{"ev": "deliver", "from": {text(ev["from"])}, "payload": {text(ev["payload"])}, '
+                f'"proc": {proc}, "step": {step}}}'),
+    "decide": (5, lambda ev, step, proc, text:
+               f'{{"ev": "decide", "proc": {proc}, "r": {text(ev["r"])}, "step": {step}, '
+               f'"value": {text(ev["value"])}}}'),
+    "round": (5, lambda ev, step, proc, text:
+              f'{{"ev": "round", "proc": {proc}, "r": {text(ev["r"])}, "step": {step}, "v": {text(ev["v"])}}}'),
+    "oracle": (4, lambda ev, step, proc, text:
+               f'{{"ev": "oracle", "proc": {proc}, "step": {step}, "value": {text(ev["value"])}}}'),
+    "output": (4, lambda ev, step, proc, text:
+               f'{{"ev": "output", "proc": {proc}, "step": {step}, "value": {text(ev["value"])}}}'),
+    "crash": (3, lambda ev, step, proc, text: f'{{"ev": "crash", "proc": {proc}, "step": {step}}}'),
+    "halt": (3, lambda ev, step, proc, text: f'{{"ev": "halt", "proc": {proc}, "step": {step}}}'),
 }
 
 
@@ -610,10 +632,17 @@ class Simulation(_Engine):
     The scheduler's state is kept between steps, not recomputed at each.
     `live` lists the live, unhalted processes in index order; it gets a new
     list only from a crash (in `apply`) and a halt (`do_halt`), the two
-    actions that change it, and the policies and `_settled` read it.  `run`
-    builds its crash timetable once: each step with a crash to the
-    processes crashing then, in process order.  `explore`'s terminal test
-    keeps `all_decided`, which walks every process.
+    actions that change it, and the policies and `_settled` read it.
+    `choices` is the random policy's list: for each process in `live`, a
+    ("deliver", p) if anything is pending to p, then ("poll", p).  What
+    makes it stale sets it to None, and `_random` rebuilds it at its next
+    pick: a change to `live`, a pending list that fills (`do_broadcast`) and
+    one that empties (a deliver).  `run` builds its crash timetable once:
+    each step with a crash to the processes crashing then, in process
+    order.  `explore`'s terminal test keeps `all_decided`, which walks every
+    process.  `quiesce` makes a new `Ctx` per call: one kept per process
+    would tie the engine and its contexts in a reference cycle, which keeps
+    every finished run alive until the garbage collector runs.
     """
 
     def __init__(self, scenario: ScenarioConfig, factory: AutomatonFactory, oracle: Any = None):
@@ -629,6 +658,7 @@ class Simulation(_Engine):
             p: [] for p in self.cfg.processes
         }
         self.live: list[int] = list(self.cfg.processes)
+        self.choices: list[tuple] | None = None
         self._last_oracle: dict[int, Any] = {}
         self._last_output: dict[int, Any] = {}
         self._seq = 0
@@ -653,7 +683,10 @@ class Simulation(_Engine):
             if q == p or q in self.crashed:
                 continue
             self._seq += 1
-            self.pending[q].append((p, payload, round_tag, self._seq))
+            pending = self.pending[q]
+            if not pending:
+                self.choices = None
+            pending.append((p, payload, round_tag, self._seq))
 
     def do_decide(self, p: int, value: Any, r: Any) -> None:
         self.events.append({"step": self.t, "ev": "decide", "proc": p, "value": value, "r": r})
@@ -661,6 +694,7 @@ class Simulation(_Engine):
     def do_halt(self, p: int) -> None:
         self.halted = self.halted | {p}
         self.live = [q for q in self.live if q != p]
+        self.choices = None
         self.events.append({"step": self.t, "ev": "halt", "proc": p})
 
     def do_round(self, p: int, r: int, snapshot: dict) -> None:
@@ -682,12 +716,16 @@ class Simulation(_Engine):
         it, and ("deliver", p, i) delivers `pending[p][i]`."""
         kind, p = action[0], action[1]
         if kind == "deliver":
-            sender, payload, round_tag, _ = self.pending[p].pop(action[2])
+            pending = self.pending[p]
+            sender, payload, round_tag, _ = pending.pop(action[2])
+            if not pending:
+                self.choices = None
             self.inboxes[p].deliver(sender, payload, round_tag)
             self.events.append({"step": self.t, "ev": "deliver", "proc": p, "from": sender, "payload": payload})
         elif kind == "crash":
             self.crashed = self.crashed | {p}
             self.live = [q for q in self.live if q != p]
+            self.choices = None
             self.pending[p].clear()
             self.events.append({"step": self.t, "ev": "crash", "proc": p})
         else:
@@ -744,11 +782,13 @@ def _fifo(sim: Simulation) -> list[tuple]:
 def _random(sim: Simulation) -> list[tuple]:
     # delivery and process steps are independent choices, so a wait can
     # fire with more than its threshold already in the inbox
-    choices: list[tuple] = []
-    for p in sim.live:
-        if sim.pending[p]:
-            choices.append(("deliver", p))
-        choices.append(("poll", p))
+    choices = sim.choices
+    if choices is None:
+        choices = sim.choices = []
+        for p in sim.live:
+            if sim.pending[p]:
+                choices.append(("deliver", p))
+            choices.append(("poll", p))
     rng = sim.rng
     if rng is None:
         rng = sim.rng = random.Random(f"{sim.scenario.seed}/sched")

@@ -1,6 +1,8 @@
-"""Shared scenario builders for the test suite."""
+"""Shared scenario builders and trace readers for the test suite."""
 
-from anonsim import FailurePattern, OracleProfile, ScenarioConfig, SystemConfig
+from collections import Counter
+
+from anonsim import FailurePattern, OracleProfile, ReceiveLog, ScenarioConfig, SystemConfig, Trace
 from anonsim.cli import ALGORITHMS
 
 
@@ -65,3 +67,17 @@ def selftrust_scenario(seed: int) -> ScenarioConfig:
                     crashes={2: 30, 5: 60}, behavior="adversarial",
                     convergence=120, policy="random", seed=seed,
                     horizon=2500, rounds=12)
+
+
+def received(trace: Trace, proc: int) -> Counter:
+    """The multiset of payloads delivered to `proc`."""
+    return Counter(tuple(ev["payload"]) for ev in trace.events if ev["ev"] == "deliver" and ev["proc"] == proc)
+
+
+def receive_log(trace: Trace) -> ReceiveLog:
+    """Every delivery of the trace, by receiver, sender and step."""
+    log = ReceiveLog({})
+    for ev in trace.events:
+        if ev["ev"] == "deliver":
+            log.record(ev["proc"], ev["from"], ev["step"], tuple(ev["payload"]))
+    return log

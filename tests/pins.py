@@ -9,11 +9,17 @@ small job.  The module needs no pytest, so every supported interpreter can
 check the pins:
 
     PYTHONPATH=src python tests/pins.py
+
+On a mismatch it names each explore job whose counts moved and the first
+trace whose bytes moved, and says whether that trace's `to_jsonl` still
+equals `json.dumps` of its lines: a run change if it does, a serializer
+fault if not.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 
 from helpers import campaign_scenario, factory_of, scenario, selftrust_scenario
@@ -33,6 +39,28 @@ TRACE_SEEDS = range(20)
 POLICY_TRACE_SHA256 = "fba391a97fa355df5bd1341f4e81cdcd92daecf55345bc6e9283add832a72ce8"
 POLICY_TRACE_POLICIES = ("fifo", "crash-adjacent")
 POLICY_TRACE_SEEDS = range(5)
+# the first 8 hex digits of each trace's own sha256, ten traces a line in
+# digest order, so that a moved TRACE_SHA256 or POLICY_TRACE_SHA256 comes
+# with the first trace whose bytes moved
+TRACE_PREFIXES = (
+    "cd22929f27ec86a5344fe3edcb423dae7d99cc71a621e81ef47dbe26a8f0e92ec25b511116ec389d"
+    "eb63f80946be0e6e4a608c8710e71e0dc69cd1b8d193c0416bc3a06788aa2f85ff97cb2bea129dd3"
+    "1336600dd88849cc2f963192d911c198bbf6166f3ea4713b642c6ad2091c9dea988a279d271de452"
+    "4dda8367aecef37603ea560bcb1456984b42ec9bac74e27ca98971acc5328b8593470e594703a014"
+    "b0929a2598cdff8a8e1958f7442b05f1b04f2f4b9c40d2eb8c10169830c97082da465280b7da368b"
+    "e8bbe2d52d9542f04b51a19a1df304900c54184f3fde717783d3b73cbe48c32f5db0ab6f2b89a142"
+    "e5cd9d3f9e7eea8454c5f6eb6f507932234005b537d52b3d7a4b17223411a95bd900c91ab4782e9f"
+    "6c9adbecfef6d1f29681e90e741e94539b9343e25ed03fa04bcc361462fba1043a431dac23d60e5d"
+)
+POLICY_TRACE_PREFIXES = (
+    "20093868ea920b173f862f6c8abe2dbfed21c8cd15182cb73413db5dc75f6419fd6361ddaa0a5324"
+    "338e24a3089d34987ffd1f3229dea99fe3898a5507effbc9c0aace4eb1e4d463d89af0feca7cb83e"
+    "73922d71f560c4ff31df6b11b1e4309b52489499b6fe09ffee20cd5cf927a38e0d37e334c82502bd"
+    "b9025fe00f4e5e91ee7529cb3adf50a34db1a18d77306c027504912501bed36e5b6284abbce6ea3d"
+    "3275f5140758c730700cf4427e73ee9a6a9cced4c10002ade7e51def237e6873e81b9b47a734b10f"
+    "7dede696780a410cfce01059203b2de7ceef2329ba19e1a657ee1f88410581c9bdc819ebe6d742fe"
+    "c920eef709fe3f8d8f181c931cdff3027eff31394778ba2fedb3330be7f7dd1d09608da6da20ea51"
+)
 EXPLORE_SHA256 = "8ceb20781f908fc8f9607823798a20aa914c77139fa0dce0c3d8204c98e90e5e"
 EXPLORE_JOBS = 23
 # each explore job's (states, terminals, violation_count), so that a moved
@@ -88,31 +116,57 @@ def grid_digest() -> tuple[int, str]:
     return count, digest.hexdigest()
 
 
-def trace_digest() -> str:
-    """The criterion-2 campaigns and the criterion-6 construction, seeds 0-19."""
-    digest = hashlib.sha256()
+def campaign_traces():
+    """(name, trace): the criterion-2 campaigns and the criterion-6
+    construction, seeds 0-19."""
     for algorithm in TRACE_ALGORITHMS:
         for seed in TRACE_SEEDS:
             if algorithm == "random-selftrust":
                 sc = selftrust_scenario(seed)
             else:
                 sc = campaign_scenario(algorithm, seed)
-            digest.update(run(sc, factory_of(algorithm)).to_jsonl().encode())
-    return digest.hexdigest()
+            yield f"{algorithm} seed {seed}", run(sc, factory_of(algorithm))
 
 
-def policy_trace_digest() -> str:
-    """Every algorithm at n=3 f=1 with process 2 crashing at step 7, under
-    the fifo and crash-adjacent policies, seeds 0-4."""
-    digest = hashlib.sha256()
+def policy_traces():
+    """(name, trace): every algorithm at n=3 f=1 with process 2 crashing at
+    step 7, under the fifo and crash-adjacent policies, seeds 0-4."""
     for algorithm, info in ALGORITHMS.items():
         for policy in POLICY_TRACE_POLICIES:
             for seed in POLICY_TRACE_SEEDS:
                 sc = scenario(algorithm, 3, 1, crashes={2: 7}, behavior="adversarial", convergence=30,
                               horizon=400, policy=policy, seed=seed,
                               **({"inputs": (0, 1, 1)} if info.consensus else {"rounds": 8}))
-                digest.update(run(sc, info.factory).to_jsonl().encode())
-    return digest.hexdigest()
+                yield f"{algorithm} {policy} seed {seed}", run(sc, info.factory)
+
+
+def trace_pins(traces) -> tuple[str, str]:
+    """The sha256 of the traces' bytes in order, and the first 8 hex digits
+    of each trace's own sha256, joined in the same order."""
+    texts = [trace.to_jsonl().encode() for _, trace in traces]
+    return (hashlib.sha256(b"".join(texts)).hexdigest(),
+            "".join(hashlib.sha256(text).hexdigest()[:8] for text in texts))
+
+
+def dumped(trace) -> str:
+    """The trace's lines, each written by `json.dumps(line, sort_keys=True)`:
+    what `Trace.to_jsonl` must equal byte for byte."""
+    lines = [{"ev": "meta", "scenario": trace.scenario.to_dict()}, *trace.events,
+             {"ev": "end", "truncated": trace.truncated, "pending": trace.pending}]
+    return "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+
+
+def first_moved(traces, prefixes: str) -> str:
+    """Name the first of `traces` whose own digest left its pinned prefix,
+    and say whether its `to_jsonl` still equals `dumped`: if it does, the
+    run changed; if not, the serializer is at fault."""
+    for i, (name, trace) in enumerate(traces):
+        text = trace.to_jsonl()
+        if hashlib.sha256(text.encode()).hexdigest()[:8] != prefixes[8 * i:8 * i + 8]:
+            verdict = ("equals json.dumps of its lines, so the run changed" if text == dumped(trace)
+                       else "differs from json.dumps of its lines, so the serializer is at fault")
+            return f"{name} is the first whose bytes moved; its to_jsonl {verdict}"
+    return "no trace's own digest moved, but traces were dropped"
 
 
 def explore_jobs():
@@ -152,14 +206,19 @@ def explore_digest() -> tuple[int, str, dict[str, tuple[int, int, int]]]:
 
 if __name__ == "__main__":
     count, grid = grid_digest()
-    trace = trace_digest()
-    policy_trace = policy_trace_digest()
+    trace, prefixes = trace_pins(campaign_traces())
+    policy_trace, policy_prefixes = trace_pins(policy_traces())
     jobs, explored, counts = explore_digest()
-    ok = (count, grid, trace, policy_trace, jobs, explored, counts) == (
-        GRID_TABLES, GRID_SHA256, TRACE_SHA256, POLICY_TRACE_SHA256, EXPLORE_JOBS, EXPLORE_SHA256, EXPLORE_COUNTS
+    ok = (count, grid, trace, prefixes, policy_trace, policy_prefixes, jobs, explored, counts) == (
+        GRID_TABLES, GRID_SHA256, TRACE_SHA256, TRACE_PREFIXES, POLICY_TRACE_SHA256, POLICY_TRACE_PREFIXES,
+        EXPLORE_JOBS, EXPLORE_SHA256, EXPLORE_COUNTS
     )
     print(f"python {sys.version.split()[0]}: grid {count} tables {grid}, traces {trace}, "
           f"policy traces {policy_trace}, explore {jobs} jobs {explored}: {'match' if ok else 'MISMATCH'}")
+    if (trace, prefixes) != (TRACE_SHA256, TRACE_PREFIXES):
+        print(f"trace {first_moved(campaign_traces(), TRACE_PREFIXES)}")
+    if (policy_trace, policy_prefixes) != (POLICY_TRACE_SHA256, POLICY_TRACE_PREFIXES):
+        print(f"policy trace {first_moved(policy_traces(), POLICY_TRACE_PREFIXES)}")
     for job in sorted(counts.keys() | EXPLORE_COUNTS.keys()):
         if counts.get(job) != EXPLORE_COUNTS.get(job):
             print(f"explore job {job} moved: (states, terminals, violations) pinned "

@@ -20,7 +20,10 @@ import time
 
 import pytest
 from helpers import campaign_scenario, factory_of, scenario, selftrust_scenario
-from pins import POLICY_TRACE_SHA256, TRACE_SHA256, policy_trace_digest, trace_digest
+from pins import (
+    POLICY_TRACE_PREFIXES, POLICY_TRACE_SHA256, TRACE_PREFIXES, TRACE_SHA256, campaign_traces, policy_traces,
+    trace_pins,
+)
 
 from anonsim import (
     CRASH_COUNT,
@@ -376,11 +379,11 @@ class TestCriterion7Determinism:
         # criterion-2 campaigns and the criterion-6 construction at seeds 0-19:
         # the oracle draw order is part of the replay contract
         t0 = time.time()
-        assert trace_digest() == TRACE_SHA256
+        assert trace_pins(campaign_traces()) == (TRACE_SHA256, TRACE_PREFIXES)
         stamp("criterion 7 PASS: 80 seeded traces match their pinned digest", t0)
 
     def test_policy_trace_bytes_pinned(self):
         # every algorithm under the fifo and crash-adjacent policies, seeds 0-4
         t0 = time.time()
-        assert policy_trace_digest() == POLICY_TRACE_SHA256
+        assert trace_pins(policy_traces()) == (POLICY_TRACE_SHA256, POLICY_TRACE_PREFIXES)
         stamp("criterion 7 PASS: 70 fifo and crash-adjacent traces match their pinned digest", t0)

@@ -452,6 +452,14 @@ class TestValidateHistory:
         assert main(["validate-history", "--history", str(hp), "--pattern", str(pp)]) == 1
         capsys.readouterr()
 
+    def test_count_before_its_crash_exits_1(self, tmp_path, capsys):
+        # n=2, process 2 crashes at step 5, and both rows read 1 from step 0
+        history = {"kind": "crash-count", "n": 2, "horizon": 6, "out": [[1] * 7, [1] * 7]}
+        hp = write(tmp_path, "h.json", history)
+        pp = write(tmp_path, "p.json", {"n": 2, "f": 1, "crash": {"2": 5}})
+        assert main(["validate-history", "--history", hp, "--pattern", pp]) == 1
+        assert "INVALID" in capsys.readouterr().out
+
     def test_unknown_kind_exits_2(self, tmp_path, capsys):
         hp = tmp_path / "h.json"
         pp = tmp_path / "p.json"

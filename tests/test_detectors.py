@@ -66,6 +66,18 @@ class TestCrashCountValidator:
         rows = [[0] * 4] * 3
         assert not validate_crash_count(table(CRASH_COUNT, rows), pat)
 
+    def test_count_before_its_crash_rejected(self):
+        # both rows read 1 from step 0, but process 2 crashes at step 5: every
+        # pre-crash cell is bounded by |F(t)|, as a perfect table's suspicions
+        # are, so this table is no more valid than suspecting {2} from step 0
+        pat = FailurePattern.of(2, {2: 5})
+        early = table(CRASH_COUNT, [[1] * 7] * 2)
+        assert not validate_crash_count(early, pat)
+        assert not validate_perfect(table(PERFECT, [[frozenset({2})] * 7] * 2), pat)
+        # the crashing process's own early reading breaks accuracy too
+        assert not validate_crash_count(table(CRASH_COUNT, [[0] * 5 + [1] * 2, [0, 1] + [0] * 5]), pat)
+        assert validate_crash_count(table(CRASH_COUNT, [[0] * 5 + [1] * 2, [0] * 5 + [1, 2]]), pat)
+
     def test_crashed_rows_unconstrained(self):
         pat = FailurePattern.of(3, {3: 0})
         rows = [[1] * 4, [1] * 4, [3, 0, 3, 0]]

@@ -7,8 +7,10 @@ from collections import Counter
 from dataclasses import dataclass, fields
 
 import pytest
-from helpers import factory_of, scenario, selftrust_scenario
-from pins import EXPLORE_COUNTS, EXPLORE_JOBS, EXPLORE_SHA256, explore_digest, explore_jobs
+from helpers import factory_of, receive_log, received, scenario, selftrust_scenario
+from pins import (
+    EXPLORE_COUNTS, EXPLORE_JOBS, EXPLORE_SHA256, campaign_traces, dumped, explore_digest, explore_jobs, policy_traces,
+)
 
 from anonsim import (
     LiveOracle,
@@ -220,7 +222,7 @@ class TestRunSemantics:
         assert not trace.truncated
         sent = trace.sends()
         for p in (1, 2, 3):
-            assert trace.received(p) == sent
+            assert received(trace, p) == sent
 
     def test_no_events_after_crash(self):
         sc = scenario("floodmax", 3, 2, inputs=(1, 0, 1), crashes={2: 7}, policy="random", seed=3)
@@ -296,11 +298,43 @@ class TestRunSemantics:
             {"step": 10, "ev": "round", "proc": 2, "r": 3, "v": 1, "locked": False, "est": [0, {"b": 1, "a": "\\"}]},
             {"step": 11, "ev": "decide", "proc": 2, "value": 1, "r": 3},
             {"step": 12, "ev": "crash", "proc": 3},
+            # every kind in the shape the engine writes it
+            {"step": 13, "ev": "send", "proc": 1, "payload": ("Propose", 2, 0)},
+            {"step": 13, "ev": "deliver", "proc": 1, "from": 1, "payload": ("Propose", 2, 0)},
+            {"step": 14, "ev": "oracle", "proc": 2, "value": 1},
+            {"step": 15, "ev": "round", "proc": 2, "r": 2, "v": 0},
+            {"step": 16, "ev": "round", "proc": 4, "r": 5},
+            {"step": 17, "ev": "decide", "proc": 2, "value": 0, "r": 2},
+            {"step": 18, "ev": "halt", "proc": 2},
+            {"step": 19, "ev": "output", "proc": 4, "value": [1, 3]},
+            {"step": 20, "ev": "crash", "proc": 4},
+            # extra and missing keys, True or None where an int goes, and
+            # snapshot keys on a round
+            {"step": 21, "ev": "send", "proc": 1, "payload": ("x",), "extra": 1},
+            {"step": 21, "ev": "halt", "proc": 1, "payload": ("x",)},
+            {"step": 22, "ev": "deliver", "proc": 1, "payload": ("x",)},
+            {"step": 22, "ev": "deliver", "proc": 1, "from": 2, "payload": ("x",), "r": 1},
+            {"step": 22, "ev": "send", "proc": 1},
+            {"step": 22, "ev": "crash", "proc": 2, "step_": 22},
+            {"step": 23, "ev": "oracle", "proc": 1, "r": 1},
+            {"step": 23, "ev": "send", "proc": True, "payload": ("x",)},
+            {"step": True, "ev": "halt", "proc": 1},
+            {"step": 24, "ev": "deliver", "proc": 1, "from": None, "payload": ("x",)},
+            {"step": 24, "ev": "decide", "proc": 1, "value": 1, "r": True},
+            {"step": 25, "ev": "round", "proc": 1, "r": None, "v": 0},
+            {"step": 25, "ev": "round", "proc": 1, "r": 2, "v": 0, "lock": None},
+            {"step": 25, "ev": "round", "proc": 1, "r": 2, "lock": 1},
+            {"step": 26, "ev": "unknown", "proc": 1},
+            {"step": 26, "ev": ["send"], "proc": 1, "payload": ("x",)},
         ]
         trace = Trace(scenario=scenario("floodmax", 3, 1), events=events, truncated=True, pending=2)
         lines = [{"ev": "meta", "scenario": trace.scenario.to_dict()}, *events,
                  {"ev": "end", "truncated": True, "pending": 2}]
         assert trace.to_jsonl() == "".join(json.dumps(doc, sort_keys=True) + "\n" for doc in lines)
+
+    def test_pinned_traces_are_json_dumps_line_by_line(self):
+        for name, trace in [*campaign_traces(), *policy_traces()]:
+            assert trace.to_jsonl().splitlines() == dumped(trace).splitlines(), name
 
     def test_decide_round_matches_round_bound(self):
         sc = scenario("floodmax", 3, 1, inputs=(0, 1, 0))
@@ -357,6 +391,36 @@ class TestKeptSchedulerState:
             assert trace.crashes == dict(sc.pattern.crash_steps) and trace.halts and not trace.truncated
         assert any(probed)
 
+    def test_kept_choice_list_matches_a_rebuild(self, monkeypatch):
+        # after every action, the random policy's kept choice list is either
+        # stale (None) or what `_random` would build from scratch
+        apply = Simulation.apply
+        kept = []  # per action: whether the list was kept through it
+
+        def rebuilt(sim):
+            live = [p for p in sim.cfg.processes if p not in sim.crashed | sim.halted]
+            return [action for p in live for action in ([("deliver", p)] if sim.pending[p] else []) + [("poll", p)]]
+
+        def checked_apply(sim, action):
+            apply(sim, action)
+            kept.append(sim.choices is not None)
+            assert sim.choices is None or sim.choices == rebuilt(sim)
+
+        runs = []
+        for algorithm in ("floodmax", "lockmin", "leadervote", "stable-suspector"):
+            info = ALGORITHMS[algorithm]
+            kwargs = {"inputs": (0, 1, 0, 1, 1)} if info.consensus else {"rounds": 5}
+            for crashes in ({1: 0}, {3: 17}, {2: 9, 4: 9}):  # at step 0, mid-run, two at one step
+                sc = scenario(algorithm, 5, 2, crashes=crashes, behavior="adversarial", convergence=40,
+                              policy="random", seed=5, **kwargs)
+                runs.append((sc, info.factory, run(sc, info.factory).to_jsonl()))
+        monkeypatch.setattr(Simulation, "apply", checked_apply)
+        for sc, factory, text in runs:
+            trace = run(sc, factory)
+            assert trace.to_jsonl() == text
+            assert trace.crashes == dict(sc.pattern.crash_steps) and trace.halts
+        assert any(kept) and not all(kept)
+
     @pytest.mark.parametrize("policy", ["fifo", "random"])
     def test_crashes_at_one_step_in_process_order(self, policy):
         sc = scenario("lockmin", 5, 2, inputs=(0, 1, 0, 1, 1), crashes={4: 11, 2: 11},
@@ -379,12 +443,12 @@ class TestAnonymityOfRuns:
         a = run(base, factory_of("floodmax"))
         b = run(moved, factory_of("floodmax"))
         for p in (1, 2, 3):
-            assert a.received(p) == b.received(p) == a.sends()
+            assert received(a, p) == received(b, p) == a.sends()
 
     def test_receive_log_hides_senders(self):
         sc = scenario("floodmax", 3, 0, inputs=(0, 1, 1), seed=5)
         trace = run(sc, factory_of("floodmax"))
-        log = trace.receive_log()
+        log = receive_log(trace)
         slot = next((r, s, t) for (r, s, t) in log.values if s != r)
         receiver, sender, step = slot
         other = next(p for p in (1, 2, 3) if p not in (sender,))
