@@ -19,7 +19,6 @@ from .model import (
     SystemConfig,
     anonymous_receive,
     correct_set,
-    crashed_set,
     is_anonymous,
     permute_history,
     permute_pattern,
@@ -35,7 +34,6 @@ from .detectors import (
     LiveOracle,
     OracleProfile,
     OracleRuntime,
-    alive_view,
     sample_history,
 )
 from .simulator import (
@@ -70,10 +68,8 @@ __all__ = [
     "ScenarioError",
     "SystemConfig",
     "Trace",
-    "alive_view",
     "anonymous_receive",
     "correct_set",
-    "crashed_set",
     "default_horizon",
     "explore",
     "is_anonymous",

@@ -4,7 +4,7 @@ Subcommands:
 
 * ``run``              execute one scenario, write trace + check report
 * ``campaign``         sweep a scenario over a seed range and aggregate verdicts
-* ``explore``          enumerate every schedule of a small scenario (n <= 3)
+* ``explore``          enumerate every schedule of a scenario, up to a state budget
 * ``check``            re-run the checkers on a saved trace
 * ``validate-history`` run a detector validator on a history file
 
@@ -173,22 +173,21 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if jobs < 1:
         raise ScenarioError(f"jobs must be at least 1, not {jobs}")
     mode = doc.get("mode", "sweep")
-    if mode == "sweep":
-        spec = doc.get("seeds", {})
-        if isinstance(spec, dict):
-            start, count = int_field(spec, "start", 0), int_field(spec, "count", 0)
-            try:
-                seeds = list(range(start, start + count))
-            except (MemoryError, OverflowError):
-                raise ScenarioError(f"campaign seed count {count} is too large to list") from None
-        else:
-            seeds = spec
-        if not isinstance(seeds, list) or any(type(s) is not int for s in seeds):
-            raise ScenarioError("campaign seeds must be a list of integers or a {start, count} object")
-        if not seeds:
-            raise ScenarioError("campaign seed range is empty")
-    else:
+    if mode != "sweep":
         raise ScenarioError(f"unknown campaign mode {mode!r}")
+    spec = doc.get("seeds", {})
+    if isinstance(spec, dict):
+        start, count = int_field(spec, "start", 0), int_field(spec, "count", 0)
+        try:
+            seeds = list(range(start, start + count))
+        except (MemoryError, OverflowError):
+            raise ScenarioError(f"campaign seed count {count} is too large to list") from None
+    else:
+        seeds = spec
+    if not isinstance(seeds, list) or any(type(s) is not int for s in seeds):
+        raise ScenarioError("campaign seeds must be a list of integers or a {start, count} object")
+    if not seeds:
+        raise ScenarioError("campaign seed range is empty")
 
     # a pool forks all its workers at the first submit, so start no more than
     # there are chunks to hand out
@@ -368,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--out")
     p_camp.set_defaults(fn=cmd_campaign)
 
-    p_exp = sub.add_parser("explore", help="enumerate all schedules (n <= 3)")
+    p_exp = sub.add_parser("explore", help="enumerate all schedules, up to --max-states states")
     p_exp.add_argument("scenario")
     p_exp.add_argument("--seed", type=int)
     p_exp.add_argument("--max-states", type=int, dest="max_states")

@@ -124,27 +124,21 @@ def validate_self_trust(history: DetectorHistory, pattern: FailurePattern) -> bo
 
 
 def validate_perfect(history: DetectorHistory, pattern: FailurePattern) -> bool:
-    """Strong completeness and strong accuracy (never suspected before crashing)."""
+    """Strong completeness (a correct process's tail holds every crashed
+    process) plus strong accuracy: no cell of a process before its crash
+    suspects a process outside F(t).  As for `validate_crash_count`, the
+    cells up to the horizon are all that accuracy needs checked."""
     _check_cells(history, *_SET_CELLS)
     crashed = pattern.crashed
-    for q in pattern.correct:
-        if not crashed <= history.at(q, history.horizon):
-            return False
+    h = history.horizon
+    failed = [pattern.at(t) for t in range(h + 1)]  # F(t)
     for p in range(1, history.n + 1):
+        row = history.row(p)
         crash = pattern.crash_step(p)
-        limit = history.horizon if crash is None else min(history.horizon, crash - 1)
-        for t in range(limit + 1):
-            for q in history.at(p, t):
-                step = pattern.crash_step(q)
-                if step is None or step > t:
-                    return False
-        # the constant tail repeats forever: a tail suspicion of a process
-        # that crashes after the horizon would precede its crash
-        if crash is None:
-            for q in history.at(p, history.horizon):
-                step = pattern.crash_step(q)
-                if step is None or step > history.horizon:
-                    return False
+        if crash is None and not crashed <= row[h]:  # tail must witness completeness
+            return False
+        if not all(map(frozenset.issubset, row[:crash], failed)):
+            return False
     return True
 
 
@@ -187,38 +181,6 @@ class DetectorSpec:
         if history.n != self.n or pattern.n != self.n:
             raise ValueError("history/pattern size does not match the spec")
         return _VALIDATORS[self.kind](history, pattern)
-
-
-@dataclass(frozen=True)
-class LowestCrashedIndex:
-    """Deliberately identity-revealing detector: outputs the lowest-index
-    crashed process (or 0 when nothing crashed).  Its histories are valid per
-    its own rule but not closed under permutation, which is what the
-    anonymity checker must detect.
-    """
-
-    n: int
-    kind: str = "lowest-crashed"
-
-    def expected(self, pattern: FailurePattern) -> int:
-        return min(pattern.crashed, default=0)
-
-    def validates(self, history: DetectorHistory, pattern: FailurePattern) -> bool:
-        want = self.expected(pattern)
-        return all(v == want for p in range(1, self.n + 1) for v in history.row(p))
-
-    def history(self, pattern: FailurePattern, horizon: int) -> DetectorHistory:
-        want = self.expected(pattern)
-        row = tuple([want] * (horizon + 1))
-        return DetectorHistory(self.kind, self.n, horizon, tuple([row] * self.n))
-
-
-def alive_view(history: DetectorHistory) -> DetectorHistory:
-    """The complementary table the algorithms read: alive(q,t) = n - H(q,t)."""
-    _check_cells(history, *_COUNT_CELLS)
-    n = history.n
-    rows = tuple(tuple(n - v for v in row) for row in history.rows)
-    return DetectorHistory("alive-count", n, history.horizon, rows, history.convergence)
 
 
 @dataclass(frozen=True)

@@ -89,11 +89,6 @@ class FailurePattern:
         return max((s for _, s in self.crash_steps), default=0)
 
 
-def crashed_set(pattern: FailurePattern) -> frozenset[int]:
-    """Union of F(t) over all t: exactly the processes with a crash step."""
-    return pattern.crashed
-
-
 def correct_set(pattern: FailurePattern, cfg: SystemConfig) -> frozenset[int]:
     """P - crashed(F); rejects patterns outside cfg's crash budget."""
     if pattern.n != cfg.n:
@@ -111,9 +106,6 @@ class Environment:
     """All failure patterns with at most f crashes for a given system size."""
 
     cfg: SystemConfig
-
-    def contains(self, pattern: FailurePattern) -> bool:
-        return pattern.n == self.cfg.n and len(pattern.crashed) <= self.cfg.f
 
     def sample(self, rng: random.Random, max_step: int) -> FailurePattern:
         count = rng.randint(0, self.cfg.f)
@@ -147,28 +139,6 @@ class Permutation:
 
     def __call__(self, p: int) -> int:
         return self.mapping[p - 1]
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def swap(cls, n: int, a: int, b: int) -> "Permutation":
-        image = list(range(1, n + 1))
-        image[a - 1], image[b - 1] = b, a
-        return cls(tuple(image))
-
-    @classmethod
-    def cycle(cls, n: int, cyc: tuple[int, ...]) -> "Permutation":
-        """Maps cyc[i] to cyc[i+1] (wrapping); everything else fixed."""
-        image = list(range(1, n + 1))
-        for i, p in enumerate(cyc):
-            image[p - 1] = cyc[(i + 1) % len(cyc)]
-        return cls(tuple(image))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(p) = self(other(p))."""
-        return Permutation(tuple(self(other(p)) for p in range(1, self.n + 1)))
 
     def inverse(self) -> "Permutation":
         image = [0] * self.n

@@ -411,9 +411,6 @@ class Trace:
     def correct(self) -> frozenset[int]:
         return frozenset(p for p in self.scenario.cfg.processes if p not in self.crashes)
 
-    def sends(self) -> Counter:
-        return Counter(tuple(ev["payload"]) for ev in self.events if ev["ev"] == "send")
-
     def outputs(self, proc: int) -> list[tuple[int, Any]]:
         return [
             (ev["step"], ev["value"])
@@ -1303,7 +1300,7 @@ def explore(
     max_states: int = 1_500_000,
     crash_round_limit: int | None = None,
 ) -> ExploreResult:
-    """Enumerate every schedule of a small scenario (n <= 3).
+    """Enumerate every schedule of a scenario, up to `max_states` states.
 
     Branching choices: which process starts, which pending message class is
     delivered to whom, when a process takes a step (runs from its blocking
@@ -1320,10 +1317,11 @@ def explore(
     counter is still at or below the limit.  Round-capped transformations
     need it: their completeness clauses are eventual, so only crashes that
     leave enough rounds before the cap can be witnessed by the final state.
+
+    The state budget alone bounds the search, at any n: reaching it ends the
+    search with `partial` set.
     """
     scenario.validate()
-    if scenario.cfg.n > 3:
-        raise ScenarioError("exhaustive exploration is limited to n <= 3")
     if max_states < 1:
         raise ScenarioError(f"the state budget must be at least 1, not {max_states}")
     if scenario.pattern.crash_steps:
@@ -1364,14 +1362,8 @@ def explore(
     profiles: Counter = Counter()
     children = skipped = 0
     peak_frontier = 1
-    # the BFS level being expanded, its states not yet expanded and the
-    # states queued for the next level
-    level, left, queued = 0, 1, 0
 
     while queue:
-        if not left:
-            level, left, queued = level + 1, queued, 0
-        left -= 1
         state = queue.popleft()
         index += 1
         broken = state.monitor.violation()
@@ -1408,7 +1400,6 @@ def explore(
                 queue.append(child)
                 parent.append(index)
                 via.append(move)
-                queued += 1
                 peak_frontier = max(peak_frontier, len(queue))
                 if len(visited) >= max_states:
                     partial = True
@@ -1437,7 +1428,8 @@ def explore(
         children=children,
         skipped=skipped,
         peak_frontier=peak_frontier,
-        depth=level + 1 if queued else level,
+        # breadth first discovers states in order of depth: the last is the deepest
+        depth=len(schedule_of(len(parent) - 1)),
         computed=engine.computed,
         reused=engine.reused,
     )

@@ -239,17 +239,6 @@ def max_id_self_trust(scenario: ScenarioConfig, proc: int) -> MaxIdSelfTrust:
     return MaxIdSelfTrust(n=cfg.n, f=cfg.f, proc=proc, rounds_cap=scenario.rounds, my_id=my_id)
 
 
-def forced_id_factory(ids: dict[int, int]) -> Callable:
-    """Factory with pinned identifiers, for exercising the collision failure mode."""
-
-    def factory(scenario: ScenarioConfig, proc: int) -> MaxIdSelfTrust:
-        auto = max_id_self_trust(scenario, proc)
-        auto.my_id = ids[proc]
-        return auto
-
-    return factory
-
-
 _OUTPUT_DEFAULTS: dict[str, Callable[[int, int], Any]] = {
     EVENTUALLY_PERFECT: lambda p, n: frozenset(),
     PERFECT: lambda p, n: frozenset(),

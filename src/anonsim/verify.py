@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from . import consensus, transforms
 from .detectors import (
@@ -45,12 +45,7 @@ from .detectors import (
     SELF_TRUST,
     DetectorSpec,
 )
-from .model import (
-    DetectorHistory,
-    FailurePattern,
-    Permutation,
-    is_anonymous,
-)
+from .model import DetectorHistory, FailurePattern, is_anonymous
 from .simulator import NullMonitor, ScenarioError, Trace
 
 PASS = "pass"
@@ -243,8 +238,8 @@ def check_target_validity(trace: Trace) -> CheckReport:
     return CheckReport("target-validity", PASS if ok else FAIL, detail=detail)
 
 
-def check_lemma_invariants(trace: Trace, algorithm: str | None = None) -> list[CheckReport]:
-    info = algorithm_info(algorithm or trace.scenario.algorithm)
+def check_lemma_invariants(trace: Trace) -> list[CheckReport]:
+    info = algorithm_info(trace.scenario.algorithm)
     return [check(trace) for check in info.lemmas]
 
 
@@ -290,14 +285,9 @@ def classify_symmetry(history: DetectorHistory, pattern: FailurePattern) -> Symm
     return SymmetryReport(strict=False, suffix=True, suffix_from=disagree[-1] + 1)
 
 
-def check_permutation_closure(
-    spec: Any,
-    pattern: FailurePattern,
-    history: DetectorHistory,
-    perms: Iterable[Permutation] | None = None,
-) -> CheckReport:
+def check_permutation_closure(spec: Any, pattern: FailurePattern, history: DetectorHistory) -> CheckReport:
     try:
-        verdict = is_anonymous(spec, pattern, history, perms=perms)
+        verdict = is_anonymous(spec, pattern, history)
     except ValueError as exc:
         return CheckReport("permutation-closure", FAIL, [], f"invalid input history: {exc}")
     if verdict.anonymous:

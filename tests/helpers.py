@@ -1,9 +1,14 @@
-"""Shared scenario builders and trace readers for the test suite."""
+"""Shared scenario builders, trace readers and negative controls for the
+test suite."""
 
 from collections import Counter
+from dataclasses import dataclass
 
-from anonsim import FailurePattern, OracleProfile, ReceiveLog, ScenarioConfig, SystemConfig, Trace
+from anonsim import (
+    DetectorHistory, FailurePattern, OracleProfile, Permutation, ReceiveLog, ScenarioConfig, SystemConfig, Trace,
+)
 from anonsim.cli import ALGORITHMS
+from anonsim.transforms import max_id_self_trust
 
 
 def scenario(
@@ -67,6 +72,71 @@ def selftrust_scenario(seed: int) -> ScenarioConfig:
                     crashes={2: 30, 5: 60}, behavior="adversarial",
                     convergence=120, policy="random", seed=seed,
                     horizon=2500, rounds=12)
+
+
+def forced_id_factory(ids: dict[int, int]):
+    """The randomized self-trust factory with pinned identifiers, for
+    exercising the collision failure mode."""
+
+    def factory(scenario: ScenarioConfig, proc: int):
+        auto = max_id_self_trust(scenario, proc)
+        auto.my_id = ids[proc]
+        return auto
+
+    return factory
+
+
+def identity(n: int) -> Permutation:
+    return Permutation(tuple(range(1, n + 1)))
+
+
+def compose(a: Permutation, b: Permutation) -> Permutation:
+    """a after b: compose(a, b)(p) = a(b(p))."""
+    return Permutation(tuple(a(b(p)) for p in range(1, a.n + 1)))
+
+
+def swap(n: int, a: int, b: int) -> Permutation:
+    """The transposition of a and b on 1..n."""
+    image = list(range(1, n + 1))
+    image[a - 1], image[b - 1] = b, a
+    return Permutation(tuple(image))
+
+
+def cycle(n: int, cyc: tuple[int, ...]) -> Permutation:
+    """Maps cyc[i] to cyc[i+1] (wrapping); everything else fixed."""
+    image = list(range(1, n + 1))
+    for i, p in enumerate(cyc):
+        image[p - 1] = cyc[(i + 1) % len(cyc)]
+    return Permutation(tuple(image))
+
+
+@dataclass(frozen=True)
+class LowestCrashedIndex:
+    """Deliberately identity-revealing detector: outputs the lowest-index
+    crashed process (or 0 when nothing crashed).  Its histories are valid per
+    its own rule but not closed under permutation, which is what the
+    anonymity checker must detect.
+    """
+
+    n: int
+    kind: str = "lowest-crashed"
+
+    def expected(self, pattern: FailurePattern) -> int:
+        return min(pattern.crashed, default=0)
+
+    def validates(self, history: DetectorHistory, pattern: FailurePattern) -> bool:
+        want = self.expected(pattern)
+        return all(v == want for p in range(1, self.n + 1) for v in history.row(p))
+
+    def history(self, pattern: FailurePattern, horizon: int) -> DetectorHistory:
+        want = self.expected(pattern)
+        row = tuple([want] * (horizon + 1))
+        return DetectorHistory(self.kind, self.n, horizon, tuple([row] * self.n))
+
+
+def sends(trace: Trace) -> Counter:
+    """The multiset of payloads sent in the trace."""
+    return Counter(tuple(ev["payload"]) for ev in trace.events if ev["ev"] == "send")
 
 
 def received(trace: Trace, proc: int) -> Counter:

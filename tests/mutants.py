@@ -21,9 +21,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
-from .consensus import FloodMaxConsensus, LeaderVoteConsensus, LockMinConsensus, flood_max, leader_vote, lock_min
-from .simulator import Ctx
-from .transforms import StableSuspector, stable_suspector
+from anonsim.consensus import FloodMaxConsensus, LeaderVoteConsensus, LockMinConsensus, flood_max, leader_vote, lock_min
+from anonsim.simulator import Ctx
+from anonsim.transforms import StableSuspector, stable_suspector
 
 
 @dataclass

@@ -1,5 +1,5 @@
-"""Digests that pin sampled oracle tables, seeded trace bytes and explore
-results.
+"""Digests that pin sampled oracle tables, validator verdicts, seeded trace
+bytes and explore results.
 
 The oracle sampler's draw order is part of the replay contract: a change
 that reorders, adds or drops a single RNG call changes these digests.  So is
@@ -13,26 +13,78 @@ check the pins:
 On a mismatch it names each explore job whose counts moved and the first
 trace whose bytes moved, and says whether that trace's `to_jsonl` still
 equals `json.dumps` of its lines: a run change if it does, a serializer
-fault if not.
+fault if not.  It names each (kind, n, h) whose validator counts moved, too.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import sys
 
 from helpers import campaign_scenario, factory_of, scenario, selftrust_scenario
+from mutants import MUTANTS
 
-from anonsim import DetectorSpec, FailurePattern, OracleProfile, explore, run, sample_history
+from anonsim import (
+    DetectorHistory, DetectorSpec, Environment, FailurePattern, OracleProfile, SystemConfig, explore, run,
+    sample_history,
+)
 from anonsim.cli import ALGORITHMS, explore_crash_limit
-from anonsim.detectors import ALL_KINDS, BEHAVIORS
+from anonsim.detectors import ALL_KINDS, BEHAVIORS, COUNT_KINDS, LEADER, SELF_TRUST
 from anonsim.model import history_to_json
-from anonsim.mutants import MUTANTS
 from anonsim.verify import monitor_for
 
 GRID_SHA256 = "95de135c7bc70f97a29f85f2715a70c6df564a49270d645fa2baf3ef47ee40eb"
 GRID_TABLES = 2376
+# the (n, h) sizes at which every table of every kind is validated against
+# every pattern, and each (kind, n, h)'s (valid, total) verdict counts
+VALIDATOR_SIZES = ((1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (3, 0))
+VALIDATOR_SHA256 = "acc40d78ddad31735e8a9c052d0410e3c5501c4447b3b9b4758686bd119ae188"
+VALIDATOR_COUNTS = {
+    "crash-count n=1 h=0": (1, 2),
+    "crash-count n=1 h=1": (1, 4),
+    "crash-count n=1 h=2": (1, 8),
+    "crash-count n=2 h=0": (7, 45),
+    "crash-count n=2 h=1": (43, 567),
+    "crash-count n=2 h=2": (259, 6561),
+    "crash-count n=3 h=0": (61, 1216),
+    "eventual-crash-count n=1 h=0": (1, 2),
+    "eventual-crash-count n=1 h=1": (2, 4),
+    "eventual-crash-count n=1 h=2": (4, 8),
+    "eventual-crash-count n=2 h=0": (13, 45),
+    "eventual-crash-count n=2 h=1": (171, 567),
+    "eventual-crash-count n=2 h=2": (2025, 6561),
+    "eventual-crash-count n=3 h=0": (217, 1216),
+    "self-trust n=1 h=0": (1, 2),
+    "self-trust n=1 h=1": (2, 4),
+    "self-trust n=1 h=2": (4, 8),
+    "self-trust n=2 h=0": (10, 20),
+    "self-trust n=2 h=1": (56, 112),
+    "self-trust n=2 h=2": (288, 576),
+    "self-trust n=3 h=0": (75, 152),
+    "perfect n=1 h=0": (1, 2),
+    "perfect n=1 h=1": (1, 4),
+    "perfect n=1 h=2": (1, 8),
+    "perfect n=2 h=0": (9, 80),
+    "perfect n=2 h=1": (73, 1792),
+    "perfect n=2 h=2": (585, 36864),
+    "perfect n=3 h=0": (217, 9728),
+    "eventually-perfect n=1 h=0": (1, 2),
+    "eventually-perfect n=1 h=1": (2, 4),
+    "eventually-perfect n=1 h=2": (4, 8),
+    "eventually-perfect n=2 h=0": (17, 80),
+    "eventually-perfect n=2 h=1": (400, 1792),
+    "eventually-perfect n=2 h=2": (8448, 36864),
+    "eventually-perfect n=3 h=0": (817, 9728),
+    "leader n=1 h=0": (1, 1),
+    "leader n=1 h=1": (1, 1),
+    "leader n=1 h=2": (1, 1),
+    "leader n=2 h=0": (10, 20),
+    "leader n=2 h=1": (56, 112),
+    "leader n=2 h=2": (288, 576),
+    "leader n=3 h=0": (147, 513),
+}
 TRACE_SHA256 = "340efff0f48edc3052ce931986d10199041c53aeb41bf0f68b661f4c9993cb39"
 TRACE_ALGORITHMS = ("floodmax", "lockmin", "leadervote", "random-selftrust")
 TRACE_SEEDS = range(20)
@@ -114,6 +166,45 @@ def grid_digest() -> tuple[int, str]:
         digest.update((history_to_json(history) + "\n").encode())
         count += 1
     return count, digest.hexdigest()
+
+
+def cell_range(kind: str, n: int) -> list:
+    """Every value a cell of a `kind` table over n processes may hold."""
+    if kind in COUNT_KINDS:
+        return list(range(n + 1))
+    if kind == SELF_TRUST:
+        return [False, True]
+    if kind == LEADER:
+        return list(range(1, n + 1))
+    return [frozenset(c) for size in range(n + 1) for c in itertools.combinations(range(1, n + 1), size)]
+
+
+def validator_verdicts():
+    """(job, history, pattern, valid) for every kind and size of
+    VALIDATOR_SIZES: every table over the kind's cell range, against every
+    pattern of `Environment(SystemConfig(n, n - 1)).enumerate_patterns` over
+    the steps 0..h+1, so that a crash may also strike past the horizon."""
+    for kind in ALL_KINDS:
+        for n, h in VALIDATOR_SIZES:
+            spec = DetectorSpec(kind, n)
+            patterns = list(Environment(SystemConfig(n, n - 1)).enumerate_patterns(range(h + 2)))
+            rows = list(itertools.product(cell_range(kind, n), repeat=h + 1))
+            for table in itertools.product(rows, repeat=n):
+                history = DetectorHistory(kind, n, h, table)
+                for pattern in patterns:
+                    yield f"{kind} n={n} h={h}", history, pattern, spec.validates(history, pattern)
+
+
+def validator_digest() -> tuple[str, dict[str, tuple[int, int]]]:
+    """The digest of every verdict in order, and each (kind, n, h)'s
+    (valid, total)."""
+    digest = hashlib.sha256()
+    counts: dict[str, tuple[int, int]] = {}
+    for job, _, _, valid in validator_verdicts():
+        digest.update(b"1" if valid else b"0")
+        ok, total = counts.get(job, (0, 0))
+        counts[job] = (ok + valid, total + 1)
+    return digest.hexdigest(), counts
 
 
 def campaign_traces():
@@ -206,15 +297,21 @@ def explore_digest() -> tuple[int, str, dict[str, tuple[int, int, int]]]:
 
 if __name__ == "__main__":
     count, grid = grid_digest()
+    verdicts, verdict_counts = validator_digest()
     trace, prefixes = trace_pins(campaign_traces())
     policy_trace, policy_prefixes = trace_pins(policy_traces())
     jobs, explored, counts = explore_digest()
-    ok = (count, grid, trace, prefixes, policy_trace, policy_prefixes, jobs, explored, counts) == (
-        GRID_TABLES, GRID_SHA256, TRACE_SHA256, TRACE_PREFIXES, POLICY_TRACE_SHA256, POLICY_TRACE_PREFIXES,
-        EXPLORE_JOBS, EXPLORE_SHA256, EXPLORE_COUNTS
+    ok = (
+        (count, grid, verdicts, verdict_counts, trace, prefixes, policy_trace, policy_prefixes, jobs, explored, counts)
+        == (GRID_TABLES, GRID_SHA256, VALIDATOR_SHA256, VALIDATOR_COUNTS, TRACE_SHA256, TRACE_PREFIXES,
+            POLICY_TRACE_SHA256, POLICY_TRACE_PREFIXES, EXPLORE_JOBS, EXPLORE_SHA256, EXPLORE_COUNTS)
     )
-    print(f"python {sys.version.split()[0]}: grid {count} tables {grid}, traces {trace}, "
+    print(f"python {sys.version.split()[0]}: grid {count} tables {grid}, validators {verdicts}, traces {trace}, "
           f"policy traces {policy_trace}, explore {jobs} jobs {explored}: {'match' if ok else 'MISMATCH'}")
+    for job in sorted(verdict_counts.keys() | VALIDATOR_COUNTS.keys()):
+        if verdict_counts.get(job) != VALIDATOR_COUNTS.get(job):
+            print(f"validator job {job} moved: (valid, total) pinned {VALIDATOR_COUNTS.get(job)}, "
+                  f"now {verdict_counts.get(job)}")
     if (trace, prefixes) != (TRACE_SHA256, TRACE_PREFIXES):
         print(f"trace {first_moved(campaign_traces(), TRACE_PREFIXES)}")
     if (policy_trace, policy_prefixes) != (POLICY_TRACE_SHA256, POLICY_TRACE_PREFIXES):

@@ -19,7 +19,8 @@ import sys
 import time
 
 import pytest
-from helpers import campaign_scenario, factory_of, scenario, selftrust_scenario
+from helpers import LowestCrashedIndex, campaign_scenario, factory_of, forced_id_factory, scenario, selftrust_scenario
+from mutants import any_report, eager_lock, flood_min, free_running, hasty_suspector, lonely_lock
 from pins import (
     POLICY_TRACE_PREFIXES, POLICY_TRACE_SHA256, TRACE_PREFIXES, TRACE_SHA256, campaign_traces, policy_traces,
     trace_pins,
@@ -40,18 +41,8 @@ from anonsim import (
     run,
     sample_history,
 )
-from anonsim.detectors import LowestCrashedIndex
-from anonsim.mutants import (
-    any_report,
-    eager_lock,
-    flood_min,
-    free_running,
-    hasty_suspector,
-    lonely_lock,
-)
 from anonsim.transforms import (
     count_weakening,
-    forced_id_factory,
     id_collision,
     leader_self_trust,
     output_history,

@@ -10,13 +10,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import scenario
+from helpers import forced_id_factory, scenario
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from anonsim import ScenarioConfig, cli, run, run_schedule
 from anonsim.cli import ALGORITHMS, main
-from anonsim.transforms import forced_id_factory
 
 FLOODMAX = {
     "schema": 1,
@@ -385,15 +384,16 @@ class TestExplore:
         assert "Traceback" not in err and "Exception ignored" not in err
         assert err == "error: standard output was closed\n"
 
-    def test_size_guard_exits_2(self, tmp_path, capsys):
+    def test_n4_partial_exits_1(self, tmp_path, capsys):
         doc = {
             "schema": 1, "algorithm": "floodmax", "n": 4, "f": 1,
-            "inputs": [0, 1, 1, 0], "crash": {},
+            "inputs": [0, 0, 0, 1], "crash": {},
             "oracle": {"kind": "crash-count", "behavior": "optimistic", "convergence": 0},
             "policy": "fifo", "seed": 0,
         }
-        assert main(["explore", write(tmp_path, "e.json", doc)]) == 2
-        capsys.readouterr()
+        assert main(["explore", write(tmp_path, "e.json", doc), "--max-states", "20000"]) == 1
+        out = capsys.readouterr().out
+        assert "explored states: 20000" in out and "PARTIAL" in out
 
     def test_algorithm_without_monitor_exits_2(self, tmp_path, capsys):
         doc = scenario("leader-announce", 2, 1, rounds=3).to_dict()

@@ -1,12 +1,14 @@
-"""Detector validators, samplers, and the alive-count view."""
+"""Detector validators, samplers, and the alive count the algorithms read."""
 
 import hashlib
 import random
 import re
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
-from pins import GRID_SHA256, GRID_TABLES, grid_digest
+from helpers import LowestCrashedIndex
+from pins import GRID_SHA256, GRID_TABLES, VALIDATOR_COUNTS, VALIDATOR_SHA256, grid_digest, validator_digest
 
 from anonsim import (
     CRASH_COUNT,
@@ -19,13 +21,12 @@ from anonsim import (
     DetectorSpec,
     FailurePattern,
     OracleProfile,
-    alive_view,
+    SystemConfig,
     is_anonymous,
     sample_history,
 )
 from anonsim.detectors import (
     BEHAVIORS,
-    LowestCrashedIndex,
     _flips,
     _randints,
     validate_crash_count,
@@ -36,6 +37,7 @@ from anonsim.detectors import (
     validate_self_trust,
 )
 from anonsim.model import history_to_json
+from anonsim.simulator import Ctx
 
 
 def table(kind, rows):
@@ -84,10 +86,9 @@ class TestCrashCountValidator:
         assert validate_crash_count(table(CRASH_COUNT, rows), pat)
 
     def test_range_violation_raises(self):
-        # every check of a count table: both validators and the alive view
+        # every check of a count table: both validators
         pat = FailurePattern.of(2, {})
-        checks = (partial(validate_crash_count, pattern=pat), partial(validate_eventual_crash_count, pattern=pat),
-                  alive_view)
+        checks = (partial(validate_crash_count, pattern=pat), partial(validate_eventual_crash_count, pattern=pat))
         for cell in (3, -1, True, "1"):
             message = re.escape(f"count history cell out of range 0..2: {cell!r}")
             for check in checks:
@@ -215,15 +216,21 @@ class TestLeaderValidator:
 
 
 class TestAliveView:
+    """The algorithms read a count table as alive(q, t) = n - H(q, t), the
+    reading of `Ctx.alive_count`."""
+
     def test_complement(self):
-        hist = table(CRASH_COUNT, [[1, 1]] * 4)
-        assert alive_view(hist).rows == ((3, 3),) * 4
+        engine = SimpleNamespace(cfg=SystemConfig(4, 1), oracle_read=lambda p: 1)
+        assert Ctx(engine, 2).alive_count() == 3
+        engine.oracle_read = lambda p: True
+        with pytest.raises(TypeError):
+            Ctx(engine, 2).alive_count()
 
     def test_exact_count_gives_correct_count(self):
         pat = FailurePattern.of(4, {4: 0})
         hist = table(CRASH_COUNT, [[1] * 3] * 4)
         assert validate_crash_count(hist, pat)
-        assert all(v == len(pat.correct) for row in alive_view(hist).rows for v in row)
+        assert all(4 - v == len(pat.correct) for row in hist.rows for v in row)
 
     def test_alive_at_least_correct_on_valid_tables(self):
         # permanent accuracy caps the count, so the alive view never dips
@@ -232,9 +239,8 @@ class TestAliveView:
             pat = FailurePattern.of(4, {2: 2, 4: 5})
             spec = DetectorSpec(CRASH_COUNT, 4)
             hist = sample_history(spec, pat, OracleProfile("adversarial", 6), seed=seed, horizon=10)
-            view = alive_view(hist)
             for q in pat.correct:
-                assert all(v >= len(pat.correct) for v in view.row(q))
+                assert all(4 - v >= len(pat.correct) for v in hist.row(q))
 
 
 PATTERNS = {
@@ -414,3 +420,14 @@ class TestAnonymityOfKinds:
         hist = detector.history(pat, 6)
         verdict = is_anonymous(detector, pat, hist)
         assert not verdict.anonymous
+
+
+class TestExhaustiveValidators:
+    def test_verdicts_pinned(self):
+        # every table of every kind over its cell range, against every pattern
+        # with at most n - 1 crashes at steps 0..h+1, at n <= 2 for horizons
+        # 0-2 and at n = 3 for horizon 0: the (valid, total) counts name the
+        # (kind, n, h) whose verdicts moved
+        digest, counts = validator_digest()
+        assert counts == VALIDATOR_COUNTS
+        assert digest == VALIDATOR_SHA256

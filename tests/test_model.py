@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from helpers import LowestCrashedIndex, compose, cycle, identity, swap
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,13 +18,12 @@ from anonsim import (
     SystemConfig,
     anonymous_receive,
     correct_set,
-    crashed_set,
     is_anonymous,
     permute_history,
     permute_pattern,
     sample_history,
 )
-from anonsim.detectors import CRASH_COUNT, LowestCrashedIndex
+from anonsim.detectors import CRASH_COUNT
 from anonsim.model import (
     all_permutations,
     history_from_json,
@@ -51,13 +51,14 @@ class TestSystemConfig:
 
 class TestFailurePattern:
     def test_crashed_set_empty(self):
-        assert crashed_set(FailurePattern.of(3, {})) == frozenset()
+        assert FailurePattern.of(3, {}).crashed == frozenset()
 
     def test_crashed_set_single(self):
-        assert crashed_set(FailurePattern.of(3, {2: 5})) == frozenset({2})
+        assert FailurePattern.of(3, {2: 5}).crashed == frozenset({2})
 
     def test_crashed_set_union_over_times(self):
-        assert crashed_set(FailurePattern.of(3, {1: 0, 3: 9})) == frozenset({1, 3})
+        pat = FailurePattern.of(3, {1: 0, 3: 9})
+        assert pat.crashed == frozenset({1, 3}) == frozenset().union(*map(pat.at, range(12)))
 
     def test_monotone(self):
         pat = FailurePattern.of(4, {2: 3, 4: 7})
@@ -81,12 +82,15 @@ class TestFailurePattern:
 
 class TestEnvironment:
     def test_membership_by_crash_budget(self):
+        # an environment's patterns are those `correct_set` admits for its config
         from anonsim import Environment
 
         env = Environment(SystemConfig(3, 1))
-        assert env.contains(FailurePattern.of(3, {}))
-        assert env.contains(FailurePattern.of(3, {2: 4}))
-        assert not env.contains(FailurePattern.of(3, {1: 0, 2: 0}))
+        assert correct_set(FailurePattern.of(3, {}), env.cfg)
+        assert correct_set(FailurePattern.of(3, {2: 4}), env.cfg)
+        with pytest.raises(ValueError):
+            correct_set(FailurePattern.of(3, {1: 0, 2: 0}), env.cfg)
+        assert all(correct_set(pat, env.cfg) for pat in env.enumerate_patterns(range(3)))
 
     def test_enumeration_covers_all_small_patterns(self):
         from anonsim import Environment
@@ -113,16 +117,16 @@ class TestPermutation:
 
     def test_pattern_identity(self):
         pat = FailurePattern.of(3, {2: 5})
-        assert permute_pattern(Permutation.identity(3), pat) == pat
+        assert permute_pattern(identity(3), pat) == pat
 
     def test_pattern_swap(self):
         pat = FailurePattern.of(3, {1: 3})
-        moved = permute_pattern(Permutation.swap(3, 1, 2), pat)
+        moved = permute_pattern(swap(3, 1, 2), pat)
         assert moved == FailurePattern.of(3, {2: 3})
 
     def test_pattern_size_mismatch(self):
         with pytest.raises(ValueError):
-            permute_pattern(Permutation.identity(2), FailurePattern.of(3, {}))
+            permute_pattern(identity(2), FailurePattern.of(3, {}))
 
     @given(perms(4), perms(4), st.dictionaries(st.integers(1, 4), st.integers(0, 6), max_size=3))
     @settings(max_examples=120, deadline=None)
@@ -130,7 +134,7 @@ class TestPermutation:
         # oracle: compare the derived crashed sets at every step directly
         pat = FailurePattern.of(4, crashes)
         twice = permute_pattern(p2, permute_pattern(p1, pat))
-        composed = permute_pattern(p2.compose(p1), pat)
+        composed = permute_pattern(compose(p2, p1), pat)
         for t in range(8):
             assert twice.at(t) == {p2(p1(p)) for p in pat.at(t)}
             assert twice.at(t) == composed.at(t)
@@ -146,9 +150,9 @@ class TestPermutation:
     @given(perms(4))
     @settings(max_examples=60, deadline=None)
     def test_inverse_composition(self, pi):
-        ident = Permutation.identity(4)
-        assert pi.compose(pi.inverse()) == ident
-        assert pi.inverse().compose(pi) == ident
+        ident = identity(4)
+        assert compose(pi, pi.inverse()) == ident
+        assert compose(pi.inverse(), pi) == ident
 
 
 def small_history(rows, kind="test"):
@@ -159,7 +163,7 @@ def small_history(rows, kind="test"):
 class TestPermuteHistory:
     def test_identity(self):
         h = small_history([(1, 2), (3, 4), (5, 6)])
-        assert permute_history(Permutation.identity(3), h).rows == h.rows
+        assert permute_history(identity(3), h).rows == h.rows
 
     def test_constant_unchanged(self):
         h = small_history([(7, 7), (7, 7), (7, 7)])
@@ -168,7 +172,7 @@ class TestPermuteHistory:
 
     def test_cycle_matches_defining_equation(self):
         h = small_history([("a", "a"), ("b", "b"), ("c", "c")])
-        pi = Permutation.cycle(3, (1, 2, 3))
+        pi = cycle(3, (1, 2, 3))
         moved = permute_history(pi, h)
         for p in (1, 2, 3):
             for t in (0, 1):
@@ -182,7 +186,7 @@ class TestPermuteHistory:
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            permute_history(Permutation.identity(2), small_history([(1,), (2,), (3,)]))
+            permute_history(identity(2), small_history([(1,), (2,), (3,)]))
 
 
 class TestAnonymousReceive:
@@ -193,17 +197,17 @@ class TestAnonymousReceive:
         return log
 
     def test_identity(self):
-        assert anonymous_receive(self.log(), Permutation.identity(4), 1, 2, 0) == "y"
+        assert anonymous_receive(self.log(), identity(4), 1, 2, 0) == "y"
 
     def test_swap(self):
-        pi = Permutation.swap(4, 1, 2)
+        pi = swap(4, 1, 2)
         assert anonymous_receive(self.log(), pi, 1, 1, 0) == "y"
         assert anonymous_receive(self.log(), pi, 1, 2, 0) == "x"
 
     def test_multiset_preserved(self):
         log = self.log()
         rng = random.Random(5)
-        plain = sorted(anonymous_receive(log, Permutation.identity(4), 1, j, 0) for j in range(1, 5))
+        plain = sorted(anonymous_receive(log, identity(4), 1, j, 0) for j in range(1, 5))
         for _ in range(20):
             pi = random_permutation(4, rng)
             seen = sorted(anonymous_receive(log, pi, 1, j, 0) for j in range(1, 5))
@@ -213,12 +217,12 @@ class TestAnonymousReceive:
         log = self.log()
         for j in range(1, 5):
             for k in range(1, 5):
-                pi = Permutation.swap(4, j, k)
+                pi = swap(4, j, k)
                 assert anonymous_receive(log, pi, 1, j, 0) == log.values[(1, k, 0)]
                 assert anonymous_receive(log, pi, 1, k, 0) == log.values[(1, j, 0)]
 
     def test_absent_slot(self):
-        assert anonymous_receive(self.log(), Permutation.identity(4), 2, 1, 0) is ABSENT
+        assert anonymous_receive(self.log(), identity(4), 2, 1, 0) is ABSENT
 
 
 class TestIsAnonymous:
@@ -233,7 +237,7 @@ class TestIsAnonymous:
         pat = FailurePattern.of(3, {1: 0})
         detector = LowestCrashedIndex(3)
         hist = detector.history(pat, 5)
-        verdict = is_anonymous(detector, pat, hist, perms=[Permutation.identity(3)])
+        verdict = is_anonymous(detector, pat, hist, perms=[identity(3)])
         assert verdict.anonymous
 
     def test_process_naming_detector_breaks(self):
@@ -242,9 +246,9 @@ class TestIsAnonymous:
         pat = FailurePattern.of(3, {1: 0})
         detector = LowestCrashedIndex(3)
         hist = detector.history(pat, 5)
-        verdict = is_anonymous(detector, pat, hist, perms=[Permutation.swap(3, 1, 2)])
+        verdict = is_anonymous(detector, pat, hist, perms=[swap(3, 1, 2)])
         assert not verdict.anonymous
-        assert verdict.violation == Permutation.swap(3, 1, 2)
+        assert verdict.violation == swap(3, 1, 2)
 
     def test_invalid_input_rejected(self):
         pat = FailurePattern.of(3, {1: 0})

@@ -6,22 +6,21 @@ import random
 from collections import Counter
 from dataclasses import dataclass, fields
 
+import mutants
 import pytest
-from helpers import factory_of, receive_log, received, scenario, selftrust_scenario
+from helpers import cycle, factory_of, receive_log, received, scenario, selftrust_scenario, sends, swap
 from pins import (
     EXPLORE_COUNTS, EXPLORE_JOBS, EXPLORE_SHA256, campaign_traces, dumped, explore_digest, explore_jobs, policy_traces,
 )
 
 from anonsim import (
     LiveOracle,
-    Permutation,
     ScenarioConfig,
     ScenarioError,
     Trace,
     anonymous_receive,
     consensus,
     explore,
-    mutants,
     run,
     run_schedule,
     transforms,
@@ -220,7 +219,7 @@ class TestRunSemantics:
         sc = scenario("floodmax", 3, 1, inputs=(0, 1, 0), policy="random", seed=4)
         trace = run(sc, factory_of("floodmax"))
         assert not trace.truncated
-        sent = trace.sends()
+        sent = sends(trace)
         for p in (1, 2, 3):
             assert received(trace, p) == sent
 
@@ -437,13 +436,13 @@ class TestAnonymityOfRuns:
         # run the same crash-free exchange with roles relabelled; every
         # process's per-run received multiset is the full broadcast multiset
         # either way, so the relabelled run is indistinguishable
-        pi = Permutation.cycle(3, (1, 2, 3))
+        pi = cycle(3, (1, 2, 3))
         base = scenario("floodmax", 3, 0, inputs=(0, 1, 1), seed=5)
         moved = scenario("floodmax", 3, 0, inputs=tuple((0, 1, 1)[pi(p) - 1] for p in (1, 2, 3)), seed=5)
         a = run(base, factory_of("floodmax"))
         b = run(moved, factory_of("floodmax"))
         for p in (1, 2, 3):
-            assert received(a, p) == received(b, p) == a.sends()
+            assert received(a, p) == received(b, p) == sends(a)
 
     def test_receive_log_hides_senders(self):
         sc = scenario("floodmax", 3, 0, inputs=(0, 1, 1), seed=5)
@@ -452,7 +451,7 @@ class TestAnonymityOfRuns:
         slot = next((r, s, t) for (r, s, t) in log.values if s != r)
         receiver, sender, step = slot
         other = next(p for p in (1, 2, 3) if p not in (sender,))
-        pi = Permutation.swap(3, sender, other)
+        pi = swap(3, sender, other)
         assert anonymous_receive(log, pi, receiver, other, step) == log.values[slot]
 
 
@@ -860,10 +859,13 @@ class TestExplore:
         with pytest.raises(ScenarioError):
             explore(sc, factory_of("floodmax"))
 
-    def test_size_guard(self):
-        sc = scenario("floodmax", 4, 1, inputs=(0, 1, 1, 0))
-        with pytest.raises(ScenarioError):
-            explore(sc, factory_of("floodmax"))
+    def test_n4_bounded_by_budget(self):
+        # no size guard: at n=4 the state budget alone ends the search
+        sc = scenario("floodmax", 4, 1, inputs=(0, 0, 0, 1))
+        res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", 4, 1, sc.inputs),
+                      max_states=20_000)
+        assert res.partial and not res.ok
+        assert res.states == 20_000
 
 
 @pytest.mark.parametrize("entry", [

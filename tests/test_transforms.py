@@ -1,8 +1,11 @@
 """Detector emulations: suspectors, announcer, randomized self-trust,
 table translations."""
 
+from collections import Counter
+
 import pytest
-from helpers import factory_of, scenario
+from helpers import factory_of, forced_id_factory, scenario
+from pins import validator_verdicts
 
 from anonsim import (
     CRASH_COUNT,
@@ -22,7 +25,6 @@ from anonsim import (
 from anonsim.detectors import validate_crash_count, validate_eventual_crash_count
 from anonsim.transforms import (
     count_weakening,
-    forced_id_factory,
     id_collision,
     leader_self_trust,
     output_history,
@@ -230,6 +232,18 @@ class TestTableTranslations:
             seed=1, horizon=10,
         )
         assert not validate_crash_count(loose, pat)
+
+    def test_every_valid_source_maps_to_a_valid_target(self):
+        # exhaustively, over the tables and patterns whose verdicts tests/pins.py pins
+        translations = {PERFECT: suspected_count, EVENTUALLY_PERFECT: suspected_count,
+                        LEADER: leader_self_trust, CRASH_COUNT: count_weakening}
+        sources = Counter()
+        for _, history, pattern, valid in validator_verdicts():
+            if valid and history.kind in translations:
+                out = translations[history.kind](history)
+                assert DetectorSpec(out.kind, history.n).validates(out, pattern), (history, pattern)
+                sources[history.kind] += 1
+        assert sources == {PERFECT: 887, EVENTUALLY_PERFECT: 9689, LEADER: 504, CRASH_COUNT: 373}
 
     def test_kind_guards(self):
         # each translation, a source kind it accepts, and one it must refuse

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 from helpers import factory_of, scenario
+from mutants import MUTANTS, any_report, eager_lock, flood_min, free_running, hasty_suspector, lonely_lock
 
 from anonsim import (
     CRASH_COUNT,
@@ -19,15 +20,6 @@ from anonsim import (
     sample_history,
 )
 from anonsim.cli import ALGORITHMS, explore_crash_limit
-from anonsim.mutants import (
-    MUTANTS,
-    any_report,
-    eager_lock,
-    flood_min,
-    free_running,
-    hasty_suspector,
-    lonely_lock,
-)
 from anonsim.simulator import NullMonitor
 from anonsim.transforms import output_history
 from anonsim.verify import (
@@ -201,8 +193,9 @@ class TestLemmaCheckers:
                 monitor_for(algorithm, 3, 1, sc.inputs)
         assert explore_crash_limit(replace(sc, rounds=10)) == crash_limit
         assert explore_crash_limit(replace(sc, rounds=None)) is None
+        trace.scenario = replace(trace.scenario, algorithm="no-such-algorithm")
         with pytest.raises(ValueError):
-            check_lemma_invariants(trace, algorithm="no-such-algorithm")
+            check_lemma_invariants(trace)
 
 
 class TestSymmetry:
