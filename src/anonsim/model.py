@@ -239,12 +239,7 @@ class AnonymityVerdict:
     tested: int
 
 
-def is_anonymous(
-    spec: Any,
-    pattern: FailurePattern,
-    history: DetectorHistory,
-    perms: Iterable[Permutation] | None = None,
-) -> AnonymityVerdict:
+def is_anonymous(spec: Any, pattern: FailurePattern, history: DetectorHistory) -> AnonymityVerdict:
     """Check closure of spec.validates under simultaneous relabelling.
 
     A relabelling must move a process's detector output together with its
@@ -257,19 +252,18 @@ def is_anonymous(
     quantifies over the whole permutation group, inverting one side does
     not change which detectors count as anonymous.
 
-    Exhaustive over all n! permutations for n <= 4, over 100 permutations
-    drawn from a fixed seed above (or over an explicit `perms` iterable).
-    Reports the first violating permutation.  The input history must itself
-    be valid.
+    Exhaustive over all n! permutations, in `all_permutations` order, for
+    n <= 4; above that, over 100 permutations drawn from a fixed seed.
+    Reports the first violating permutation and how many were tested up to
+    it.  The input history must itself be valid.
     """
     if not spec.validates(history, pattern):
         raise ValueError("input history does not validate against the spec")
-    if perms is None:
-        if history.n <= 4:
-            perms = all_permutations(history.n)
-        else:
-            rng = random.Random("0/anonymity")
-            perms = (random_permutation(history.n, rng) for _ in range(100))
+    if history.n <= 4:
+        perms = all_permutations(history.n)
+    else:
+        rng = random.Random("0/anonymity")
+        perms = (random_permutation(history.n, rng) for _ in range(100))
     tested = 0
     for pi in perms:
         tested += 1

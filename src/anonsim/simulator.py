@@ -42,19 +42,24 @@ parent's with those its action changed rewritten.  `_XEngine` memoizes, for
 the whole call, a probe's verdict under p's local state, a wake's or a
 poll's whole outcome under p's local state and the ids its sends and hooks
 read, and a delivery's under the ids it reads; the memos last no longer,
-since keys leave out the round and tick caps that differ between calls.  A
-delivery's child, and a wake's or a poll's child whose outcome is memoized,
-has its key derived before it is built, and a child whose key was visited is
-counted and skipped, never built.
+since keys leave out the round and tick caps that differ between calls.
+Every child, of a delivery, a crash, a wake or a poll, has its key derived
+from its parent's before it is built, and one place in the search checks
+that key: a child whose key was visited is counted and skipped, never
+built, so `explore` builds exactly the states it finds new.  A wake or a
+poll whose outcome is not memoized yet runs once on a scratch copy of its
+parent, which records the outcome the child is then derived from.
 
 Seeded runs (`Simulation`), replays (`run_schedule`) and `explore` (on an
 `_XEngine`) apply one set of transition rules, `_Engine`: the poll loop, the
 guard probe and the test that every live process has halted or decided.
-They share one action vocabulary too, each engine running it through its
-`apply`: ("wake"|"poll", p), ("crash", p) and a deliver, which in a seeded
-run names an index into `pending[p]`.  A policy is a picker in `POLICIES`
-that chooses the actions of one scheduler step; the scheduled crashes, the
-final drain and a replayed schedule go through `Simulation.apply` as well.
+They share one action vocabulary too: ("wake"|"poll", p), ("crash", p) and
+a deliver, which in a seeded run names an index into `pending[p]`.  A
+simulation runs an action through `Simulation.apply`, and `explore` derives
+its child through `_XEngine`'s `delivered`, `crash` and `polled`.  A policy
+is a picker in `POLICIES` that chooses the actions of one scheduler step;
+the scheduled crashes, the final drain and a replayed schedule go through
+`Simulation.apply` as well.
 """
 
 from __future__ import annotations
@@ -870,7 +875,11 @@ class NullMonitor:
     """The monitor protocol, and the monitor that checks nothing.
 
     `explore` gives each explored state its own monitor and calls its hooks
-    as that state's events happen:
+    as the events of the action that makes the state happen, before the
+    state is built: a wake's or a poll's on a scratch copy of the parent,
+    and a crash's on a view of the parent whose crashed set holds the crash.
+    The monitor they leave names the child's monitor slot, so its key is
+    part of the key that decides whether the child is built at all:
 
     * `on_send(state, p, payload)` when p broadcasts, before any copy is
       delivered;
@@ -893,18 +902,17 @@ class NullMonitor:
     it, running no hook, in any later state with the same ids.
 
     A delivery calls no hook.  `explore` relies on that too: it derives a
-    delivery child's key from its parent's key, changing only the
-    receiver's inbox and pending slots, and skips the child unbuilt when
-    that key was visited; a delivery child it builds shares its parent's
-    monitor.  A future delivery hook must therefore have deliveries keyed
-    like polls, with a monitor of their own.
+    delivery child's key from its parent's key changing only the receiver's
+    inbox and pending slots, and a delivery child it builds shares its
+    parent's monitor.  A future delivery hook must therefore have
+    deliveries keyed like polls, with a monitor of their own.
 
     `key()` joins the state's identity, so it must fold in every field that
     a later verdict or hook can depend on; states with equal keys merge, and
-    monitors with equal keys may be shared across states.  A crash, wake or
-    poll that runs gets `clone()`, a shallow copy of its parent's monitor,
-    so a hook must replace a container field with a new one, never change
-    it in place.
+    monitors with equal keys may be shared across states.  A crash, and a
+    wake or a poll that runs, gets `clone()`, a shallow copy of its
+    parent's monitor, so a hook must replace a container field with a new
+    one, never change it in place.
     A subclass writes the hooks it checks and inherits the rest; setting
     `flag` makes `violation()` report it.
     """
@@ -959,7 +967,7 @@ class _XState:
 
     def clone(self, slots: array) -> "_XState":
         # copy-on-write: automata, inboxes and the monitor are shared until
-        # an action touches them (_XEngine.apply swaps in a private copy first)
+        # an action replaces them (_XEngine.build installs what it derived)
         return _XState(dict(self.automata), dict(self.inboxes), list(self.pending), self.monitor, slots)
 
     def key(self) -> bytes:
@@ -992,8 +1000,10 @@ _PROCS = _Procs()
 class _XEngine(_Engine):
     """Explore's engine: the shared rules applied to explored states.  The
     poll loop and the guard probe run on the state that `load` last pointed
-    the engine at, whose containers and slots they read and change in
-    place; the effects feed that state's monitor.
+    the engine at: a probe on an explored state, which it only reads, and a
+    poll on the scratch copy that `polled` makes.  `do_broadcast` and
+    `do_halt` only record, in `sent` and in the scratch's halted mask that
+    hooks and `quiesce` read; they write no child's slot or pending list.
 
     A wake or a poll runs p from its wait to its next blocking one; it
     runs once per engine for each pair of p's local state and `reads`.  A
@@ -1016,12 +1026,11 @@ class _XEngine(_Engine):
     component ids: automata and inboxes cache none, and only the initial
     state's are computed outside these memos.
 
-    `delivered`, and `polled` on a memoized outcome, derive a child's slots
-    from its parent's before the child is built, and `build` installs what
-    they found.  `apply` runs a crash, a wake or a poll not memoized yet on
-    a clone with a clone of the parent's monitor, rewriting its slots; each
-    effect a poll requests through Ctx applies at once, and its hook sees
-    p's automaton as it is then.
+    `delivered`, `crash` and `polled` derive a child's slots from its
+    parent's before the child is built, and `build` installs what they
+    found.  The scratch copy of a poll and the view of a crash are built
+    directly, never through `_XState.clone`, so only built children are
+    cloned.
     """
 
     def __init__(self, scenario: ScenarioConfig, factory: AutomatonFactory, monitor: Any,
@@ -1036,7 +1045,7 @@ class _XEngine(_Engine):
         # appended, whether p halts, monitor after, its id)
         self.polls: dict[tuple, tuple] = {}
         self.probes: dict[tuple, bool] = {}  # local state -> would its next poll move
-        self.sent: list[tuple] = []  # the pending entries the poll being applied appends
+        self.sent: list[tuple] = []  # the pending entries the poll being run sends
         self.monitors: dict[int, Any] = {}  # monitor id -> the monitor that poll outcomes share
         self.computed = self.reused = 0  # wakes and polls run, and taken from an outcome
         # p -> its wake, poll and crash actions, which every state shares
@@ -1134,18 +1143,48 @@ class _XEngine(_Engine):
         self._repend(slots, p, message, sent=False)
         return slots, after[0]
 
-    def polled(self, st: _XState, action: tuple) -> tuple[array, tuple] | None:
+    def crash(self, st: _XState, p: int) -> tuple[array, Any]:
+        """The slots of the child that crashing p makes of `st`, derived
+        from `st`'s slots without building the child, and the monitor it
+        leaves: `on_crash` runs on a clone of `st`'s monitor, against a view
+        of `st` whose slots already hold p's crash."""
+        slots = st.slots[:]
+        slots[_CRASHED] |= _BIT(p)
+        slots[_BUDGET] -= 1
+        slots[3 * p - 1] = self.ids[()]
+        monitor = st.monitor.clone()
+        monitor.on_crash(_XState(st.automata, st.inboxes, st.pending, monitor, slots), p)
+        slots[_MONITOR] = self.ids[monitor.key()]
+        return slots, monitor
+
+    def polled(self, st: _XState, action: tuple) -> tuple[array, tuple]:
         """The slots of the child that `action`, a wake or a poll of p,
         makes of `st`, derived from `st`'s slots without building the child,
-        and the poll's entry and outcome; None when that outcome is not
-        memoized yet."""
+        and the poll's entry and outcome.  An outcome not memoized yet is
+        made first, by one run on a scratch copy of `st` with private copies
+        of p's automaton and inbox, of `st`'s monitor and of its slots; the
+        monitor it leaves becomes the one of its id, and each hook sees p's
+        automaton as it is when the effect fires."""
         kind, p = action
         slots = st.slots
-        done = self.polls.get(self.local_state(st, p))
-        outcome = done and done[4].get(self.reads(slots))
+        local, reads = self.local_state(st, p), self.reads(slots)
+        done = self.polls.get(local)
+        outcome = done and done[4].get(reads)
         if outcome is None:
-            return None
-        self.reused += 1
+            self.computed += 1
+            automata, inboxes = dict(st.automata), dict(st.inboxes)
+            automaton, inbox = automata[p], inboxes[p] = automata[p].copy(), inboxes[p].clone()
+            scratch = _XState(automata, inboxes, st.pending, st.monitor.clone(), slots[:])
+            self.sent = []
+            self.load(scratch).quiesce(p)
+            if done is None:  # later polls of this local state share what this one left
+                done = self.polls[local] = (automaton, self.ids[automaton.key()],
+                                            inbox, inbox.key(self.scenario.identified, self.ids), {})
+            monitor_id = self.ids[scratch.monitor.key()]
+            outcome = done[4][reads] = (tuple(self.sent), bool(scratch.slots[_HALTED] & _BIT(p)),
+                                        self.monitors.setdefault(monitor_id, scratch.monitor), monitor_id)
+        else:
+            self.reused += 1
         child = slots[:]
         if kind == "wake":
             child[_WOKEN] |= _BIT(p)
@@ -1160,9 +1199,10 @@ class _XEngine(_Engine):
 
     def build(self, st: _XState, action: tuple, slots: array, found: Any) -> _XState:
         """The child that `action` makes of `st`, with the slots that
-        `delivered` or `polled` derived and what it found: a delivery
-        installs the memoized inbox and keeps `st`'s monitor, a memoized
-        wake or poll installs p's automaton and inbox, the pending entries
+        `delivered`, `crash` or `polled` derived and what it found: a
+        delivery installs the memoized inbox and keeps `st`'s monitor, a
+        crash installs its monitor and drops what is pending to p, and a
+        wake or a poll installs p's automaton and inbox, the pending entries
         and the monitor of its outcome.  No poll runs and no hook is
         called."""
         child = st.clone(slots)
@@ -1170,7 +1210,12 @@ class _XEngine(_Engine):
             child.inboxes[action[1][0]] = found
             child.pending.remove(action[1])
             return child
-        p, (done, (sent, halts, monitor, _)) = action[1], found
+        p = action[1]
+        if action[0] == "crash":
+            child.monitor = found
+            child.pending = [m for m in child.pending if m[0] != p]
+            return child
+        done, (sent, halts, monitor, _) = found
         child.automata[p], child.inboxes[p], child.monitor = done[0], done[2], monitor
         if halts:
             child.pending = [m for m in child.pending if m[0] != p]
@@ -1192,45 +1237,6 @@ class _XEngine(_Engine):
             after = memo[before, message] = self.ids[tuple(sorted(bag))]
         slots[3 * q - 1] = after
 
-    def apply(self, st: _XState, action: tuple) -> None:
-        """Apply `action`, a crash, a wake or a poll, to `st`, a fresh clone
-        of its parent, rewriting the slots it changes; its hooks feed a
-        clone of the parent's monitor.  A wake or a poll runs on private
-        copies of p's automaton and inbox, shares the ones of p's local
-        state once it has an entry, and records its outcome for `polled`;
-        the monitor it leaves becomes the one of its id."""
-        kind, p = action
-        slots, bit = st.slots, _BIT(p)
-        st.monitor = st.monitor.clone()
-        if kind == "crash":
-            slots[_CRASHED] |= bit
-            slots[_BUDGET] -= 1
-            slots[3 * p - 1] = self.ids[()]
-            st.pending = [m for m in st.pending if m[0] != p]
-            st.monitor.on_crash(st, p)
-            slots[_MONITOR] = self.ids[st.monitor.key()]
-            return
-        if kind == "wake":
-            slots[_WOKEN] |= bit
-        local, reads = self.local_state(st, p), self.reads(slots)
-        self.computed += 1
-        self.load(st)
-        st.automata[p] = st.automata[p].copy()
-        st.inboxes[p] = st.inboxes[p].clone()
-        self.sent = []
-        self.quiesce(p)
-        done = self.polls.get(local)
-        if done is None:
-            automaton, inbox = st.automata[p], st.inboxes[p]
-            done = self.polls[local] = (automaton, self.ids[automaton.key()],
-                                        inbox, inbox.key(self.scenario.identified, self.ids), {})
-        else:  # equal to what this poll left
-            st.automata[p], st.inboxes[p] = done[0], done[2]
-        slots[3 * p - 3], slots[3 * p - 2] = done[1], done[3]
-        slots[_MONITOR] = monitor_id = self.ids[st.monitor.key()]
-        st.monitor = self.monitors.setdefault(monitor_id, st.monitor)
-        done[4][reads] = (tuple(self.sent), bool(slots[_HALTED] & bit), st.monitor, monitor_id)
-
     def do_broadcast(self, p: int, payload: Payload, round_tag: int | None) -> None:
         st = self.state
         st.inboxes[p].deliver(p, payload, round_tag)
@@ -1239,10 +1245,7 @@ class _XEngine(_Engine):
         gone = st.slots[_CRASHED] | st.slots[_HALTED]
         for q in self.cfg.processes:
             if q != p and not gone & _BIT(q):
-                self._repend(st.slots, q, message, sent=True)
-                entry = (q, p, payload, round_tag, message)
-                st.pending.append(entry)
-                self.sent.append(entry)
+                self.sent.append((q, p, payload, round_tag, message))
 
     def do_decide(self, p: int, value: Any, r: Any) -> None:
         self.state.monitor.on_decide(self.state, p, value, r)
@@ -1250,8 +1253,6 @@ class _XEngine(_Engine):
     def do_halt(self, p: int) -> None:
         st = self.state
         st.slots[_HALTED] |= _BIT(p)
-        st.slots[3 * p - 1] = self.ids[()]
-        st.pending = [m for m in st.pending if m[0] != p]
         self.halted = st.halted
 
     def do_round(self, p: int, r: int, snapshot: dict) -> None:
@@ -1281,11 +1282,11 @@ class ExploreResult:
     partial: bool
     terminal_profiles: Counter
     children: int  # child states reached, new or not: one per enabled action of every expanded state
-    skipped: int  # deliveries and memoized wakes and polls recognized as visited from their parent's key, never built
+    skipped: int  # children whose key, derived from their parent's, was visited: never built
     peak_frontier: int  # most states discovered but not yet expanded at once
     depth: int  # the BFS depth reached: the most actions between the initial state and a state
     computed: int  # wakes and polls run: the first of each pair of local state and what it reads beyond
-    reused: int  # wakes and polls whose whole outcome was memoized: derived, then built or skipped unbuilt
+    reused: int  # wakes and polls whose whole outcome was memoized: derived without running
 
     @property
     def ok(self) -> bool:
@@ -1373,23 +1374,16 @@ def explore(
                 children += 1
                 kind = action[0]
                 if kind == "deliver":
-                    found = engine.delivered(state, action[1])
+                    slots, found = engine.delivered(state, action[1])
                 elif kind == "crash":
-                    found = None
+                    slots, found = engine.crash(state, action[1])
                 else:
-                    found = engine.polled(state, action)
-                if found is None:  # a crash, a wake or a poll not memoized yet
-                    child = state.clone(state.slots[:])
-                    engine.apply(child, action)
-                elif found[0].tobytes() in visited:
+                    slots, found = engine.polled(state, action)
+                if slots.tobytes() in visited:
                     skipped += 1
                     continue
-                else:
-                    child = engine.build(state, action, *found)
-                child_key = child.key()
-                if child_key in visited:
-                    continue
-                visited.add(child_key)
+                child = engine.build(state, action, slots, found)
+                visited.add(child.key())
                 if kind != "deliver":
                     move = number[action]
                 else:  # numbered when it first reaches a new state

@@ -253,7 +253,7 @@ def _cell(kind: str, value: Any) -> Any:
     return value
 
 
-def output_history(trace: Trace, target_kind: str, name: str = "") -> DetectorHistory:
+def output_history(trace: Trace, target_kind: str) -> DetectorHistory:
     """Assemble the emulated target history from a trace's output events."""
     n = trace.scenario.cfg.n
     horizon = max((ev["step"] for ev in trace.events), default=0)
@@ -274,7 +274,7 @@ def output_history(trace: Trace, target_kind: str, name: str = "") -> DetectorHi
         n=n,
         horizon=horizon,
         rows=tuple(rows),
-        emulated_from=(trace.scenario.oracle_kind, name or trace.scenario.algorithm, trace.scenario.seed),
+        emulated_from=(trace.scenario.oracle_kind, trace.scenario.algorithm, trace.scenario.seed),
     )
 
 

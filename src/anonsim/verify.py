@@ -228,7 +228,7 @@ def check_id_collision(trace: Trace) -> CheckReport:
 def check_target_validity(trace: Trace) -> CheckReport:
     """The emulated detector history is valid for the run's failure pattern."""
     info = algorithm_info(trace.scenario.algorithm)
-    history = transforms.output_history(trace, info.target_kind, info.name)
+    history = transforms.output_history(trace, info.target_kind)
     spec = DetectorSpec(info.target_kind, trace.scenario.cfg.n)
     detail = f"emulated {info.target_kind} history"
     try:

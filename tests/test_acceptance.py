@@ -269,7 +269,7 @@ class TestCriterion4Transformations:
                           behavior="adversarial", convergence=60,
                           policy="fifo", seed=seed, horizon=800, rounds=25)
             trace = run(sc, factory_of("leader-announce"))
-            hist = output_history(trace, LEADER, "leader-announce")
+            hist = output_history(trace, LEADER)
             assert target.validates(hist, sc.pattern), seed
         stamp(f"criterion 4 PASS: {SWEEP} announcement runs emulate a valid leader oracle", t0)
 
@@ -316,7 +316,7 @@ class TestCriterion6RandomizedReduction:
         for seed in range(SWEEP):
             sc = selftrust_scenario(seed)
             trace = run(sc, factory_of("random-selftrust"))
-            hist = output_history(trace, SELF_TRUST, "random-selftrust")
+            hist = output_history(trace, SELF_TRUST)
             collided = id_collision(trace)
             collisions += collided
             if not collided and spec.validates(hist, sc.pattern):
@@ -336,7 +336,7 @@ class TestCriterion6RandomizedReduction:
                       policy="random", seed=4, horizon=900, rounds=8)
         trace = run(sc, forced_id_factory({1: 9, 2: 9, 3: 4}))
         assert id_collision(trace)
-        hist = output_history(trace, SELF_TRUST, "random-selftrust")
+        hist = output_history(trace, SELF_TRUST)
         assert not DetectorSpec(SELF_TRUST, 3).validates(hist, sc.pattern)
         stamp("criterion 6 PASS: forced identifier collision yields an invalid history", t0)
 

@@ -346,7 +346,7 @@ class TestExplore:
         out = capsys.readouterr().out
         assert "violations: 0" in out
         assert "explored states: 92" in out
-        assert "children: 146 (dedup ratio: 0.6233 new states per child), 17 skipped unbuilt" in out
+        assert "children: 146 (dedup ratio: 0.6233 new states per child), 55 skipped unbuilt" in out
         assert "peak frontier: 18" in out and "depth: 8" in out
         assert "local transitions: 42 computed, 20 reused\n" in out
 

@@ -233,22 +233,28 @@ class TestIsAnonymous:
         verdict = is_anonymous(spec, pat, hist)
         assert verdict.anonymous and verdict.tested == 6
 
-    def test_identity_only_always_closed(self):
-        pat = FailurePattern.of(3, {1: 0})
-        detector = LowestCrashedIndex(3)
-        hist = detector.history(pat, 5)
-        verdict = is_anonymous(detector, pat, hist, perms=[identity(3)])
-        assert verdict.anonymous
-
     def test_process_naming_detector_breaks(self):
         # outputs the lowest-index crashed process; a swap relabels the crash
-        # but not the output value
+        # but not the output value.  The identity and swap(3, 2, 3), which
+        # keeps process 1, come first in the search, and leave it closed
         pat = FailurePattern.of(3, {1: 0})
         detector = LowestCrashedIndex(3)
         hist = detector.history(pat, 5)
-        verdict = is_anonymous(detector, pat, hist, perms=[swap(3, 1, 2)])
+        verdict = is_anonymous(detector, pat, hist)
         assert not verdict.anonymous
-        assert verdict.violation == swap(3, 1, 2)
+        assert (verdict.violation, verdict.tested) == (swap(3, 1, 2), 3)
+
+    def test_sampled_permutations_above_n4(self):
+        # at n = 5 the search tests 100 permutations drawn from a fixed seed
+        pat = FailurePattern.of(5, {3: 2})
+        spec = DetectorSpec(CRASH_COUNT, 5)
+        hist = sample_history(spec, pat, OracleProfile("adversarial", 4), seed=1, horizon=8)
+        verdict = is_anonymous(spec, pat, hist)
+        assert (verdict.anonymous, verdict.tested) == (True, 100)
+        pat = FailurePattern.of(5, {1: 0})
+        detector = LowestCrashedIndex(5)
+        verdict = is_anonymous(detector, pat, detector.history(pat, 5))
+        assert not verdict.anonymous and verdict.violation(1) != 1 and verdict.tested <= 100
 
     def test_invalid_input_rejected(self):
         pat = FailurePattern.of(3, {1: 0})

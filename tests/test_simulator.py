@@ -110,6 +110,21 @@ class Twins(Automaton):
         return True
 
 
+@dataclass
+class Waiter(Automaton):
+    """A toy protocol that never decides: a woken process broadcasts once
+    and then blocks forever, undecided and unhalted."""
+
+    sent: bool = False
+
+    def on_poll(self, ctx) -> bool:
+        if self.sent:
+            return False
+        ctx.broadcast(("hi",))
+        self.sent = True
+        return True
+
+
 class EveryTerminal(NullMonitor):
     """A monitor that fails every terminal state, so that each has a witness."""
 
@@ -506,43 +521,78 @@ class TestExplore:
         assert explore(sc, factory_of("floodmax"), max_states=1).depth == 0
 
     def test_visited_deliveries_skipped_unbuilt(self, monkeypatch):
-        # a delivery, or a wake or a poll whose outcome is memoized, whose
+        # a child of any action, a delivery, a crash, a wake or a poll, whose
         # key, derived from its parent's, was visited is counted but never
-        # cloned, built or keyed
+        # cloned, built or keyed: only new states are cloned
         clones = Counter()
-        clone = _XState.clone
+        clone, key = _XState.clone, _XState.key
 
         def counted_clone(st, *args):
             clones["state"] += 1
             return clone(st, *args)
 
+        def counted_key(st):
+            clones["keyed"] += 1
+            return key(st)
+
         monkeypatch.setattr(_XState, "clone", counted_clone)
-        sc = scenario("floodmax", 3, 0, inputs=(0, 0, 1))
-        res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", 3, 0, (0, 0, 1)))
-        assert (res.states, res.children, res.skipped) == (157, 442, 262)
-        assert clones["state"] == res.children - res.skipped == 180
+        monkeypatch.setattr(_XState, "key", counted_key)
+        for sc, counts in [(scenario("floodmax", 3, 0, inputs=(0, 0, 1)), (157, 442, 286)),
+                           (scenario("floodmax", 2, 1, inputs=(0, 1)), (92, 146, 55))]:
+            clones.clear()
+            res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", sc.cfg.n, sc.cfg.f, sc.inputs))
+            assert (res.states, res.children, res.skipped) == counts
+            assert clones["state"] == res.children - res.skipped == res.states - 1 == clones["keyed"] - 1
+
+    def test_only_new_states_built(self):
+        # explore builds exactly the states it finds new: the children it
+        # reached less those skipped unbuilt are the states after the initial
+        # one, also when the search ends at the state budget
+        for _, algorithm, factory, sc in explore_jobs():
+            res = explore(sc, factory, monitor=monitor_for(algorithm, sc.cfg.n, sc.cfg.f, sc.inputs),
+                          crash_round_limit=explore_crash_limit(sc))
+            assert res.children - res.skipped == res.states - 1, sc
+        sc = scenario("floodmax", 4, 1, inputs=(0, 0, 0, 1))
+        res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", 4, 1, sc.inputs), max_states=20_000)
+        assert res.partial and res.children - res.skipped == res.states - 1 == 19_999
 
     def test_delivery_children_share_their_parents_monitor(self, monkeypatch):
-        # a delivery calls no monitor hook, so of the built children only
-        # crashes, wakes and polls not memoized yet clone their parent's
-        # monitor; a memoized wake or poll installs its outcome's
-        clones = Counter()
-        state_clone, monitor_clone = _XState.clone, ConsensusMonitor.clone
-
-        def counted_state_clone(st, *args):
-            clones["state"] += 1
-            return state_clone(st, *args)
+        # a delivery calls no monitor hook, so a built delivery child shares
+        # its parent's monitor; only crashes and the wakes and polls that run
+        # clone their parent's monitor, built or not, and a wake or a poll
+        # child installs its outcome's, one object per monitor id
+        clones, outcomes = Counter(), {}
+        monitor_clone, build, actions = ConsensusMonitor.clone, _XEngine.build, _XEngine.actions
 
         def counted_monitor_clone(monitor):
             clones["monitor"] += 1
             return monitor_clone(monitor)
 
-        monkeypatch.setattr(_XState, "clone", counted_state_clone)
+        def checked_build(engine, st, action, slots, found):
+            child = build(engine, st, action, slots, found)
+            clones["built " + action[0]] += 1
+            if action[0] == "deliver":
+                assert child.monitor is st.monitor
+            elif action[0] != "crash":
+                assert outcomes.setdefault(child.slots[_MONITOR], child.monitor) is child.monitor
+            return child
+
+        def counted_actions(engine, st):
+            acts = actions(engine, st)
+            clones["crashes"] += sum(action[0] == "crash" for action in acts)
+            return acts
+
         monkeypatch.setattr(ConsensusMonitor, "clone", counted_monitor_clone)
-        sc = scenario("floodmax", 3, 0, inputs=(0, 0, 1))
-        res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", 3, 0, (0, 0, 1)))
-        assert (res.states, res.children, res.skipped) == (157, 442, 262)
-        assert (clones["state"], clones["monitor"]) == (180, 38)
+        monkeypatch.setattr(_XEngine, "build", checked_build)
+        monkeypatch.setattr(_XEngine, "actions", counted_actions)
+        # (crashes enabled, crash children built, monitor clones) per job
+        for sc, counts in [(scenario("floodmax", 3, 0, inputs=(0, 0, 1)), (0, 0, 38)),
+                           (scenario("floodmax", 2, 1, inputs=(0, 1)), (46, 30, 88))]:
+            clones.clear()
+            outcomes.clear()
+            res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", sc.cfg.n, sc.cfg.f, sc.inputs))
+            assert (clones["crashes"], clones["built crash"], clones["monitor"]) == counts
+            assert clones["monitor"] == res.computed + clones["crashes"] and clones["built deliver"] > 0
 
     def test_incremental_keys_match_keys_from_scratch(self, monkeypatch):
         # a child's slots are its parent's with those its action changed
@@ -605,9 +655,10 @@ class TestExplore:
     def test_memoized_poll_outcomes_match_polls_run(self, monkeypatch):
         # a wake or a poll whose outcome is memoized under its local state and
         # what its sends and hooks read is derived and built without running:
-        # for every memo hit, also run it on a throwaway clone, as a miss
-        # would, and compare the two children; every derived key, the skipped
-        # children's included, must have been visited
+        # for every memo hit, also run it fresh, with its local state's memo
+        # entry set aside, as a first poll would, and compare the two
+        # children; every derived key, the skipped children's included, must
+        # have been visited
         key, polled = _XState.key, _XEngine.polled
         visited: set[bytes] = set()
         derived_keys: list[bytes] = []
@@ -619,12 +670,18 @@ class TestExplore:
             return got
 
         def checked_polled(engine, st, action):
+            local = engine.local_state(st, action[1])
+            done = engine.polls.get(local)
+            hit = done is not None and engine.reads(st.slots) in done[4]
             found = polled(engine, st, action)
-            if found is not None:
+            if hit:
                 slots, outcome = found
                 child = engine.build(st, action, slots[:], outcome)
-                run_child = st.clone(st.slots[:])
-                engine.apply(run_child, action)
+                del engine.polls[local]
+                run_slots, run_outcome = polled(engine, st, action)
+                engine.polls[local] = done
+                engine.computed -= 1
+                run_child = engine.build(st, action, run_slots, run_outcome)
                 ids, identified = engine.ids, engine.scenario.identified
                 assert child.slots == run_child.slots
                 assert child.pending == run_child.pending
@@ -635,7 +692,7 @@ class TestExplore:
                 hits[action[0]] += 1
                 hits["with a halted process"] += bool(st.halted)
                 hits["with a send"] += bool(outcome[1][0])
-                derived_keys.append(slots.tobytes())
+            derived_keys.append(found[0].tobytes())
             return found
 
         monkeypatch.setattr(_XState, "key", recorded_key)
@@ -740,19 +797,23 @@ class TestExplore:
     def test_each_local_state_polled_once(self, monkeypatch):
         # a wake or a poll runs on the engine only for the first state that
         # has its local state and what its sends and hooks read; every other
-        # takes its whole outcome from the memo and reaches no `apply`
-        polled, applied, enabled = Counter(), Counter(), Counter()
-        quiesce, apply, actions = _XEngine.quiesce, _XEngine.apply, _XEngine.actions
+        # takes its whole outcome from the memo and runs no poll
+        polled, runs, enabled = Counter(), Counter(), Counter()
+        quiesce, derive, actions = _XEngine.quiesce, _XEngine.polled, _XEngine.actions
+        deriving = [None]  # the kind of the action whose child is being derived
 
         def counted_quiesce(engine, p):
             identified, ids = engine.scenario.identified, engine.ids
             local = (p, engine.automata[p].key(), engine.inboxes[p].key(identified, ids), engine.crashed)
             polled[local, engine.reads(engine.state.slots)] += 1
+            runs[deriving[0]] += 1
             quiesce(engine, p)
 
-        def counted_apply(engine, st, action):
-            applied[action[0]] += 1
-            apply(engine, st, action)
+        def counted_polled(engine, st, action):
+            deriving[0] = action[0]
+            found = derive(engine, st, action)
+            deriving[0] = None
+            return found
 
         def counted_actions(engine, st):
             acts = actions(engine, st)
@@ -760,26 +821,30 @@ class TestExplore:
             return acts
 
         monkeypatch.setattr(_XEngine, "quiesce", counted_quiesce)
-        monkeypatch.setattr(_XEngine, "apply", counted_apply)
+        monkeypatch.setattr(_XEngine, "polled", counted_polled)
         monkeypatch.setattr(_XEngine, "actions", counted_actions)
         sc = scenario("floodmax", 3, 1, inputs=(0, 1, 1))
         res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", 3, 1, (0, 1, 1)))
         assert (res.states, res.terminals, res.violation_count) == (3837, 81, 0)
         assert set(polled.values()) == {1} and len(polled) == res.computed
-        assert res.computed == applied["wake"] + applied["poll"]
+        # every poll runs while a wake's or a poll's child is derived
+        assert set(runs) == {"wake", "poll"} and res.computed == runs["wake"] + runs["poll"]
         assert res.computed + res.reused == enabled["wake"] + enabled["poll"]
         # local states recur under new reads, and a run of one shares its entry's automaton
         assert len({local for local, _ in polled}) < res.computed
         assert (res.computed, res.reused) == (412, 3105)
 
     def test_visited_wake_children_skipped_unbuilt(self, monkeypatch):
-        # a wake whose outcome is memoized has its child's key derived from
-        # its parent's, setting p's woken bit, and is skipped unbuilt when
-        # that key was visited: fewer wakes reach `apply` than are enabled
-        applied, enabled = Counter(), Counter()
+        # every wake has its child's key derived from its parent's, setting
+        # p's woken bit, whether its outcome was memoized or runs first, and
+        # is skipped unbuilt when that key was visited: fewer wakes run, and
+        # fewer are built, than are enabled
+        runs, built, enabled = Counter(), Counter(), Counter()
         visited: set[bytes] = set()
         derived_keys: list[bytes] = []
-        key, polled, apply, actions = _XState.key, _XEngine.polled, _XEngine.apply, _XEngine.actions
+        key, polled, quiesce = _XState.key, _XEngine.polled, _XEngine.quiesce
+        build, actions = _XEngine.build, _XEngine.actions
+        deriving = [None]  # the kind of the action whose child is being derived
 
         def recorded_key(st):
             got = key(st)
@@ -787,15 +852,21 @@ class TestExplore:
             return got
 
         def recorded_polled(engine, st, action):
+            deriving[0] = action[0]
             found = polled(engine, st, action)
-            if found is not None and action[0] == "wake":
+            deriving[0] = None
+            if action[0] == "wake":
                 assert found[0][_WOKEN] == st.slots[_WOKEN] | 1 << action[1]
                 derived_keys.append(found[0].tobytes())
             return found
 
-        def counted_apply(engine, st, action):
-            applied[action[0]] += 1
-            apply(engine, st, action)
+        def counted_quiesce(engine, p):
+            runs[deriving[0]] += 1
+            quiesce(engine, p)
+
+        def counted_build(engine, st, action, slots, found):
+            built[action[0]] += 1
+            return build(engine, st, action, slots, found)
 
         def counted_actions(engine, st):
             acts = actions(engine, st)
@@ -804,12 +875,13 @@ class TestExplore:
 
         monkeypatch.setattr(_XState, "key", recorded_key)
         monkeypatch.setattr(_XEngine, "polled", recorded_polled)
-        monkeypatch.setattr(_XEngine, "apply", counted_apply)
+        monkeypatch.setattr(_XEngine, "quiesce", counted_quiesce)
+        monkeypatch.setattr(_XEngine, "build", counted_build)
         monkeypatch.setattr(_XEngine, "actions", counted_actions)
         sc = scenario("floodmax", 3, 0, inputs=(0, 0, 1))
         res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", 3, 0, (0, 0, 1)))
         assert (res.states, res.terminals, res.violation_count) == (157, 1, 0)
-        assert (enabled["wake"], applied["wake"], len(derived_keys)) == (71, 26, 45)
+        assert (enabled["wake"], runs["wake"], built["wake"], len(derived_keys)) == (71, 26, 17, 71)
         assert set(derived_keys) <= visited
 
     @pytest.mark.parametrize("algorithm, n, f, rounds", [
@@ -839,6 +911,34 @@ class TestExplore:
         # reused wakes and polls install outcomes whose hooks ran in a computed one
         computed_reused = {"floodmax": (412, 3105), "stable-suspector": (102, 56), "eventual-suspector": (62, 32)}
         assert (res.computed, res.reused) == computed_reused[algorithm]
+
+    def test_crash_hook_sees_the_crash(self):
+        # on_crash runs before its child is built, against a view whose
+        # crashed set already holds p
+        class CrashSeen(NullMonitor):
+            def key(self):
+                return (self.flag,)
+
+            def on_crash(self, state, p):
+                if p not in state.crashed:
+                    self.flag = f"process {p} crashed unseen, crashed {sorted(state.crashed)}"
+
+        res = explore(scenario("floodmax", 2, 1, inputs=(0, 1)), factory_of("floodmax"), monitor=CrashSeen())
+        assert res.violation_count == 0 and {((),), ((1,),), ((2,),)} == set(res.terminal_profiles)
+
+    def test_stuck_state_reported(self):
+        # once every message is delivered, no action is enabled and both
+        # processes are undecided and unhalted: exactly one stuck state,
+        # whose witness replays to the same dead end
+        sc = scenario("floodmax", 2, 0, inputs=(0, 0))
+        factory = lambda sc, p: Waiter(sc.cfg.n, sc.cfg.f, p)
+        res = explore(sc, factory)
+        assert (res.terminals, res.violation_count, len(res.violations)) == (0, 1, 1)
+        stuck = res.violations[0]
+        assert stuck.check == "stuck" and Counter(a[0] for a in stuck.schedule) == {"wake": 2, "deliver": 2}
+        trace = run_schedule(sc, factory, stuck.schedule)
+        assert trace.truncated and trace.pending == 0 and not trace.decisions and not trace.halts
+        assert Counter(e["ev"] for e in trace.events) == {"send": 2, "deliver": 4}
 
     @pytest.mark.parametrize("budget", [1, 2, 50])
     def test_budget_flagged(self, budget):

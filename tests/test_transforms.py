@@ -36,7 +36,7 @@ from anonsim.verify import monitor_for
 def emulate(algorithm, target, **kwargs):
     sc = scenario(algorithm, kwargs.pop("n", 3), kwargs.pop("f", 1), **kwargs)
     trace = run(sc, factory_of(algorithm))
-    return sc, trace, output_history(trace, target, algorithm)
+    return sc, trace, output_history(trace, target)
 
 
 class TestEventualSuspector:
@@ -132,7 +132,7 @@ class TestRandomizedSelfTrust:
                           convergence=120, policy="random", seed=seed,
                           horizon=2500, rounds=12)
             trace = run(sc, factory_of("random-selftrust"))
-            hist = output_history(trace, SELF_TRUST, "random-selftrust")
+            hist = output_history(trace, SELF_TRUST)
             assert not id_collision(trace)
             assert DetectorSpec(SELF_TRUST, 5).validates(hist, sc.pattern), seed
 
@@ -143,13 +143,22 @@ class TestRandomizedSelfTrust:
                       max_crashes=0)
         assert res.violation_count == 0 and not res.partial
 
+    def test_exploration_forced_collision_fails(self):
+        # two processes share the largest identifier, so a terminal state
+        # cannot hold exactly one self-truster, the max-id live process
+        sc = scenario("random-selftrust", 3, 1, kind=CRASH_COUNT, seed=13, rounds=4)
+        res = explore(sc, forced_id_factory({1: 7, 2: 7, 3: 3}),
+                      monitor=monitor_for("random-selftrust", 3, 1, ()), max_crashes=0)
+        assert res.violations and not res.partial
+        assert {(v.check, v.detail.split(":")[0]) for v in res.violations} == {("terminal", "self-trust")}
+
     def test_forced_collision_fails_validation(self):
         sc = scenario("random-selftrust", 3, 1, kind=CRASH_COUNT,
                       policy="random", seed=4, horizon=900, rounds=8)
         factory = forced_id_factory({1: 7, 2: 7, 3: 3})
         trace = run(sc, factory)
         assert id_collision(trace)
-        hist = output_history(trace, SELF_TRUST, "random-selftrust")
+        hist = output_history(trace, SELF_TRUST)
         assert not DetectorSpec(SELF_TRUST, 3).validates(hist, sc.pattern)
 
     def test_identified_mode_rejected(self):
@@ -267,7 +276,7 @@ class TestEmulatedAnonymity:
         sc = scenario("random-selftrust", 3, 1, kind=CRASH_COUNT,
                       crashes={2: 20}, policy="random", seed=8, horizon=900, rounds=8)
         trace = run(sc, factory_of("random-selftrust"))
-        hist = output_history(trace, SELF_TRUST, "random-selftrust")
+        hist = output_history(trace, SELF_TRUST)
         spec = DetectorSpec(SELF_TRUST, 3)
         assert spec.validates(hist, sc.pattern)
         assert is_anonymous(spec, sc.pattern, hist).anonymous

@@ -1,6 +1,6 @@
 """Checker behavior: verdicts, witnesses, symmetry, mutation sensitivity."""
 
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import pytest
 from helpers import factory_of, scenario
@@ -20,12 +20,13 @@ from anonsim import (
     sample_history,
 )
 from anonsim.cli import ALGORITHMS, explore_crash_limit
-from anonsim.simulator import NullMonitor
+from anonsim.simulator import Automaton, NullMonitor, Trace
 from anonsim.transforms import output_history
 from anonsim.verify import (
     FAIL,
     PASS,
     TRUNCATED,
+    VACUOUS,
     check_consensus,
     check_decision_spread,
     check_lemma_invariants,
@@ -38,6 +39,28 @@ from anonsim.verify import (
     classify_symmetry,
     monitor_for,
 )
+
+
+@dataclass
+class Decider(Automaton):
+    """A toy consensus protocol: once woken, a process decides each value
+    of `script` in turn, then halts."""
+
+    decided: int | None = None
+    script: tuple = field(default=(), compare=False)
+
+    def on_poll(self, ctx) -> bool:
+        for value in self.script:
+            self.decided = value
+            ctx.decide(value, r=1)
+        ctx.halt()
+        return True
+
+
+def decisions_trace(decides) -> Trace:
+    """A finished lockmin n=3 trace holding only the decisions (step, proc, value, round)."""
+    events = [{"step": s, "ev": "decide", "proc": p, "value": v, "r": r} for s, p, v, r in decides]
+    return Trace(scenario("lockmin", 3, 1, inputs=(0, 1, 1)), events, truncated=False, pending=0)
 
 
 class TestConsensusChecks:
@@ -75,6 +98,29 @@ class TestConsensusChecks:
         trace = run(sc, factory_of("lockmin"))
         report = next(r for r in check_consensus(trace) if r.prop == "termination")
         assert report.verdict == TRUNCATED
+
+    @pytest.mark.parametrize("script, prop", [((), "termination"), ((0, 0), "irrevocability"), ((7,), "validity")])
+    def test_monitor_and_trace_check_fail(self, script, prop):
+        # processes that halt undecided, decide twice or decide a value no
+        # one proposed: the exploration monitor flags each, and the replay
+        # of its witness fails the same trace check, and only that one
+        sc = scenario("floodmax", 2, 0, inputs=(0, 1))
+        factory = lambda sc, p: Decider(sc.cfg.n, sc.cfg.f, p, script=script)
+        res = explore(sc, factory, monitor=monitor_for("floodmax", 2, 0, sc.inputs))
+        assert res.violations and {v.detail.split(":")[0] for v in res.violations} == {prop}
+        trace = run_schedule(sc, factory, res.violations[0].schedule)
+        assert [r.prop for r in check_consensus(trace) if r.failed] == [prop]
+
+    @pytest.mark.parametrize("decides, verdict, detail", [
+        ([], VACUOUS, "no correct process decided"),
+        ([(3, 1, 0, 1), (4, 2, 1, 1), (5, 3, 0, 1)], FAIL, "conflicting decision values"),
+        ([(3, 1, 0, 1), (4, 2, 0, 2)], FAIL, "correct process never decided"),
+        ([(3, 1, 0, 1), (4, 2, 0, 1), (9, 3, 0, 3)], FAIL, "decisions spread over 2 rounds"),
+        ([(3, 1, 0, 1), (4, 2, 0, 2), (5, 3, 0, 2)], PASS, ""),
+    ])
+    def test_decision_spread_verdicts(self, decides, verdict, detail):
+        report = check_decision_spread(decisions_trace(decides))
+        assert (report.verdict, report.detail) == (verdict, detail)
 
     def test_checkers_are_pure(self):
         trace = self.good_trace()
@@ -268,10 +314,10 @@ class TestTransformValidityChecks:
                           crashes={2: 30}, policy="crash-adjacent", seed=seed,
                           horizon=800, rounds=16)
             trace = run(sc, factory_of("stable-suspector"))
-            hist = output_history(trace, PERFECT, "stable-suspector")
+            hist = output_history(trace, PERFECT)
             assert spec.validates(hist, sc.pattern), seed
             hasty = run(sc, hasty_suspector)
-            bad = output_history(hasty, PERFECT, "stable-suspector")
+            bad = output_history(hasty, PERFECT)
             if not spec.validates(bad, sc.pattern):
                 caught += 1
         assert caught > 0, "hasty mutant never produced an invalid history"
