@@ -12,18 +12,23 @@ and the classic, identity-revealing ones used by the translations:
 * ``perfect`` / ``eventually-perfect`` -- suspected-process sets
 * ``leader``                           -- eventual common correct leader
 
+Each kind is one `KINDS` entry: its cell range, its rule and its measure.
+A count is a suspect set measured by its size, so crash-count and perfect
+share one rule (`_accurate`, completeness plus time-indexed accuracy) and
+their eventual forms another (`_eventual`); `LiveOracle` reads the same
+measure of the crashed set.
+
 Every "eventually ..." clause is evaluated against the history's constant
 tail: with post-crash cells of crashed processes exempt (their modules are
 never read again), an existential convergence point exists iff the tail cells
-of the relevant processes satisfy the clause.  Validators therefore never
+of the relevant processes satisfy the clause.  The rules therefore never
 trust a recorded convergence step; they recompute from the table.
 
-Samplers keep count-kind outputs within the currently-crashed count at live
-cells.  Looser histories (e.g. reporting a crash before it happens) are still
-valid per the definitions and the validators accept them, but the consensus
-and translation algorithms are only guaranteed correct against oracles that
-never under-count the currently-alive processes, so the samplers stay inside
-that envelope.
+The crash-count sampler keeps every live cell within |F(t)|, as accuracy
+demands.  Before convergence an eventual count may read anything in range:
+the pessimistic profile reads every process crashed, which under-counts the
+alive processes, and an algorithm that reads it must tolerate that (lockmin
+waits for at least n - f messages, `LockMinConsensus._need`).
 
 A sampled table is drawn row by row, each row in step order.  A row is built
 as segments: the cells fixed by the pattern and the profile (post-convergence
@@ -46,7 +51,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
-from operator import gt
+from itertools import chain
+from operator import le
 from typing import Any, Callable
 
 from .model import DetectorHistory, FailurePattern
@@ -59,19 +65,8 @@ EVENTUALLY_PERFECT = "eventually-perfect"
 LEADER = "leader"
 
 COUNT_KINDS = (CRASH_COUNT, EVENTUAL_CRASH_COUNT)
-ALL_KINDS = (CRASH_COUNT, EVENTUAL_CRASH_COUNT, SELF_TRUST, PERFECT, EVENTUALLY_PERFECT, LEADER)
 
 BEHAVIORS = ("optimistic", "pessimistic", "adversarial")
-
-
-def _check_cells(history: DetectorHistory, ok: Callable[[Any, int], bool], what: str) -> None:
-    """Raise a ValueError at the first cell v of `history` for which
-    `ok(v, n)` is false, naming `what` (n filled in for {n}) and v."""
-    n = history.n
-    for row in history.rows:
-        for v in row:
-            if not ok(v, n):
-                raise ValueError(f"{what.format(n=n)}: {v!r}")
 
 
 @cache
@@ -79,91 +74,64 @@ def _procs(n: int) -> frozenset[int]:
     return frozenset(range(1, n + 1))
 
 
-# what a cell of each family of tables may hold, as `_check_cells` takes it
-_COUNT_CELLS = (lambda v, n: isinstance(v, int) and not isinstance(v, bool) and 0 <= v <= n,
-                "count history cell out of range 0..{n}")
-_FLAG_CELLS = (lambda v, n: isinstance(v, bool), "self-trust history cell is not a bool")
-_SET_CELLS = (lambda v, n: isinstance(v, frozenset) and v <= _procs(n),
-              "suspect-set history cell is not a subset of P")
-_PID_CELLS = (lambda v, n: isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n,
-              "leader history cell is not a process index")
-
-
-def validate_crash_count(history: DetectorHistory, pattern: FailurePattern) -> bool:
-    """Completeness (eventually >= |crashed|) plus permanent accuracy,
-    time-indexed like `validate_perfect`: no cell of a process before its
-    crash exceeds |F(t)|.  Past the horizon a correct process repeats its
-    last cell while |F(t)| can only grow, so the cells up to the horizon are
-    all that accuracy needs checked."""
-    _check_cells(history, *_COUNT_CELLS)
-    crashed = len(pattern.crashed)
+def _accurate(history: DetectorHistory, pattern: FailurePattern, measure: Callable) -> bool:
+    """Strong completeness (a correct process's tail cell is at least
+    measure(crashed)) plus accuracy (no cell of a process before its crash
+    exceeds measure(F(t))), where `<=` orders counts and includes sets alike.
+    Past the horizon a correct process repeats its last cell while F(t) can
+    only grow, so the cells up to the horizon are all that accuracy needs."""
+    crashed = measure(pattern.crashed)
     h = history.horizon
-    bound = [len(pattern.at(t)) for t in range(h + 1)]  # |F(t)|
-    for p in range(1, history.n + 1):
-        row = history.row(p)
-        crash = pattern.crash_step(p)
-        if crash is None and row[h] < crashed:  # tail must witness completeness
-            return False
-        if any(map(gt, row[:crash], bound)):
-            return False
-    return True
-
-
-def validate_eventual_crash_count(history: DetectorHistory, pattern: FailurePattern) -> bool:
-    """Completeness plus eventual accuracy: both reduce to the tail cells."""
-    _check_cells(history, *_COUNT_CELLS)
-    crashed = len(pattern.crashed)
-    return all(history.at(q, history.horizon) == crashed for q in pattern.correct)
-
-
-def validate_self_trust(history: DetectorHistory, pattern: FailurePattern) -> bool:
-    """Eventually exactly one correct process outputs true, forever."""
-    _check_cells(history, *_FLAG_CELLS)
-    trusting = [q for q in pattern.correct if history.at(q, history.horizon)]
-    return len(trusting) == 1
-
-
-def validate_perfect(history: DetectorHistory, pattern: FailurePattern) -> bool:
-    """Strong completeness (a correct process's tail holds every crashed
-    process) plus strong accuracy: no cell of a process before its crash
-    suspects a process outside F(t).  As for `validate_crash_count`, the
-    cells up to the horizon are all that accuracy needs checked."""
-    _check_cells(history, *_SET_CELLS)
-    crashed = pattern.crashed
-    h = history.horizon
-    failed = [pattern.at(t) for t in range(h + 1)]  # F(t)
+    bound = [measure(pattern.at(t)) for t in range(h + 1)]
     for p in range(1, history.n + 1):
         row = history.row(p)
         crash = pattern.crash_step(p)
         if crash is None and not crashed <= row[h]:  # tail must witness completeness
             return False
-        if not all(map(frozenset.issubset, row[:crash], failed)):
+        if not all(map(le, row[:crash], bound)):
             return False
     return True
 
 
-def validate_eventually_perfect(history: DetectorHistory, pattern: FailurePattern) -> bool:
-    """Strong completeness and eventual strong accuracy."""
-    _check_cells(history, *_SET_CELLS)
-    crashed = pattern.crashed
+def _eventual(history: DetectorHistory, pattern: FailurePattern, measure: Callable) -> bool:
+    """Completeness plus eventual accuracy: both reduce to every correct
+    process's tail cell reading measure(crashed)."""
+    crashed = measure(pattern.crashed)
     return all(history.at(q, history.horizon) == crashed for q in pattern.correct)
 
 
-def validate_leader(history: DetectorHistory, pattern: FailurePattern) -> bool:
+def _self_trust(history: DetectorHistory, pattern: FailurePattern, measure: None) -> bool:
+    """Eventually exactly one correct process outputs true, forever."""
+    trusting = [q for q in pattern.correct if history.at(q, history.horizon)]
+    return len(trusting) == 1
+
+
+def _leader(history: DetectorHistory, pattern: FailurePattern, measure: None) -> bool:
     """Eventually all correct processes output the same correct process."""
-    _check_cells(history, *_PID_CELLS)
     tails = {history.at(q, history.horizon) for q in pattern.correct}
     return len(tails) == 1 and next(iter(tails)) in pattern.correct
 
 
-_VALIDATORS = {
-    CRASH_COUNT: validate_crash_count,
-    EVENTUAL_CRASH_COUNT: validate_eventual_crash_count,
-    SELF_TRUST: validate_self_trust,
-    PERFECT: validate_perfect,
-    EVENTUALLY_PERFECT: validate_eventually_perfect,
-    LEADER: validate_leader,
+# (ok, what): whether a cell v of a table over n processes is in range, and
+# the error naming the range
+_COUNT_CELLS = (lambda v, n: isinstance(v, int) and not isinstance(v, bool) and 0 <= v <= n,
+                "count history cell out of range 0..{n}")
+_SET_CELLS = (lambda v, n: isinstance(v, frozenset) and v <= _procs(n),
+              "suspect-set history cell is not a subset of P")
+
+# kind -> (cells, rule, measure): the cell range as (ok, what), the
+# completeness and accuracy clauses, and what a cell of a measured kind reads
+# of a crashed set
+KINDS: dict[str, tuple[tuple, Callable[..., bool], Callable | None]] = {
+    CRASH_COUNT: (_COUNT_CELLS, _accurate, len),
+    EVENTUAL_CRASH_COUNT: (_COUNT_CELLS, _eventual, len),
+    SELF_TRUST: ((lambda v, n: isinstance(v, bool), "self-trust history cell is not a bool"), _self_trust, None),
+    PERFECT: (_SET_CELLS, _accurate, frozenset),
+    EVENTUALLY_PERFECT: (_SET_CELLS, _eventual, frozenset),
+    LEADER: ((lambda v, n: isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n,
+              "leader history cell is not a process index"), _leader, None),
 }
+ALL_KINDS = tuple(KINDS)
 
 
 @dataclass(frozen=True)
@@ -174,13 +142,17 @@ class DetectorSpec:
     n: int
 
     def __post_init__(self) -> None:
-        if self.kind not in _VALIDATORS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown detector kind {self.kind!r}")
 
     def validates(self, history: DetectorHistory, pattern: FailurePattern) -> bool:
         if history.n != self.n or pattern.n != self.n:
             raise ValueError("history/pattern size does not match the spec")
-        return _VALIDATORS[self.kind](history, pattern)
+        (ok, what), rule, measure = KINDS[self.kind]
+        for v in chain.from_iterable(history.rows):
+            if not ok(v, self.n):
+                raise ValueError(f"{what.format(n=self.n)}: {v!r}")
+        return rule(history, pattern, measure)
 
 
 @dataclass(frozen=True)
@@ -395,22 +367,22 @@ class LiveOracle:
 
     Used by exhaustive exploration, where crash placements are chosen
     dynamically and a pre-drawn table cannot stay consistent with them.
-    Count kinds report the number crashed so far, self-trust points at the
-    lowest-index live process, leader outputs it.
+    The four measured kinds read their `KINDS` measure of the crashed set
+    (its size, or the set itself); self-trust points at the lowest-index
+    live process, leader outputs it.
     """
 
     def __init__(self, kind: str, n: int):
-        if kind not in ALL_KINDS:
+        if kind not in KINDS:
             raise ValueError(f"unknown detector kind {kind!r}")
         self.kind = kind
         self.n = n
+        self.measure = KINDS[kind][2]
 
     def read(self, p: int, t: int, crashed: frozenset[int]) -> Any:
-        if self.kind in COUNT_KINDS:
-            return len(crashed)
+        if self.measure is not None:
+            return self.measure(crashed)
         live_min = min(q for q in range(1, self.n + 1) if q not in crashed)
         if self.kind == SELF_TRUST:
             return p == live_min
-        if self.kind == LEADER:
-            return live_min
-        return frozenset(crashed)
+        return live_min

@@ -308,13 +308,16 @@ def pattern_from_json(text: str) -> tuple[SystemConfig, FailurePattern]:
     return cfg, pattern
 
 
-def _cell_to_json(value: Any) -> Any:
+def cell_to_json(value: Any) -> Any:
+    """A history cell or output value as JSON holds it: a set as its sorted list."""
     if isinstance(value, frozenset):
         return sorted(value)
     return value
 
 
-def _cell_from_json(value: Any) -> Any:
+def cell_from_json(value: Any) -> Any:
+    """The inverse of `cell_to_json`: a flat list back to a frozenset, and a
+    ValueError for a nested value."""
     if isinstance(value, dict) or (
         isinstance(value, list) and any(isinstance(v, (list, dict)) for v in value)
     ):
@@ -341,7 +344,7 @@ def history_to_json(history: DetectorHistory) -> str:
         "range": _range_name(history),
         "n": history.n,
         "horizon": history.horizon,
-        "out": [[_cell_to_json(v) for v in row] for row in history.rows],
+        "out": [[cell_to_json(v) for v in row] for row in history.rows],
         "convergence": history.convergence,
         "emulated_from": list(history.emulated_from) if history.emulated_from else None,
     }
@@ -366,7 +369,7 @@ def history_from_json(text: str) -> DetectorHistory:
         kind=kind,
         n=_json_int(doc["n"], "'n'"),
         horizon=horizon,
-        rows=tuple(tuple(_cell_from_json(v) for v in row) for row in out),
+        rows=tuple(tuple(cell_from_json(v) for v in row) for row in out),
         convergence=doc.get("convergence"),
         emulated_from=tuple(emulated) if emulated else None,
     )

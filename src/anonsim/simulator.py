@@ -80,7 +80,7 @@ from .detectors import (
     OracleRuntime,
     sample_history,
 )
-from .model import FailurePattern, SystemConfig, correct_set
+from .model import FailurePattern, SystemConfig, cell_to_json, correct_set
 
 SCHEMA = 1
 
@@ -707,8 +707,7 @@ class Simulation(_Engine):
         if self._last_output.get(p, self) == value:
             return
         self._last_output[p] = value
-        out = sorted(value) if isinstance(value, frozenset) else value
-        self.events.append({"step": self.t, "ev": "output", "proc": p, "value": out})
+        self.events.append({"step": self.t, "ev": "output", "proc": p, "value": cell_to_json(value)})
 
     # -- actions ---------------------------------------------------------------
 
@@ -857,14 +856,17 @@ def run_schedule(scenario: ScenarioConfig, factory: AutomatonFactory, schedule: 
     action, one naming no process in 1..n, one delivering no pending
     message, or a crash of a crashed process or beyond f, is a ScenarioError.
     The trace's scenario maps each crashed process to the step of its crash
-    action, so `anonsim check` reads the trace as it reads a run's.
+    action, and its horizon is raised to the schedule's length if the
+    schedule does not fit, so `anonsim check` reads the trace as it reads a
+    run's.
     """
     sim = Simulation(scenario, factory, oracle=LiveOracle(scenario.oracle_kind, scenario.cfg.n))
     for action in schedule:
         sim.apply(_replayed(sim, action))
         sim.t += 1
     trace = sim._finish()
-    trace.scenario = replace(scenario, pattern=FailurePattern.of(scenario.cfg.n, trace.crashes))
+    horizon = scenario.horizon if sim.t <= scenario.effective_horizon else sim.t
+    trace.scenario = replace(scenario, pattern=FailurePattern.of(scenario.cfg.n, trace.crashes), horizon=horizon)
     return trace
 
 

@@ -45,7 +45,7 @@ from .detectors import (
     PERFECT,
     SELF_TRUST,
 )
-from .model import DetectorHistory
+from .model import DetectorHistory, cell_from_json
 from .simulator import Automaton, Ctx, ScenarioConfig, Trace
 
 
@@ -247,19 +247,13 @@ _OUTPUT_DEFAULTS: dict[str, Callable[[int, int], Any]] = {
 }
 
 
-def _cell(kind: str, value: Any) -> Any:
-    if kind in (PERFECT, EVENTUALLY_PERFECT) and isinstance(value, list):
-        return frozenset(value)
-    return value
-
-
 def output_history(trace: Trace, target_kind: str) -> DetectorHistory:
     """Assemble the emulated target history from a trace's output events."""
     n = trace.scenario.cfg.n
     horizon = max((ev["step"] for ev in trace.events), default=0)
     rows = []
     for p in range(1, n + 1):
-        series = [(step, _cell(target_kind, value)) for step, value in trace.outputs(p)]
+        series = [(step, cell_from_json(value)) for step, value in trace.outputs(p)]
         row = []
         value = _OUTPUT_DEFAULTS[target_kind](p, n)
         i = 0

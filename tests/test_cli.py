@@ -14,7 +14,7 @@ from helpers import forced_id_factory, scenario
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from anonsim import ScenarioConfig, cli, run, run_schedule
+from anonsim import ScenarioConfig, Trace, cli, run, run_schedule
 from anonsim.cli import ALGORITHMS, main
 
 FLOODMAX = {
@@ -188,6 +188,19 @@ class TestCheck:
         trace_file.write_text(run_schedule(sc, ALGORITHMS["floodmax"].factory, schedule).to_jsonl())
         assert main(["check", str(trace_file)]) in (0, 1)
         capsys.readouterr()
+
+    def test_explore_witness_past_the_horizon_is_checkable(self, tmp_path, capsys):
+        # floodmax's agreement witness (Known defect 1) crashes p2 at step 7,
+        # past the scenario's horizon of 6: the trace raises its horizon to
+        # the schedule's length, and `check` fails what explore failed
+        doc = dict(FLOODMAX, crash={}, horizon=6, oracle={**FLOODMAX["oracle"], "convergence": 0})
+        assert main(["explore", write(tmp_path, "s.json", doc), "--out", str(tmp_path / "w")]) == 1
+        capsys.readouterr()
+        trace_file = tmp_path / "w" / "violation.trace.jsonl"
+        schedule = json.loads((tmp_path / "w" / "violation.schedule.json").read_text())["schedule"]
+        assert Trace.from_jsonl(trace_file.read_text()).scenario.horizon == len(schedule) > 6
+        assert main(["check", str(trace_file)]) == 1
+        assert "agreement: fail (correct processes decided [0, 1])" in capsys.readouterr().out.splitlines()
 
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_check_reports_what_run_reports(self, tmp_path, capsys, algorithm):
@@ -466,7 +479,7 @@ class TestValidateHistory:
         hp.write_text('{"kind": "bogus", "n": 2, "horizon": 0, "out": [[0], [0]]}')
         pp.write_text('{"n": 2, "f": 1, "crash": {}}')
         assert main(["validate-history", "--history", str(hp), "--pattern", str(pp)]) == 2
-        capsys.readouterr()
+        assert "error: unknown detector kind 'bogus'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("history, pattern", [
         ({**SMALL_HISTORY, "n": [2]}, SMALL_PATTERN),

@@ -20,22 +20,13 @@ from anonsim import (
     DetectorHistory,
     DetectorSpec,
     FailurePattern,
+    LiveOracle,
     OracleProfile,
     SystemConfig,
     is_anonymous,
     sample_history,
 )
-from anonsim.detectors import (
-    BEHAVIORS,
-    _flips,
-    _randints,
-    validate_crash_count,
-    validate_eventual_crash_count,
-    validate_eventually_perfect,
-    validate_leader,
-    validate_perfect,
-    validate_self_trust,
-)
+from anonsim.detectors import ALL_KINDS, BEHAVIORS, _flips, _randints
 from anonsim.model import history_to_json
 from anonsim.simulator import Ctx
 
@@ -45,28 +36,32 @@ def table(kind, rows):
     return DetectorHistory(kind, len(rows), len(rows[0]) - 1, rows)
 
 
+def validates(kind, history, pattern):
+    return DetectorSpec(kind, history.n).validates(history, pattern)
+
+
 class TestCrashCountValidator:
     def test_exact_count_everywhere(self):
         pat = FailurePattern.of(3, {3: 0})
         hist = table(CRASH_COUNT, [[1] * 4] * 3)
-        assert validate_crash_count(hist, pat)
+        assert validates(CRASH_COUNT, hist, pat)
 
     def test_accuracy_breach_at_start(self):
         pat = FailurePattern.of(3, {3: 0})
         rows = [[2, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]]
-        assert not validate_crash_count(table(CRASH_COUNT, rows), pat)
+        assert not validates(CRASH_COUNT, table(CRASH_COUNT, rows), pat)
 
     def test_rise_when_crash_happens(self):
         # crash at step 4; correct processes report it from step 6 on
         pat = FailurePattern.of(3, {3: 4})
         row = [0] * 6 + [1] * 4
         rows = [row, row, [0] * 10]
-        assert validate_crash_count(table(CRASH_COUNT, rows), pat)
+        assert validates(CRASH_COUNT, table(CRASH_COUNT, rows), pat)
 
     def test_completeness_needs_tail_at_count(self):
         pat = FailurePattern.of(3, {3: 0})
         rows = [[0] * 4] * 3
-        assert not validate_crash_count(table(CRASH_COUNT, rows), pat)
+        assert not validates(CRASH_COUNT, table(CRASH_COUNT, rows), pat)
 
     def test_count_before_its_crash_rejected(self):
         # both rows read 1 from step 0, but process 2 crashes at step 5: every
@@ -74,21 +69,21 @@ class TestCrashCountValidator:
         # are, so this table is no more valid than suspecting {2} from step 0
         pat = FailurePattern.of(2, {2: 5})
         early = table(CRASH_COUNT, [[1] * 7] * 2)
-        assert not validate_crash_count(early, pat)
-        assert not validate_perfect(table(PERFECT, [[frozenset({2})] * 7] * 2), pat)
+        assert not validates(CRASH_COUNT, early, pat)
+        assert not validates(PERFECT, table(PERFECT, [[frozenset({2})] * 7] * 2), pat)
         # the crashing process's own early reading breaks accuracy too
-        assert not validate_crash_count(table(CRASH_COUNT, [[0] * 5 + [1] * 2, [0, 1] + [0] * 5]), pat)
-        assert validate_crash_count(table(CRASH_COUNT, [[0] * 5 + [1] * 2, [0] * 5 + [1, 2]]), pat)
+        assert not validates(CRASH_COUNT, table(CRASH_COUNT, [[0] * 5 + [1] * 2, [0, 1] + [0] * 5]), pat)
+        assert validates(CRASH_COUNT, table(CRASH_COUNT, [[0] * 5 + [1] * 2, [0] * 5 + [1, 2]]), pat)
 
     def test_crashed_rows_unconstrained(self):
         pat = FailurePattern.of(3, {3: 0})
         rows = [[1] * 4, [1] * 4, [3, 0, 3, 0]]
-        assert validate_crash_count(table(CRASH_COUNT, rows), pat)
+        assert validates(CRASH_COUNT, table(CRASH_COUNT, rows), pat)
 
     def test_range_violation_raises(self):
         # every check of a count table: both validators
         pat = FailurePattern.of(2, {})
-        checks = (partial(validate_crash_count, pattern=pat), partial(validate_eventual_crash_count, pattern=pat))
+        checks = (partial(validates, CRASH_COUNT, pattern=pat), partial(validates, EVENTUAL_CRASH_COUNT, pattern=pat))
         for cell in (3, -1, True, "1"):
             message = re.escape(f"count history cell out of range 0..2: {cell!r}")
             for check in checks:
@@ -97,16 +92,16 @@ class TestCrashCountValidator:
 
     def test_empty_pattern_forces_zero(self):
         pat = FailurePattern.of(3, {})
-        assert validate_crash_count(table(CRASH_COUNT, [[0, 0]] * 3), pat)
-        assert not validate_crash_count(table(CRASH_COUNT, [[0, 0], [1, 0], [0, 0]]), pat)
+        assert validates(CRASH_COUNT, table(CRASH_COUNT, [[0, 0]] * 3), pat)
+        assert not validates(CRASH_COUNT, table(CRASH_COUNT, [[0, 0], [1, 0], [0, 0]]), pat)
 
 
 class TestEventualCrashCountValidator:
     def test_always_accurate_implies_eventual(self):
         pat = FailurePattern.of(3, {3: 0})
         hist = table(CRASH_COUNT, [[1] * 4] * 3)
-        assert validate_crash_count(hist, pat)
-        assert validate_eventual_crash_count(hist, pat)
+        assert validates(CRASH_COUNT, hist, pat)
+        assert validates(EVENTUAL_CRASH_COUNT, hist, pat)
 
     def test_over_suspicion_tolerated_until_convergence(self):
         # everyone suspected for a while, then the true count: eventual yes,
@@ -114,14 +109,14 @@ class TestEventualCrashCountValidator:
         pat = FailurePattern.of(3, {3: 2})
         row = [3] * 10 + [1] * 3
         hist = table(EVENTUAL_CRASH_COUNT, [row, row, row])
-        assert validate_eventual_crash_count(hist, pat)
-        assert not validate_crash_count(hist, pat)
+        assert validates(EVENTUAL_CRASH_COUNT, hist, pat)
+        assert not validates(CRASH_COUNT, hist, pat)
 
     def test_oscillating_tail_rejected(self):
         pat = FailurePattern.of(3, {3: 0})
         row = [1, 2, 1, 2, 1, 2]
         hist = table(EVENTUAL_CRASH_COUNT, [row, row, [0] * 6])
-        assert not validate_eventual_crash_count(hist, pat)
+        assert not validates(EVENTUAL_CRASH_COUNT, hist, pat)
 
 
 class TestSelfTrustValidator:
@@ -132,12 +127,12 @@ class TestSelfTrustValidator:
             [True, False, False, False],
             [True, True, False, False],
         ]
-        assert validate_self_trust(table(SELF_TRUST, rows), pat)
+        assert validates(SELF_TRUST, table(SELF_TRUST, rows), pat)
 
     def test_two_self_trusters_rejected(self):
         pat = FailurePattern.of(3, {})
         rows = [[True] * 3, [True] * 3, [False] * 3]
-        assert not validate_self_trust(table(SELF_TRUST, rows), pat)
+        assert not validates(SELF_TRUST, table(SELF_TRUST, rows), pat)
 
     def test_crashed_self_truster_ignored(self):
         # the crashed process claims leadership forever; a correct one takes
@@ -148,13 +143,13 @@ class TestSelfTrustValidator:
             [True] * 15,
             [False] * 15,
         ]
-        assert validate_self_trust(table(SELF_TRUST, rows), pat)
+        assert validates(SELF_TRUST, table(SELF_TRUST, rows), pat)
 
     def test_range_violation(self):
         pat = FailurePattern.of(2, {})
         for cell in (1, None):
             with pytest.raises(ValueError, match=re.escape(f"self-trust history cell is not a bool: {cell!r}")):
-                validate_self_trust(table(SELF_TRUST, [[True, cell], [False, False]]), pat)
+                validates(SELF_TRUST, table(SELF_TRUST, [[True, cell], [False, False]]), pat)
 
 
 class TestSuspectSetValidators:
@@ -162,57 +157,56 @@ class TestSuspectSetValidators:
         pat = FailurePattern.of(3, {2: 3})
         rows = [[pat.at(t) for t in range(6)] for _ in range(3)]
         hist_p = table(PERFECT, rows)
-        assert validate_perfect(hist_p, pat)
-        assert validate_eventually_perfect(table(EVENTUALLY_PERFECT, rows), pat)
+        assert validates(PERFECT, hist_p, pat)
+        assert validates(EVENTUALLY_PERFECT, table(EVENTUALLY_PERFECT, rows), pat)
 
     def test_early_suspicion_breaks_perfect_only(self):
         pat = FailurePattern.of(3, {2: 3})
         early = [frozenset({2}), frozenset(), frozenset(), frozenset({2}), frozenset({2}), frozenset({2})]
         rest = [pat.at(t) for t in range(6)]
-        assert not validate_perfect(table(PERFECT, [early, rest, rest]), pat)
-        assert validate_eventually_perfect(table(EVENTUALLY_PERFECT, [early, rest, rest]), pat)
+        assert not validates(PERFECT, table(PERFECT, [early, rest, rest]), pat)
+        assert validates(EVENTUALLY_PERFECT, table(EVENTUALLY_PERFECT, [early, rest, rest]), pat)
 
     def test_unsuspected_crash_breaks_completeness(self):
         pat = FailurePattern.of(3, {2: 0})
         empty = [frozenset()] * 4
-        assert not validate_perfect(table(PERFECT, [empty] * 3), pat)
-        assert not validate_eventually_perfect(table(EVENTUALLY_PERFECT, [empty] * 3), pat)
+        assert not validates(PERFECT, table(PERFECT, [empty] * 3), pat)
+        assert not validates(EVENTUALLY_PERFECT, table(EVENTUALLY_PERFECT, [empty] * 3), pat)
 
     def test_range_violation(self):
         pat = FailurePattern.of(2, {})
-        validators = ((PERFECT, validate_perfect), (EVENTUALLY_PERFECT, validate_eventually_perfect))
         for cell in (frozenset({3}), frozenset({0}), {1}, (1,)):
             message = re.escape(f"suspect-set history cell is not a subset of P: {cell!r}")
-            for kind, validate in validators:
+            for kind in (PERFECT, EVENTUALLY_PERFECT):
                 with pytest.raises(ValueError, match=message):
-                    validate(table(kind, [[frozenset(), cell], [frozenset(), frozenset()]]), pat)
+                    validates(kind, table(kind, [[frozenset(), cell], [frozenset(), frozenset()]]), pat)
 
     def test_tail_suspicion_of_never_crashing_process(self):
         pat = FailurePattern.of(3, {})
         sus = [frozenset(), frozenset({2})]
         ok = [frozenset(), frozenset()]
-        assert not validate_perfect(table(PERFECT, [sus, ok, ok]), pat)
+        assert not validates(PERFECT, table(PERFECT, [sus, ok, ok]), pat)
 
 
 class TestLeaderValidator:
     def test_constant_correct_leader(self):
         pat = FailurePattern.of(3, {})
-        assert validate_leader(table(LEADER, [[1, 1], [1, 1], [1, 1]]), pat)
+        assert validates(LEADER, table(LEADER, [[1, 1], [1, 1], [1, 1]]), pat)
 
     def test_crashed_leader_rejected(self):
         pat = FailurePattern.of(3, {1: 0})
-        assert not validate_leader(table(LEADER, [[1, 1], [1, 1], [1, 1]]), pat)
+        assert not validates(LEADER, table(LEADER, [[1, 1], [1, 1], [1, 1]]), pat)
 
     def test_permanent_disagreement_rejected(self):
         pat = FailurePattern.of(3, {})
-        assert not validate_leader(table(LEADER, [[1, 1], [2, 2], [1, 1]]), pat)
+        assert not validates(LEADER, table(LEADER, [[1, 1], [2, 2], [1, 1]]), pat)
 
     def test_range_violation(self):
         pat = FailurePattern.of(3, {})
         for cell in (0, 4, True, None):
             message = re.escape(f"leader history cell is not a process index: {cell!r}")
             with pytest.raises(ValueError, match=message):
-                validate_leader(table(LEADER, [[1, 1], [1, cell], [1, 1]]), pat)
+                validates(LEADER, table(LEADER, [[1, 1], [1, cell], [1, 1]]), pat)
 
 
 class TestAliveView:
@@ -229,7 +223,7 @@ class TestAliveView:
     def test_exact_count_gives_correct_count(self):
         pat = FailurePattern.of(4, {4: 0})
         hist = table(CRASH_COUNT, [[1] * 3] * 4)
-        assert validate_crash_count(hist, pat)
+        assert validates(CRASH_COUNT, hist, pat)
         assert all(4 - v == len(pat.correct) for row in hist.rows for v in row)
 
     def test_alive_at_least_correct_on_valid_tables(self):
@@ -241,6 +235,38 @@ class TestAliveView:
             hist = sample_history(spec, pat, OracleProfile("adversarial", 6), seed=seed, horizon=10)
             for q in pat.correct:
                 assert all(4 - v >= len(pat.correct) for v in hist.row(q))
+
+
+class TestLiveOracle:
+    @pytest.mark.parametrize("crashed", [frozenset(), frozenset({1}), frozenset({1, 3})])
+    def test_every_kind_reads_the_crashed_set(self, crashed):
+        # counts read |crashed|, suspect sets the crashed set, self-trust
+        # trusts the lowest live process and leader names it
+        live_min = min({1, 2, 3, 4} - crashed)
+        expected = {
+            CRASH_COUNT: [len(crashed)] * 4,
+            EVENTUAL_CRASH_COUNT: [len(crashed)] * 4,
+            SELF_TRUST: [p == live_min for p in range(1, 5)],
+            PERFECT: [crashed] * 4,
+            EVENTUALLY_PERFECT: [crashed] * 4,
+            LEADER: [live_min] * 4,
+        }
+        assert tuple(expected) == ALL_KINDS
+        for kind, reads in expected.items():
+            got = [LiveOracle(kind, 4).read(p, 7, crashed) for p in range(1, 5)]
+            assert got == reads and list(map(type, got)) == list(map(type, reads)), kind
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_read_along_a_pattern_validates(self, kind):
+        # the truthful oracle's table along a crash pattern is a valid history
+        pat = FailurePattern.of(4, {1: 2, 3: 5})
+        oracle = LiveOracle(kind, 4)
+        rows = [[oracle.read(p, t, pat.at(t)) for t in range(9)] for p in range(1, 5)]
+        assert validates(kind, table(kind, rows), pat)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown detector kind 'bogus'"):
+            LiveOracle("bogus", 3)
 
 
 PATTERNS = {
@@ -284,14 +310,14 @@ class TestSamplers:
         count = DetectorSpec(CRASH_COUNT, 4)
         for seed in range(30):
             hist = sample_history(count, pat, OracleProfile("adversarial", 5), seed=seed, horizon=10)
-            assert validate_eventual_crash_count(hist, pat)
+            assert validates(EVENTUAL_CRASH_COUNT, hist, pat)
 
     def test_hierarchy_perfect_implies_eventually_perfect(self):
         pat = FailurePattern.of(4, {3: 2})
         spec = DetectorSpec(PERFECT, 4)
         for seed in range(30):
             hist = sample_history(spec, pat, OracleProfile("adversarial", 5), seed=seed, horizon=10)
-            assert validate_eventually_perfect(hist, pat)
+            assert validates(EVENTUALLY_PERFECT, hist, pat)
 
     def test_no_crash_forces_zero_count(self):
         pat = FailurePattern.of(3, {})
@@ -323,8 +349,8 @@ class TestSamplers:
         pat = FailurePattern.of(3, {2: 3})
         spec = DetectorSpec(EVENTUAL_CRASH_COUNT, 3)
         hist = sample_history(spec, pat, OracleProfile("pessimistic", 6), seed=2, horizon=10)
-        assert validate_eventual_crash_count(hist, pat)
-        assert not validate_crash_count(hist, pat)
+        assert validates(EVENTUAL_CRASH_COUNT, hist, pat)
+        assert not validates(CRASH_COUNT, hist, pat)
 
     def test_infeasible_convergence_rejected(self):
         pat = FailurePattern.of(3, {})

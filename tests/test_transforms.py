@@ -22,7 +22,6 @@ from anonsim import (
     run,
     sample_history,
 )
-from anonsim.detectors import validate_crash_count, validate_eventual_crash_count
 from anonsim.transforms import (
     count_weakening,
     id_collision,
@@ -190,7 +189,7 @@ class TestTableTranslations:
             src = sample_history(spec, pat, OracleProfile("adversarial", 6), seed=seed, horizon=10)
             out = suspected_count(src)
             assert out.kind == CRASH_COUNT
-            assert validate_crash_count(out, pat)
+            assert DetectorSpec(CRASH_COUNT, 3).validates(out, pat)
 
     def test_exact_knowledge_converges_from_below(self):
         pat = self.pattern()
@@ -209,7 +208,7 @@ class TestTableTranslations:
             src = sample_history(spec, pat, OracleProfile("pessimistic", 6), seed=seed, horizon=10)
             out = suspected_count(src)
             assert out.kind == EVENTUAL_CRASH_COUNT
-            assert validate_eventual_crash_count(out, pat)
+            assert DetectorSpec(EVENTUAL_CRASH_COUNT, 3).validates(out, pat)
 
     def test_leader_becomes_self_trust(self):
         pat = self.pattern()
@@ -234,13 +233,13 @@ class TestTableTranslations:
         for seed in range(50):
             src = sample_history(spec, pat, OracleProfile("adversarial", 6), seed=seed, horizon=10)
             out = count_weakening(src)
-            assert validate_eventual_crash_count(out, pat)
+            assert DetectorSpec(EVENTUAL_CRASH_COUNT, 3).validates(out, pat)
         # an eventual-only table fed backwards must be rejected
         loose = sample_history(
             DetectorSpec(EVENTUAL_CRASH_COUNT, 3), pat, OracleProfile("pessimistic", 6),
             seed=1, horizon=10,
         )
-        assert not validate_crash_count(loose, pat)
+        assert not spec.validates(loose, pat)
 
     def test_every_valid_source_maps_to_a_valid_target(self):
         # exhaustively, over the tables and patterns whose verdicts tests/pins.py pins
