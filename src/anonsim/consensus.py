@@ -12,10 +12,12 @@ Three round-based protocols, each driven by a different oracle:
 
 All automata are step functions polled by the simulator: on_poll performs at
 most one transition and returns whether it made progress, so a False return
-means the process is blocked at a wait condition.  Ties that the pseudo-code
-leaves to message arrival order (several simultaneous leader claims, several
-non-null votes) are broken by value, which keeps the automata insensitive to
-inbox ordering and lets exhaustive exploration merge equivalent states.
+means the process is blocked at a wait condition.  The engine never polls a
+halted process, so no automaton tests for having halted.  Ties that the
+pseudo-code leaves to message arrival order (several simultaneous leader
+claims, several non-null votes) are broken by value, which keeps the automata
+insensitive to inbox ordering and lets exhaustive exploration merge
+equivalent states.
 The three share one base, ``_Consensus``, for their common fields, start and
 decision; as for every automaton, the key is every field but n, f and proc.
 """
@@ -51,6 +53,9 @@ class _Consensus(Automaton):
         ctx.decide(value, r=self.r)
         if halt:
             ctx.halt()
+            # the engine polls no halted process, so this phase is never
+            # read; it makes the states leadervote halts in from any phase
+            # one key, so explore merges them
             self.phase = "done"
 
 
@@ -69,25 +74,23 @@ class FloodMaxConsensus(_Consensus):
             ctx.broadcast(("Propose", self.r, self.v), round_tag=self.r)
             self.phase = "collect"
             return True
-        if self.phase == "collect":
-            props = [m for m in ctx.msgs(self.r) if m[0] == "Propose"]
-            if len(props) < ctx.alive_count():
-                return False
-            values = {self.v} | {m[2] for m in props}
-            self.v = self._merge(values)
-            if self.r == self.f + 1:
-                self._decide(ctx, self.v, halt=True)
-            else:
-                self.r += 1
-                ctx.switch_round(self.r, v=self.v)
-                self.phase = "send"
-            return True
-        return False
+        props = [m for m in ctx.msgs(self.r) if m[0] == "Propose"]
+        if len(props) < ctx.alive_count():
+            return False
+        values = {self.v} | {m[2] for m in props}
+        self.v = self._merge(values)
+        if self.r == self.f + 1:
+            self._decide(ctx, self.v, halt=True)
+        else:
+            self.r += 1
+            ctx.switch_round(self.r, v=self.v)
+            self.phase = "send"
+        return True
 
 
 @dataclass
 class LockMinConsensus(_Consensus):
-    phase: str = "propose-send"  # propose-send | propose-wait | lock-send | lock-wait | done
+    phase: str = "propose-send"  # propose-send | propose-wait | lock-send | lock-wait
     lock: int | None = None
 
     def _need(self, ctx: Ctx) -> int:
@@ -118,27 +121,24 @@ class LockMinConsensus(_Consensus):
             ctx.broadcast(("Lock", self.r, self.lock, self.v), round_tag=self.r)
             if self.decided is not None:
                 ctx.halt()
-                self.phase = "done"
             else:
                 self.phase = "lock-wait"
             return True
-        if self.phase == "lock-wait":
-            locks = [m for m in ctx.msgs(self.r) if m[0] == "Lock"]
-            if len(locks) < self._need(ctx):
-                return False
-            tags = [m[2] for m in locks]
-            present = sorted(t for t in set(tags) if t is not None)
-            if present:
-                self.v = present[0]
-                if all(t == self.v for t in tags):
-                    self._decide(ctx, self.v, halt=False)
-            else:
-                self.v = min(m[3] for m in locks)
-            self.r += 1
-            ctx.switch_round(self.r, v=self.v, lock=self.lock)
-            self.phase = "propose-send"
-            return True
-        return False
+        locks = [m for m in ctx.msgs(self.r) if m[0] == "Lock"]
+        if len(locks) < self._need(ctx):
+            return False
+        tags = [m[2] for m in locks]
+        present = sorted(t for t in set(tags) if t is not None)
+        if present:
+            self.v = present[0]
+            if all(t == self.v for t in tags):
+                self._decide(ctx, self.v, halt=False)
+        else:
+            self.v = min(m[3] for m in locks)
+        self.r += 1
+        ctx.switch_round(self.r, v=self.v, lock=self.lock)
+        self.phase = "propose-send"
+        return True
 
 
 @dataclass
@@ -153,8 +153,6 @@ class LeaderVoteConsensus(_Consensus):
         return None
 
     def on_poll(self, ctx: Ctx) -> bool:
-        if self.phase == "done":
-            return False
         # a decision announcement pre-empts the round structure: forward it
         # once, decide the carried value, halt
         for m in ctx.untagged():
@@ -183,30 +181,26 @@ class LeaderVoteConsensus(_Consensus):
             ctx.broadcast(("Vote", self.r, self.aux), round_tag=self.r)
             self.phase = "vote-wait"
             return True
-        if self.phase == "vote-wait":
-            votes = [m for m in ctx.msgs(self.r) if m[0] == "Vote"]
-            if len(votes) < self.n - self.f:
-                return False
-            agreed = [m[2] for m in votes if m[2] is not None]
-            if agreed:
-                self.v = min(agreed)
-            if len(agreed) >= self.n - self.f:
-                ctx.broadcast(("Decide", self.v))
-            self.r += 1
-            ctx.switch_round(self.r, v=self.v)
-            self.phase = "lead"
-            return True
-        return False
+        votes = [m for m in ctx.msgs(self.r) if m[0] == "Vote"]
+        if len(votes) < self.n - self.f:
+            return False
+        agreed = [m[2] for m in votes if m[2] is not None]
+        if agreed:
+            self.v = min(agreed)
+        if len(agreed) >= self.n - self.f:
+            ctx.broadcast(("Decide", self.v))
+        self.r += 1
+        ctx.switch_round(self.r, v=self.v)
+        self.phase = "lead"
+        return True
 
 
-def _factory(cls: type, majority_name: str | None = None) -> Callable:
-    """The factory of `cls`: it needs one input per process, and a protocol
-    with a `majority_name` needs n > 2f."""
+def _factory(cls: type) -> Callable:
+    """The factory of `cls`: it needs one input per process.  A protocol's
+    n > 2f bound is its `verify.ALGORITHMS` entry's `majority` flag."""
 
     def factory(scenario: ScenarioConfig, proc: int) -> _Consensus:
         cfg = scenario.cfg
-        if majority_name is not None and cfg.n <= 2 * cfg.f:
-            raise ScenarioError(f"{majority_name} consensus needs n > 2f, got n={cfg.n}, f={cfg.f}")
         if len(scenario.inputs) != cfg.n:
             raise ScenarioError(f"consensus needs one input per process, got {len(scenario.inputs)} for n={cfg.n}")
         return cls(n=cfg.n, f=cfg.f, proc=proc, v=scenario.inputs[proc - 1])
@@ -215,5 +209,5 @@ def _factory(cls: type, majority_name: str | None = None) -> Callable:
 
 
 flood_max = _factory(FloodMaxConsensus)
-lock_min = _factory(LockMinConsensus, "lock-min")
-leader_vote = _factory(LeaderVoteConsensus, "leader-vote")
+lock_min = _factory(LockMinConsensus)
+leader_vote = _factory(LeaderVoteConsensus)

@@ -296,14 +296,23 @@ def _json_int(value: Any, what: str) -> int:
     return value
 
 
-def pattern_from_json(text: str) -> tuple[SystemConfig, FailurePattern]:
-    doc = _json_object(text, "pattern")
-    cfg = SystemConfig(n=_json_int(doc["n"], "'n'"), f=_json_int(doc["f"], "'f'"))
+def pattern_from_dict(doc: dict) -> tuple[SystemConfig, FailurePattern]:
+    """The system and failure pattern of a `{n, f, crash}` object, as a
+    scenario or a pattern file holds them.  A crash key must be `str(p)` for
+    a process p, so no two keys name one process; anything else is a
+    ValueError.  The crash budget f is the caller's to check."""
+    cfg = SystemConfig(n=_json_int(doc.get("n"), "'n'"), f=_json_int(doc.get("f"), "'f'"))
     crash = doc.get("crash", {})
     if not isinstance(crash, dict):
         raise ValueError(f"'crash' must be a JSON object, not {crash!r}")
     crashes = {int(p): _json_int(s, f"crash step of {p}") for p, s in crash.items()}
-    pattern = FailurePattern.of(cfg.n, crashes)
+    if list(map(str, crashes)) != list(crash):
+        raise ValueError(f"crash keys must name distinct processes in plain decimal, not {list(crash)}")
+    return cfg, FailurePattern.of(cfg.n, crashes)
+
+
+def pattern_from_json(text: str) -> tuple[SystemConfig, FailurePattern]:
+    cfg, pattern = pattern_from_dict(_json_object(text, "pattern"))
     correct_set(pattern, cfg)  # reject patterns outside the budget
     return cfg, pattern
 

@@ -80,7 +80,7 @@ from .detectors import (
     OracleRuntime,
     sample_history,
 )
-from .model import FailurePattern, SystemConfig, cell_to_json, correct_set
+from .model import FailurePattern, SystemConfig, cell_to_json, correct_set, pattern_from_dict
 
 SCHEMA = 1
 
@@ -114,13 +114,6 @@ def int_field(doc: dict, key: str, default: int | None = None) -> int | None:
         return default
     if type(value) is not int:
         raise ScenarioError(f"{key!r} must be an integer, not {value!r}")
-    return value
-
-
-def _object_field(doc: dict, key: str) -> dict:
-    value = doc.get(key, {})
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{key!r} must be a JSON object, not {value!r}")
     return value
 
 
@@ -205,21 +198,21 @@ class ScenarioConfig:
             raise ScenarioError("a scenario must be a JSON object")
         if int_field(doc, "schema", SCHEMA) != SCHEMA:
             raise ScenarioError(f"unsupported scenario schema {doc['schema']!r}")
-        if doc.get("n") is None or doc.get("f") is None:
-            raise ScenarioError("a scenario needs integers 'n' and 'f'")
-        oracle, crash = _object_field(doc, "oracle"), _object_field(doc, "crash")
+        oracle = doc.get("oracle", {})
+        if not isinstance(oracle, dict):
+            raise ScenarioError(f"'oracle' must be a JSON object, not {oracle!r}")
         inputs, identified = doc.get("inputs", []), doc.get("identified", False)
-        if not isinstance(inputs, list) or any(type(v) is not int for v in [*inputs, *crash.values()]):
-            raise ScenarioError("inputs must be a list of integers, and crash steps integers")
+        if not isinstance(inputs, list) or any(type(v) is not int for v in inputs):
+            raise ScenarioError("inputs must be a list of integers")
         if type(identified) is not bool:
             raise ScenarioError(f"'identified' must be true or false, not {identified!r}")
         try:
-            cfg = SystemConfig(n=int_field(doc, "n"), f=int_field(doc, "f"))
+            cfg, pattern = pattern_from_dict(doc)
             scenario = cls(
                 cfg=cfg,
                 algorithm=str(doc["algorithm"]),
                 inputs=tuple(inputs),
-                pattern=FailurePattern.of(cfg.n, {int(p): s for p, s in crash.items()}),
+                pattern=pattern,
                 oracle_kind=str(oracle.get("kind", "")),
                 profile=OracleProfile(
                     behavior=str(oracle.get("behavior", "adversarial")),

@@ -72,15 +72,12 @@ class _Heartbeats(Automaton):
     def _send(self, ctx: Ctx, output: Any, heartbeat: tuple) -> bool:
         """Start round r with `output` on the first poll, halt past the cap,
         or else broadcast `heartbeat` and start waiting."""
-        if self.phase == "done":
-            return False
         if not self.started:
             self.started = True
             ctx.switch_round(self.r)
             ctx.emit_output(output)
         if self.rounds_cap is not None and self.r > self.rounds_cap:
             ctx.halt()
-            self.phase = "done"
             return True
         ctx.broadcast(heartbeat, round_tag=self.r)
         self.phase = "wait"
@@ -150,11 +147,8 @@ class SelfTrustAnnouncer(Automaton):
     last_claim: int = -8
     claims_seen: int = 0
     started: bool = False
-    halted: bool = False
 
     def on_poll(self, ctx: Ctx) -> bool:
-        if self.halted:
-            return False
         self.ticks += 1
         progressed = False
         if not self.started:
@@ -165,22 +159,18 @@ class SelfTrustAnnouncer(Automaton):
         claims = [m for m in ctx.untagged() if m[0] == "Claim"]
         if len(claims) > self.claims_seen:
             self.claims_seen = len(claims)
-            latest = claims[-1][1]
-            if latest != self.output:
-                self.output = latest
-                ctx.emit_output(self.output)
+            self.output = claims[-1][1]
+            ctx.emit_output(self.output)
             progressed = True
         if self.ticks_cap is not None and self.ticks >= self.ticks_cap:
             ctx.halt()
-            self.halted = True
             return True
         # throttled re-announcement: stale claims from before the oracle
         # stabilized must be outnumbered, not outrun
         if ctx.oracle() is True and self.ticks - self.last_claim >= 8:
             self.last_claim = self.ticks
-            if self.output != self.proc:
-                self.output = self.proc
-                ctx.emit_output(self.output)
+            self.output = self.proc
+            ctx.emit_output(self.output)
             ctx.broadcast(("Claim", self.proc))
             progressed = True
         return progressed

@@ -90,11 +90,48 @@ class TestRun:
         # oracle tables above the cell cap: the largest horizon below
         # sys.maxsize once raised MemoryError, exit 3
         ("horizon", 10**30), ("horizon", 9223372036854775806),
+        # well-formed fields that break a model invariant: no step to run, two
+        # crashes at f=1, a crash at the horizon, convergence past it, two
+        # inputs for three processes, a non-binary input
+        ("horizon", 0), ("crash", {"2": 5, "3": 9}), ("crash", {"3": 600}),
+        ("oracle", dict(FLOODMAX["oracle"], convergence=601)), ("inputs", [0, 1]), ("inputs", [0, 2, 0]),
     ])
     def test_malformed_fields_exit_2(self, tmp_path, capsys, field, value):
         path = write(tmp_path, "bad.json", dict(FLOODMAX, **{field: value}))
         assert main(["run", path, "--out", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("crash", [{"3": 9, "03": 12}, {" 3": 9}, {"+3": 9}],
+                             ids=["one-process-twice", "spaced", "signed"])
+    def test_crash_key_other_than_the_process_number_exits_2(self, tmp_path, capsys, crash):
+        # {"3": 9, "03": 12} once loaded as {3: 12}, dropping one scheduled
+        # crash, and " 3" was accepted, then written back as "3"
+        path = write(tmp_path, "bad.json", dict(FLOODMAX, crash=crash))
+        assert main(["run", path, "--out", str(tmp_path)]) == 2
+        assert "crash keys must name distinct processes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, code", [
+        ([], 2), (["run"], 2), (["run", str(SCENARIOS / "floodmax-n3.json"), "--policy", "nope"], 2), (["--help"], 0),
+    ], ids=["no-command", "no-scenario", "unknown-policy", "help"])
+    def test_usage_exit_codes(self, capsys, argv, code):
+        assert main(argv) == code
+        capsys.readouterr()
+
+    def test_internal_error_exits_3_with_a_traceback(self, tmp_path, capsys, monkeypatch):
+        def broken(scenario):
+            raise RuntimeError("broken on purpose")
+
+        monkeypatch.setattr(cli, "run_and_check", broken)
+        assert main(["run", str(SCENARIOS / "floodmax-n3.json"), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: broken on purpose" in err
+
+    def test_horizon_and_policy_flags_recorded(self, tmp_path, capsys):
+        path = write(tmp_path, "s.json", FLOODMAX)
+        assert main(["run", path, "--horizon", "450", "--policy", "crash-adjacent", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        recorded = json.loads((tmp_path / "floodmax-seed7.report.json").read_text())["scenario"]
+        assert (recorded["horizon"], recorded["policy"]) == (450, "crash-adjacent")
 
     @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda path: path.name)
     def test_shipped_scenarios_run(self, tmp_path, capsys, path):
@@ -214,6 +251,18 @@ class TestCheck:
         assert main(["check", ran[-2].removeprefix("trace: ")]) in (0, 1)
         assert capsys.readouterr().out.splitlines() == ran[:-2]
 
+    def test_short_protocol_message_exits_2(self, tmp_path, capsys):
+        sc = scenario("lockmin", 3, 1, inputs=(0, 1, 1), policy="random", seed=2)
+        lines = run(sc, ALGORITHMS["lockmin"].factory).to_jsonl().splitlines()
+        first = next(i for i, line in enumerate(lines) if json.loads(line).get("payload", [""])[0] == "Lock")
+        event = json.loads(lines[first])
+        event["payload"] = event["payload"][:3]
+        lines[first] = json.dumps(event)
+        trace_file = tmp_path / "t.trace.jsonl"
+        trace_file.write_text("\n".join(lines) + "\n")
+        assert main(["check", str(trace_file)]) == 2
+        assert "does not have 4 fields" in capsys.readouterr().err
+
     def test_check_reports_id_collision(self, tmp_path, capsys):
         sc = scenario("random-selftrust", 3, 1, policy="random", seed=4, horizon=900, rounds=8)
         trace_file = tmp_path / "collision.trace.jsonl"
@@ -271,6 +320,12 @@ class TestCampaign:
         doc = dict(self.campaign_doc(2), **{field: value})
         assert main(["campaign", write(tmp_path, "c.json", doc)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_campaign_without_scenario_exits_2(self, tmp_path, capsys):
+        doc = self.campaign_doc()
+        del doc["scenario"]
+        assert main(["campaign", write(tmp_path, "c.json", doc)]) == 2
+        assert "'scenario' template" in capsys.readouterr().err
 
     def test_scenario_parsed_once(self, tmp_path, capsys, monkeypatch):
         # workers run the scenario the campaign admitted, reseeded, and parse
@@ -408,6 +463,13 @@ class TestExplore:
         out = capsys.readouterr().out
         assert "explored states: 20000" in out and "PARTIAL" in out
 
+    def test_seed_flag_honoured(self, tmp_path, capsys):
+        # this scenario has violations, so the witness records the scenario explored
+        doc = TestUnwritableOut.SUSPECTOR
+        assert main(["explore", write(tmp_path, "e.json", doc), "--seed", "41", "--out", str(tmp_path / "w")]) == 1
+        capsys.readouterr()
+        assert json.loads((tmp_path / "w" / "violation.schedule.json").read_text())["scenario"]["seed"] == 41
+
     def test_algorithm_without_monitor_exits_2(self, tmp_path, capsys):
         doc = scenario("leader-announce", 2, 1, rounds=3).to_dict()
         assert main(["explore", write(tmp_path, "e.json", doc)]) == 2
@@ -473,6 +535,16 @@ class TestValidateHistory:
         assert main(["validate-history", "--history", hp, "--pattern", pp]) == 1
         assert "INVALID" in capsys.readouterr().out
 
+    def test_anonymity_violation_exits_1(self, tmp_path, capsys):
+        # a valid perfect history that suspects process 2 only at process 1:
+        # relabelling the processes breaks its validity
+        history = {"kind": "perfect", "n": 2, "horizon": 2, "out": [[[], [2], [2]], [[], [], []]]}
+        hp = write(tmp_path, "h.json", history)
+        pp = write(tmp_path, "p.json", {"n": 2, "f": 1, "crash": {"2": 1}})
+        assert main(["validate-history", "--history", hp, "--pattern", pp, "--anonymity"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "history kind=perfect: valid" and out[-1] == "  violating relabelling: [2, 1]"
+
     def test_unknown_kind_exits_2(self, tmp_path, capsys):
         hp = tmp_path / "h.json"
         pp = tmp_path / "p.json"
@@ -487,7 +559,11 @@ class TestValidateHistory:
         ([SMALL_HISTORY], SMALL_PATTERN),
         (SMALL_HISTORY, {**SMALL_PATTERN, "crash": [2]}),
         ({**SMALL_HISTORY, "out": [[[[1]], 1], [0, 0]]}, SMALL_PATTERN),
-    ], ids=["n-list", "out-int", "top-level-array", "crash-list", "nested-cell"])
+        (SMALL_HISTORY, {**SMALL_PATTERN, "crash": {"2": 1, "02": 0}}),
+        (SMALL_HISTORY, {**SMALL_PATTERN, "crash": {" 2": 1}}),
+        (SMALL_HISTORY, {**SMALL_PATTERN, "crash": {"+2": 1}}),
+    ], ids=["n-list", "out-int", "top-level-array", "crash-list", "nested-cell", "crash-key-twice",
+            "crash-key-spaced", "crash-key-signed"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, history, pattern):
         hp, pp = write(tmp_path, "h.json", history), write(tmp_path, "p.json", pattern)
         assert main(["validate-history", "--history", hp, "--pattern", pp]) == 2

@@ -28,6 +28,7 @@ from anonsim.model import (
     all_permutations,
     history_from_json,
     history_to_json,
+    pattern_from_dict,
     pattern_from_json,
     pattern_to_json,
     random_permutation,
@@ -270,6 +271,14 @@ class TestSerialization:
         pat = FailurePattern.of(4, {2: 5, 4: 1})
         cfg2, pat2 = pattern_from_json(pattern_to_json(cfg, pat))
         assert cfg2 == cfg and pat2 == pat
+
+    @pytest.mark.parametrize("crash", [{"2": 5, "02": 7}, {" 2": 5}, {"+2": 5}, {"2.0": 5}])
+    def test_pattern_crash_keys_are_process_numbers(self, crash):
+        # one reader for scenarios and pattern files: a key other than str(p)
+        # would merge two crashes of one process or be rewritten on output
+        with pytest.raises(ValueError, match="crash keys|invalid literal"):
+            pattern_from_dict({"n": 3, "f": 2, "crash": crash})
+        assert pattern_from_dict({"n": 3, "f": 2, "crash": {"3": 1, "2": 4}})[1] == FailurePattern.of(3, {2: 4, 3: 1})
 
     def test_pattern_budget_checked_on_load(self):
         with pytest.raises(ValueError):

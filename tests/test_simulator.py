@@ -27,7 +27,7 @@ from anonsim import (
 )
 from anonsim.cli import ALGORITHMS, explore_crash_limit
 from anonsim.simulator import (
-    MAX_TABLE_CELLS, _BUDGET, _MONITOR, _WOKEN, Automaton, Inbox, NullMonitor, Simulation, _XEngine, _XState,
+    MAX_TABLE_CELLS, POLICIES, _BUDGET, _MONITOR, _WOKEN, Automaton, Inbox, NullMonitor, Simulation, _XEngine, _XState,
 )
 from anonsim.verify import ConsensusMonitor, check_trace, monitor_for
 
@@ -966,6 +966,40 @@ class TestExplore:
                       max_states=20_000)
         assert res.partial and not res.ok
         assert res.states == 20_000
+
+
+def test_no_poll_or_probe_reaches_a_halted_or_crashed_process(monkeypatch):
+    # the engine alone stops halted and crashed processes, so no automaton
+    # tests for having halted: no poll, and no guard probe of a copy (which
+    # reads its host engine's sets), may reach one
+    reached = Counter()
+
+    def checked(cls, on_poll):
+        def on_poll_checked(automaton, ctx):
+            engine = getattr(ctx._engine, "host", ctx._engine)
+            assert ctx.proc not in engine.crashed, f"{cls.__name__} p{ctx.proc} polled after its crash"
+            assert ctx.proc not in engine.halted, f"{cls.__name__} p{ctx.proc} polled after its halt"
+            reached[cls, bool(engine.halted)] += 1
+            return on_poll(automaton, ctx)
+
+        return on_poll_checked
+
+    classes = [cls for module in (consensus, transforms) for cls in vars(module).values()
+               if isinstance(cls, type) and issubclass(cls, Automaton) and "on_poll" in vars(cls)]
+    for cls in classes:
+        monkeypatch.setattr(cls, "on_poll", checked(cls, vars(cls)["on_poll"]))
+    for algorithm, info in ALGORITHMS.items():
+        for policy in POLICIES:
+            for seed in range(3):
+                sc = scenario(algorithm, 3, 1, crashes={2: 7 + seed}, behavior="adversarial", convergence=30,
+                              horizon=400, policy=policy, seed=seed,
+                              **({"inputs": (0, 1, 1)} if info.consensus else {"rounds": 6}))
+                run(sc, info.factory)
+    for _, algorithm, factory, sc in explore_jobs():
+        explore(sc, factory, monitor=monitor_for(algorithm, sc.cfg.n, sc.cfg.f, sc.inputs),
+                crash_round_limit=explore_crash_limit(sc))
+    # every class was polled while some process had halted
+    assert {cls for cls, halted in reached if halted} == set(classes)
 
 
 @pytest.mark.parametrize("entry", [
