@@ -69,9 +69,7 @@ def normalize_scenario(scenario: ScenarioConfig) -> ScenarioConfig:
         raise ScenarioError(f"algorithm {info.name!r} needs one binary input per process")
     if info.majority and scenario.cfg.n <= 2 * scenario.cfg.f:
         raise ScenarioError(f"algorithm {info.name!r} needs n > 2f")
-    scenario = replace(scenario, identified=info.identified)
-    scenario.validate()
-    return scenario
+    return replace(scenario, identified=info.identified)
 
 
 def _read_json(path: str | Path, what: str):

@@ -95,10 +95,7 @@ def correct_set(pattern: FailurePattern, cfg: SystemConfig) -> frozenset[int]:
         raise ValueError(f"pattern is over n={pattern.n}, config has n={cfg.n}")
     if len(pattern.crashed) > cfg.f:
         raise ValueError(f"pattern crashes {len(pattern.crashed)} processes, bound is f={cfg.f}")
-    correct = pattern.correct
-    if not correct:
-        raise ValueError("pattern crashes every process")
-    return correct
+    return pattern.correct
 
 
 @dataclass(frozen=True)

@@ -119,7 +119,11 @@ def int_field(doc: dict, key: str, default: int | None = None) -> int | None:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything a reproducible run needs: who, what, when, and the seed."""
+    """Everything a reproducible run needs: who, what, when, and the seed.
+
+    A scenario checks the model's rules when it is built, so every one is
+    valid, a `replace`d or `reseeded` copy included.
+    """
 
     cfg: SystemConfig
     algorithm: str
@@ -137,7 +141,7 @@ class ScenarioConfig:
     def effective_horizon(self) -> int:
         return self.horizon if self.horizon is not None else default_horizon(self.cfg)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         horizon = self.effective_horizon
         if horizon < 1:
             raise ScenarioError(f"horizon must be at least 1, not {horizon}")
@@ -208,7 +212,7 @@ class ScenarioConfig:
             raise ScenarioError(f"'identified' must be true or false, not {identified!r}")
         try:
             cfg, pattern = pattern_from_dict(doc)
-            scenario = cls(
+            return cls(
                 cfg=cfg,
                 algorithm=str(doc["algorithm"]),
                 inputs=tuple(inputs),
@@ -228,8 +232,6 @@ class ScenarioConfig:
             raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"malformed scenario: {exc}") from exc
-        scenario.validate()
-        return scenario
 
 
 class Inbox:
@@ -641,7 +643,6 @@ class Simulation(_Engine):
     """
 
     def __init__(self, scenario: ScenarioConfig, factory: AutomatonFactory, oracle: Any = None):
-        scenario.validate()
         super().__init__(scenario, factory, oracle if oracle is not None else build_oracle(scenario))
         self.horizon = scenario.effective_horizon
         # the scheduler's generator, seeded at its first draw, since only the
@@ -756,9 +757,9 @@ class Simulation(_Engine):
         truncated = not self._settled()
         if not truncated:
             for p in self.cfg.processes:
-                while p not in self.crashed and self.pending[p]:
+                while self.pending[p]:
                     self.apply(("deliver", p, 0))
-        pending = sum(len(q) for p, q in self.pending.items() if p not in self.crashed)
+        pending = sum(map(len, self.pending.values()))
         return Trace(scenario=self.scenario, events=self.events, truncated=truncated, pending=pending)
 
 
@@ -1025,11 +1026,12 @@ class _XEngine(_Engine):
     parent's before the child is built, and `build` installs what they
     found.  The scratch copy of a poll and the view of a crash are built
     directly, never through `_XState.clone`, so only built children are
-    cloned.
+    cloned.  The initial state's crash budget is the scenario's f, and a
+    crash child's is one less than its parent's.
     """
 
     def __init__(self, scenario: ScenarioConfig, factory: AutomatonFactory, monitor: Any,
-                 crashes_left: int, crash_round_limit: int | None):
+                 crash_round_limit: int | None):
         super().__init__(scenario, factory, LiveOracle(scenario.oracle_kind, scenario.cfg.n))
         self.crash_round_limit = crash_round_limit
         # these live as long as this engine: one explore call, whose caps
@@ -1055,7 +1057,7 @@ class _XEngine(_Engine):
         slots, identified = array("I"), scenario.identified
         for p in self.cfg.processes:
             slots.extend((ids[self.automata[p].key()], self.inboxes[p].key(identified, ids), ids[()]))
-        slots.extend((0, 0, 0, crashes_left, ids[monitor.key()]))
+        slots.extend((0, 0, 0, self.cfg.f, ids[monitor.key()]))
         self.state = _XState(self.automata, self.inboxes, [], monitor, slots)
 
     def load(self, state: _XState) -> "_XEngine":
@@ -1091,7 +1093,7 @@ class _XEngine(_Engine):
         verdict is memoized under its local state, and only a miss loads
         `st` into the engine."""
         slots = st.slots
-        crashed, woken, crashes_left = slots[_CRASHED], slots[_WOKEN], slots[_BUDGET]
+        crashed, woken, budget = slots[_CRASHED], slots[_WOKEN], slots[_BUDGET]
         gone = crashed | slots[_HALTED]
         acts: list[tuple] = []
         for p, (wake, poll, crash) in self.moves.items():
@@ -1107,7 +1109,7 @@ class _XEngine(_Engine):
                     moves = self.probes[local] = self.load(st).can_progress(p)
                 if moves:
                     acts.append(poll)
-            if crashes_left > 0 and (
+            if budget > 0 and (
                 self.crash_round_limit is None
                 or getattr(st.automata[p], "r", 0) <= self.crash_round_limit
             ):
@@ -1292,7 +1294,6 @@ def explore(
     scenario: ScenarioConfig,
     factory: AutomatonFactory,
     monitor: Any = None,
-    max_crashes: int | None = None,
     max_states: int = 1_500_000,
     crash_round_limit: int | None = None,
 ) -> ExploreResult:
@@ -1300,8 +1301,8 @@ def explore(
 
     Branching choices: which process starts, which pending message class is
     delivered to whom, when a process takes a step (runs from its blocking
-    wait to the next one), and where up to `max_crashes` crashes strike
-    (0..f, f by default).  Message delivery and process steps are
+    wait to the next one), and where up to f crashes strike: the
+    scenario's f is the crash budget.  Message delivery and process steps are
     independent choices, so a wait can be evaluated with any superset of
     the messages that first satisfy it.  States reached by different
     interleavings merge: the search is over the reachable state graph,
@@ -1317,18 +1318,13 @@ def explore(
     The state budget alone bounds the search, at any n: reaching it ends the
     search with `partial` set.
     """
-    scenario.validate()
     if max_states < 1:
         raise ScenarioError(f"the state budget must be at least 1, not {max_states}")
     if scenario.pattern.crash_steps:
         raise ScenarioError(
             "exploration chooses crash placements itself; use an empty crash map"
         )
-    max_crashes = scenario.cfg.f if max_crashes is None else max_crashes
-    if not 0 <= max_crashes <= scenario.cfg.f:
-        raise ScenarioError(f"the crash limit must be in 0..f={scenario.cfg.f}, not {max_crashes}")
-    engine = _XEngine(scenario, factory, monitor if monitor is not None else NullMonitor(),
-                      max_crashes, crash_round_limit)
+    engine = _XEngine(scenario, factory, monitor if monitor is not None else NullMonitor(), crash_round_limit)
     init = engine.state
     # the visited keys, and per state in discovery order its parent's index
     # in these arrays and the index in `moves` of the action between

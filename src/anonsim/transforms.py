@@ -262,13 +262,6 @@ def output_history(trace: Trace, target_kind: str) -> DetectorHistory:
     )
 
 
-def id_collision(trace: Trace) -> bool:
-    """Whether two heartbeat identifiers in the trace coincide."""
-    ids = {ev["payload"][2] for ev in trace.events if ev["ev"] == "send" and ev["payload"][0] == "HB"}
-    senders = {ev["proc"] for ev in trace.events if ev["ev"] == "send" and ev["payload"][0] == "HB"}
-    return len(ids) < len(senders)
-
-
 # --- table-to-table translations ------------------------------------------------
 
 

@@ -217,10 +217,12 @@ def check_round_skew(trace: Trace) -> CheckReport:
 
 def check_id_collision(trace: Trace) -> CheckReport:
     """No two heartbeat identifiers of the randomized construction coincide."""
+    ids, senders = set(), set()
     for i, ev in enumerate(trace.events):
         if ev["ev"] == "send" and ev["payload"][0] == "HB":
-            _message(i, ev["payload"], 3)
-    if transforms.id_collision(trace):
+            ids.add(_message(i, ev["payload"], 3)[2])
+            senders.add(ev["proc"])
+    if len(ids) < len(senders):
         return CheckReport("id-collision", FAIL, detail="duplicate identifiers drawn")
     return CheckReport("id-collision", PASS)
 
@@ -475,7 +477,6 @@ class AlgorithmInfo:
     factory: Callable
     oracle_kinds: tuple[str, ...]
     identified: bool
-    consensus: bool
     majority: bool = False  # needs n > 2f
     target_kind: str | None = None  # emulated detector, for transformations
     lemmas: tuple[Callable[[Trace], CheckReport], ...] = ()
@@ -487,41 +488,45 @@ class AlgorithmInfo:
     crash_margin: Callable[[int], int] | None = None
     success_bound: Fraction | None = None  # least campaign share of fully passing runs
 
+    @property
+    def consensus(self) -> bool:  # a consensus protocol is an algorithm that emulates no detector
+        return self.target_kind is None
+
 
 ALGORITHMS = {
     info.name: info
     for info in (
         AlgorithmInfo(
-            "floodmax", consensus.flood_max, (CRASH_COUNT,), False, True,
+            "floodmax", consensus.flood_max, (CRASH_COUNT,), False,
             lemmas=(check_stubbornness,), monitor=ConsensusMonitor,
         ),
         AlgorithmInfo(
-            "lockmin", consensus.lock_min, (EVENTUAL_CRASH_COUNT, CRASH_COUNT), False, True, majority=True,
+            "lockmin", consensus.lock_min, (EVENTUAL_CRASH_COUNT, CRASH_COUNT), False, majority=True,
             lemmas=(check_lock_exclusivity, check_decision_spread),
             monitor=partial(ConsensusMonitor, spread=True),
         ),
         AlgorithmInfo(
-            "leadervote", consensus.leader_vote, (SELF_TRUST,), False, True, majority=True,
+            "leadervote", consensus.leader_vote, (SELF_TRUST,), False, majority=True,
             lemmas=(check_unique_decide,), monitor=ConsensusMonitor,
         ),
         AlgorithmInfo(
             "eventual-suspector", transforms.eventual_suspector, (EVENTUAL_CRASH_COUNT, CRASH_COUNT),
-            True, False, target_kind=EVENTUALLY_PERFECT,
+            True, target_kind=EVENTUALLY_PERFECT,
             monitor=lambda n, f, inputs: SuspectorMonitor(strong_accuracy=False),
             crash_margin=lambda f: 1,
         ),
         AlgorithmInfo(
-            "stable-suspector", transforms.stable_suspector, (CRASH_COUNT,), True, False,
+            "stable-suspector", transforms.stable_suspector, (CRASH_COUNT,), True,
             target_kind=PERFECT, lemmas=(check_round_skew,),
             monitor=lambda n, f, inputs: SuspectorMonitor(strong_accuracy=True, skew_bound=f + 1),
             crash_margin=lambda f: f + 3,
         ),
         AlgorithmInfo(
-            "leader-announce", transforms.self_trust_announcer, (SELF_TRUST,), True, False,
+            "leader-announce", transforms.self_trust_announcer, (SELF_TRUST,), True,
             target_kind=LEADER,
         ),
         AlgorithmInfo(
-            "random-selftrust", transforms.max_id_self_trust, (CRASH_COUNT,), False, False,
+            "random-selftrust", transforms.max_id_self_trust, (CRASH_COUNT,), False,
             target_kind=SELF_TRUST, lemmas=(check_id_collision,),
             monitor=lambda n, f, inputs: SelfTrustTerminalMonitor(),
             crash_margin=lambda f: 1, success_bound=Fraction(2, 3),

@@ -28,7 +28,7 @@ def scenario(
     info = ALGORITHMS[algorithm]
     if inputs is None:
         inputs = (0,) * n if info.consensus else ()
-    sc = ScenarioConfig(
+    return ScenarioConfig(
         cfg=SystemConfig(n, f),
         algorithm=algorithm,
         inputs=tuple(inputs),
@@ -41,8 +41,6 @@ def scenario(
         rounds=rounds,
         identified=info.identified,
     )
-    sc.validate()
-    return sc
 
 
 def factory_of(algorithm: str):

@@ -43,7 +43,6 @@ from anonsim import (
 )
 from anonsim.transforms import (
     count_weakening,
-    id_collision,
     leader_self_trust,
     output_history,
     suspected_count,
@@ -51,6 +50,7 @@ from anonsim.transforms import (
 from anonsim.verify import (
     check_consensus,
     check_decision_spread,
+    check_id_collision,
     check_lemma_invariants,
     check_lock_exclusivity,
     check_round_skew,
@@ -317,7 +317,7 @@ class TestCriterion6RandomizedReduction:
             sc = selftrust_scenario(seed)
             trace = run(sc, factory_of("random-selftrust"))
             hist = output_history(trace, SELF_TRUST)
-            collided = id_collision(trace)
+            collided = check_id_collision(trace).failed
             collisions += collided
             if not collided and spec.validates(hist, sc.pattern):
                 successes += 1
@@ -335,7 +335,7 @@ class TestCriterion6RandomizedReduction:
         sc = scenario("random-selftrust", 3, 1, kind=CRASH_COUNT,
                       policy="random", seed=4, horizon=900, rounds=8)
         trace = run(sc, forced_id_factory({1: 9, 2: 9, 3: 4}))
-        assert id_collision(trace)
+        assert check_id_collision(trace).failed
         hist = output_history(trace, SELF_TRUST)
         assert not DetectorSpec(SELF_TRUST, 3).validates(hist, sc.pattern)
         stamp("criterion 6 PASS: forced identifier collision yields an invalid history", t0)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from anonsim import ScenarioConfig, Trace, cli, run, run_schedule
 from anonsim.cli import ALGORITHMS, main
+from anonsim.verify import FAIL, CheckReport
 
 FLOODMAX = {
     "schema": 1,
@@ -95,6 +96,9 @@ class TestRun:
         # inputs for three processes, a non-binary input
         ("horizon", 0), ("crash", {"2": 5, "3": 9}), ("crash", {"3": 600}),
         ("oracle", dict(FLOODMAX["oracle"], convergence=601)), ("inputs", [0, 1]), ("inputs", [0, 2, 0]),
+        # a crash of no process in 1..n, a negative crash step, a negative
+        # convergence step
+        ("crash", {"9": 5}), ("crash", {"3": -1}), ("oracle", dict(FLOODMAX["oracle"], convergence=-1)),
     ])
     def test_malformed_fields_exit_2(self, tmp_path, capsys, field, value):
         path = write(tmp_path, "bad.json", dict(FLOODMAX, **{field: value}))
@@ -125,6 +129,21 @@ class TestRun:
         assert main(["run", str(SCENARIOS / "floodmax-n3.json"), "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "Traceback" in err and "RuntimeError: broken on purpose" in err
+
+    def test_failing_run_prints_its_reproduce_line(self, tmp_path, capsys, monkeypatch):
+        run_and_check = cli.run_and_check
+
+        def failing(scenario):
+            trace, reports, _ = run_and_check(scenario)
+            failed = CheckReport("agreement", FAIL, detail="failed on purpose")
+            return trace, [failed if r.prop == "agreement" else r for r in reports], False
+
+        monkeypatch.setattr(cli, "run_and_check", failing)
+        path = str(SCENARIOS / "floodmax-n3.json")
+        assert main(["run", path, "--seed", "11", "--out", str(tmp_path)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        failed = out.index("agreement: fail (failed on purpose)")
+        assert out[failed + 1] == f"  reproduce: anonsim run {path} --seed 11"
 
     def test_horizon_and_policy_flags_recorded(self, tmp_path, capsys):
         path = write(tmp_path, "s.json", FLOODMAX)
@@ -262,6 +281,16 @@ class TestCheck:
         trace_file.write_text("\n".join(lines) + "\n")
         assert main(["check", str(trace_file)]) == 2
         assert "does not have 4 fields" in capsys.readouterr().err
+
+    def test_end_line_without_truncated_exits_2(self, tmp_path, capsys):
+        main(["run", write(tmp_path, "s.json", FLOODMAX), "--out", str(tmp_path / "out")])
+        trace_file = tmp_path / "out" / "floodmax-seed7.trace.jsonl"
+        lines = trace_file.read_text().splitlines()
+        end = json.loads(lines[-1])
+        del end["truncated"]
+        trace_file.write_text("\n".join([*lines[:-1], json.dumps(end)]) + "\n")
+        assert main(["check", str(trace_file)]) == 2
+        assert "trace end line needs a boolean 'truncated'" in capsys.readouterr().err
 
     def test_check_reports_id_collision(self, tmp_path, capsys):
         sc = scenario("random-selftrust", 3, 1, policy="random", seed=4, horizon=900, rounds=8)
@@ -486,6 +515,16 @@ class TestExplore:
         out = capsys.readouterr().out
         assert "PARTIAL" in out
 
+    @pytest.mark.parametrize("rounds, states, terminals", [(None, 240, 45), (6, 240, 45), (5, 196, 37)])
+    def test_transformation_without_rounds_capped_at_f_plus_5(self, tmp_path, capsys, rounds, states, terminals):
+        doc = {"schema": 1, "algorithm": "eventual-suspector", "n": 2, "f": 1, "crash": {},
+               "oracle": {"kind": "crash-count", "behavior": "optimistic", "convergence": 0}}
+        if rounds is not None:
+            doc["rounds"] = rounds
+        assert main(["explore", write(tmp_path, "e.json", doc)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert f"explored states: {states}" in out and f"terminal states: {terminals}" in out
+
     @pytest.mark.parametrize("budget", [0, -1])
     def test_budget_below_one_exits_2(self, tmp_path, capsys, budget):
         sc = scenario("floodmax", 2, 1, inputs=(0, 1)).to_dict()
@@ -553,21 +592,28 @@ class TestValidateHistory:
         assert main(["validate-history", "--history", str(hp), "--pattern", str(pp)]) == 2
         assert "error: unknown detector kind 'bogus'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("history, pattern", [
-        ({**SMALL_HISTORY, "n": [2]}, SMALL_PATTERN),
-        ({**SMALL_HISTORY, "out": 5}, SMALL_PATTERN),
-        ([SMALL_HISTORY], SMALL_PATTERN),
-        (SMALL_HISTORY, {**SMALL_PATTERN, "crash": [2]}),
-        ({**SMALL_HISTORY, "out": [[[[1]], 1], [0, 0]]}, SMALL_PATTERN),
-        (SMALL_HISTORY, {**SMALL_PATTERN, "crash": {"2": 1, "02": 0}}),
-        (SMALL_HISTORY, {**SMALL_PATTERN, "crash": {" 2": 1}}),
-        (SMALL_HISTORY, {**SMALL_PATTERN, "crash": {"+2": 1}}),
+    @pytest.mark.parametrize("history, pattern, error", [
+        ({**SMALL_HISTORY, "n": [2]}, SMALL_PATTERN, "malformed input"),
+        ({**SMALL_HISTORY, "out": 5}, SMALL_PATTERN, "malformed input"),
+        ([SMALL_HISTORY], SMALL_PATTERN, "malformed input"),
+        (SMALL_HISTORY, {**SMALL_PATTERN, "crash": [2]}, "malformed input"),
+        ({**SMALL_HISTORY, "out": [[[[1]], 1], [0, 0]]}, SMALL_PATTERN, "malformed input"),
+        (SMALL_HISTORY, {**SMALL_PATTERN, "crash": {"2": 1, "02": 0}}, "malformed input"),
+        (SMALL_HISTORY, {**SMALL_PATTERN, "crash": {" 2": 1}}, "malformed input"),
+        (SMALL_HISTORY, {**SMALL_PATTERN, "crash": {"+2": 1}}, "malformed input"),
+        ({**SMALL_HISTORY, "horizon": -1}, SMALL_PATTERN, "malformed input: negative horizon -1"),
+        ({**SMALL_HISTORY, "emulated_from": "x"}, SMALL_PATTERN, "malformed input: 'emulated_from' must be a list"),
+        ({**SMALL_HISTORY, "out": [[0, 1], [0]]}, SMALL_PATTERN, "malformed input: row of length 1 for horizon 1"),
+        (SMALL_HISTORY, {**SMALL_PATTERN, "n": 3}, "history/pattern size does not match the spec"),
+        (None, SMALL_PATTERN, "cannot read input file"),  # no history file
     ], ids=["n-list", "out-int", "top-level-array", "crash-list", "nested-cell", "crash-key-twice",
-            "crash-key-spaced", "crash-key-signed"])
-    def test_malformed_input_exits_2(self, tmp_path, capsys, history, pattern):
-        hp, pp = write(tmp_path, "h.json", history), write(tmp_path, "p.json", pattern)
+            "crash-key-spaced", "crash-key-signed", "negative-horizon", "emulated-from-string", "short-row",
+            "pattern-n-differs", "missing-history"])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, history, pattern, error):
+        pp = write(tmp_path, "p.json", pattern)
+        hp = str(tmp_path / "h.json") if history is None else write(tmp_path, "h.json", history)
         assert main(["validate-history", "--history", hp, "--pattern", pp]) == 2
-        assert "malformed input" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
 
 
 # --- the exit-code contract: any JSON in any field exits 0, 1 or 2, never 3 ----

@@ -4,7 +4,7 @@ import hashlib
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import mutants
 import pytest
@@ -14,6 +14,7 @@ from pins import (
 )
 
 from anonsim import (
+    FailurePattern,
     LiveOracle,
     ScenarioConfig,
     ScenarioError,
@@ -491,10 +492,9 @@ class TestExplore:
 
     def test_all_schedules_decide_max(self):
         sc = scenario("floodmax", 2, 1, inputs=(0, 1))
-        res = explore(sc, factory_of("floodmax"),
-                      monitor=monitor_for("floodmax", 2, 1, (0, 1)), max_crashes=0)
+        res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", 2, 1, (0, 1)))
         assert res.violation_count == 0
-        assert set(res.terminal_profiles) == {((1, 1), ())}
+        assert {profile for profile in res.terminal_profiles if profile[1] == ()} == {((1, 1), ())}
 
     def test_crash_placements_enumerated(self):
         sc = scenario("floodmax", 2, 1, inputs=(0, 1))
@@ -505,7 +505,7 @@ class TestExplore:
 
     def test_work_counted(self):
         sc = scenario("lockmin", 3, 1, inputs=(0, 1, 1))
-        res = explore(sc, factory_of("lockmin"), monitor=monitor_for("lockmin", 3, 1, (0, 1, 1)), max_crashes=0)
+        res = explore(sc, factory_of("lockmin"), monitor=monitor_for("lockmin", 3, 1, (0, 1, 1)))
         assert res.states - 1 <= res.children
         assert 1 <= res.peak_frontier <= res.states
         single = explore(scenario("floodmax", 1, 0, inputs=(1,)), factory_of("floodmax"))
@@ -947,13 +947,6 @@ class TestExplore:
                       monitor=monitor_for("lockmin", 3, 1, (0, 1, 1)), max_states=budget)
         assert res.partial and res.states == budget
 
-    @pytest.mark.parametrize("max_crashes", [-1, 2, 3])
-    def test_crash_limit_outside_0_to_f_rejected(self, max_crashes):
-        # beyond f the search ran outside the model, crashing every process
-        sc = scenario("floodmax", 3, 1, inputs=(0, 1, 1))
-        with pytest.raises(ScenarioError):
-            explore(sc, factory_of("floodmax"), max_crashes=max_crashes)
-
     def test_nonempty_pattern_rejected(self):
         sc = scenario("floodmax", 2, 1, inputs=(0, 1), crashes={2: 3})
         with pytest.raises(ScenarioError):
@@ -1011,6 +1004,20 @@ def test_consensus_without_inputs_rejected(entry):
     sc = ScenarioConfig.from_dict({"algorithm": "floodmax", "n": 3, "f": 1, "oracle": {"kind": "crash-count"}})
     with pytest.raises(ScenarioError, match="one input per process"):
         entry(sc)
+
+
+@pytest.mark.parametrize("changes, error", [
+    ({"horizon": 0}, "horizon must be at least 1"),
+    ({"inputs": (0, 1)}, "2 inputs for 3 processes"),
+    ({"pattern": FailurePattern.of(3, {3: 400})}, "crash at step 400 would never happen within horizon 400"),
+], ids=["horizon-0", "two-inputs-for-n3", "crash-at-the-horizon"])
+def test_replace_cannot_make_a_scenario_invalid(changes, error):
+    # a scenario checks its model rules when it is built, so a copy of a
+    # valid one is checked too
+    sc = scenario("floodmax", 3, 1, inputs=(0, 1, 1), horizon=400)
+    with pytest.raises(ScenarioError, match=error):
+        replace(sc, **changes)
+    assert sc.reseeded(9).seed == 9
 
 
 class TestReplay:

@@ -24,12 +24,11 @@ from anonsim import (
 )
 from anonsim.transforms import (
     count_weakening,
-    id_collision,
     leader_self_trust,
     output_history,
     suspected_count,
 )
-from anonsim.verify import monitor_for
+from anonsim.verify import check_id_collision, monitor_for
 
 
 def emulate(algorithm, target, **kwargs):
@@ -132,22 +131,19 @@ class TestRandomizedSelfTrust:
                           horizon=2500, rounds=12)
             trace = run(sc, factory_of("random-selftrust"))
             hist = output_history(trace, SELF_TRUST)
-            assert not id_collision(trace)
+            assert not check_id_collision(trace).failed
             assert DetectorSpec(SELF_TRUST, 5).validates(hist, sc.pattern), seed
 
     def test_exploration_max_id_always_wins(self):
-        sc = scenario("random-selftrust", 3, 1, kind=CRASH_COUNT, seed=13, rounds=4)
-        res = explore(sc, factory_of("random-selftrust"),
-                      monitor=monitor_for("random-selftrust", 3, 1, ()),
-                      max_crashes=0)
+        sc = scenario("random-selftrust", 3, 0, kind=CRASH_COUNT, seed=13, rounds=4)
+        res = explore(sc, factory_of("random-selftrust"), monitor=monitor_for("random-selftrust", 3, 0, ()))
         assert res.violation_count == 0 and not res.partial
 
     def test_exploration_forced_collision_fails(self):
         # two processes share the largest identifier, so a terminal state
         # cannot hold exactly one self-truster, the max-id live process
-        sc = scenario("random-selftrust", 3, 1, kind=CRASH_COUNT, seed=13, rounds=4)
-        res = explore(sc, forced_id_factory({1: 7, 2: 7, 3: 3}),
-                      monitor=monitor_for("random-selftrust", 3, 1, ()), max_crashes=0)
+        sc = scenario("random-selftrust", 3, 0, kind=CRASH_COUNT, seed=13, rounds=4)
+        res = explore(sc, forced_id_factory({1: 7, 2: 7, 3: 3}), monitor=monitor_for("random-selftrust", 3, 0, ()))
         assert res.violations and not res.partial
         assert {(v.check, v.detail.split(":")[0]) for v in res.violations} == {("terminal", "self-trust")}
 
@@ -156,7 +152,7 @@ class TestRandomizedSelfTrust:
                       policy="random", seed=4, horizon=900, rounds=8)
         factory = forced_id_factory({1: 7, 2: 7, 3: 3})
         trace = run(sc, factory)
-        assert id_collision(trace)
+        assert check_id_collision(trace).failed
         hist = output_history(trace, SELF_TRUST)
         assert not DetectorSpec(SELF_TRUST, 3).validates(hist, sc.pattern)
 
