@@ -148,7 +148,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     report = json.dumps(report_doc, indent=2, sort_keys=True) + "\n"
     _write({trace_path: trace.to_jsonl(), report_path: report}, out)
 
-    code = _print_reports(reports, f"anonsim run {args.scenario} --seed {scenario.seed}")
+    reproduce = f"anonsim run {args.scenario} --seed {scenario.seed}"
+    if args.horizon is not None:
+        reproduce += f" --horizon {args.horizon}"
+    if args.policy is not None:
+        reproduce += f" --policy {args.policy}"
+    code = _print_reports(reports, reproduce)
     print(f"trace: {trace_path}")
     print(f"report: {report_path}")
     return code

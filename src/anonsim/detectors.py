@@ -229,9 +229,12 @@ def _flips(rng: random.Random, count: int) -> list[bool]:
 
     `random()` takes two words and is below 0.5 exactly when the first of
     them has its top bit clear, so one `getrandbits(64*count)` holds every
-    draw, the first word in the least significant bits.
+    draw, the first word in the least significant bits.  The 0/1 bytes that
+    `_HEADS` maps the top bytes to decode as bools through a `memoryview`
+    cast to "?", without a `bool()` call per cell.
     """
-    return list(map(bool, rng.getrandbits(64 * count).to_bytes(8 * count, "little")[3::8].translate(_HEADS)))
+    heads = rng.getrandbits(64 * count).to_bytes(8 * count, "little")[3::8].translate(_HEADS)
+    return memoryview(heads).cast("?").tolist()
 
 
 class _SuspectSets(dict):

@@ -663,7 +663,7 @@ class Simulation(_Engine):
     # -- hooks used by Ctx ---------------------------------------------------
 
     def oracle_read(self, p: int) -> Any:
-        value = super().oracle_read(p)
+        value = self.oracle.read(p, self.t, self.crashed)
         if self._last_oracle.get(p, self) != value:
             self._last_oracle[p] = value
             self.events.append({"step": self.t, "ev": "oracle", "proc": p, "value": value})
@@ -787,9 +787,25 @@ def _random(sim: Simulation) -> list[tuple]:
     rng = sim.rng
     if rng is None:
         rng = sim.rng = random.Random(f"{sim.scenario.seed}/sched")
-    action = rng.choice(choices)
+    # `rng.choice(choices)`, then `rng.randrange(len(pending))` for a deliver,
+    # drawn inline: on CPython 3.10-3.13 both call `_randbelow`, which draws
+    # `getrandbits(n.bit_length())` until the value is below n, so each pick
+    # and the generator's state after it are the same; the loops stay inline,
+    # since a helper would cost the call frames they save
+    getrandbits = rng.getrandbits
+    n = len(choices)
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    action = choices[r]
     if action[0] == "deliver":
-        action += (rng.randrange(len(sim.pending[action[1]])),)
+        n = len(sim.pending[action[1]])
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        action += (r,)
     return [action]
 
 

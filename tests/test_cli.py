@@ -145,6 +145,25 @@ class TestRun:
         failed = out.index("agreement: fail (failed on purpose)")
         assert out[failed + 1] == f"  reproduce: anonsim run {path} --seed 11"
 
+    def test_reproduce_line_keeps_horizon_and_policy_overrides(self, tmp_path, capsys):
+        # Known defect 1's seeded reproduction, from a file whose own policy
+        # (fifo) and horizon (20) pass: only the overrides make the run fail
+        doc = {"algorithm": "floodmax", "n": 3, "f": 1, "inputs": [0, 0, 1], "crash": {"3": 9},
+               "oracle": {"kind": "crash-count", "behavior": "optimistic"},
+               "policy": "fifo", "seed": 0, "horizon": 20}
+        path = write(tmp_path, "k.json", doc)
+        argv = ["run", path, "--policy", "random", "--seed", "18", "--horizon", "400"]
+        assert main(argv + ["--out", str(tmp_path / "a")]) == 1
+        out = capsys.readouterr().out.splitlines()
+        failed = out.index("agreement: fail (correct processes decided [0, 1])")
+        line = f"  reproduce: anonsim run {path} --seed 18 --horizon 400 --policy random"
+        assert out[failed + 1] == line
+        printed = line.split()[2:]
+        assert main(printed + ["--out", str(tmp_path / "b")]) == 1
+        assert "agreement: fail (correct processes decided [0, 1])" in capsys.readouterr().out.splitlines()
+        trace = "floodmax-seed18.trace.jsonl"
+        assert (tmp_path / "a" / trace).read_bytes() == (tmp_path / "b" / trace).read_bytes()
+
     def test_horizon_and_policy_flags_recorded(self, tmp_path, capsys):
         path = write(tmp_path, "s.json", FLOODMAX)
         assert main(["run", path, "--horizon", "450", "--policy", "crash-adjacent", "--out", str(tmp_path)]) == 0

@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields, replace
 
 import mutants
 import pytest
-from helpers import cycle, factory_of, receive_log, received, scenario, selftrust_scenario, sends, swap
+from helpers import campaign_scenario, cycle, factory_of, receive_log, received, scenario, selftrust_scenario, sends, swap
 from pins import (
     EXPLORE_COUNTS, EXPLORE_JOBS, EXPLORE_SHA256, campaign_traces, dumped, explore_digest, explore_jobs, policy_traces,
 )
@@ -182,6 +182,37 @@ class TestDeterminism:
         b = run(scenario("lockmin", 3, 1, inputs=(0, 1, 1), policy="random", seed=2),
                 factory_of("lockmin"))
         assert a.events != b.events
+
+    def test_random_policy_draws_as_random_does(self, monkeypatch):
+        # `_random` draws its pick inline; before each pick a twin generator
+        # takes the scheduler's state (its seed string at the first pick), and
+        # the pick must be the twin's `choice` of the choice list, a deliver's
+        # index the twin's `randrange` of the pending count, with both
+        # generators in one state afterwards
+        pick = POLICIES["random"]
+        picks = []
+
+        def checked(sim):
+            twin = random.Random(f"{sim.scenario.seed}/sched")
+            if sim.rng is not None:
+                twin.setstate(sim.rng.getstate())
+            [action] = pick(sim)
+            expected = twin.choice(sim.choices)
+            if expected[0] == "deliver":
+                expected += (twin.randrange(len(sim.pending[expected[1]])),)
+            assert action == expected
+            assert sim.rng.getstate() == twin.getstate()
+            picks.append(action)
+            return [action]
+
+        runs = [(campaign_scenario(algorithm, seed), factory_of(algorithm))
+                for algorithm in ("floodmax", "lockmin", "leadervote") for seed in range(5)]
+        texts = [run(sc, factory).to_jsonl() for sc, factory in runs]
+        monkeypatch.setitem(POLICIES, "random", checked)
+        for (sc, factory), text in zip(runs, texts):
+            assert run(sc, factory).to_jsonl() == text
+        assert len(picks) == 2110
+        assert {action[0] for action in picks} == {"deliver", "poll"}
 
     def test_process_generators_seeded_only_when_drawn(self, monkeypatch):
         # only the randomized construction's factory seeds a generator for a
