@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import resource
+import shlex
 import sys
 import time
 import traceback
@@ -148,12 +149,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     report = json.dumps(report_doc, indent=2, sort_keys=True) + "\n"
     _write({trace_path: trace.to_jsonl(), report_path: report}, out)
 
-    reproduce = f"anonsim run {args.scenario} --seed {scenario.seed}"
+    command = ["anonsim", "run", args.scenario, "--seed", str(scenario.seed)]
     if args.horizon is not None:
-        reproduce += f" --horizon {args.horizon}"
+        command += ["--horizon", str(args.horizon)]
     if args.policy is not None:
-        reproduce += f" --policy {args.policy}"
-    code = _print_reports(reports, reproduce)
+        command += ["--policy", args.policy]
+    code = _print_reports(reports, shlex.join(command))
     print(f"trace: {trace_path}")
     print(f"report: {report_path}")
     return code

@@ -40,9 +40,11 @@ action replaces them, and a delivery child shares its parent's monitor.
 Only the initial state's slots are computed from scratch: a child's are its
 parent's with those its action changed rewritten.  `_XEngine` memoizes, for
 the whole call, a probe's verdict under p's local state, a wake's or a
-poll's whole outcome under p's local state and the ids its sends and hooks
-read, and a delivery's under the ids it reads; the memos last no longer,
-since keys leave out the round and tick caps that differ between calls.
+poll's whole outcome under p's local state and what its sends and hooks
+read beyond it (the halted mask, the monitor's id and the fields the
+monitor declares of each uncrashed peer), and a delivery's under the ids
+it reads; the memos last no longer, since keys leave out the round and
+tick caps that differ between calls.
 Every child, of a delivery, a crash, a wake or a poll, has its key derived
 from its parent's before it is built, and one place in the search checks
 that key: a child whose key was visited is counted and skipped, never
@@ -354,7 +356,7 @@ class Ctx:
         return self._engine.oracle_read(self.proc)
 
     def alive_count(self) -> int:
-        reading = self.oracle()
+        reading = self._engine.oracle_read(self.proc)
         if not isinstance(reading, int) or isinstance(reading, bool):
             raise TypeError(f"oracle kind does not report counts: {reading!r}")
         return self.n - reading
@@ -582,10 +584,14 @@ class _Engine:
         return self.oracle.read(p, self.t, self.crashed)
 
     def quiesce(self, p: int) -> None:
-        """Poll p's automaton from its current wait to its next blocking one."""
-        ctx = Ctx(self, p)
+        """Poll p's automaton from its current wait to its next blocking one.
+        No poll crashes a process or replaces an automaton, so both are read
+        once; a poll may halt p."""
+        if p in self.crashed:
+            return
+        ctx, on_poll = Ctx(self, p), self.automata[p].on_poll
         for _ in range(self.quiesce_limit):
-            if p in self.crashed or p in self.halted or not self.automata[p].on_poll(ctx):
+            if p in self.halted or not on_poll(ctx):
                 return
         raise RuntimeError(f"automaton of process {p} never blocked (runaway loop)")
 
@@ -905,13 +911,19 @@ class NullMonitor:
     process halted or decided, no enabled action) `terminal_checks` lists
     its failures and `terminal_profile` names its outcome.
 
-    A hook may read the state's automata and its crashed and halted sets,
-    and nothing else: never the inboxes or the pending messages.  The hooks
-    of a wake or a poll see the polling process's automaton as it is when
-    each effect fires.  `explore` relies on this: it memoizes a wake's or a
-    poll's outcome, the monitor after it included, under p's local state,
-    the halted mask, every automaton id and the monitor's id, and installs
-    it, running no hook, in any later state with the same ids.
+    A hook may read the state's crashed and halted sets, p's automaton and
+    the automata of p's peers, and nothing else: never the inboxes or the
+    pending messages.  The hooks of a wake or a poll see p's automaton as it
+    is when each effect fires.  `peer_fields` declares what they read of a
+    peer: the default, None, allows any automaton, whole; a tuple of field
+    names allows those fields of each uncrashed peer, and no crashed peer's
+    automaton.  A field a peer's automaton lacks is one no hook reads of it.
+    `explore` relies on this: it memoizes a wake's or a poll's outcome, the
+    monitor after it included, under p's local state, the halted mask, the
+    monitor's id and what the declaration allows (every automaton id, or
+    the declared fields of each uncrashed peer), and installs it, running
+    no hook, in any later state where those agree.  A hook that reads more
+    than its monitor declares gets outcomes whose hooks ran on other peers.
 
     A delivery calls no hook.  `explore` relies on that too: it derives a
     delivery child's key from its parent's key changing only the receiver's
@@ -930,6 +942,7 @@ class NullMonitor:
     """
 
     flag: str | None = None
+    peer_fields: tuple[str, ...] | None = None  # what the hooks read of a peer; None: any automaton, whole
 
     def ignore(self, state: "_XState", *event: Any) -> None:
         """The hook of an event the monitor does not check."""
@@ -1028,9 +1041,11 @@ class _XEngine(_Engine):
     beyond the local state (`reads`): the pending entries it appends,
     whether p halts, and the monitor after it, one object per monitor id.
     A wake's outcome is a poll's; its child also sets p's woken bit.  Sends
-    skip crashed and halted receivers, hooks read only automata and the
-    crashed and halted sets, and monitors with equal keys are
-    interchangeable, so those ids fix the outcome.  A delivery's outcome,
+    skip crashed and halted receivers, hooks read only the crashed and
+    halted sets, p's automaton and what the monitor's `peer_fields` allows
+    of its peers, and monitors with equal keys are interchangeable, so the
+    halted mask, the monitor's id and those peer fields (every automaton
+    id, if the monitor declares none) fix the outcome.  A delivery's outcome,
     the inbox it leaves and that inbox's id, is memoized under (the inbox's
     id, the message id).  The id a message moves a pending multiset to is
     memoized under (the id before, the message id), and computed from the
@@ -1061,6 +1076,18 @@ class _XEngine(_Engine):
         self.sent: list[tuple] = []  # the pending entries the poll being run sends
         self.monitors: dict[int, Any] = {}  # monitor id -> the monitor that poll outcomes share
         self.computed = self.reused = 0  # wakes and polls run, and taken from an outcome
+        # what `reads` keys a poll of p by beyond the ids: p -> (q, q's bit,
+        # the getter of the fields the monitor declares) for each peer q whose
+        # automaton has one of them, or None if the monitor declares none; a
+        # process's automata are all of one class, so that holds for the call
+        fields, getters = monitor.peer_fields, {}
+        for q, automaton in self.automata.items():
+            present = [name for name in fields or () if hasattr(automaton, name)]
+            if present:
+                getters[q] = attrgetter(*present)
+        self.peers = None if fields is None else {
+            p: tuple((q, _BIT(q), get) for q, get in getters.items() if q != p) for p in self.cfg.processes
+        }
         # p -> its wake, poll and crash actions, which every state shares
         self.moves = {p: (("wake", p), ("poll", p), ("crash", p)) for p in self.cfg.processes}
         # (inbox id, message id) -> (inbox after, its id)
@@ -1089,16 +1116,17 @@ class _XEngine(_Engine):
         slots = st.slots
         return (p, slots[3 * p - 3], slots[3 * p - 2], slots[_CRASHED])
 
-    @staticmethod
-    def reads(slots: array) -> tuple:
-        """What a poll's sends and hooks read beyond its local state, as
-        `slots` name it: the halted mask, the monitor's id and every
-        process's automaton id."""
-        return (slots[_HALTED], slots[_MONITOR], slots[:_CRASHED:3].tobytes())
-
-    def message_id(self, sender: int, payload: Payload, round_tag: int | None) -> int:
-        """The id of a message: what its receiver can tell apart."""
-        return self.ids[(sender, payload, round_tag) if self.scenario.identified else (payload, round_tag)]
+    def reads(self, st: _XState, p: int) -> tuple:
+        """What a wake's or a poll's sends and hooks read beyond p's local
+        state, as `st` names it: the halted mask, the monitor's id and the
+        fields the monitor declares of each uncrashed peer of p, in process
+        order; every process's automaton id if it declares none."""
+        slots, peers = st.slots, self.peers
+        if peers is None:
+            return (slots[_HALTED], slots[_MONITOR], slots[:_CRASHED:3].tobytes())
+        crashed, automata = slots[_CRASHED], st.automata
+        fields = [get(automata[q]) for q, bit, get in peers[p] if not crashed & bit]
+        return (slots[_HALTED], slots[_MONITOR], *fields)
 
     def actions(self, st: _XState) -> list[tuple]:
         """The enabled actions of a state, read from its slots: ("wake",
@@ -1180,7 +1208,7 @@ class _XEngine(_Engine):
         automaton as it is when the effect fires."""
         kind, p = action
         slots = st.slots
-        local, reads = self.local_state(st, p), self.reads(slots)
+        local, reads = self.local_state(st, p), self.reads(st, p)
         done = self.polls.get(local)
         outcome = done and done[4].get(reads)
         if outcome is None:
@@ -1254,7 +1282,8 @@ class _XEngine(_Engine):
         st = self.state
         st.inboxes[p].deliver(p, payload, round_tag)
         st.monitor.on_send(st, p, payload)
-        message = self.message_id(p, payload, round_tag)
+        # a message's id holds what its receivers can tell apart
+        message = self.ids[(p, payload, round_tag) if self.scenario.identified else (payload, round_tag)]
         gone = st.slots[_CRASHED] | st.slots[_HALTED]
         for q in self.cfg.processes:
             if q != p and not gone & _BIT(q):
@@ -1298,7 +1327,9 @@ class ExploreResult:
     skipped: int  # children whose key, derived from their parent's, was visited: never built
     peak_frontier: int  # most states discovered but not yet expanded at once
     depth: int  # the BFS depth reached: the most actions between the initial state and a state
-    computed: int  # wakes and polls run: the first of each pair of local state and what it reads beyond
+    # wakes and polls run: the first of each pair of local state and what its
+    # sends and hooks read beyond it, the monitor's declared peer fields included
+    computed: int
     reused: int  # wakes and polls whose whole outcome was memoized: derived without running
 
     @property

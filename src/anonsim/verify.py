@@ -312,6 +312,7 @@ class ConsensusMonitor(NullMonitor):
     # hooks in a class's own namespace
     clone, violation = NullMonitor.clone, NullMonitor.violation
     on_round = on_output = on_crash = NullMonitor.ignore
+    peer_fields = ("r",)  # the lock floor
 
     def __init__(self, n: int, f: int, inputs: tuple[int, ...], spread: bool = False):
         self.inputs = inputs
@@ -380,8 +381,9 @@ class SuspectorMonitor(NullMonitor):
     states the final suspect set of every live process must name exactly the
     crashed processes: the constant tail of the emulated history then
     witnesses strong completeness (and eventual accuracy).  Given a
-    `skew_bound`, round skew is tracked against it along the way; without
-    one, it is not tracked at all, so it splits no states.
+    `skew_bound`, round skew is tracked against it along the way, from the
+    `r` of the live processes; without one, it is not tracked at all, so it
+    splits no states and its hooks read no peer.
     """
 
     # inherited hooks, named again because perfbench/tracer.py times only the
@@ -393,6 +395,7 @@ class SuspectorMonitor(NullMonitor):
         self.strong_accuracy = strong_accuracy
         self.skew_bound = skew_bound
         self.skew_max = 0
+        self.peer_fields = () if skew_bound is None else ("r",)  # the round skew
 
     def key(self) -> tuple:
         return (self.skew_max, self.flag)
@@ -444,6 +447,7 @@ class SelfTrustTerminalMonitor(NullMonitor):
     # hooks in a class's own namespace
     clone, key, violation = NullMonitor.clone, NullMonitor.key, NullMonitor.violation
     on_send = on_decide = on_round = on_output = on_crash = NullMonitor.ignore
+    peer_fields = ()
 
     def terminal_checks(self, state) -> list[str]:
         live = [p for p in sorted(state.automata) if p not in state.crashed]

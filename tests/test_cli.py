@@ -5,6 +5,7 @@ import math
 import os
 import re
 import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -145,24 +146,41 @@ class TestRun:
         failed = out.index("agreement: fail (failed on purpose)")
         assert out[failed + 1] == f"  reproduce: anonsim run {path} --seed 11"
 
-    def test_reproduce_line_keeps_horizon_and_policy_overrides(self, tmp_path, capsys):
-        # Known defect 1's seeded reproduction, from a file whose own policy
-        # (fifo) and horizon (20) pass: only the overrides make the run fail
+    @staticmethod
+    def reproduced(tmp_path, capsys, path: str) -> str:
+        """Known defect 1's seeded reproduction, from a scenario file at
+        `path` whose own policy (fifo) and horizon (20) pass, so that only the
+        overrides make the run fail: the reproduce line it prints, after
+        running the line's arguments, as the shell splits them, to the same
+        failure and the same trace bytes."""
         doc = {"algorithm": "floodmax", "n": 3, "f": 1, "inputs": [0, 0, 1], "crash": {"3": 9},
                "oracle": {"kind": "crash-count", "behavior": "optimistic"},
                "policy": "fifo", "seed": 0, "horizon": 20}
-        path = write(tmp_path, "k.json", doc)
+        Path(path).write_text(json.dumps(doc))
         argv = ["run", path, "--policy", "random", "--seed", "18", "--horizon", "400"]
         assert main(argv + ["--out", str(tmp_path / "a")]) == 1
         out = capsys.readouterr().out.splitlines()
         failed = out.index("agreement: fail (correct processes decided [0, 1])")
-        line = f"  reproduce: anonsim run {path} --seed 18 --horizon 400 --policy random"
-        assert out[failed + 1] == line
-        printed = line.split()[2:]
-        assert main(printed + ["--out", str(tmp_path / "b")]) == 1
+        line = out[failed + 1]
+        printed = shlex.split(line.removeprefix("  reproduce: "))
+        assert printed[:2] == ["anonsim", "run"]
+        assert main(printed[1:] + ["--out", str(tmp_path / "b")]) == 1
         assert "agreement: fail (correct processes decided [0, 1])" in capsys.readouterr().out.splitlines()
         trace = "floodmax-seed18.trace.jsonl"
         assert (tmp_path / "a" / trace).read_bytes() == (tmp_path / "b" / trace).read_bytes()
+        return line
+
+    def test_reproduce_line_keeps_horizon_and_policy_overrides(self, tmp_path, capsys):
+        path = str(tmp_path / "k.json")
+        line = self.reproduced(tmp_path, capsys, path)
+        assert line == f"  reproduce: anonsim run {path} --seed 18 --horizon 400 --policy random"
+
+    def test_reproduce_line_quotes_the_scenario_path(self, tmp_path, capsys):
+        # a path with a space is one argument of the printed command
+        (tmp_path / "my dir").mkdir()
+        path = str(tmp_path / "my dir" / "k.json")
+        line = self.reproduced(tmp_path, capsys, path)
+        assert line == f"  reproduce: anonsim run '{path}' --seed 18 --horizon 400 --policy random"
 
     def test_horizon_and_policy_flags_recorded(self, tmp_path, capsys):
         path = write(tmp_path, "s.json", FLOODMAX)
@@ -464,7 +482,7 @@ class TestExplore:
         assert "explored states: 92" in out
         assert "children: 146 (dedup ratio: 0.6233 new states per child), 55 skipped unbuilt" in out
         assert "peak frontier: 18" in out and "depth: 8" in out
-        assert "local transitions: 42 computed, 20 reused\n" in out
+        assert "local transitions: 30 computed, 32 reused\n" in out
 
     def test_explore_reports_rate_and_peak_memory(self, tmp_path, capsys):
         sc = scenario("floodmax", 2, 1, inputs=(0, 1)).to_dict()

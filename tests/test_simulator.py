@@ -617,8 +617,8 @@ class TestExplore:
         monkeypatch.setattr(_XEngine, "build", checked_build)
         monkeypatch.setattr(_XEngine, "actions", counted_actions)
         # (crashes enabled, crash children built, monitor clones) per job
-        for sc, counts in [(scenario("floodmax", 3, 0, inputs=(0, 0, 1)), (0, 0, 38)),
-                           (scenario("floodmax", 2, 1, inputs=(0, 1)), (46, 30, 88))]:
+        for sc, counts in [(scenario("floodmax", 3, 0, inputs=(0, 0, 1)), (0, 0, 23)),
+                           (scenario("floodmax", 2, 1, inputs=(0, 1)), (46, 30, 76))]:
             clones.clear()
             outcomes.clear()
             res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", sc.cfg.n, sc.cfg.f, sc.inputs))
@@ -683,13 +683,15 @@ class TestExplore:
             skipped += res.skipped
         assert built["keyed"] > 10_000 and skipped > 1_000
 
-    def test_memoized_poll_outcomes_match_polls_run(self, monkeypatch):
-        # a wake or a poll whose outcome is memoized under its local state and
-        # what its sends and hooks read is derived and built without running:
-        # for every memo hit, also run it fresh, with its local state's memo
-        # entry set aside, as a first poll would, and compare the two
-        # children; every derived key, the skipped children's included, must
-        # have been visited
+    @staticmethod
+    def memo_hits(monkeypatch, jobs) -> Counter:
+        """Explore each (scenario, factory, monitor, crash round limit) job
+        with every wake or poll whose outcome is memoized under its local
+        state and what its sends and hooks read also run fresh, with its
+        local state's memo entry set aside, as a first poll would, and count
+        the hits and the parts of the two children that differ; every
+        derived key, the skipped children's included, must have been
+        visited."""
         key, polled = _XState.key, _XEngine.polled
         visited: set[bytes] = set()
         derived_keys: list[bytes] = []
@@ -703,7 +705,7 @@ class TestExplore:
         def checked_polled(engine, st, action):
             local = engine.local_state(st, action[1])
             done = engine.polls.get(local)
-            hit = done is not None and engine.reads(st.slots) in done[4]
+            hit = done is not None and engine.reads(st, action[1]) in done[4]
             found = polled(engine, st, action)
             if hit:
                 slots, outcome = found
@@ -714,35 +716,88 @@ class TestExplore:
                 engine.computed -= 1
                 run_child = engine.build(st, action, run_slots, run_outcome)
                 ids, identified = engine.ids, engine.scenario.identified
-                assert child.slots == run_child.slots
-                assert child.pending == run_child.pending
-                assert child.monitor.key() == run_child.monitor.key()
+                hits["differing slots"] += child.slots != run_child.slots
+                hits["differing pending"] += child.pending != run_child.pending
+                hits["differing monitors"] += child.monitor.key() != run_child.monitor.key()
                 for q in engine.cfg.processes:
-                    assert child.automata[q].key() == run_child.automata[q].key()
-                    assert child.inboxes[q].key(identified, ids) == run_child.inboxes[q].key(identified, ids)
+                    hits["differing automata"] += child.automata[q].key() != run_child.automata[q].key()
+                    hits["differing inboxes"] += (child.inboxes[q].key(identified, ids)
+                                                  != run_child.inboxes[q].key(identified, ids))
                 hits[action[0]] += 1
                 hits["with a halted process"] += bool(st.halted)
+                hits["with a crashed process"] += bool(st.crashed)
                 hits["with a send"] += bool(outcome[1][0])
             derived_keys.append(found[0].tobytes())
             return found
 
-        monkeypatch.setattr(_XState, "key", recorded_key)
-        monkeypatch.setattr(_XEngine, "polled", checked_polled)
-        # in every protocol of the package an automaton's key shows that it
-        # halted, and their monitors read little of their peers; Gossip and
-        # Recorder are what tells a memo key short of the halted mask, a
-        # peer's automaton id or the monitor's id
+        with monkeypatch.context() as patched:
+            patched.setattr(_XState, "key", recorded_key)
+            patched.setattr(_XEngine, "polled", checked_polled)
+            for sc, factory, monitor, crash_round_limit in jobs:
+                visited.clear()  # keys compare only within one call's intern table
+                derived_keys.clear()
+                res = explore(sc, factory, monitor=monitor, crash_round_limit=crash_round_limit)
+                assert not res.partial and set(derived_keys) <= visited
+        return hits
+
+    def test_memoized_poll_outcomes_match_polls_run(self, monkeypatch):
+        # a wake or a poll whose outcome is memoized is derived and built
+        # without running, and equals the child a fresh run makes; in every
+        # protocol of the package an automaton's key shows that it halted,
+        # and their monitors read at most the `r` of their live peers; Gossip
+        # and Recorder, which declares no peer field, are what tells a memo
+        # key short of the halted mask, a peer's automaton id or the
+        # monitor's id
         jobs = [(sc, factory, monitor_for(algorithm, sc.cfg.n, sc.cfg.f, sc.inputs), explore_crash_limit(sc))
                 for _, algorithm, factory, sc in explore_jobs()]
         gossip = scenario("floodmax", 3, 0, inputs=(0, 0, 0))
         jobs.append((gossip, lambda sc, p: Gossip(sc.cfg.n, sc.cfg.f, p), Recorder(), None))
-        for sc, factory, monitor, crash_round_limit in jobs:
-            visited.clear()  # keys compare only within one call's intern table
-            derived_keys.clear()
-            res = explore(sc, factory, monitor=monitor, crash_round_limit=crash_round_limit)
-            assert not res.partial and set(derived_keys) <= visited
-            hits["skipped"] += res.skipped
-        assert hits["wake"] > 500 and hits["poll"] > 4_000 and hits["with a halted process"] > 1_000 and hits["with a send"] > 3_000
+        hits = self.memo_hits(monkeypatch, jobs)
+        assert not any(hits[part] for part in hits if part.startswith("differing")), hits
+        assert hits["wake"] > 500 and hits["poll"] > 4_000 and hits["with a send"] > 3_000
+        assert hits["with a halted process"] > 1_000 and hits["with a crashed process"] > 100
+
+    def test_undeclared_peer_field_read_breaks_the_memo(self, monkeypatch):
+        # the negative control: a monitor that declares `r` but whose round
+        # hook reads its peers' phases gets an outcome memoized under a
+        # peer's other phase, so a memo hit's monitor differs from a fresh
+        # run's
+        class PhaseReader(NullMonitor):
+            peer_fields = ("r",)
+            phases: tuple = ()
+
+            def key(self):
+                return (self.phases,)
+
+            def on_round(self, state, p, r):
+                self.phases = tuple(state.automata[q].phase for q in sorted(state.automata) if q != p)
+
+        sc = scenario("floodmax", 3, 0, inputs=(0, 1, 1))
+        hits = self.memo_hits(monkeypatch, [(sc, factory_of("floodmax"), PhaseReader(), None)])
+        assert hits["poll"] > 0 and hits["differing monitors"] > 0
+
+    def test_declared_peer_fields_explore_as_whole_automata(self):
+        # a monitor's declaration only narrows the memo key of its polls: each
+        # shipped monitor, as declared and with the default (any automaton,
+        # whole), gives the same states, terminals, profiles, violations and
+        # witnesses, on every pinned job and on criterion 4's stable-suspector
+        # job, where the declaration runs about a third of the polls
+        jobs = [(algorithm, factory, sc) for _, algorithm, factory, sc in explore_jobs()]
+        full = scenario("stable-suspector", 3, 1, rounds=5)
+        jobs.append(("stable-suspector", factory_of("stable-suspector"), full))
+        computed = {}
+        for algorithm, factory, sc in jobs:
+            seen = []
+            for fields in ("declared", None):
+                monitor = monitor_for(algorithm, sc.cfg.n, sc.cfg.f, sc.inputs)
+                if fields is None:
+                    monitor.peer_fields = None
+                res = explore(sc, factory, monitor=monitor, crash_round_limit=explore_crash_limit(sc))
+                witnesses = [(v.check, v.detail, v.schedule) for v in res.violations]
+                seen.append((res.states, res.terminals, res.terminal_profiles, res.violation_count, witnesses))
+                computed[fields] = res.computed
+            assert seen[0] == seen[1], sc
+        assert seen[0][:2] == (110_449, 289) and computed["declared"] <= 1_300 < computed[None]
 
     def test_witnesses_replay_with_their_exact_payloads(self):
         # every witness replays through run_schedule, each remote delivery of
@@ -836,7 +891,7 @@ class TestExplore:
         def counted_quiesce(engine, p):
             identified, ids = engine.scenario.identified, engine.ids
             local = (p, engine.automata[p].key(), engine.inboxes[p].key(identified, ids), engine.crashed)
-            polled[local, engine.reads(engine.state.slots)] += 1
+            polled[local, engine.reads(engine.state, p)] += 1
             runs[deriving[0]] += 1
             quiesce(engine, p)
 
@@ -863,7 +918,7 @@ class TestExplore:
         assert res.computed + res.reused == enabled["wake"] + enabled["poll"]
         # local states recur under new reads, and a run of one shares its entry's automaton
         assert len({local for local, _ in polled}) < res.computed
-        assert (res.computed, res.reused) == (412, 3105)
+        assert (res.computed, res.reused) == (271, 3246)
 
     def test_visited_wake_children_skipped_unbuilt(self, monkeypatch):
         # every wake has its child's key derived from its parent's, setting
@@ -912,7 +967,7 @@ class TestExplore:
         sc = scenario("floodmax", 3, 0, inputs=(0, 0, 1))
         res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", 3, 0, (0, 0, 1)))
         assert (res.states, res.terminals, res.violation_count) == (157, 1, 0)
-        assert (enabled["wake"], runs["wake"], built["wake"], len(derived_keys)) == (71, 26, 17, 71)
+        assert (enabled["wake"], runs["wake"], built["wake"], len(derived_keys)) == (71, 11, 17, 71)
         assert set(derived_keys) <= visited
 
     @pytest.mark.parametrize("algorithm, n, f, rounds", [
@@ -924,6 +979,8 @@ class TestExplore:
         # r's message in phase "send" of round r, and switch to round r with
         # r already set
         class MidPoll(NullMonitor):
+            peer_fields = ()  # p's own automaton is part of its local state
+
             def key(self):
                 return (self.flag,)
 
@@ -940,7 +997,7 @@ class TestExplore:
         res = explore(sc, factory_of(algorithm), monitor=MidPoll())
         assert res.violation_count == 0, res.violations[0].detail
         # reused wakes and polls install outcomes whose hooks ran in a computed one
-        computed_reused = {"floodmax": (412, 3105), "stable-suspector": (102, 56), "eventual-suspector": (62, 32)}
+        computed_reused = {"floodmax": (196, 3321), "stable-suspector": (64, 94), "eventual-suspector": (40, 54)}
         assert (res.computed, res.reused) == computed_reused[algorithm]
 
     def test_crash_hook_sees_the_crash(self):
