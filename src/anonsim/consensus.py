@@ -12,12 +12,13 @@ Three round-based protocols, each driven by a different oracle:
 
 All automata are step functions polled by the simulator: on_poll performs at
 most one transition and returns whether it made progress, so a False return
-means the process is blocked at a wait condition.  The engine never polls a
-halted process, so no automaton tests for having halted.  Ties that the
-pseudo-code leaves to message arrival order (several simultaneous leader
-claims, several non-null votes) are broken by value, which keeps the automata
-insensitive to inbox ordering and lets exhaustive exploration merge
-equivalent states.
+means the process is blocked at a wait condition.  Each count wait is one
+tagged read: ``ctx.msgs(r, tag)`` is round r's messages of that tag.  The
+engine never polls a halted process, so no automaton tests for having halted.
+Ties that the pseudo-code leaves to message arrival order (several
+simultaneous leader claims, several non-null votes) are broken by value, which
+keeps the automata insensitive to inbox ordering and lets exhaustive
+exploration merge equivalent states.
 The three share one base, ``_Consensus``, for their common fields, start and
 decision; as for every automaton, the key is every field but n, f and proc.
 """
@@ -74,7 +75,7 @@ class FloodMaxConsensus(_Consensus):
             ctx.broadcast(("Propose", self.r, self.v), round_tag=self.r)
             self.phase = "collect"
             return True
-        props = [m for m in ctx.msgs(self.r) if m[0] == "Propose"]
+        props = ctx.msgs(self.r, "Propose")
         if len(props) < ctx.alive_count():
             return False
         values = {self.v} | {m[2] for m in props}
@@ -109,7 +110,7 @@ class LockMinConsensus(_Consensus):
             self.phase = "propose-wait"
             return True
         if self.phase == "propose-wait":
-            props = [m for m in ctx.msgs(self.r) if m[0] == "Propose"]
+            props = ctx.msgs(self.r, "Propose")
             if len(props) < self._need(ctx):
                 return False
             proposed = {m[2] for m in props}
@@ -124,7 +125,7 @@ class LockMinConsensus(_Consensus):
             else:
                 self.phase = "lock-wait"
             return True
-        locks = [m for m in ctx.msgs(self.r) if m[0] == "Lock"]
+        locks = ctx.msgs(self.r, "Lock")
         if len(locks) < self._need(ctx):
             return False
         tags = [m[2] for m in locks]
@@ -155,15 +156,14 @@ class LeaderVoteConsensus(_Consensus):
     def on_poll(self, ctx: Ctx) -> bool:
         # a decision announcement pre-empts the round structure: forward it
         # once, decide the carried value, halt
-        for m in ctx.untagged():
-            if m[0] == "Decide":
-                ctx.broadcast(("Decide", m[1]))
-                self._decide(ctx, m[1], halt=True)
-                return True
+        for m in ctx.untagged("Decide"):
+            ctx.broadcast(("Decide", m[1]))
+            self._decide(ctx, m[1], halt=True)
+            return True
         if self.phase == "lead":
             if not self.started:
                 self._start(ctx)
-            leaders = [m for m in ctx.msgs(self.r) if m[0] == "Leader"]
+            leaders = ctx.msgs(self.r, "Leader")
             if leaders:
                 self.v = min(m[2] for m in leaders)
             elif ctx.oracle() is True:
@@ -174,14 +174,14 @@ class LeaderVoteConsensus(_Consensus):
             self.phase = "report-wait"
             return True
         if self.phase == "report-wait":
-            reports = [m for m in ctx.msgs(self.r) if m[0] == "Report"]
+            reports = ctx.msgs(self.r, "Report")
             if len(reports) < self.n - self.f:
                 return False
             self.aux = self._majority(Counter(m[2] for m in reports))
             ctx.broadcast(("Vote", self.r, self.aux), round_tag=self.r)
             self.phase = "vote-wait"
             return True
-        votes = [m for m in ctx.msgs(self.r) if m[0] == "Vote"]
+        votes = ctx.msgs(self.r, "Vote")
         if len(votes) < self.n - self.f:
             return False
         agreed = [m[2] for m in votes if m[2] is not None]

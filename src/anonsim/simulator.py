@@ -54,9 +54,9 @@ parent, which records the outcome the child is then derived from.
 
 Seeded runs (`Simulation`), replays (`run_schedule`) and `explore` (on an
 `_XEngine`) apply one set of transition rules, `_Engine`: the poll loop, the
-guard probe and the test that every live process has halted or decided.
-They share one action vocabulary too: ("wake"|"poll", p), ("crash", p) and
-a deliver, which in a seeded run names an index into `pending[p]`.  A
+guard probe and the one finished-run test, `all_decided`.  They share one
+action vocabulary too: ("wake"|"poll", p), ("crash", p) and a deliver,
+which in a seeded run names an index into `pending[p]`.  A
 simulation runs an action through `Simulation.apply`, and `explore` derives
 its child through `_XEngine`'s `delivered`, `crash` and `polled`.  A policy
 is a picker in `POLICIES` that chooses the actions of one scheduler step;
@@ -241,7 +241,8 @@ class Inbox:
 
     Messages for future rounds stay buffered until the process reaches that
     round; switching to round r discards everything tagged below r.
-    Untagged messages (decision announcements) are always visible.  Each
+    Untagged messages (decision announcements) are always visible.  A read
+    gets the messages of one tag, a payload's first item.  Each
     round's items, and the untagged ones, form a tuple that a delivery
     replaces, so a clone shares every round with its original.  An inbox
     holds its contents and nothing else: `explore`'s engine keeps the ids
@@ -265,14 +266,14 @@ class Inbox:
             for r in [r for r in self.by_round if r < new_floor]:
                 del self.by_round[r]
 
-    def payloads(self, r: int) -> list[Payload]:
-        return [payload for _, payload in self.by_round.get(r, ())]
+    def payloads(self, r: int, tag: str) -> list[Payload]:
+        return [payload for _, payload in self.by_round.get(r, ()) if payload[0] == tag]
 
     def senders(self, r: int, tag: str) -> list[int]:
         return [s for s, payload in self.by_round.get(r, ()) if payload[0] == tag]
 
-    def untagged_payloads(self) -> list[Payload]:
-        return [payload for _, payload in self.untagged]
+    def untagged_payloads(self, tag: str) -> list[Payload]:
+        return [payload for _, payload in self.untagged if payload[0] == tag]
 
     def clone(self) -> "Inbox":
         other = Inbox()
@@ -361,14 +362,14 @@ class Ctx:
             raise TypeError(f"oracle kind does not report counts: {reading!r}")
         return self.n - reading
 
-    def msgs(self, r: int) -> list[Payload]:
-        return self._engine.inboxes[self.proc].payloads(r)
+    def msgs(self, r: int, tag: str) -> list[Payload]:
+        return self._engine.inboxes[self.proc].payloads(r, tag)
 
     def senders(self, r: int, tag: str) -> list[int]:
         return self._engine.inboxes[self.proc].senders(r, tag)
 
-    def untagged(self) -> list[Payload]:
-        return self._engine.inboxes[self.proc].untagged_payloads()
+    def untagged(self, tag: str) -> list[Payload]:
+        return self._engine.inboxes[self.proc].untagged_payloads(tag)
 
     def broadcast(self, payload: Payload, round_tag: int | None = None) -> None:
         self._engine.do_broadcast(self.proc, payload, round_tag)
@@ -565,8 +566,8 @@ class _Engine:
     through Ctx (`do_broadcast`, `do_decide`, `do_halt`, `do_round` and
     `do_output`).  `crashed` and `halted` are frozensets that a crash or a
     halt replaces, never changes, so explored states can share them.  Here
-    live the poll loop, the guard probe and the test that every live
-    process has halted or decided.
+    live the poll loop, the guard probe and the one finished-run test,
+    `all_decided`, which seeded runs and explore call on their live processes.
     """
 
     def __init__(self, scenario: ScenarioConfig, factory: AutomatonFactory, oracle: Any):
@@ -600,14 +601,15 @@ class _Engine:
         automaton; no effect of the probe reaches this engine."""
         return self.automata[p].copy().on_poll(Ctx(_ProbeEngine(self), p))
 
-    def all_decided(self) -> bool:
-        """Every live process has halted or decided.  A decided process may
-        block forever in its final propose phase once its peers halted; with
-        nothing left to move, that is a completed run."""
-        return all(
-            p in self.crashed or p in self.halted or getattr(self.automata[p], "decided", None) is not None
-            for p in self.cfg.processes
-        )
+    def all_decided(self, live: Iterable[int]) -> bool:
+        """Every process of `live`, the live unhalted ones, has decided.  A
+        decided process may block forever in its final propose phase once its
+        peers halted; with nothing left to move, that is a completed run."""
+        automata = self.automata
+        for p in live:
+            if getattr(automata[p], "decided", None) is None:
+                return False
+        return True
 
 
 class _ProbeEngine:
@@ -642,8 +644,7 @@ class Simulation(_Engine):
     pick: a change to `live`, a pending list that fills (`do_broadcast`) and
     one that empties (a deliver).  `run` builds its crash timetable once:
     each step with a crash to the processes crashing then, in process
-    order.  `explore`'s terminal test keeps `all_decided`, which walks every
-    process.  `quiesce` makes a new `Ctx` per call: one kept per process
+    order.  `quiesce` makes a new `Ctx` per call: one kept per process
     would tie the engine and its contexts in a reference cycle, which keeps
     every finished run alive until the garbage collector runs.
     """
@@ -733,15 +734,11 @@ class Simulation(_Engine):
             self.quiesce(p)
 
     def _settled(self) -> bool:
-        # the run is complete when every live process halted or decided and
-        # nothing can move anymore; the first undecided live process ends the
-        # test before any pending list is read or any probe runs
-        automata, live = self.automata, self.live
-        for p in live:
-            if getattr(automata[p], "decided", None) is None:
-                return False
-        pending = self.pending
-        return not any(pending[p] for p in live) and not any(self.can_progress(p) for p in live)
+        # the run is complete when every live process decided and nothing moves;
+        # an undecided one ends the test before any pending list or probe is read
+        live, pending = self.live, self.pending
+        return (self.all_decided(live) and not any(pending[p] for p in live)
+                and not any(self.can_progress(p) for p in live))
 
     def run(self) -> Trace:
         pick = POLICIES[self.scenario.policy]
@@ -1324,7 +1321,6 @@ class ExploreResult:
     partial: bool
     terminal_profiles: Counter
     children: int  # child states reached, new or not: one per enabled action of every expanded state
-    skipped: int  # children whose key, derived from their parent's, was visited: never built
     peak_frontier: int  # most states discovered but not yet expanded at once
     depth: int  # the BFS depth reached: the most actions between the initial state and a state
     # wakes and polls run: the first of each pair of local state and what its
@@ -1335,6 +1331,10 @@ class ExploreResult:
     @property
     def ok(self) -> bool:
         return self.violation_count == 0 and not self.partial
+
+    @property
+    def skipped(self) -> int:  # children whose derived key was visited: never built
+        return self.children - (self.states - 1)
 
 
 def explore(
@@ -1399,7 +1399,7 @@ def explore(
     violations: list[Violation] = []
     violation_count = 0
     profiles: Counter = Counter()
-    children = skipped = 0
+    children = 0
     peak_frontier = 1
 
     while queue:
@@ -1418,7 +1418,6 @@ def explore(
                 else:
                     slots, found = engine.polled(state, action)
                 if slots.tobytes() in visited:
-                    skipped += 1
                     continue
                 child = engine.build(state, action, slots, found)
                 visited.add(child.key())
@@ -1440,7 +1439,7 @@ def explore(
             continue
         if broken is not None:
             found = [("invariant", broken)]
-        elif engine.load(state).all_decided():
+        elif engine.load(state).all_decided(set(engine.automata) - engine.crashed - engine.halted):
             terminals += 1
             profiles[state.monitor.terminal_profile(state)] += 1
             found = [("terminal", detail) for detail in state.monitor.terminal_checks(state)]
@@ -1458,7 +1457,6 @@ def explore(
         partial=partial,
         terminal_profiles=profiles,
         children=children,
-        skipped=skipped,
         peak_frontier=peak_frontier,
         # breadth first discovers states in order of depth: the last is the deepest
         depth=len(schedule_of(len(parent) - 1)),

@@ -156,7 +156,7 @@ class SelfTrustAnnouncer(Automaton):
             self.output = self.proc
             ctx.emit_output(self.output)
             progressed = True
-        claims = [m for m in ctx.untagged() if m[0] == "Claim"]
+        claims = ctx.untagged("Claim")
         if len(claims) > self.claims_seen:
             self.claims_seen = len(claims)
             self.output = claims[-1][1]
@@ -186,7 +186,7 @@ class MaxIdSelfTrust(_Heartbeats):
     def on_poll(self, ctx: Ctx) -> bool:
         if self.phase != "wait":
             return self._send(ctx, self.output, ("HB", self.r, self.my_id))
-        beats = [m for m in ctx.msgs(self.r) if m[0] == "HB"]
+        beats = ctx.msgs(self.r, "HB")
         if len(beats) < ctx.alive_count():
             return False
         self.output = self.my_id == max(m[2] for m in beats)

@@ -306,17 +306,19 @@ def check_permutation_closure(spec: Any, pattern: FailurePattern, history: Detec
 
 
 class ConsensusMonitor(NullMonitor):
-    """Continuous + terminal consensus verdicts folded into explored states."""
+    """Continuous + terminal consensus verdicts folded into explored states.
+    Its hooks read a peer's `r` only for the floor of a tagged `Lock`, which
+    lockmin alone sends, so it declares `r` with `spread` and else nothing."""
 
     # inherited hooks, named again because perfbench/tracer.py times only the
     # hooks in a class's own namespace
     clone, violation = NullMonitor.clone, NullMonitor.violation
     on_round = on_output = on_crash = NullMonitor.ignore
-    peer_fields = ("r",)  # the lock floor
 
     def __init__(self, n: int, f: int, inputs: tuple[int, ...], spread: bool = False):
         self.inputs = inputs
         self.spread = spread
+        self.peer_fields = ("r",) if spread else ()
         self.decide_counts = (0,) * n
         self.locks: tuple[tuple[int, tuple], ...] = ()
 

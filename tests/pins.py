@@ -88,8 +88,8 @@ VALIDATOR_COUNTS = {
 TRACE_SHA256 = "340efff0f48edc3052ce931986d10199041c53aeb41bf0f68b661f4c9993cb39"
 TRACE_ALGORITHMS = ("floodmax", "lockmin", "leadervote", "random-selftrust")
 TRACE_SEEDS = range(20)
-POLICY_TRACE_SHA256 = "fba391a97fa355df5bd1341f4e81cdcd92daecf55345bc6e9283add832a72ce8"
-POLICY_TRACE_POLICIES = ("fifo", "crash-adjacent")
+POLICY_TRACE_SHA256 = "b31ac0bce43068f02d0c30e1e59eb564c20629e859942754a3271d0c99c16609"
+POLICY_TRACE_POLICIES = ("fifo", "random", "crash-adjacent")
 POLICY_TRACE_SEEDS = range(5)
 # the first 8 hex digits of each trace's own sha256, ten traces a line in
 # digest order, so that a moved TRACE_SHA256 or POLICY_TRACE_SHA256 comes
@@ -105,13 +105,17 @@ TRACE_PREFIXES = (
     "6c9adbecfef6d1f29681e90e741e94539b9343e25ed03fa04bcc361462fba1043a431dac23d60e5d"
 )
 POLICY_TRACE_PREFIXES = (
-    "20093868ea920b173f862f6c8abe2dbfed21c8cd15182cb73413db5dc75f6419fd6361ddaa0a5324"
-    "338e24a3089d34987ffd1f3229dea99fe3898a5507effbc9c0aace4eb1e4d463d89af0feca7cb83e"
-    "73922d71f560c4ff31df6b11b1e4309b52489499b6fe09ffee20cd5cf927a38e0d37e334c82502bd"
-    "b9025fe00f4e5e91ee7529cb3adf50a34db1a18d77306c027504912501bed36e5b6284abbce6ea3d"
-    "3275f5140758c730700cf4427e73ee9a6a9cced4c10002ade7e51def237e6873e81b9b47a734b10f"
-    "7dede696780a410cfce01059203b2de7ceef2329ba19e1a657ee1f88410581c9bdc819ebe6d742fe"
-    "c920eef709fe3f8d8f181c931cdff3027eff31394778ba2fedb3330be7f7dd1d09608da6da20ea51"
+    "20093868ea920b173f862f6c8abe2dbfed21c8cdcbdeaacc205d14d66c9114de26321883ebf44422"
+    "15182cb73413db5dc75f6419fd6361ddaa0a5324338e24a3089d34987ffd1f3229dea99fe3898a55"
+    "7d8977b42d7093a6a8c6dd32022c4fd791f48df407effbc9c0aace4eb1e4d463d89af0feca7cb83e"
+    "73922d71f560c4ff31df6b11b1e4309b52489499188c51c5a29dcaec40433130de8b0f22d7cb0105"
+    "b6fe09ffee20cd5cf927a38e0d37e334c82502bdb9025fe00f4e5e91ee7529cb3adf50a34db1a18d"
+    "43f37fe0f5225a084925913e002410158d8f44d077306c027504912501bed36e5b6284abbce6ea3d"
+    "3275f5140758c730700cf4427e73ee9a6a9cced49d124e9b117fd95a55a1d2f1f116a1ac7f1a7032"
+    "c10002ade7e51def237e6873e81b9b47a734b10f7dede696780a410cfce01059203b2de7ceef2329"
+    "8f402fcd7ad52e63e411cd79f14cee5c12b68d92ba19e1a657ee1f88410581c9bdc819ebe6d742fe"
+    "c920eef709fe3f8d8f181c931cdff3027eff31396fac2b23e7eab968c51aed41b458e1b1d3778f70"
+    "4778ba2fedb3330be7f7dd1d09608da6da20ea51"
 )
 EXPLORE_SHA256 = "8ceb20781f908fc8f9607823798a20aa914c77139fa0dce0c3d8204c98e90e5e"
 EXPLORE_JOBS = 23
@@ -221,7 +225,7 @@ def campaign_traces():
 
 def policy_traces():
     """(name, trace): every algorithm at n=3 f=1 with process 2 crashing at
-    step 7, under the fifo and crash-adjacent policies, seeds 0-4."""
+    step 7, under every policy, seeds 0-4."""
     for algorithm, info in ALGORITHMS.items():
         for policy in POLICY_TRACE_POLICIES:
             for seed in POLICY_TRACE_SEEDS:

@@ -482,7 +482,7 @@ class TestExplore:
         assert "explored states: 92" in out
         assert "children: 146 (dedup ratio: 0.6233 new states per child), 55 skipped unbuilt" in out
         assert "peak frontier: 18" in out and "depth: 8" in out
-        assert "local transitions: 30 computed, 32 reused\n" in out
+        assert "local transitions: 28 computed, 34 reused\n" in out
 
     def test_explore_reports_rate_and_peak_memory(self, tmp_path, capsys):
         sc = scenario("floodmax", 2, 1, inputs=(0, 1)).to_dict()
