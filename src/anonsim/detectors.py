@@ -30,13 +30,19 @@ the pessimistic profile reads every process crashed, which under-counts the
 alive processes, and an algorithm that reads it must tolerate that (lockmin
 waits for at least n - f messages, `LockMinConsensus._need`).
 
-A sampled table is drawn row by row, each row in step order.  A row is built
-as segments: the cells fixed by the pattern and the profile (post-convergence
-cells, optimistic and pessimistic cells, dead cells of non-adversarial
-profiles) are copied in bulk and cost no RNG calls; only the cells that use
-randomness draw, in step order.  That draw order is part of the replay
-contract: the same (seed, kind, profile, pattern, horizon) yields the same
-table, and so the same trace, on every supported interpreter.
+A sampled table's random cells are drawn row by row, each row in step
+order.  A row is kept as segments: the cells fixed by the pattern and the
+profile (post-convergence cells, |F(t)| stretches, optimistic and
+pessimistic cells, dead cells of non-adversarial profiles) are constant runs
+that cost no RNG calls; only the cells that use randomness draw.  The table
+is made on first read (`_SampledHistory`): `at` returns a fixed cell without
+touching the generator, and reads a random cell by first drawing every
+earlier random segment, in that order, then its own; no later segment is
+drawn.  Reading `rows` draws the rest and builds the whole table.  That draw
+order, not when a cell is drawn, is part of the replay contract: the same
+(seed, kind, profile, pattern, horizon) yields the same table, whether read
+cell by cell or whole, and so the same trace, on every supported
+interpreter.
 
 The random cells of a segment are drawn in batches (`_randints`, `_flips`):
 one `getrandbits` call returns as many Mersenne-Twister words as cells are
@@ -49,9 +55,10 @@ word more, so they give the same tables.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
-from functools import cache
-from itertools import chain
+from functools import cache, partial
+from itertools import chain, repeat
 from operator import le
 from typing import Any, Callable
 
@@ -246,19 +253,98 @@ class _SuspectSets(dict):
         return value
 
 
-def _crashed_by_step(crash: dict[int, int], horizon: int) -> tuple[list[frozenset[int]], list[int]]:
-    """F(t) for t in 0..horizon, one shared set per stretch between crashes,
-    and the length of each stretch, so that |F(t)| is i on stretch i."""
-    failed: list[frozenset[int]] = []
-    stretches: list[int] = []
+def _subsets(rng: random.Random, members: tuple[int, ...], chance: float, sets: _SuspectSets,
+             count: int) -> list[frozenset[int]]:
+    """`count` suspect sets, each keeping every one of `members` in turn
+    with probability `chance`: one `random()` per member per cell."""
+    random_ = rng.random
+    return [sets[tuple([q for q in members if random_() < chance])] for _ in range(count)]
+
+
+def _leaders(rng: random.Random, n: int, count: int) -> list[int]:
+    """`count` process indices, one `randint(0, n - 1)` each, plus one."""
+    return [1 + v for v in _randints(rng, n - 1, count)]
+
+
+class _Draw:
+    """A random segment of a sampled table: `make()` draws its cells, which
+    `cells` holds once the table's stream has reached it."""
+
+    __slots__ = ("make", "cells")
+
+    def __init__(self, make: Callable[[], list]):
+        self.make = make
+        self.cells: list | None = None
+
+
+class _SampledHistory(DetectorHistory):
+    """A sampled table whose cells are made on first read.
+
+    Each row is a list of segments (start, end, cell) that cover steps
+    [start, end) and together 0..horizon: a constant run, whose `cell` is
+    its value, or a random segment, whose `cell` is a `_Draw`.  `_pending`
+    holds the random segments not yet drawn, in stream order.  `at` returns
+    a constant cell without touching the generator; a random cell is read by
+    first drawing every pending segment up to and including its own, so the
+    generator sees the same calls in the same order as a whole-table draw,
+    only fewer of them.  `rows` draws what is left and builds the table's
+    tuples, so equality, hashing, serialization, the validators and
+    permutations see the same table as a whole-table draw.
+    """
+
+    def __init__(self, kind: str, n: int, horizon: int, convergence: int, segments: list[list[tuple]],
+                 pending: deque[_Draw]):
+        for name, value in (("kind", kind), ("n", n), ("horizon", horizon), ("convergence", convergence),
+                            ("emulated_from", None), ("_segments", segments), ("_pending", pending),
+                            ("_rows", None)):
+            object.__setattr__(self, name, value)
+
+    def at(self, p: int, t: int) -> Any:
+        if t < 0:
+            raise ValueError(f"negative time {t}")
+        if t > self.horizon:
+            t = self.horizon
+        for start, end, cell in self._segments[p - 1]:
+            if t < end:
+                if cell.__class__ is not _Draw:
+                    return cell
+                if cell.cells is None:
+                    self._draw(cell)
+                return cell.cells[t - start]
+
+    def _draw(self, until: _Draw | None = None) -> None:
+        """Draw the pending segments in stream order, through `until` or all."""
+        pending = self._pending
+        while pending and (until is None or until.cells is None):
+            segment = pending.popleft()
+            segment.cells = segment.make()
+
+    @property
+    def rows(self) -> tuple[tuple[Any, ...], ...]:
+        if self._rows is None:
+            self._draw()
+            rows = tuple(
+                tuple(chain.from_iterable(
+                    cell.cells if cell.__class__ is _Draw else repeat(cell, end - start)
+                    for start, end, cell in row
+                ))
+                for row in self._segments
+            )
+            object.__setattr__(self, "_rows", rows)
+        return self._rows
+
+
+def _stretches(crash: dict[int, int], horizon: int) -> list[tuple[int, frozenset[int]]]:
+    """F(t) for t in 0..horizon as (end, F) for each stretch between
+    crashes: F(t) is F from the previous stretch's end up to `end`.  Stretch
+    i holds i crashed processes; crashes at one step leave empty stretches."""
+    stretches = []
     so_far: set[int] = set()
     for s, p in sorted((s, p) for p, s in crash.items()):
-        stretches.append(s - len(failed))
-        failed += [frozenset(so_far)] * stretches[-1]
+        stretches.append((s, frozenset(so_far)))
         so_far.add(p)
-    stretches.append(horizon + 1 - len(failed))
-    failed += [frozenset(so_far)] * stretches[-1]
-    return failed, stretches
+    stretches.append((horizon + 1, frozenset(so_far)))
+    return stretches
 
 
 def sample_history(
@@ -287,72 +373,92 @@ def sample_history(
     conv = max(profile.convergence, pattern.last_crash)
     crash = dict(pattern.crash_steps)
     crashed_total = len(crash)
-    failed, stretches = _crashed_by_step(crash, horizon)  # failed[t] is F(t)
-    current = []  # current[t] is |F(t)|
-    for count, length in enumerate(stretches):
-        current += [count] * length
+    stretches = _stretches(crash, horizon)
     width = horizon + 1
-    rows = []
+    segments: list[list[tuple]] = [[] for _ in range(n)]
+    pending: deque[_Draw] = deque()
+
+    # each call extends `row` up to step `end`; an empty segment adds nothing
+    def const(row: list, end: int, value: Any) -> None:
+        start = row[-1][1] if row else 0
+        if end > start:
+            row.append((start, end, value))
+
+    def drawn(row: list, end: int, make: Callable, *args: Any) -> None:
+        start = row[-1][1] if row else 0
+        if end > start:
+            segment = _Draw(partial(make, rng, *args, end - start))
+            pending.append(segment)
+            row.append((start, end, segment))
+
+    def measured(row: list, end: int, measure: Callable) -> None:  # measure(F(t)), stretch by stretch
+        for stretch_end, failed in stretches:
+            const(row, min(stretch_end, end), measure(failed))
 
     if spec.kind in COUNT_KINDS:
-        for p in range(1, n + 1):
+        for p, row in enumerate(segments, start=1):
             # live cells [0, live_end): before convergence up to pre_end, the
             # exact total after; dead cells [live_end, horizon] are unconstrained
             live_end = crash.get(p, width)
             pre_end = min(live_end, conv)
             if behavior == "optimistic" or (spec.kind == CRASH_COUNT and behavior == "pessimistic"):
-                row = current[:pre_end]
+                measured(row, pre_end, len)
             elif spec.kind == CRASH_COUNT:
                 # permanent accuracy caps live cells at the current count,
                 # drawn one stretch between crashes at a time
-                row = []
-                for count, length in enumerate(stretches):
-                    row += _randints(rng, count, min(length, pre_end - len(row)))
+                for stretch_end, failed in stretches:
+                    drawn(row, min(stretch_end, pre_end), _randints, len(failed))
             else:
                 # eventual accuracy: anything in range goes before convergence;
                 # adversarial claims everyone alive, for maximal waiting
-                row = [n if behavior == "pessimistic" else 0] * pre_end
-            row += [crashed_total] * (live_end - pre_end)
-            row += _randints(rng, n, width - live_end) if adversarial else current[live_end:]
-            rows.append(tuple(row))
+                const(row, pre_end, n if behavior == "pessimistic" else 0)
+            const(row, live_end, crashed_total)
+            if adversarial:
+                drawn(row, width, _randints, n)
+            else:
+                measured(row, width, len)
     elif spec.kind == SELF_TRUST:
         leader = rng.choice(sorted(pattern.correct))
-        for p in range(1, n + 1):
-            if p in crash:
-                row = _flips(rng, width) if adversarial else [False] * width
+        for p, row in enumerate(segments, start=1):
+            pre = width if p in crash else 0 if behavior == "optimistic" else conv
+            if adversarial:
+                # a crashed row's flips, live and dead, are one stream; as two
+                # segments, a read of a live cell leaves the dead ones undrawn
+                drawn(row, crash.get(p, 0), _flips)
+                drawn(row, pre, _flips)
             else:
-                pre = 0 if behavior == "optimistic" else conv
-                row = _flips(rng, pre) if adversarial else [False] * pre
-                row += [p == leader] * (width - pre)
-            rows.append(tuple(row))
+                const(row, pre, False)
+            const(row, width, p == leader)
     elif spec.kind in (PERFECT, EVENTUALLY_PERFECT):
-        tail = [pattern.crashed] * (width - conv) if spec.kind == EVENTUALLY_PERFECT else failed[conv:]
         sets = _SuspectSets()  # one object per distinct drawn set, at most 2^n of them
-        for p in range(1, n + 1):
+        for row in segments:
             if behavior == "optimistic" or (spec.kind == PERFECT and behavior == "pessimistic"):
-                row = failed[:conv]
+                measured(row, conv, frozenset)
             elif behavior == "pessimistic":
-                row = [frozenset(range(1, n + 1))] * conv
+                const(row, conv, _procs(n))
             elif spec.kind == PERFECT:
                 # strong accuracy binds every pre-crash cell
-                row = [sets[tuple([q for q in sorted(failed[t]) if rng.random() < 0.5])] for t in range(conv)]
+                for stretch_end, failed in stretches:
+                    drawn(row, min(stretch_end, conv), _subsets, tuple(sorted(failed)), 0.5, sets)
             else:
-                row = [sets[tuple([q for q in range(1, n + 1) if rng.random() < 0.3])] for _ in range(conv)]
-            rows.append(tuple(row + tail))
+                drawn(row, conv, _subsets, tuple(range(1, n + 1)), 0.3, sets)
+            if spec.kind == EVENTUALLY_PERFECT:
+                const(row, width, pattern.crashed)
+            else:
+                measured(row, width, frozenset)
     elif spec.kind == LEADER:
         leader = rng.choice(sorted(pattern.correct))
-        for p in range(1, n + 1):
+        for p, row in enumerate(segments, start=1):
             pre = 0 if behavior == "optimistic" else conv
             if adversarial:
-                row = [1 + v for v in _randints(rng, n - 1, pre)]
+                drawn(row, pre, _leaders, n)
             else:
-                row = [p] * pre
-            row += [leader] * (width - pre)
-            rows.append(tuple(row))
+                const(row, pre, p)
+            const(row, width, leader)
     else:  # pragma: no cover - guarded by DetectorSpec
         raise ValueError(spec.kind)
 
-    return DetectorHistory(spec.kind, n, horizon, tuple(rows), convergence=conv)
+    return _SampledHistory(spec.kind, n, horizon, conv, segments, pending)
 
 
 class OracleRuntime:

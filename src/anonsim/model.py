@@ -155,14 +155,17 @@ def random_permutation(n: int, rng: random.Random) -> Permutation:
     return Permutation(tuple(image))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectorHistory:
     """Per-process, per-step detector outputs with a constant tail.
 
     rows[p-1][t] is the module output of process p at step t for
     t <= horizon; beyond the horizon every row extends with its last value.
     `convergence` is sampler metadata (the step from which the eventual
-    clauses hold); validators recompute it and never trust it.
+    clauses hold); validators recompute it and never trust it.  Two
+    histories are equal when their fields are, whatever their classes: a
+    sampled table (`detectors.sample_history`) equals the same table built
+    from its rows.
     """
 
     kind: str
@@ -186,6 +189,17 @@ class DetectorHistory:
 
     def row(self, p: int) -> tuple[Any, ...]:
         return self.rows[p - 1]
+
+    def _fields(self) -> tuple:
+        return self.kind, self.n, self.horizon, self.rows, self.convergence, self.emulated_from
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DetectorHistory):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
 def permute_pattern(pi: Permutation, pattern: FailurePattern) -> FailurePattern:

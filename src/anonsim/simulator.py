@@ -92,11 +92,13 @@ Payload = tuple
 AutomatonFactory = Callable[["ScenarioConfig", int], Any]
 
 
-# The most cells an oracle table may hold, n x (horizon + 1), since every run
-# draws its table whole.  At the cap, a count table builds in about 0.05 s and
-# 40 MB, and the slowest table, an adversarial perfect or eventually-perfect
-# history converging at the horizon (one `random()` per process per cell), in
-# about 1 s and 40 MB.
+# The most cells an oracle table may hold, n x (horizon + 1).  A seeded run
+# draws only the cells it reads and those before them in the draw order, but
+# a table's `rows`, which the validators, serialization and permutations
+# read, holds it whole.  At the cap, a count table builds whole in about
+# 0.05 s and 40 MB, and the slowest table, an adversarial perfect or
+# eventually-perfect history converging at the horizon (one `random()` per
+# process per cell), in under 1 s and 40 MB.
 MAX_TABLE_CELLS = 1 << 20
 
 

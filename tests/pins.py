@@ -5,15 +5,19 @@ The oracle sampler's draw order is part of the replay contract: a change
 that reorders, adds or drops a single RNG call changes these digests.  So is
 explore's search order: a change to state identity must keep the states,
 terminals, terminal profiles, violations and witness schedules of every
-small job.  The module needs no pytest, so every supported interpreter can
-check the pins:
+small job.  A sampled table draws its random cells on first read, in that
+draw order, so each grid table is first read cell by cell through `at`, in a
+shuffled order, and must agree with the rows it then materializes and equal,
+and hash as, the same table built from those rows.  The module needs no
+pytest, so every supported interpreter can check the pins:
 
     PYTHONPATH=src python tests/pins.py
 
 On a mismatch it names each explore job whose counts moved and the first
 trace whose bytes moved, and says whether that trace's `to_jsonl` still
 equals `json.dumps` of its lines: a run change if it does, a serializer
-fault if not.  It names each (kind, n, h) whose validator counts moved, too.
+fault if not.  It names each (kind, n, h) whose validator counts moved, and
+the first grid table whose reads disagree with its rows, too.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import random
 import sys
 
 from helpers import campaign_scenario, factory_of, scenario, selftrust_scenario
@@ -149,8 +154,8 @@ EXPLORE_COUNTS = {
 
 
 def grid_tables():
-    """Every kind and behaviour at n in {2, 3, 5}, over four crash patterns,
-    three convergence steps and seeds 0-3, all at horizon 24."""
+    """(name, table): every kind and behaviour at n in {2, 3, 5}, over four
+    crash patterns, three convergence steps and seeds 0-3, all at horizon 24."""
     for kind in ALL_KINDS:
         for behavior in BEHAVIORS:
             for n in (2, 3, 5):
@@ -160,16 +165,43 @@ def grid_tables():
                     for convergence in (0, 9, 20):
                         profile = OracleProfile(behavior, convergence)
                         for seed in range(4):
-                            yield sample_history(DetectorSpec(kind, n), pattern, profile, seed, 24)
+                            name = f"{kind} {behavior} n={n} crashes={crashes} convergence={convergence} seed={seed}"
+                            yield name, sample_history(DetectorSpec(kind, n), pattern, profile, seed, 24)
 
 
-def grid_digest() -> tuple[int, str]:
+def lazy_read_fault(history, order: random.Random) -> str | None:
+    """Read every cell of a freshly sampled table through `at`, the horizon
+    and the step past it included, in an order shuffled by `order`, before
+    anything touches its rows; then say what, if anything, disagrees with the
+    rows it materializes or with the same table built from them."""
+    cells = [(p, t) for p in range(1, history.n + 1) for t in range(history.horizon + 2)]
+    order.shuffle(cells)
+    read = {cell: history.at(*cell) for cell in cells}
+    rows = history.rows
+    moved = [(p, t) for (p, t), v in read.items() if v != rows[p - 1][min(t, history.horizon)]]
+    if moved:
+        return f"cell {moved[0]} read {read[moved[0]]!r} but the rows hold another value"
+    eager = DetectorHistory(history.kind, history.n, history.horizon, rows, history.convergence)
+    if not (history == eager and eager == history and hash(history) == hash(eager)):
+        return "the table is not equal to, or hashes apart from, the same table built from its rows"
+    return None
+
+
+def grid_digest() -> tuple[int, str, list[str]]:
+    """The table count, the digest of every table's JSON in order, and the
+    tables whose cells read through `at`, in a seeded shuffled order, differ
+    from their rows (`lazy_read_fault`)."""
     digest = hashlib.sha256()
     count = 0
-    for history in grid_tables():
+    faults = []
+    order = random.Random("grid/reads")
+    for name, history in grid_tables():
+        fault = lazy_read_fault(history, order)
+        if fault is not None:
+            faults.append(f"{name}: {fault}")
         digest.update((history_to_json(history) + "\n").encode())
         count += 1
-    return count, digest.hexdigest()
+    return count, digest.hexdigest(), faults
 
 
 def cell_range(kind: str, n: int) -> list:
@@ -300,18 +332,21 @@ def explore_digest() -> tuple[int, str, dict[str, tuple[int, int, int]]]:
 
 
 if __name__ == "__main__":
-    count, grid = grid_digest()
+    count, grid, lazy_faults = grid_digest()
     verdicts, verdict_counts = validator_digest()
     trace, prefixes = trace_pins(campaign_traces())
     policy_trace, policy_prefixes = trace_pins(policy_traces())
     jobs, explored, counts = explore_digest()
     ok = (
-        (count, grid, verdicts, verdict_counts, trace, prefixes, policy_trace, policy_prefixes, jobs, explored, counts)
-        == (GRID_TABLES, GRID_SHA256, VALIDATOR_SHA256, VALIDATOR_COUNTS, TRACE_SHA256, TRACE_PREFIXES,
+        (count, grid, lazy_faults, verdicts, verdict_counts, trace, prefixes, policy_trace, policy_prefixes, jobs,
+         explored, counts)
+        == (GRID_TABLES, GRID_SHA256, [], VALIDATOR_SHA256, VALIDATOR_COUNTS, TRACE_SHA256, TRACE_PREFIXES,
             POLICY_TRACE_SHA256, POLICY_TRACE_PREFIXES, EXPLORE_JOBS, EXPLORE_SHA256, EXPLORE_COUNTS)
     )
     print(f"python {sys.version.split()[0]}: grid {count} tables {grid}, validators {verdicts}, traces {trace}, "
           f"policy traces {policy_trace}, explore {jobs} jobs {explored}: {'match' if ok else 'MISMATCH'}")
+    if lazy_faults:
+        print(f"{len(lazy_faults)} grid tables read apart from their rows, the first {lazy_faults[0]}")
     for job in sorted(verdict_counts.keys() | VALIDATOR_COUNTS.keys()):
         if verdict_counts.get(job) != VALIDATOR_COUNTS.get(job):
             print(f"validator job {job} moved: (valid, total) pinned {VALIDATOR_COUNTS.get(job)}, "

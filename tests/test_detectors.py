@@ -26,6 +26,7 @@ from anonsim import (
     is_anonymous,
     sample_history,
 )
+from anonsim import detectors
 from anonsim.detectors import ALL_KINDS, BEHAVIORS, _flips, _randints
 from anonsim.model import history_to_json
 from anonsim.simulator import Ctx
@@ -368,8 +369,10 @@ class TestSamplers:
 class TestSamplerDrawOrder:
     def test_tables_pinned(self):
         # every kind and behaviour over a grid of patterns, convergence steps
-        # and seeds: any change to the draw order changes this digest
-        assert grid_digest() == (GRID_TABLES, GRID_SHA256)
+        # and seeds: any change to the draw order changes this digest, and
+        # every table read cell by cell through `at`, in a shuffled order,
+        # before its rows exist, agrees with them
+        assert grid_digest() == (GRID_TABLES, GRID_SHA256, [])
 
     def test_randints_matches_randint(self):
         # runs of one top, as the sampler draws them: short runs of every small
@@ -420,6 +423,59 @@ class TestSamplerDrawOrder:
                 assert drawn == [theirs.random() < 0.5 for _ in range(count)]
                 assert all(type(v) is bool for v in drawn)
                 assert ours.getstate() == theirs.getstate()
+
+
+class TestLazyDraws:
+    """A sampled table draws its random cells on first read, in the order a
+    whole-table draw takes them, and nothing past the last segment read."""
+
+    @staticmethod
+    def sampled(monkeypatch, kind, pattern, profile, horizon):
+        """The table, its generator's seed string and the generator."""
+        made = []
+
+        def generator(seed):
+            made.append((seed, random.Random(seed)))
+            return made[-1][1]
+
+        monkeypatch.setattr(detectors, "random", SimpleNamespace(Random=generator))
+        table = sample_history(DetectorSpec(kind, pattern.n), pattern, profile, seed=3, horizon=horizon)
+        [(seed, rng)] = made
+        return table, seed, rng
+
+    @staticmethod
+    def read_live_cells(table, pattern):
+        """Every cell of a process before its crash, as a run reads them."""
+        ends = {p: table.horizon + 1 for p in pattern.correct} | dict(pattern.crash_steps)
+        return {(p, t): table.at(p, t) for p, end in ends.items() for t in range(end)}
+
+    def test_lockmin_table_draws_nothing_for_its_live_cells(self, monkeypatch):
+        # shaped like campaign-mix's lockmin table: its live cells are all
+        # fixed by the profile, and only the dead cells of processes 2 and 4
+        # draw, in that order
+        pattern = FailurePattern.of(5, {2: 30, 4: 80})
+        profile = OracleProfile("adversarial", 150)
+        table, seed, rng = self.sampled(monkeypatch, EVENTUAL_CRASH_COUNT, pattern, profile, 1500)
+        eager = random.Random(seed)
+        _randints(eager, 5, 1501 - 30)
+        _randints(eager, 5, 1501 - 80)
+        read = self.read_live_cells(table, pattern)
+        assert rng.getstate() != eager.getstate()
+        assert rng.getstate() == random.Random(seed).getstate()
+        assert all(v == table.rows[p - 1][t] for (p, t), v in read.items())
+        assert rng.getstate() == eager.getstate()
+
+    def test_floodmax_table_leaves_the_last_dead_cells_undrawn(self, monkeypatch):
+        # shaped like campaign-mix's floodmax table: live cells draw, and so
+        # do the dead cells of process 2, which precede live ones in the
+        # stream; those of process 4 come last and stay undrawn
+        pattern = FailurePattern.of(4, {2: 25, 4: 60})
+        table, seed, rng = self.sampled(monkeypatch, CRASH_COUNT, pattern, OracleProfile("adversarial", 100), 1200)
+        read = self.read_live_cells(table, pattern)
+        after_reads = rng.getstate()
+        assert after_reads != random.Random(seed).getstate()
+        assert all(v == table.rows[p - 1][t] for (p, t), v in read.items())
+        assert rng.getstate() != after_reads
 
 
 class TestAnonymityOfKinds:
