@@ -19,8 +19,10 @@ Ties that the pseudo-code leaves to message arrival order (several
 simultaneous leader claims, several non-null votes) are broken by value, which
 keeps the automata insensitive to inbox ordering and lets exhaustive
 exploration merge equivalent states.
-The three share one base, ``_Consensus``, for their common fields, start and
-decision; as for every automaton, the key is every field but n, f and proc.
+The three share one base, ``_Consensus``, for their common fields, start (the
+first poll leaves phase "start") and decision; as for every automaton, the key
+is every field but n, f and proc, so an automaton keeps only what a later
+transition reads.
 """
 
 from __future__ import annotations
@@ -34,22 +36,23 @@ from .simulator import Automaton, Ctx, ScenarioConfig, ScenarioError
 
 @dataclass
 class _Consensus(Automaton):
-    """What the protocols share.  Each keeps its own `on_poll` and tests
-    `started` inline before `_start`: guard probes poll waiting processes."""
+    """What the protocols share.  Each starts in phase "start", and its
+    first poll moves to its first phase, `first`, before any effect fires.
+    A decision is adopted as the estimate, so a halted process keeps only
+    its decision."""
 
     v: int
     r: int = 0
-    phase: str = "done"
-    started: bool = False
+    phase: str = "start"
     decided: Any = None
     decide_round: int | None = None
 
-    def _start(self, ctx: Ctx) -> None:
-        self.started = True
+    def _start(self, ctx: Ctx, first: str) -> None:
+        self.phase = first
         ctx.switch_round(self.r, v=self.v)
 
     def _decide(self, ctx: Ctx, value: int, halt: bool) -> None:
-        self.decided = value
+        self.decided = self.v = value
         self.decide_round = self.r
         ctx.decide(value, r=self.r)
         if halt:
@@ -62,16 +65,16 @@ class _Consensus(Automaton):
 
 @dataclass
 class FloodMaxConsensus(_Consensus):
+    # phases: start | send | collect | done
     r: int = 1
-    phase: str = "send"  # send | collect | done
 
     def _merge(self, values: set[int]) -> int:
         return max(values)
 
     def on_poll(self, ctx: Ctx) -> bool:
+        if self.phase == "start":
+            self._start(ctx, "send")
         if self.phase == "send":
-            if not self.started:
-                self._start(ctx)
             ctx.broadcast(("Propose", self.r, self.v), round_tag=self.r)
             self.phase = "collect"
             return True
@@ -91,7 +94,7 @@ class FloodMaxConsensus(_Consensus):
 
 @dataclass
 class LockMinConsensus(_Consensus):
-    phase: str = "propose-send"  # propose-send | propose-wait | lock-send | lock-wait
+    # phases: start | propose-send | propose-wait | lock-send | lock-wait
     lock: int | None = None
 
     def _need(self, ctx: Ctx) -> int:
@@ -103,9 +106,9 @@ class LockMinConsensus(_Consensus):
         return self.v if len(proposed) == 1 else None
 
     def on_poll(self, ctx: Ctx) -> bool:
+        if self.phase == "start":
+            self._start(ctx, "propose-send")
         if self.phase == "propose-send":
-            if not self.started:
-                self._start(ctx)
             ctx.broadcast(("Propose", self.r, self.v), round_tag=self.r)
             self.phase = "propose-wait"
             return True
@@ -144,8 +147,7 @@ class LockMinConsensus(_Consensus):
 
 @dataclass
 class LeaderVoteConsensus(_Consensus):
-    phase: str = "lead"  # lead | report-wait | vote-wait | done
-    aux: int | None = None
+    # phases: start | lead | report-wait | vote-wait | done
 
     def _majority(self, counts: Counter) -> int | None:
         for w in sorted(counts):
@@ -160,9 +162,9 @@ class LeaderVoteConsensus(_Consensus):
             ctx.broadcast(("Decide", m[1]))
             self._decide(ctx, m[1], halt=True)
             return True
+        if self.phase == "start":
+            self._start(ctx, "lead")
         if self.phase == "lead":
-            if not self.started:
-                self._start(ctx)
             leaders = ctx.msgs(self.r, "Leader")
             if leaders:
                 self.v = min(m[2] for m in leaders)
@@ -177,8 +179,8 @@ class LeaderVoteConsensus(_Consensus):
             reports = ctx.msgs(self.r, "Report")
             if len(reports) < self.n - self.f:
                 return False
-            self.aux = self._majority(Counter(m[2] for m in reports))
-            ctx.broadcast(("Vote", self.r, self.aux), round_tag=self.r)
+            aux = self._majority(Counter(m[2] for m in reports))
+            ctx.broadcast(("Vote", self.r, aux), round_tag=self.r)
             self.phase = "vote-wait"
             return True
         votes = ctx.msgs(self.r, "Vote")

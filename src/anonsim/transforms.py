@@ -22,8 +22,9 @@ Anonymous randomized transformation:
   heard this round.  Distinct identifiers make the largest-id correct process
   the eventual unique self-truster; a collision is the priced-in failure mode.
 
-The two suspectors and ``MaxIdSelfTrust`` share one heartbeat round loop,
-``_Heartbeats``: broadcast, wait for the oracle's alive count, advance.
+The two suspectors and ``MaxIdSelfTrust`` share one heartbeat round,
+``_Heartbeats.on_poll``; each states only its heartbeat, what it counts and
+what a full round does.
 
 Table-to-table translations (no messages needed) are plain functions that
 one constructor, ``_translation``, builds: suspect-set sizes emulate crash
@@ -58,46 +59,34 @@ def _require_identified(scenario: ScenarioConfig, name: str) -> None:
 class _Heartbeats(Automaton):
     """The round loop shared by the heartbeat emulations.
 
-    Round r broadcasts a heartbeat tagged r, then waits for as many round-r
-    heartbeats as the count oracle says are alive.  `_send` runs every phase
-    but the wait; each `on_poll` keeps the wait and the round advance inline,
-    because guard probes poll waiting processes and pay for every call.
+    The first poll moves from phase "start" to "send", switches to round r
+    and shows the initial `output`.  Round r broadcasts `_heartbeat()`
+    tagged r, unless r is past the cap, which halts; then waits until
+    `_heard(ctx)`, the round-r heartbeats counted, reaches the count
+    oracle's alive count, runs `_full_round` and advances.
     """
 
     rounds_cap: int | None = field(compare=False)
     r: int = 1
-    phase: str = "send"
-    started: bool = False
-
-    def _send(self, ctx: Ctx, output: Any, heartbeat: tuple) -> bool:
-        """Start round r with `output` on the first poll, halt past the cap,
-        or else broadcast `heartbeat` and start waiting."""
-        if not self.started:
-            self.started = True
-            ctx.switch_round(self.r)
-            ctx.emit_output(output)
-        if self.rounds_cap is not None and self.r > self.rounds_cap:
-            ctx.halt()
-            return True
-        ctx.broadcast(heartbeat, round_tag=self.r)
-        self.phase = "wait"
-        return True
-
-
-@dataclass
-class EventualSuspector(_Heartbeats):
-    """suspect = P minus the senders heard this round (eventually accurate)."""
-
-    suspect: frozenset = frozenset()
+    phase: str = "start"  # start | send | wait
 
     def on_poll(self, ctx: Ctx) -> bool:
-        if self.phase != "wait":
-            return self._send(ctx, self.suspect, ("ALIVE", self.r))
-        senders = set(ctx.senders(self.r, "ALIVE"))
-        if len(senders) < ctx.alive_count():
+        if self.phase == "start":
+            self.phase = "send"
+            ctx.switch_round(self.r)
+            ctx.emit_output(self.output)
+        if self.phase == "send":
+            if self.rounds_cap is not None and self.r > self.rounds_cap:
+                ctx.halt()
+                return True
+            ctx.broadcast(self._heartbeat(), round_tag=self.r)
+            self.phase = "wait"
+            return True
+        heard = self._heard(ctx)
+        need = ctx.alive_count()
+        if len(heard) < need:
             return False
-        self.suspect = frozenset(range(1, self.n + 1)) - senders
-        ctx.emit_output(self.suspect)
+        self._full_round(ctx, heard, need)
         self.r += 1
         ctx.switch_round(self.r)
         self.phase = "send"
@@ -105,24 +94,43 @@ class EventualSuspector(_Heartbeats):
 
 
 @dataclass
-class StableSuspector(_Heartbeats):
+class _Suspector(_Heartbeats):
+    """ALIVE heartbeats, counted by sender; the output is the suspect set."""
+
+    suspect: frozenset = frozenset()
+
+    @property
+    def output(self) -> frozenset:
+        return self.suspect
+
+    def _heartbeat(self) -> tuple:
+        return ("ALIVE", self.r)
+
+    def _heard(self, ctx: Ctx) -> set[int]:
+        return set(ctx.senders(self.r, "ALIVE"))
+
+
+@dataclass
+class EventualSuspector(_Suspector):
+    """suspect = P minus the senders heard this round (eventually accurate)."""
+
+    def _full_round(self, ctx: Ctx, senders: set[int], need: int) -> None:
+        self.suspect = frozenset(range(1, self.n + 1)) - senders
+        ctx.emit_output(self.suspect)
+
+
+@dataclass
+class StableSuspector(_Suspector):
     """Suspect only after the sender set held still for f+2 rounds."""
 
     r: int = 0
-    suspect: frozenset = frozenset()
     earlier_alive: frozenset = frozenset()
     last_change: int = 0
 
     def _stable_enough(self) -> bool:
         return self.r >= self.last_change + self.f + 2
 
-    def on_poll(self, ctx: Ctx) -> bool:
-        if self.phase != "wait":
-            return self._send(ctx, self.suspect, ("ALIVE", self.r))
-        senders = set(ctx.senders(self.r, "ALIVE"))
-        need = ctx.alive_count()
-        if len(senders) < need:
-            return False
+    def _full_round(self, ctx: Ctx, senders: set[int], need: int) -> None:
         # the count is the binding cardinality: take exactly `need` senders
         alive = frozenset(sorted(senders)[:need])
         if alive != self.earlier_alive:
@@ -131,10 +139,6 @@ class StableSuspector(_Heartbeats):
             self.suspect = frozenset(range(1, self.n + 1)) - alive
             ctx.emit_output(self.suspect)
         self.earlier_alive = alive
-        self.r += 1
-        ctx.switch_round(self.r)
-        self.phase = "send"
-        return True
 
 
 @dataclass
@@ -142,20 +146,16 @@ class SelfTrustAnnouncer(Automaton):
     """Tell everyone when the oracle trusts you; adopt the latest claim."""
 
     ticks_cap: int | None = field(compare=False)
-    output: int = 0  # leader estimate; starts as self
+    output: int = field(kw_only=True)  # leader estimate; starts as self
     ticks: int = 0
     last_claim: int = -8
     claims_seen: int = 0
-    started: bool = False
 
     def on_poll(self, ctx: Ctx) -> bool:
         self.ticks += 1
-        progressed = False
-        if not self.started:
-            self.started = True
-            self.output = self.proc
+        progressed = self.ticks == 1  # the first poll shows the initial estimate
+        if progressed:
             ctx.emit_output(self.output)
-            progressed = True
         claims = ctx.untagged("Claim")
         if len(claims) > self.claims_seen:
             self.claims_seen = len(claims)
@@ -183,18 +183,15 @@ class MaxIdSelfTrust(_Heartbeats):
     my_id: int = field(kw_only=True)
     output: bool = True  # the rule applied to the singleton {own id}
 
-    def on_poll(self, ctx: Ctx) -> bool:
-        if self.phase != "wait":
-            return self._send(ctx, self.output, ("HB", self.r, self.my_id))
-        beats = ctx.msgs(self.r, "HB")
-        if len(beats) < ctx.alive_count():
-            return False
+    def _heartbeat(self) -> tuple:
+        return ("HB", self.r, self.my_id)
+
+    def _heard(self, ctx: Ctx) -> list:
+        return ctx.msgs(self.r, "HB")
+
+    def _full_round(self, ctx: Ctx, beats: list, need: int) -> None:
         self.output = self.my_id == max(m[2] for m in beats)
         ctx.emit_output(self.output)
-        self.r += 1
-        ctx.switch_round(self.r)
-        self.phase = "send"
-        return True
 
 
 # --- factories ----------------------------------------------------------------

@@ -142,6 +142,21 @@ class TestLeaderVote:
             assert all(not r.failed for r in check_consensus(trace))
             assert all(not r.failed for r in check_lemma_invariants(trace))
 
+    # a halted process keeps only its decision, and the Vote value lives only
+    # in its message, so states that no later move tells apart merge; the
+    # terminal profiles are those of the unmerged search
+    AGREED = ((0, 0, 0), ()), ((0, 0, None), (3,)), ((0, None, 0), (2,)), ((None, 0, 0), (1,))
+
+    @pytest.mark.parametrize("inputs, counts, profiles", [
+        ((0, 0, 1), (46308, 11133), {*AGREED}),
+        ((0, 1, 1), (63984, 11615), {*AGREED, ((None, 1, 1), (1,))}),
+    ])
+    def test_halted_processes_keep_only_their_decision(self, inputs, counts, profiles):
+        res = explore_ok("leadervote", 3, 1, inputs)
+        assert res.violation_count == 0
+        assert (res.states, res.terminals) == counts
+        assert set(res.terminal_profiles) == profiles
+
 
 class TestAllBinaryInputs:
     @pytest.mark.parametrize("inputs", list(itertools.product((0, 1), repeat=2)))
