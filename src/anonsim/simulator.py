@@ -397,24 +397,10 @@ class Trace:
     events: list[dict]
     truncated: bool
     pending: int
-    # derived from the events: proc -> [(step, value, round)], and proc -> step of each crash and halt
-    decisions: dict[int, list[tuple[int, Any, Any]]] = field(init=False)
-    crashes: dict[int, int] = field(init=False)
-    halts: dict[int, int] = field(init=False)
+    crashes: dict[int, int] = field(init=False)  # proc -> the step of its crash, derived from the events
 
     def __post_init__(self) -> None:
-        self.decisions, self.crashes, self.halts = {}, {}, {}
-        for ev in self.events:
-            if ev["ev"] == "decide":
-                self.decisions.setdefault(ev["proc"], []).append((ev["step"], ev["value"], ev["r"]))
-            elif ev["ev"] == "crash":
-                self.crashes[ev["proc"]] = ev["step"]
-            elif ev["ev"] == "halt":
-                self.halts[ev["proc"]] = ev["step"]
-
-    @property
-    def correct(self) -> frozenset[int]:
-        return frozenset(p for p in self.scenario.cfg.processes if p not in self.crashes)
+        self.crashes = {ev["proc"]: ev["step"] for ev in self.events if ev["ev"] == "crash"}
 
     def outputs(self, proc: int) -> list[tuple[int, Any]]:
         return [
@@ -908,7 +894,15 @@ class NullMonitor:
     A state whose `violation()` is not None is not expanded: its verdict is
     reported as an invariant violation.  At a terminal state (every live
     process halted or decided, no enabled action) `terminal_checks` lists
-    its failures and `terminal_profile` names its outcome.
+    its failures, each a (detail, witness) pair whose witness names what in
+    the state shows it, and `terminal_profile` names its outcome.
+
+    `verify.check_trace` runs the same hooks over a trace's events, on a
+    view whose `automata[q]` holds only q's `r`, `v` and `lock` from its
+    latest round event, `decided` and `decide_round` from its latest
+    decision and its latest `output`; `crashed` and `halted` hold the crash
+    and halt events so far, and `at` the replayed event's index (None on an
+    explored state).  So a hook reads nothing else of an automaton.
 
     A hook may read the state's crashed and halted sets, p's automaton and
     the automata of p's peers, and nothing else: never the inboxes or the
@@ -932,10 +926,12 @@ class NullMonitor:
 
     `key()` joins the state's identity, so it must fold in every field that
     a later verdict or hook can depend on; states with equal keys merge, and
-    monitors with equal keys may be shared across states.  A crash, and a
-    wake or a poll that runs, gets `clone()`, a shallow copy of its
-    parent's monitor, so a hook must replace a container field with a new
-    one, never change it in place.
+    monitors with equal keys may be shared across states.  What a monitor
+    keeps must therefore be a function of the automata on every run of a
+    correct protocol, or it splits states that the protocol does not.  A
+    wake or a poll that runs, and a crash if the monitor has a crash hook,
+    gets `clone()`, a shallow copy of its parent's monitor, so a hook must
+    replace a container field with a new one, never change it in place.
     A subclass writes the hooks it checks and inherits the rest; setting
     `flag` makes `violation()` report it.
     """
@@ -959,7 +955,7 @@ class NullMonitor:
     def violation(self) -> str | None:
         return self.flag
 
-    def terminal_checks(self, state: "_XState") -> list[str]:
+    def terminal_checks(self, state: "_XState") -> list[tuple[str, list]]:
         return []
 
     def terminal_profile(self, state: "_XState") -> tuple:
@@ -973,6 +969,7 @@ class _XState:
     the slots; `crashed` and `halted` look their masks up."""
 
     __slots__ = ("automata", "inboxes", "pending", "monitor", "slots")
+    at = None  # a replayed event's index, for monitor hooks: an explored state has none
 
     def __init__(self, automata, inboxes, pending, monitor, slots):
         self.automata = automata
@@ -1186,15 +1183,17 @@ class _XEngine(_Engine):
     def crash(self, st: _XState, p: int) -> tuple[array, Any]:
         """The slots of the child that crashing p makes of `st`, derived
         from `st`'s slots without building the child, and the monitor it
-        leaves: `on_crash` runs on a clone of `st`'s monitor, against a view
-        of `st` whose slots already hold p's crash."""
+        leaves: a crash hook runs on a clone of `st`'s monitor, against a
+        view of `st` whose slots already hold p's crash."""
         slots = st.slots[:]
         slots[_CRASHED] |= _BIT(p)
         slots[_BUDGET] -= 1
         slots[3 * p - 1] = self.ids[()]
-        monitor = st.monitor.clone()
-        monitor.on_crash(_XState(st.automata, st.inboxes, st.pending, monitor, slots), p)
-        slots[_MONITOR] = self.ids[monitor.key()]
+        monitor = st.monitor
+        if type(monitor).on_crash is not NullMonitor.ignore:
+            monitor = monitor.clone()
+            monitor.on_crash(_XState(st.automata, st.inboxes, st.pending, monitor, slots), p)
+            slots[_MONITOR] = self.ids[monitor.key()]
         return slots, monitor
 
     def polled(self, st: _XState, action: tuple) -> tuple[array, tuple]:
@@ -1444,7 +1443,7 @@ def explore(
         elif engine.load(state).all_decided(set(engine.automata) - engine.crashed - engine.halted):
             terminals += 1
             profiles[state.monitor.terminal_profile(state)] += 1
-            found = [("terminal", detail) for detail in state.monitor.terminal_checks(state)]
+            found = [("terminal", detail) for detail, _ in state.monitor.terminal_checks(state)]
         else:
             found = [("stuck", "no enabled action but an undecided live process never halted")]
         violation_count += len(found)

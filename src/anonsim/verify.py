@@ -1,31 +1,23 @@
-"""Trace and history checkers.
+"""Trace and history checkers, each property stated once, as a monitor.
 
-Every property the harness certifies is a bespoke predicate over a trace or
-a detector history:
+The harness certifies the four consensus properties (termination,
+irrevocability, agreement, validity), each protocol's lemmas (value
+stubbornness, lock exclusivity, decision spread, unique decision payloads,
+bounded round skew, distinct random identifiers) and the validity of a
+transformation's emulated detector history.  Each of the first two kinds
+is one monitor (a `NullMonitor`): hooks that check events as they happen
+and terminal checks of the final state.  `explore` runs the monitors on
+explored states, their memory folded into each state's identity, and
+`check_trace` runs them over a trace's events, on a view built from them:
+it reports each property's first failure with a witness that can be found
+again in the trace, and liveness as `truncated` when the run hit its
+horizon.  Target validity is checked on the whole emulated history.
 
-* the four consensus properties (termination, irrevocability, agreement,
-  validity), with liveness reported as `truncated` rather than pass/fail
-  when the run hit its horizon;
-* validity of a transformation's emulated detector history;
-* protocol invariants checked as first-order predicates over events
-  (value stubbornness, lock exclusivity, decision spread, unique decision
-  payloads, bounded round skew, distinct random identifiers);
-* the symmetric / unsymmetrical classification of detector output, both as
-  pointwise equality and as equality on the converged suffix;
-* permutation closure of a detector history (delegating to the model's
-  anonymity predicate).
-
-A failing report always carries a witness that can be found again in the
-trace.  The Monitor classes at the bottom fold the same verdicts into
-exhaustive exploration, where full traces never materialize: continuous
-checks run as events happen and terminal checks inspect final automaton
-states, with any accumulated verdict folded into the explored state's
-identity.
-
-`ALGORITHMS`, at the very bottom, is the one table of registered algorithms:
-each entry names its automaton factory, its oracle kinds, its checks, its
-exploration monitor and its exploration and campaign bounds.  `check_trace`
-runs an entry's checks on a trace, for `run`, `campaign` and `check` alike.
+Also here: the symmetric / unsymmetrical classification of detector output,
+and permutation closure of a detector history.  `ALGORITHMS`, at the very
+bottom, is the one table of registered algorithms: each entry names its
+automaton factory, its oracle kinds, its monitors and its exploration and
+campaign bounds.
 """
 
 from __future__ import annotations
@@ -33,18 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 from typing import Any, Callable
 
 from . import consensus, transforms
-from .detectors import (
-    CRASH_COUNT,
-    EVENTUAL_CRASH_COUNT,
-    EVENTUALLY_PERFECT,
-    LEADER,
-    PERFECT,
-    SELF_TRUST,
-    DetectorSpec,
-)
+from .detectors import CRASH_COUNT, EVENTUAL_CRASH_COUNT, EVENTUALLY_PERFECT, LEADER, PERFECT, SELF_TRUST, DetectorSpec
 from .model import DetectorHistory, FailurePattern, is_anonymous
 from .simulator import NullMonitor, ScenarioError, Trace
 
@@ -69,164 +54,6 @@ class CheckReport:
         return {"property": self.prop, "verdict": self.verdict, "witness": self.witness, "detail": self.detail}
 
 
-def _decide_events(trace: Trace) -> list[tuple[int, dict]]:
-    return [(i, ev) for i, ev in enumerate(trace.events) if ev["ev"] == "decide"]
-
-
-def check_consensus(trace: Trace) -> list[CheckReport]:
-    """Termination, irrevocability, agreement, validity for one trace."""
-    correct = trace.correct
-    decides = _decide_events(trace)
-    reports = []
-
-    if trace.truncated:
-        reports.append(CheckReport("termination", TRUNCATED, detail="horizon hit; liveness not judged"))
-    else:
-        missing = sorted(p for p in correct if p not in trace.decisions)
-        if missing:
-            reports.append(CheckReport("termination", FAIL, missing, "correct processes without a decision"))
-        else:
-            reports.append(CheckReport("termination", PASS))
-
-    repeats = sorted(p for p, ds in trace.decisions.items() if len(ds) > 1)
-    if repeats:
-        idx = [i for i, ev in decides if ev["proc"] in repeats]
-        reports.append(CheckReport("irrevocability", FAIL, idx, "process decided more than once"))
-    else:
-        reports.append(CheckReport("irrevocability", PASS))
-
-    correct_deciders = {p: ds[0][1] for p, ds in trace.decisions.items() if p in correct}
-    values = set(correct_deciders.values())
-    if len(values) > 1:
-        idx = [i for i, ev in decides if ev["proc"] in correct_deciders]
-        reports.append(CheckReport("agreement", FAIL, idx, f"correct processes decided {sorted(values)}"))
-    elif not correct_deciders:
-        reports.append(CheckReport("agreement", VACUOUS, detail="no correct process decided"))
-    else:
-        reports.append(CheckReport("agreement", PASS))
-
-    proposed = set(trace.scenario.inputs)
-    bad = [
-        i
-        for i, ev in decides
-        if ev["value"] not in proposed
-    ]
-    if bad:
-        reports.append(CheckReport("validity", FAIL, bad, "decided value was never proposed"))
-    else:
-        reports.append(CheckReport("validity", PASS))
-    return reports
-
-
-def _message(i: int, payload: tuple, length: int) -> tuple:
-    """The fields of the protocol message sent at event i; a message of
-    another length cannot come from the protocol, so the trace is malformed."""
-    if len(payload) != length:
-        raise ScenarioError(f"event {i}: {payload[0]} message {list(payload)} does not have {length} fields")
-    return payload
-
-
-def check_stubbornness(trace: Trace) -> CheckReport:
-    """Once a process's value reaches 1 it must stay 1 in later rounds."""
-    last: dict[int, int] = {}
-    for i, ev in enumerate(trace.events):
-        if ev["ev"] == "round" and "v" in ev:
-            p, v = ev["proc"], ev["v"]
-            if last.get(p) == 1 and v == 0:
-                return CheckReport("stubbornness", FAIL, [i], f"process {p} dropped value 1")
-            last[p] = v
-        elif ev["ev"] == "decide":
-            p, v = ev["proc"], ev["value"]
-            if last.get(p) == 1 and v == 0:
-                return CheckReport("stubbornness", FAIL, [i], f"process {p} decided 0 after holding 1")
-    return CheckReport("stubbornness", PASS)
-
-
-def check_lock_exclusivity(trace: Trace) -> CheckReport:
-    """No round carries lock messages for two different non-null values."""
-    seen: dict[int, dict[int, int]] = {}
-    for i, ev in enumerate(trace.events):
-        if ev["ev"] != "send" or ev["payload"][0] != "Lock":
-            continue
-        _, r, tag, _ = _message(i, ev["payload"], 4)
-        if tag is None:
-            continue
-        per_round = seen.setdefault(r, {})
-        if any(other != tag for other in per_round):
-            prev = next(j for other, j in per_round.items() if other != tag)
-            return CheckReport(
-                "lock-exclusivity", FAIL, [prev, i], f"round {r} locked two different values"
-            )
-        per_round.setdefault(tag, i)
-    return CheckReport("lock-exclusivity", PASS)
-
-
-def check_decision_spread(trace: Trace) -> CheckReport:
-    """All correct processes decide the first decided value within one round."""
-    if trace.truncated:
-        return CheckReport("decision-spread", TRUNCATED)
-    correct = trace.correct
-    rounds = {p: ds[0][2] for p, ds in trace.decisions.items() if p in correct}
-    values = {p: ds[0][1] for p, ds in trace.decisions.items() if p in correct}
-    if not rounds:
-        return CheckReport("decision-spread", VACUOUS, detail="no correct process decided")
-    if len(set(values.values())) > 1:
-        return CheckReport("decision-spread", FAIL, sorted(values), "conflicting decision values")
-    missing = sorted(p for p in correct if p not in rounds)
-    if missing:
-        return CheckReport("decision-spread", FAIL, missing, "correct process never decided")
-    first, last = min(rounds.values()), max(rounds.values())
-    if last - first > 1:
-        return CheckReport(
-            "decision-spread", FAIL, sorted(rounds.items()), f"decisions spread over {last - first} rounds"
-        )
-    return CheckReport("decision-spread", PASS)
-
-
-def check_unique_decide(trace: Trace) -> CheckReport:
-    """Every decision announcement in the trace carries one value."""
-    values: dict[Any, int] = {}
-    for i, ev in enumerate(trace.events):
-        if ev["ev"] == "send" and ev["payload"][0] == "Decide":
-            values.setdefault(_message(i, ev["payload"], 2)[1], i)
-    if len(values) > 1:
-        return CheckReport("unique-decide", FAIL, sorted(values.values()), f"announced {list(values)}")
-    return CheckReport("unique-decide", PASS)
-
-
-def check_round_skew(trace: Trace) -> CheckReport:
-    """Live processes' round counters never drift apart by more than f+1."""
-    cfg = trace.scenario.cfg
-    bound = cfg.f + 1
-    rounds = {p: 0 for p in cfg.processes}
-    crashed: set[int] = set()
-    worst = 0
-    for i, ev in enumerate(trace.events):
-        if ev["ev"] == "crash":
-            crashed.add(ev["proc"])
-        elif ev["ev"] == "round":
-            rounds[ev["proc"]] = ev["r"]
-            live = [r for p, r in rounds.items() if p not in crashed]
-            worst = max(worst, max(live) - min(live))
-            if worst > bound:
-                return CheckReport(
-                    "round-skew", FAIL, [i], f"skew {worst} exceeds bound {bound}"
-                )
-    return CheckReport("round-skew", PASS, detail=f"max skew {worst}")
-
-
-def check_id_collision(trace: Trace) -> CheckReport:
-    """No two heartbeat identifiers of the randomized construction coincide."""
-    ids, senders = set(), set()
-    for i, ev in enumerate(trace.events):
-        if ev["ev"] == "send" and ev["payload"][0] == "HB":
-            ids.add(_message(i, ev["payload"], 3)[2])
-            senders.add(ev["proc"])
-    if len(ids) < len(senders):
-        return CheckReport("id-collision", FAIL, detail="duplicate identifiers drawn")
-    return CheckReport("id-collision", PASS)
-
-
 def check_target_validity(trace: Trace) -> CheckReport:
     """The emulated detector history is valid for the run's failure pattern."""
     info = algorithm_info(trace.scenario.algorithm)
@@ -240,18 +67,21 @@ def check_target_validity(trace: Trace) -> CheckReport:
     return CheckReport("target-validity", PASS if ok else FAIL, detail=detail)
 
 
+def check_consensus(trace: Trace) -> list[CheckReport]:
+    """Termination, irrevocability, agreement, validity for one trace."""
+    return _replay(trace, (ConsensusMonitor,))
+
+
 def check_lemma_invariants(trace: Trace) -> list[CheckReport]:
-    info = algorithm_info(trace.scenario.algorithm)
-    return [check(trace) for check in info.lemmas]
+    """The properties of the monitors the trace's algorithm lists."""
+    return _replay(trace, algorithm_info(trace.scenario.algorithm).monitors)
 
 
 def check_trace(trace: Trace) -> list[CheckReport]:
     """Every check that applies to the trace's algorithm; `run`, `campaign`
     and `check` all report exactly these."""
     info = algorithm_info(trace.scenario.algorithm)
-    reports = check_consensus(trace) if info.consensus else []
-    if info.target_kind is not None:
-        reports.append(check_target_validity(trace))
+    reports = check_consensus(trace) if info.consensus else [check_target_validity(trace)]
     return reports + check_lemma_invariants(trace)
 
 
@@ -275,11 +105,8 @@ def classify_symmetry(history: DetectorHistory, pattern: FailurePattern) -> Symm
     if len(correct) < 2:
         return SymmetryReport(strict=True, suffix=True, suffix_from=0)
     first = correct[0]
-    disagree = [
-        t
-        for t in range(history.horizon + 1)
-        if any(history.at(q, t) != history.at(first, t) for q in correct[1:])
-    ]
+    disagree = [t for t in range(history.horizon + 1)
+                if any(history.at(q, t) != history.at(first, t) for q in correct[1:])]
     if not disagree:
         return SymmetryReport(strict=True, suffix=True, suffix_from=0)
     if disagree[-1] == history.horizon:
@@ -294,123 +121,228 @@ def check_permutation_closure(spec: Any, pattern: FailurePattern, history: Detec
         return CheckReport("permutation-closure", FAIL, [], f"invalid input history: {exc}")
     if verdict.anonymous:
         return CheckReport("permutation-closure", PASS, detail=f"{verdict.tested} permutations")
-    return CheckReport(
-        "permutation-closure",
-        FAIL,
-        list(verdict.violation.mapping),
-        "validity not preserved under the witnessed relabelling",
-    )
+    return CheckReport("permutation-closure", FAIL, list(verdict.violation.mapping),
+                       "validity not preserved under the witnessed relabelling")
 
 
-# --- monitors for exhaustive exploration ---------------------------------------
+# --- the properties, one monitor each -----------------------------------------
 
 
-class ConsensusMonitor(NullMonitor):
-    """Continuous + terminal consensus verdicts folded into explored states.
-    Its hooks read a peer's `r` only for the floor of a tagged `Lock`, which
-    lockmin alone sends, so it declares `r` with `spread` and else nothing."""
+def _fields(state, payload: tuple, length: int, rounded: bool = False) -> tuple:
+    """A protocol message's fields, and its round first if `rounded`; a
+    replayed trace whose message has other fields is malformed."""
+    if len(payload) != length or rounded and type(payload[1]) is not int:
+        raise ScenarioError(f"event {state.at}: {payload[0]} message {list(payload)} does not have {length} fields"
+                            + (", the second an integer round" if rounded else ""))
+    return payload
 
-    # inherited hooks, named again because perfbench/tracer.py times only the
-    # hooks in a class's own namespace
-    clone, violation = NullMonitor.clone, NullMonitor.violation
-    on_round = on_output = on_crash = NullMonitor.ignore
 
-    def __init__(self, n: int, f: int, inputs: tuple[int, ...], spread: bool = False):
-        self.inputs = inputs
-        self.spread = spread
-        self.peer_fields = ("r",) if spread else ()
-        self.decide_counts = (0,) * n
-        self.locks: tuple[tuple[int, tuple], ...] = ()
+class _Property(NullMonitor):
+    """A monitor that reports on traces too.  `props` names, in report
+    order, the properties whose failures it flags as "prop: detail", and
+    `liveness` those that only a finished run can judge.  One with no
+    `props` is explore's form of target validity, checked cell by cell."""
+
+    props: tuple[str, ...] = ()
+    liveness: tuple[str, ...] = ()
+    memory: str | None = None  # the field it keeps, which its key holds with its flag
+    peer_fields: tuple[str, ...] | None = ()
+    witness: list = []  # the events that show `flag`, in a trace replay
+
+    def __init__(self, n: int, f: int, inputs: tuple) -> None:
+        pass
 
     def key(self) -> tuple:
-        return (self.decide_counts, self.locks, self.flag)
+        return (self.flag,) if self.memory is None else (getattr(self, self.memory), self.flag)
 
-    def on_send(self, state, p: int, payload) -> None:
-        if self.flag or payload[0] != "Lock" or payload[2] is None:
-            return
-        _, r, tag, _ = payload
-        locks = dict(self.locks)
-        tags = set(locks.get(r, ()))
-        if any(t != tag for t in tags):
-            self.flag = f"lock-exclusivity: round {r} locked {sorted(tags | {tag})}"
-            return
-        tags.add(tag)
-        locks[r] = tuple(sorted(tags))
-        # rounds every live process has left can no longer gain lock messages
-        crashed, halted = state.crashed, state.halted
-        active = [state.automata[q].r for q in state.automata if q not in crashed and q not in halted]
-        floor = min(active, default=r + 1)
-        self.locks = tuple(sorted((rr, tt) for rr, tt in locks.items() if rr >= floor))
+    def fail(self, state, detail: str, *earlier: int | None) -> None:
+        """Flag `detail`, witnessed by the events `earlier` and the replayed one."""
+        if self.flag is None:
+            self.flag, self.witness = detail, [*earlier, state.at]
+
+    def passed(self, prop: str, state) -> tuple[str, list, str]:
+        """The verdict, witness and detail of a property that no check failed."""
+        return PASS, [], ""
+
+
+def _none_decided(state) -> tuple[str, list, str]:
+    if all(a.decided is None for p, a in state.automata.items() if p not in state.crashed):
+        return VACUOUS, [], "no correct process decided"
+    return PASS, [], ""
+
+
+class ConsensusMonitor(_Property):
+    """The consensus properties: irrevocability and validity as each
+    decision happens, termination and agreement on the final state."""
+
+    # inherited hooks, named again: perfbench/tracer.py times a class's own
+    clone, key, violation = NullMonitor.clone, _Property.key, NullMonitor.violation
+    on_send = on_round = on_output = on_crash = NullMonitor.ignore
+    props = ("termination", "irrevocability", "agreement", "validity")
+    liveness, memory = ("termination",), "decide_counts"
+
+    def __init__(self, n: int, f: int, inputs: tuple[int, ...]):
+        self.inputs, self.decide_counts = inputs, (0,) * n
 
     def on_decide(self, state, p: int, value, r) -> None:
         counts = list(self.decide_counts)
         counts[p - 1] = min(counts[p - 1] + 1, 2)
         self.decide_counts = tuple(counts)
         if counts[p - 1] > 1:
-            self.flag = f"irrevocability: process {p} decided twice"
+            self.fail(state, "irrevocability: process decided more than once")
         elif value not in self.inputs:
-            self.flag = f"validity: decided {value!r}, inputs {sorted(set(self.inputs))}"
+            self.fail(state, "validity: decided value was never proposed")
 
-    def terminal_checks(self, state) -> list[str]:
+    def terminal_checks(self, state) -> list[tuple[str, list]]:
+        decided = {p: a.decided for p, a in sorted(state.automata.items()) if p not in state.crashed}
+        deciders = [(p, v) for p, v in decided.items() if v is not None]
         problems = []
-        correct = [p for p in sorted(state.automata) if p not in state.crashed]
-        decided = {p: state.automata[p].decided for p in correct}
-        missing = [p for p, v in decided.items() if v is None]
-        if missing:
-            problems.append(f"termination: correct processes {missing} never decided")
-        values = {v for v in decided.values() if v is not None}
-        if len(values) > 1:
-            problems.append(f"agreement: correct processes decided {sorted(values)}")
-        if self.spread and not missing and decided:
-            rounds = [state.automata[p].decide_round for p in correct]
-            if max(rounds) - min(rounds) > 1:
-                problems.append(f"decision-spread: rounds {sorted(rounds)}")
+        if len(deciders) < len(decided):
+            problems.append(("termination: correct processes without a decision",
+                             [p for p, v in decided.items() if v is None]))
+        if len({v for _, v in deciders}) > 1:
+            problems.append((f"agreement: correct processes decided {sorted({v for _, v in deciders})}", deciders))
         return problems
 
+    def passed(self, prop: str, state) -> tuple[str, list, str]:
+        return _none_decided(state) if prop == "agreement" else (PASS, [], "")
+
     def terminal_profile(self, state) -> tuple:
-        return (
-            tuple(state.automata[p].decided for p in sorted(state.automata)),
-            tuple(sorted(state.crashed)),
-        )
+        return tuple(state.automata[p].decided for p in sorted(state.automata)), tuple(sorted(state.crashed))
 
 
-class SuspectorMonitor(NullMonitor):
-    """Suspicion validity folded into explored states.
+class StubbornnessMonitor(_Property):
+    """floodmax's lemma: once a process's value is 1, its later rounds and
+    its decision keep 1.  `held` has bit p once p showed 1 at a round
+    switch or a decision: floodmax decides in its last round without a
+    switch, so only with both is the mask a function of the automata."""
 
-    With strong accuracy on, any emitted suspect set containing a process
-    that has not crashed yet is an immediate violation (that is exactly the
-    perfect detector's accuracy clause evaluated cell by cell).  At terminal
-    states the final suspect set of every live process must name exactly the
-    crashed processes: the constant tail of the emulated history then
-    witnesses strong completeness (and eventual accuracy).  Given a
-    `skew_bound`, round skew is tracked against it along the way, from the
-    `r` of the live processes; without one, it is not tracked at all, so it
-    splits no states and its hooks read no peer.
-    """
-
-    # inherited hooks, named again because perfbench/tracer.py times only the
-    # hooks in a class's own namespace
-    clone, violation = NullMonitor.clone, NullMonitor.violation
-    on_send = on_decide = on_crash = NullMonitor.ignore
-
-    def __init__(self, strong_accuracy: bool, skew_bound: int | None = None):
-        self.strong_accuracy = strong_accuracy
-        self.skew_bound = skew_bound
-        self.skew_max = 0
-        self.peer_fields = () if skew_bound is None else ("r",)  # the round skew
-
-    def key(self) -> tuple:
-        return (self.skew_max, self.flag)
+    props, memory = ("stubbornness",), "held"
+    held = 0
 
     def on_round(self, state, p: int, r: int) -> None:
-        if self.skew_bound is None:
+        self._show(state, p, state.automata[p].v, "dropped value 1")
+
+    def on_decide(self, state, p: int, value, r) -> None:
+        self._show(state, p, value, "decided 0 after holding 1")
+
+    def _show(self, state, p: int, value, drop: str) -> None:
+        if value == 1:
+            self.held |= 1 << p
+        elif value == 0 and self.held >> p & 1:
+            self.fail(state, f"stubbornness: process {p} {drop}")
+
+
+class LockExclusivityMonitor(_Property):
+    """lockmin's lemma: no round carries Lock messages for two different
+    non-null values.  `locks` holds (round, value, event) of the first Lock
+    of each round that a live, unhalted process has not left: the rounds
+    that can still gain one, found from the peers' `r`."""
+
+    props, memory, peer_fields = ("lock-exclusivity",), "locks", ("r",)
+    locks: tuple[tuple[int, Any, int | None], ...] = ()
+
+    def on_send(self, state, p: int, payload) -> None:
+        if payload[0] != "Lock":
             return
-        crashed = state.crashed
-        live = [state.automata[q].r for q in state.automata if q not in crashed]
+        _, r, tag, _ = _fields(state, payload, 4, rounded=True)
+        if tag is None:
+            return
+        locks = self.locks
+        earlier = next((lock for lock in locks if lock[0] == r), None)
+        if earlier is None:
+            locks += ((r, tag, state.at),)
+        elif earlier[1] != tag:
+            return self.fail(state, f"lock-exclusivity: round {r} locked two different values", earlier[2])
+        gone = state.crashed | state.halted
+        floor = min((a.r for q, a in state.automata.items() if q not in gone), default=r + 1)
+        self.locks = tuple(sorted(lock for lock in locks if lock[0] >= floor))
+
+
+class DecisionSpreadMonitor(_Property):
+    """lockmin's lemma: the correct processes that decided did so within one
+    round of each other, judged on the final state."""
+
+    props = liveness = ("decision-spread",)
+
+    def terminal_checks(self, state) -> list[tuple[str, list]]:
+        rounds = [(p, a.decide_round) for p, a in sorted(state.automata.items())
+                  if p not in state.crashed and a.decided is not None]
+        spread = max((r for _, r in rounds), default=0) - min((r for _, r in rounds), default=0)
+        return [(f"decision-spread: decisions spread over {spread} rounds", rounds)] if spread > 1 else []
+
+    def passed(self, prop: str, state) -> tuple[str, list, str]:
+        return _none_decided(state)
+
+
+class UniqueDecideMonitor(_Property):
+    """leadervote's lemma: every Decide announcement carries one value;
+    `announced` is the first one's value and event."""
+
+    props, memory = ("unique-decide",), "announced"
+    announced: tuple | None = None
+
+    def on_send(self, state, p: int, payload) -> None:
+        if payload[0] == "Decide":
+            value = _fields(state, payload, 2)[1]
+            if self.announced is None:
+                self.announced = (value, state.at)
+            elif value != self.announced[0]:
+                self.fail(state, f"unique-decide: announced {[self.announced[0], value]}", self.announced[1])
+
+
+class RoundSkewMonitor(_Property):
+    """The stable suspector's lemma: the rounds of processes not crashed
+    never drift more than f+1 apart.  `skew_max` is the largest skew yet,
+    capped past the bound; it is found from the peers' `r`."""
+
+    props, memory, peer_fields = ("round-skew",), "skew_max", ("r",)
+    skew_max = 0
+
+    def __init__(self, n: int, f: int, inputs: tuple):
+        self.bound = f + 1
+
+    def on_round(self, state, p: int, r: int) -> None:
+        live = [a.r for q, a in state.automata.items() if q not in state.crashed]
         skew = max(live) - min(live)
-        self.skew_max = min(max(self.skew_max, skew), self.skew_bound + 1)
-        if self.skew_max > self.skew_bound and not self.flag:
-            self.flag = f"round-skew: {skew} exceeds bound {self.skew_bound}"
+        self.skew_max = min(max(self.skew_max, skew), self.bound + 1)
+        if skew > self.bound:
+            self.fail(state, f"round-skew: skew {skew} exceeds bound {self.bound}")
+
+    def passed(self, prop: str, state) -> tuple[str, list, str]:
+        return PASS, [], f"max skew {self.skew_max}"
+
+
+class IdCollisionMonitor(_Property):
+    """The randomized self-trust construction's priced-in failure: two
+    processes draw one identifier.  `drawn` holds (process, identifier,
+    event) of each process's first heartbeat."""
+
+    props, memory = ("id-collision",), "drawn"
+    drawn: tuple[tuple[int, Any, int | None], ...] = ()
+
+    def on_send(self, state, p: int, payload) -> None:
+        if payload[0] != "HB" or any(q == p for q, _, _ in self.drawn):
+            return
+        ident = _fields(state, payload, 3)[2]
+        twins = [at for _, other, at in self.drawn if other == ident]
+        self.drawn = tuple(sorted((*self.drawn, (p, ident, state.at)), key=lambda d: d[0]))
+        if twins:
+            self.fail(state, "id-collision: duplicate identifiers drawn", twins[0])
+
+
+class SuspectorMonitor(_Property):
+    """Suspicion validity on explored states: with strong accuracy, no output
+    suspects a live process (perfect accuracy, cell by cell), and each live
+    process ends suspecting exactly the crashed ones, the constant tail that
+    completeness (and eventual accuracy) needs."""
+
+    # inherited hooks, named again: perfbench/tracer.py times a class's own
+    clone, key, violation = NullMonitor.clone, _Property.key, NullMonitor.violation
+    on_send = on_decide = on_round = on_crash = NullMonitor.ignore
+
+    def __init__(self, n: int, f: int, inputs: tuple, strong_accuracy: bool = False):
+        self.strong_accuracy = strong_accuracy
 
     def on_output(self, state, p: int, value) -> None:
         if self.strong_accuracy and not self.flag:
@@ -418,60 +350,145 @@ class SuspectorMonitor(NullMonitor):
             if early:
                 self.flag = f"strong-accuracy: process {p} suspected live {early}"
 
-    def terminal_checks(self, state) -> list[str]:
-        problems = []
+    def terminal_checks(self, state) -> list[tuple[str, list]]:
         crashed = frozenset(state.crashed)
-        for p in sorted(state.automata):
-            if p in crashed:
-                continue
-            final = state.automata[p].suspect
-            if final != crashed:
-                problems.append(
-                    f"completeness: process {p} ends suspecting {sorted(final)}, crashed {sorted(crashed)}"
-                )
-        return problems
+        return [
+            (f"completeness: process {p} ends suspecting {sorted(a.suspect)}, crashed {sorted(crashed)}", [p])
+            for p, a in sorted(state.automata.items())
+            if p not in crashed and a.suspect != crashed
+        ]
 
     def terminal_profile(self, state) -> tuple:
         return (
-            tuple(
-                tuple(sorted(state.automata[p].suspect))
-                for p in sorted(state.automata)
-                if p not in state.crashed
-            ),
+            tuple(tuple(sorted(a.suspect)) for p, a in sorted(state.automata.items()) if p not in state.crashed),
             tuple(sorted(state.crashed)),
         )
 
 
-class SelfTrustTerminalMonitor(NullMonitor):
+class SelfTrustTerminalMonitor(_Property):
     """Terminal uniqueness of the randomized construction's self-truster."""
 
-    # inherited hooks, named again because perfbench/tracer.py times only the
-    # hooks in a class's own namespace
+    # inherited hooks, named again: perfbench/tracer.py times a class's own
     clone, key, violation = NullMonitor.clone, NullMonitor.key, NullMonitor.violation
     on_send = on_decide = on_round = on_output = on_crash = NullMonitor.ignore
-    peer_fields = ()
 
-    def terminal_checks(self, state) -> list[str]:
+    def terminal_checks(self, state) -> list[tuple[str, list]]:
         live = [p for p in sorted(state.automata) if p not in state.crashed]
         trusting = [p for p in live if state.automata[p].output]
         top = max(live, key=lambda p: state.automata[p].my_id)
         if trusting != [top]:
-            return [f"self-trust: trusting {trusting}, max-id live process is {top}"]
+            return [(f"self-trust: trusting {trusting}, max-id live process is {top}", trusting)]
         return []
 
     def terminal_profile(self, state) -> tuple:
-        return (
-            tuple(state.automata[p].output for p in sorted(state.automata)),
-            tuple(sorted(state.crashed)),
-        )
+        return tuple(state.automata[p].output for p in sorted(state.automata)), tuple(sorted(state.crashed))
+
+
+_HOOKS = {"send": "on_send", "decide": "on_decide", "round": "on_round", "output": "on_output", "crash": "on_crash"}
+
+
+def _each(hook: str, members: list[NullMonitor]) -> Callable:
+    """A product's `hook`: the hooks of the members that have one, in order,
+    then the product's flag becomes the first member's."""
+    have = [i for i, m in enumerate(members) if getattr(type(m), hook) is not NullMonitor.ignore]
+
+    def run(self, state, *event) -> None:
+        for i in have:
+            getattr(self.members[i], hook)(state, *event)
+        for m in self.members:
+            if m.flag is not None:
+                self.flag = m.flag
+                break
+
+    return run if have else NullMonitor.ignore
+
+
+class _Product(NullMonitor):
+    """Monitors run as one, through a subclass with the hooks they have: the
+    key is the tuple of their keys, the verdict and profile the first's, the
+    declared peer fields the union of theirs (None if any is None)."""
+
+    def __init__(self, members: list[NullMonitor]):
+        self.members = tuple(members)
+        declared = [m.peer_fields for m in members]
+        self.peer_fields = None if None in declared else tuple(dict.fromkeys(f for d in declared for f in d))
+
+    def clone(self) -> "_Product":
+        clone = NullMonitor.clone(self)
+        clone.members = tuple([m.clone() for m in self.members])
+        return clone
+
+    def key(self) -> tuple:
+        return tuple([m.key() for m in self.members])
+
+    def terminal_checks(self, state) -> list[tuple[str, list]]:
+        return [check for m in self.members for check in m.terminal_checks(state)]
+
+    def terminal_profile(self, state) -> tuple:
+        return self.members[0].terminal_profile(state)
 
 
 def monitor_for(algorithm: str, n: int, f: int, inputs: tuple[int, ...]):
-    """The exploration monitor of a registered algorithm."""
+    """The exploration monitor of a registered algorithm: its monitors'
+    product, or its one monitor."""
     info = algorithm_info(algorithm)
-    if info.monitor is None:
+    monitors = [make(n, f, inputs) for make in ((ConsensusMonitor,) if info.consensus else ()) + info.monitors]
+    if not monitors:
         raise ScenarioError(f"algorithm {algorithm!r} has no exploration monitor, so it cannot be explored")
-    return info.monitor(n, f, inputs)
+    hooks = {hook: _each(hook, monitors) for hook in _HOOKS.values()}
+    return monitors[0] if len(monitors) == 1 else type("_Product", (_Product,), hooks)(monitors)
+
+
+def _replay(trace: Trace, makers: tuple[Callable, ...]) -> list[CheckReport]:
+    """Run the trace's events through the hooks of the monitors `makers`
+    build that report on traces, then their terminal checks on the final
+    view, and report their properties, each with its first failure.  A
+    flag is cleared once noted, so that each property's is noted."""
+    cfg, inputs = trace.scenario.cfg, trace.scenario.inputs
+    monitors = [m for m in (make(cfg.n, cfg.f, inputs) for make in makers) if m.props]
+    hooked = {kind: [m for m in monitors if getattr(type(m), hook) is not NullMonitor.ignore]
+              for kind, hook in _HOOKS.items()}
+    kinds = {"round", "decide", "output", "crash", "halt", *(["send"] if hooked["send"] else [])}
+    seen = {p: SimpleNamespace(r=0, v=None, lock=None, decided=None, decide_round=None, output=None)
+            for p in cfg.processes}
+    view, failed = SimpleNamespace(automata=seen, crashed=set(), halted=set(), at=None), {}
+    for view.at, ev in [(i, ev) for i, ev in enumerate(trace.events) if ev["ev"] in kinds]:
+        kind, p = ev["ev"], ev["proc"]
+        if kind == "send":
+            event = (ev["payload"],)
+        elif kind == "round":
+            a = seen[p]
+            a.r, a.v, a.lock = ev["r"], ev.get("v", a.v), ev.get("lock", a.lock)
+            event = (a.r,)
+        elif kind == "decide":
+            seen[p].decided, seen[p].decide_round = event = ev["value"], ev["r"]
+        elif kind == "output":
+            seen[p].output = ev["value"]
+            event = (ev["value"],)
+        elif kind == "crash":
+            view.crashed.add(p)
+            event = ()
+        else:
+            view.halted.add(p)
+            continue
+        for m in hooked[kind]:
+            getattr(m, _HOOKS[kind])(view, p, *event)
+            if m.flag is not None:
+                prop, _, detail = m.flag.partition(": ")
+                failed.setdefault(prop, (m.witness, detail))
+                m.flag = None
+    reports = []
+    for m in monitors:
+        for flag, witness in m.terminal_checks(view):
+            prop, _, detail = flag.partition(": ")
+            failed.setdefault(prop, (witness, detail))
+        for prop in m.props:
+            if trace.truncated and prop in m.liveness:
+                reports.append(CheckReport(prop, TRUNCATED, detail="horizon hit; liveness not judged"))
+            else:
+                reports.append(CheckReport(prop, FAIL, *failed[prop]) if prop in failed
+                               else CheckReport(prop, *m.passed(prop, view)))
+    return reports
 
 
 # --- the algorithm table -------------------------------------------------------
@@ -485,8 +502,10 @@ class AlgorithmInfo:
     identified: bool
     majority: bool = False  # needs n > 2f
     target_kind: str | None = None  # emulated detector, for transformations
-    lemmas: tuple[Callable[[Trace], CheckReport], ...] = ()
-    monitor: Callable[[int, int, tuple[int, ...]], Any] | None = None  # (n, f, inputs) -> monitor
+    # (n, f, inputs) -> monitor, one per property of the entry's own; a
+    # consensus protocol is checked by ConsensusMonitor first, and a
+    # transformation's trace by its target validity first
+    monitors: tuple[Callable[[int, int, tuple[int, ...]], _Property], ...] = ()
     # rounds a crash must leave before the round cap during exploration, given
     # f: the suspectors' completeness clauses are eventual, and a finite cap
     # witnesses them only for crashes followed by enough rounds (f+3 for the
@@ -502,41 +521,20 @@ class AlgorithmInfo:
 ALGORITHMS = {
     info.name: info
     for info in (
-        AlgorithmInfo(
-            "floodmax", consensus.flood_max, (CRASH_COUNT,), False,
-            lemmas=(check_stubbornness,), monitor=ConsensusMonitor,
-        ),
-        AlgorithmInfo(
-            "lockmin", consensus.lock_min, (EVENTUAL_CRASH_COUNT, CRASH_COUNT), False, majority=True,
-            lemmas=(check_lock_exclusivity, check_decision_spread),
-            monitor=partial(ConsensusMonitor, spread=True),
-        ),
-        AlgorithmInfo(
-            "leadervote", consensus.leader_vote, (SELF_TRUST,), False, majority=True,
-            lemmas=(check_unique_decide,), monitor=ConsensusMonitor,
-        ),
-        AlgorithmInfo(
-            "eventual-suspector", transforms.eventual_suspector, (EVENTUAL_CRASH_COUNT, CRASH_COUNT),
-            True, target_kind=EVENTUALLY_PERFECT,
-            monitor=lambda n, f, inputs: SuspectorMonitor(strong_accuracy=False),
-            crash_margin=lambda f: 1,
-        ),
-        AlgorithmInfo(
-            "stable-suspector", transforms.stable_suspector, (CRASH_COUNT,), True,
-            target_kind=PERFECT, lemmas=(check_round_skew,),
-            monitor=lambda n, f, inputs: SuspectorMonitor(strong_accuracy=True, skew_bound=f + 1),
-            crash_margin=lambda f: f + 3,
-        ),
-        AlgorithmInfo(
-            "leader-announce", transforms.self_trust_announcer, (SELF_TRUST,), True,
-            target_kind=LEADER,
-        ),
-        AlgorithmInfo(
-            "random-selftrust", transforms.max_id_self_trust, (CRASH_COUNT,), False,
-            target_kind=SELF_TRUST, lemmas=(check_id_collision,),
-            monitor=lambda n, f, inputs: SelfTrustTerminalMonitor(),
-            crash_margin=lambda f: 1, success_bound=Fraction(2, 3),
-        ),
+        AlgorithmInfo("floodmax", consensus.flood_max, (CRASH_COUNT,), False, monitors=(StubbornnessMonitor,)),
+        AlgorithmInfo("lockmin", consensus.lock_min, (EVENTUAL_CRASH_COUNT, CRASH_COUNT), False, majority=True,
+                      monitors=(LockExclusivityMonitor, DecisionSpreadMonitor)),
+        AlgorithmInfo("leadervote", consensus.leader_vote, (SELF_TRUST,), False, majority=True,
+                      monitors=(UniqueDecideMonitor,)),
+        AlgorithmInfo("eventual-suspector", transforms.eventual_suspector, (EVENTUAL_CRASH_COUNT, CRASH_COUNT), True,
+                      target_kind=EVENTUALLY_PERFECT, monitors=(SuspectorMonitor,), crash_margin=lambda f: 1),
+        AlgorithmInfo("stable-suspector", transforms.stable_suspector, (CRASH_COUNT,), True, target_kind=PERFECT,
+                      monitors=(partial(SuspectorMonitor, strong_accuracy=True), RoundSkewMonitor),
+                      crash_margin=lambda f: f + 3),
+        AlgorithmInfo("leader-announce", transforms.self_trust_announcer, (SELF_TRUST,), True, target_kind=LEADER),
+        AlgorithmInfo("random-selftrust", transforms.max_id_self_trust, (CRASH_COUNT,), False, target_kind=SELF_TRUST,
+                      monitors=(SelfTrustTerminalMonitor, IdCollisionMonitor), crash_margin=lambda f: 1,
+                      success_bound=Fraction(2, 3)),
     )
 }
 

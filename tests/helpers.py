@@ -9,6 +9,7 @@ from anonsim import (
 )
 from anonsim.cli import ALGORITHMS
 from anonsim.transforms import max_id_self_trust
+from anonsim.verify import CheckReport, check_trace
 
 
 def scenario(
@@ -45,6 +46,25 @@ def scenario(
 
 def factory_of(algorithm: str):
     return ALGORITHMS[algorithm].factory
+
+
+def decisions(trace: Trace) -> dict[int, list[tuple]]:
+    """Each deciding process's decisions, (step, value, round), in trace order."""
+    found: dict[int, list[tuple]] = {}
+    for ev in trace.events:
+        if ev["ev"] == "decide":
+            found.setdefault(ev["proc"], []).append((ev["step"], ev["value"], ev["r"]))
+    return found
+
+
+def halts(trace: Trace) -> dict[int, int]:
+    """Each halted process's halt step."""
+    return {ev["proc"]: ev["step"] for ev in trace.events if ev["ev"] == "halt"}
+
+
+def report_of(trace: Trace, prop: str) -> CheckReport:
+    """The report `check_trace` gives the trace for the property `prop`."""
+    return next(r for r in check_trace(trace) if r.prop == prop)
 
 
 def campaign_scenario(algorithm: str, seed: int) -> ScenarioConfig:

@@ -8,15 +8,17 @@ terminals, terminal profiles, violations and witness schedules of every
 small job.  A sampled table draws its random cells on first read, in that
 draw order, so each grid table is first read cell by cell through `at`, in a
 shuffled order, and must agree with the rows it then materializes and equal,
-and hash as, the same table built from those rows.  The module needs no
-pytest, so every supported interpreter can check the pins:
+and hash as, the same table built from those rows.  The reports `check_trace`
+gives on the pinned traces, and on the mutant traces that criterion 3's
+gates catch, are pinned too: property, verdict, detail and witness.  The
+module needs no pytest, so every supported interpreter can check the pins:
 
     PYTHONPATH=src python tests/pins.py
 
 On a mismatch it names each explore job whose counts moved and the first
 trace whose bytes moved, and says whether that trace's `to_jsonl` still
 equals `json.dumps` of its lines: a run change if it does, a serializer
-fault if not.  It names each (kind, n, h) whose validator counts moved, and
+fault if not, and the first trace whose reports moved.  It names each (kind, n, h) whose validator counts moved, and
 the first grid table whose reads disagree with its rows, too.
 """
 
@@ -28,17 +30,17 @@ import json
 import random
 import sys
 
-from helpers import campaign_scenario, factory_of, scenario, selftrust_scenario
-from mutants import MUTANTS
+from helpers import campaign_scenario, factory_of, forced_id_factory, scenario, selftrust_scenario
+from mutants import MUTANTS, any_report, eager_lock, even_lock, flood_min, free_running, lonely_lock
 
 from anonsim import (
     DetectorHistory, DetectorSpec, Environment, FailurePattern, OracleProfile, SystemConfig, explore, run,
     sample_history,
 )
 from anonsim.cli import ALGORITHMS, explore_crash_limit
-from anonsim.detectors import ALL_KINDS, BEHAVIORS, COUNT_KINDS, LEADER, SELF_TRUST
+from anonsim.detectors import ALL_KINDS, BEHAVIORS, COUNT_KINDS, CRASH_COUNT, LEADER, SELF_TRUST
 from anonsim.model import history_to_json
-from anonsim.verify import monitor_for
+from anonsim.verify import check_trace, monitor_for
 
 GRID_SHA256 = "95de135c7bc70f97a29f85f2715a70c6df564a49270d645fa2baf3ef47ee40eb"
 GRID_TABLES = 2376
@@ -122,8 +124,34 @@ POLICY_TRACE_PREFIXES = (
     "c920eef709fe3f8d8f181c931cdff3027eff31396fac2b23e7eab968c51aed41b458e1b1d3778f70"
     "4778ba2fedb3330be7f7dd1d09608da6da20ea51"
 )
-EXPLORE_SHA256 = "8ceb20781f908fc8f9607823798a20aa914c77139fa0dce0c3d8204c98e90e5e"
-EXPLORE_JOBS = 23
+# the digest of `check_trace`'s reports on the campaign and policy traces,
+# and on the mutant traces, and each trace's own 8 hex digits as above
+REPORT_SHA256 = "aea05c5c94a2a6741f3685b6f4009737a95a1400094417c5e485d220f758251c"
+REPORT_PREFIXES = (
+    "7dc7d8787dc7d8787dc7d8787dc7d8787dc7d8787dc7d8787dc7d8787dc7d8787dc7d8787dc7d878"
+    "7dc7d8787dc7d8787dc7d8787dc7d8787dc7d8787dc7d8787dc7d8787dc7d8787dc7d8787dc7d878"
+    "0e912ad50e912ad50e912ad50e912ad50e912ad50e912ad50e912ad50e912ad50e912ad50e912ad5"
+    "0e912ad50e912ad50e912ad50e912ad50e912ad50e912ad50e912ad50e912ad50e912ad50e912ad5"
+    "8bd7cb2f8bd7cb2f8bd7cb2f8bd7cb2f8bd7cb2f8bd7cb2f8bd7cb2f8bd7cb2f8bd7cb2f8bd7cb2f"
+    "8bd7cb2f8bd7cb2f8bd7cb2f8bd7cb2f8bd7cb2f8bd7cb2f8bd7cb2f8bd7cb2f8bd7cb2f8bd7cb2f"
+    "4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b"
+    "4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b"
+    "7dc7d8787dc7d8787dc7d8787dc7d8787dc7d8787dc7d8787dc7d8787dc7d8787dc7d8787dc7d878"
+    "7dc7d8787dc7d8787dc7d8787dc7d8787dc7d8780e912ad50e912ad50e912ad50e912ad50e912ad5"
+    "0e912ad50e912ad50e912ad50e912ad50e912ad50e912ad50e912ad50e912ad50e912ad50e912ad5"
+    "8bd7cb2f8bd7cb2f8bd7cb2f8bd7cb2f8bd7cb2f8bd7cb2f8bd7cb2f8bd7cb2f8bd7cb2f8bd7cb2f"
+    "8bd7cb2f8bd7cb2f8bd7cb2f8bd7cb2f8bd7cb2f65b7690a65b7690a65b7690a65b7690a65b7690a"
+    "65b7690a65b7690a65b7690a65b7690a65b7690a65b7690a65b7690a65b7690a65b7690a65b7690a"
+    "2a9a8f462a9a8f462a9a8f462a9a8f462a9a8f462a9a8f460fbaa9112a9a8f462a9a8f462a9a8f46"
+    "2a9a8f462a9a8f462a9a8f462a9a8f462a9a8f463f5442fd3f5442fd3f5442fd3f5442fd3f5442fd"
+    "3f5442fd3f5442fd3f5442fd3f5442fd3f5442fd3f5442fd3f5442fd3f5442fd3f5442fd3f5442fd"
+    "4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b"
+    "4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b"
+)
+MUTANT_REPORT_SHA256 = "9d1b45a9b95d7bbe8877f011933ea2af6c99a83947fe0395123776ede5e9209d"
+MUTANT_REPORT_PREFIXES = "e7af96912d615efa0a1902e5dee946f289175d03a72073acd614ff44"
+EXPLORE_SHA256 = "7501e507d63ee31b92485887c0f442aba728b82adb1d8c3475a29b31e4137870"
+EXPLORE_JOBS = 25
 # each explore job's (states, terminals, violation_count), so that a moved
 # EXPLORE_SHA256 comes with the names of the jobs whose counts moved
 EXPLORE_COUNTS = {
@@ -139,11 +167,13 @@ EXPLORE_COUNTS = {
     "stable-suspector n=3 f=0": (1530, 1, 0),
     "random-selftrust n=2 f=1": (152, 29, 0),
     "random-selftrust n=3 f=0": (1082, 1, 0),
-    "flood-min n=2 f=1": (92, 25, 0),
-    "flood-min n=3 f=0": (157, 1, 0),
+    "flood-min n=2 f=1": (59, 11, 9),
+    "flood-min n=3 f=0": (153, 0, 32),
     "eager-lock n=2 f=0": (44, 3, 0),
     "eager-lock n=3 f=0": (872, 16, 0),
     "lonely-lock n=2 f=0": (51, 4, 17),
+    "even-lock n=2 f=0": (116, 3, 0),
+    "even-lock n=3 f=0": (2330, 16, 0),
     "any-report n=2 f=0": (47, 9, 0),
     "any-report n=3 f=0": (1407, 253, 0),
     "free-running n=2 f=1": (7, 2, 4),
@@ -283,6 +313,48 @@ def dumped(trace) -> str:
     return "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
 
 
+def mutant_traces():
+    """(name, trace): for each of criterion 3's seeded mutation gates, the
+    first trace that catches its mutant, and criterion 6's forced
+    identifier collision."""
+    yield "flood-min", run(scenario("floodmax", 2, 1, inputs=(1, 0)), flood_min)
+    yield "eager-lock seed 0", run(scenario("lockmin", 3, 1, inputs=(0, 1, 1), behavior="pessimistic",
+                                            convergence=40, policy="random", seed=0, horizon=600), eager_lock)
+    yield "lonely-lock seed 0", run(scenario("lockmin", 3, 1, inputs=(0, 1, 1), policy="random", seed=0),
+                                    lonely_lock)
+    yield "any-report seed 13", run(scenario("leadervote", 3, 1, inputs=(0, 1, 1), behavior="adversarial",
+                                             convergence=80, policy="random", seed=13, horizon=900), any_report)
+    yield "free-running", run(scenario("stable-suspector", 3, 1, kind=CRASH_COUNT, policy="random", seed=1,
+                                       horizon=400, rounds=12), free_running)
+    yield "forced collision", run(scenario("random-selftrust", 3, 1, kind=CRASH_COUNT, policy="random", seed=4,
+                                           horizon=900, rounds=8), forced_id_factory({1: 9, 2: 9, 3: 4}))
+    yield "even-lock seed 11", run(scenario("lockmin", 3, 1, inputs=(0, 1, 1), behavior="pessimistic",
+                                            convergence=40, policy="random", seed=11, horizon=600), even_lock)
+
+
+def report_pins(traces) -> tuple[str, str]:
+    """As `trace_pins`, over the JSON of each trace's `check_trace` reports."""
+    texts = [json.dumps([r.to_dict() for r in check_trace(trace)], sort_keys=True).encode() for _, trace in traces]
+    return (hashlib.sha256(b"".join(texts)).hexdigest(),
+            "".join(hashlib.sha256(text).hexdigest()[:8] for text in texts))
+
+
+def pinned_traces():
+    """The campaign traces, then the policy traces."""
+    yield from campaign_traces()
+    yield from policy_traces()
+
+
+def first_moved_report(traces, prefixes: str) -> str:
+    """Name the first of `traces` whose reports left their pinned prefix."""
+    traces = list(traces)
+    _, now = report_pins(traces)
+    for i, (name, _) in enumerate(traces):
+        if now[8 * i:8 * i + 8] != prefixes[8 * i:8 * i + 8]:
+            return f"{name} is the first whose reports moved"
+    return "no trace's reports moved, but traces were dropped"
+
+
 def first_moved(traces, prefixes: str) -> str:
     """Name the first of `traces` whose own digest left its pinned prefix,
     and say whether its `to_jsonl` still equals `dumped`: if it does, the
@@ -302,7 +374,8 @@ def explore_jobs():
     round limit `anonsim explore` uses; `job` names the algorithm or mutant,
     n and f.  lonely-lock at n=3 is left out: its 22,058 states take
     seconds."""
-    explorable = [(name, name, info.factory) for name, info in ALGORITHMS.items() if info.monitor]
+    explorable = [(name, name, info.factory) for name, info in ALGORITHMS.items()
+                  if info.consensus or info.monitors]
     explorable += [(name, algorithm, factory) for name, (algorithm, _, factory) in MUTANTS.items()]
     for name, algorithm, factory in explorable:
         info = ALGORITHMS[algorithm]
@@ -336,15 +409,19 @@ if __name__ == "__main__":
     verdicts, verdict_counts = validator_digest()
     trace, prefixes = trace_pins(campaign_traces())
     policy_trace, policy_prefixes = trace_pins(policy_traces())
+    reports = report_pins(pinned_traces())
+    mutant_reports = report_pins(mutant_traces())
     jobs, explored, counts = explore_digest()
     ok = (
-        (count, grid, lazy_faults, verdicts, verdict_counts, trace, prefixes, policy_trace, policy_prefixes, jobs,
-         explored, counts)
+        (count, grid, lazy_faults, verdicts, verdict_counts, trace, prefixes, policy_trace, policy_prefixes,
+         reports, mutant_reports, jobs, explored, counts)
         == (GRID_TABLES, GRID_SHA256, [], VALIDATOR_SHA256, VALIDATOR_COUNTS, TRACE_SHA256, TRACE_PREFIXES,
-            POLICY_TRACE_SHA256, POLICY_TRACE_PREFIXES, EXPLORE_JOBS, EXPLORE_SHA256, EXPLORE_COUNTS)
+            POLICY_TRACE_SHA256, POLICY_TRACE_PREFIXES, (REPORT_SHA256, REPORT_PREFIXES),
+            (MUTANT_REPORT_SHA256, MUTANT_REPORT_PREFIXES), EXPLORE_JOBS, EXPLORE_SHA256, EXPLORE_COUNTS)
     )
     print(f"python {sys.version.split()[0]}: grid {count} tables {grid}, validators {verdicts}, traces {trace}, "
-          f"policy traces {policy_trace}, explore {jobs} jobs {explored}: {'match' if ok else 'MISMATCH'}")
+          f"policy traces {policy_trace}, reports {reports[0]}, mutant reports {mutant_reports[0]}, "
+          f"explore {jobs} jobs {explored}: {'match' if ok else 'MISMATCH'}")
     if lazy_faults:
         print(f"{len(lazy_faults)} grid tables read apart from their rows, the first {lazy_faults[0]}")
     for job in sorted(verdict_counts.keys() | VALIDATOR_COUNTS.keys()):
@@ -355,6 +432,10 @@ if __name__ == "__main__":
         print(f"trace {first_moved(campaign_traces(), TRACE_PREFIXES)}")
     if (policy_trace, policy_prefixes) != (POLICY_TRACE_SHA256, POLICY_TRACE_PREFIXES):
         print(f"policy trace {first_moved(policy_traces(), POLICY_TRACE_PREFIXES)}")
+    if reports != (REPORT_SHA256, REPORT_PREFIXES):
+        print(f"reports: {first_moved_report(pinned_traces(), REPORT_PREFIXES)}")
+    if mutant_reports != (MUTANT_REPORT_SHA256, MUTANT_REPORT_PREFIXES):
+        print(f"mutant reports: {first_moved_report(mutant_traces(), MUTANT_REPORT_PREFIXES)}")
     for job in sorted(counts.keys() | EXPLORE_COUNTS.keys()):
         if counts.get(job) != EXPLORE_COUNTS.get(job):
             print(f"explore job {job} moved: (states, terminals, violations) pinned "

@@ -5,7 +5,8 @@ them).  Everything is seeded and runs at desk scale:
 
 1. exhaustive small-instance consensus (all inputs, all crash placements)
 2. statistical campaigns, 1000 seeded runs per consensus algorithm
-3. protocol-invariant suite on every campaign trace + mutation sensitivity
+3. protocol-invariant suite on every campaign trace + mutation sensitivity,
+   seeded and explored
 4. transformation validity (exhaustive suspector exploration + translations)
 5. anonymity closure of the anonymous detector kinds, exhaustive at n <= 4
 6. randomized self-trust construction success rate against the 2/3 bound
@@ -19,11 +20,14 @@ import sys
 import time
 
 import pytest
-from helpers import LowestCrashedIndex, campaign_scenario, factory_of, forced_id_factory, scenario, selftrust_scenario
-from mutants import any_report, eager_lock, flood_min, free_running, hasty_suspector, lonely_lock
+from helpers import (
+    LowestCrashedIndex, campaign_scenario, factory_of, forced_id_factory, report_of, scenario, selftrust_scenario,
+)
+from mutants import MUTANTS, any_report, eager_lock, even_lock, flood_min, free_running, hasty_suspector, lonely_lock
 from pins import (
-    POLICY_TRACE_PREFIXES, POLICY_TRACE_SHA256, TRACE_PREFIXES, TRACE_SHA256, campaign_traces, policy_traces,
-    trace_pins,
+    MUTANT_REPORT_PREFIXES, MUTANT_REPORT_SHA256, POLICY_TRACE_PREFIXES, POLICY_TRACE_SHA256, REPORT_PREFIXES,
+    REPORT_SHA256, TRACE_PREFIXES, TRACE_SHA256, campaign_traces, mutant_traces, pinned_traces, policy_traces,
+    report_pins, trace_pins,
 )
 
 from anonsim import (
@@ -41,23 +45,14 @@ from anonsim import (
     run,
     sample_history,
 )
+from anonsim.cli import ALGORITHMS, explore_crash_limit
 from anonsim.transforms import (
     count_weakening,
     leader_self_trust,
     output_history,
     suspected_count,
 )
-from anonsim.verify import (
-    check_consensus,
-    check_decision_spread,
-    check_id_collision,
-    check_lemma_invariants,
-    check_lock_exclusivity,
-    check_round_skew,
-    check_stubbornness,
-    check_unique_decide,
-    monitor_for,
-)
+from anonsim.verify import check_consensus, check_lemma_invariants, monitor_for
 
 SWEEP = 1000
 
@@ -156,47 +151,73 @@ class TestCriterion3LemmaSuite:
         for seed in range(200):
             sc = scenario("stable-suspector", 3, 1, kind=CRASH_COUNT, crashes={2: 30},
                           policy="random", seed=seed, horizon=800, rounds=14)
-            report = check_round_skew(run(sc, factory_of("stable-suspector")))
+            report = report_of(run(sc, factory_of("stable-suspector")), "round-skew")
             assert not report.failed, (seed, report.detail)
             counted["round-skew"] += 1
         stamp(f"criterion 3 PASS: invariants held on 100% of traces ({counted})", t0)
+
+    def test_reports_pinned(self):
+        # property, verdict, detail and witness of every report on the 80
+        # campaign and 105 policy traces, and on the mutant traces the gates
+        # below catch
+        t0 = time.time()
+        assert report_pins(pinned_traces()) == (REPORT_SHA256, REPORT_PREFIXES)
+        assert report_pins(mutant_traces()) == (MUTANT_REPORT_SHA256, MUTANT_REPORT_PREFIXES)
+        stamp("criterion 3 PASS: the reports on 185 traces and the mutant traces match their pinned digests", t0)
 
     def test_mutation_sensitivity_gate(self):
         t0 = time.time()
         caught = {}
 
         trace = run(scenario("floodmax", 2, 1, inputs=(1, 0)), flood_min)
-        caught["stubbornness"] = check_stubbornness(trace).failed
+        caught["stubbornness"] = report_of(trace, "stubbornness").failed
 
         caught["lock-exclusivity"] = any(
-            check_lock_exclusivity(
+            report_of(
                 run(scenario("lockmin", 3, 1, inputs=(0, 1, 1), behavior="pessimistic",
                              convergence=40, policy="random", seed=seed, horizon=600),
-                    eager_lock)
+                    eager_lock),
+                "lock-exclusivity",
+            ).failed
+            for seed in range(60)
+        )
+
+        caught["agreement"] = any(
+            report_of(
+                run(scenario("lockmin", 3, 1, inputs=(0, 1, 1), policy="random", seed=seed),
+                    lonely_lock),
+                "agreement",
             ).failed
             for seed in range(60)
         )
 
         caught["decision-spread"] = any(
-            check_decision_spread(
-                run(scenario("lockmin", 3, 1, inputs=(0, 1, 1), policy="random", seed=seed),
-                    lonely_lock)
+            report_of(
+                run(scenario("lockmin", 3, 1, inputs=(0, 1, 1), behavior="pessimistic",
+                             convergence=40, policy="random", seed=seed, horizon=600),
+                    even_lock),
+                "decision-spread",
             ).failed
             for seed in range(60)
         )
+        spread = explore(scenario("lockmin", 3, 1, inputs=(0, 1, 1)), even_lock,
+                         monitor=monitor_for("lockmin", 3, 1, (0, 1, 1)))
+        caught["decision-spread"] &= any(v.detail.startswith("decision-spread:") for v in spread.violations)
 
         caught["unique-decide"] = any(
-            check_unique_decide(
+            report_of(
                 run(scenario("leadervote", 3, 1, inputs=(0, 1, 1), behavior="adversarial",
                              convergence=80, policy="random", seed=seed, horizon=900),
-                    any_report)
+                    any_report),
+                "unique-decide",
             ).failed
             for seed in range(300)
         )
 
-        caught["round-skew"] = check_round_skew(
+        caught["round-skew"] = report_of(
             run(scenario("stable-suspector", 3, 1, kind=CRASH_COUNT, policy="random",
-                         seed=1, horizon=400, rounds=12), free_running)
+                         seed=1, horizon=400, rounds=12), free_running),
+            "round-skew",
         ).failed
 
         hasty = explore(
@@ -210,6 +231,32 @@ class TestCriterion3LemmaSuite:
         missed = [name for name, got in caught.items() if not got]
         assert not missed, f"checkers blind to their mutants: {missed}"
         stamp(f"criterion 3 PASS: every checker caught its mutant {sorted(caught)}", t0)
+
+    # the mutants that `explore` catches at n <= 3.  any-report escapes: it
+    # needs several processes to trust themselves at once, and explore's
+    # truthful oracle trusts one.  hasty-suspector escapes at f+3 rounds, and
+    # the gate above catches it at 5.  eager-lock is caught at n=3 f=1, where
+    # a crash lets two processes lock on different proposal sets
+    EXPLORE_CATCHES = {"flood-min", "eager-lock", "lonely-lock", "even-lock", "free-running"}
+
+    def test_explore_column_of_the_gate(self):
+        # each mutant explored at n=2 and at n=3 with f=0 and 1, input 011 for
+        # consensus and f+3 rounds for the suspectors, until a job finds a
+        # violation
+        t0 = time.time()
+        caught = set()
+        for name, (algorithm, _, factory) in MUTANTS.items():
+            info = ALGORITHMS[algorithm]
+            for n, f in ((2, 0 if info.majority else 1), (3, 0), (3, 1)):
+                sc = scenario(algorithm, n, f, inputs=(0, 1, 1)[:n] if info.consensus else None,
+                              rounds=None if info.consensus else f + 3)
+                res = explore(sc, factory, monitor=monitor_for(algorithm, n, f, sc.inputs),
+                              crash_round_limit=explore_crash_limit(sc))
+                if res.violation_count:
+                    caught.add(name)
+                    break
+        assert caught == self.EXPLORE_CATCHES
+        stamp(f"criterion 3 PASS: explore catches {sorted(caught)}", t0)
 
 
 class TestCriterion4Transformations:
@@ -317,7 +364,7 @@ class TestCriterion6RandomizedReduction:
             sc = selftrust_scenario(seed)
             trace = run(sc, factory_of("random-selftrust"))
             hist = output_history(trace, SELF_TRUST)
-            collided = check_id_collision(trace).failed
+            collided = report_of(trace, "id-collision").failed
             collisions += collided
             if not collided and spec.validates(hist, sc.pattern):
                 successes += 1
@@ -335,7 +382,12 @@ class TestCriterion6RandomizedReduction:
         sc = scenario("random-selftrust", 3, 1, kind=CRASH_COUNT,
                       policy="random", seed=4, horizon=900, rounds=8)
         trace = run(sc, forced_id_factory({1: 9, 2: 9, 3: 4}))
-        assert check_id_collision(trace).failed
+        report = report_of(trace, "id-collision")
+        assert report.failed
+        # the witness names the heartbeats of the two processes that drew 9
+        sends = [trace.events[i] for i in report.witness]
+        assert [(ev["ev"], ev["payload"][0], ev["payload"][2]) for ev in sends] == [("send", "HB", 9)] * 2
+        assert sends[0]["proc"] != sends[1]["proc"]
         hist = output_history(trace, SELF_TRUST)
         assert not DetectorSpec(SELF_TRUST, 3).validates(hist, sc.pattern)
         stamp("criterion 6 PASS: forced identifier collision yields an invalid history", t0)

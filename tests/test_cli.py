@@ -319,6 +319,37 @@ class TestCheck:
         assert main(["check", str(trace_file)]) == 2
         assert "does not have 4 fields" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algorithm, tag, fields", [("leadervote", "Decide", 2), ("random-selftrust", "HB", 3)])
+    def test_long_lemma_message_exits_2(self, tmp_path, capsys, algorithm, tag, fields):
+        # the lemma monitors read Decide and HB payloads too: one field more
+        # makes the trace malformed, not the checker fail
+        consensus = ALGORITHMS[algorithm].consensus
+        sc = scenario(algorithm, 3, 1, inputs=(0, 1, 1) if consensus else None, policy="random", seed=2,
+                      horizon=900, rounds=None if consensus else 8)
+        lines = run(sc, ALGORITHMS[algorithm].factory).to_jsonl().splitlines()
+        first = next(i for i, line in enumerate(lines) if json.loads(line).get("payload", [""])[0] == tag)
+        event = json.loads(lines[first])
+        event["payload"].append(0)
+        lines[first] = json.dumps(event)
+        trace_file = tmp_path / "t.trace.jsonl"
+        trace_file.write_text("\n".join(lines) + "\n")
+        assert main(["check", str(trace_file)]) == 2
+        assert f"does not have {fields} fields" in capsys.readouterr().err
+
+    def test_lock_round_not_an_integer_exits_2(self, tmp_path, capsys):
+        # lock exclusivity orders rounds, so a Lock whose round is a string
+        # makes the trace malformed, not the checker fail
+        sc = scenario("lockmin", 3, 1, inputs=(0, 1, 1), policy="random", seed=2)
+        lines = run(sc, ALGORITHMS["lockmin"].factory).to_jsonl().splitlines()
+        first = next(i for i, line in enumerate(lines) if json.loads(line).get("payload", [""])[0] == "Lock")
+        event = json.loads(lines[first])
+        event["payload"][1] = "0"
+        lines[first] = json.dumps(event)
+        trace_file = tmp_path / "t.trace.jsonl"
+        trace_file.write_text("\n".join(lines) + "\n")
+        assert main(["check", str(trace_file)]) == 2
+        assert "the second an integer round" in capsys.readouterr().err
+
     def test_end_line_without_truncated_exits_2(self, tmp_path, capsys):
         main(["run", write(tmp_path, "s.json", FLOODMAX), "--out", str(tmp_path / "out")])
         trace_file = tmp_path / "out" / "floodmax-seed7.trace.jsonl"
@@ -482,7 +513,7 @@ class TestExplore:
         assert "explored states: 92" in out
         assert "children: 146 (dedup ratio: 0.6233 new states per child), 55 skipped unbuilt" in out
         assert "peak frontier: 18" in out and "depth: 8" in out
-        assert "local transitions: 28 computed, 34 reused\n" in out
+        assert "local transitions: 35 computed, 27 reused\n" in out
 
     def test_explore_reports_rate_and_peak_memory(self, tmp_path, capsys):
         sc = scenario("floodmax", 2, 1, inputs=(0, 1)).to_dict()

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from helpers import factory_of, scenario
+from helpers import decisions, factory_of, halts, scenario
 
 from anonsim import explore, run
 from anonsim.verify import check_consensus, check_lemma_invariants, monitor_for
@@ -21,13 +21,13 @@ class TestFloodMax:
     def test_all_zero_inputs_decide_zero(self):
         sc = scenario("floodmax", 3, 2, inputs=(0, 0, 0), crashes={2: 9}, policy="random", seed=6)
         trace = run(sc, factory_of("floodmax"))
-        assert all(ds[0][1] == 0 for ds in trace.decisions.values())
+        assert all(ds[0][1] == 0 for ds in decisions(trace).values())
 
     def test_fifo_crash_free_decides_at_last_round(self):
         sc = scenario("floodmax", 3, 1, inputs=(1, 0, 0))
         trace = run(sc, factory_of("floodmax"))
-        assert sorted(trace.decisions) == [1, 2, 3]
-        assert all(ds[0][2] == 2 for ds in trace.decisions.values())
+        assert sorted(decisions(trace)) == [1, 2, 3]
+        assert all(ds[0][2] == 2 for ds in decisions(trace).values())
 
     def test_two_processes_no_crash_adopt_max(self):
         res = explore_ok("floodmax", 2, 1, (0, 1))
@@ -59,15 +59,15 @@ class TestLockMin:
     def test_unanimous_inputs_decide_in_first_round(self):
         sc = scenario("lockmin", 3, 1, inputs=(1, 1, 1))
         trace = run(sc, factory_of("lockmin"))
-        assert all(ds[0][1] == 1 and ds[0][2] == 0 for ds in trace.decisions.values())
-        assert sorted(trace.halts) == [1, 2, 3]
+        assert all(ds[0][1] == 1 and ds[0][2] == 0 for ds in decisions(trace).values())
+        assert sorted(halts(trace)) == [1, 2, 3]
 
     def test_decider_halts_after_farewell_lock(self):
         # a decided process re-broadcasts one more proposal and lock in the
         # next round, then stops
         sc = scenario("lockmin", 3, 1, inputs=(1, 1, 1))
         trace = run(sc, factory_of("lockmin"))
-        for p, halt_step in trace.halts.items():
+        for p, halt_step in halts(trace).items():
             own_sends = [ev for ev in trace.events if ev["ev"] == "send" and ev["proc"] == p]
             assert own_sends[-1]["payload"] == ("Lock", 1, 1, 1)
             assert own_sends[-1]["step"] == halt_step
@@ -101,15 +101,15 @@ class TestLockMin:
             assert all(not r.failed for r in check_consensus(trace))
             assert all(not r.failed for r in check_lemma_invariants(trace))
             assert min(step for step, _, _ in
-                       (ds[0] for ds in trace.decisions.values())) >= 150
+                       (ds[0] for ds in decisions(trace).values())) >= 150
 
 
 class TestLeaderVote:
     def test_stable_leader_equal_inputs(self):
         sc = scenario("leadervote", 3, 1, inputs=(1, 1, 1))
         trace = run(sc, factory_of("leadervote"))
-        assert sorted(trace.decisions) == [1, 2, 3]
-        assert all(ds[0][1] == 1 for ds in trace.decisions.values())
+        assert sorted(decisions(trace)) == [1, 2, 3]
+        assert all(ds[0][1] == 1 for ds in decisions(trace).values())
 
     def test_blocked_until_self_trust_appears(self):
         # nobody trusts itself before convergence and no leader message

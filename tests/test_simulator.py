@@ -8,7 +8,10 @@ from dataclasses import dataclass, fields, replace
 
 import mutants
 import pytest
-from helpers import campaign_scenario, cycle, factory_of, receive_log, received, scenario, selftrust_scenario, sends, swap
+from helpers import (
+    campaign_scenario, cycle, decisions, factory_of, halts, receive_log, received, scenario, selftrust_scenario, sends,
+    swap,
+)
 from pins import (
     EXPLORE_COUNTS, EXPLORE_JOBS, EXPLORE_SHA256, campaign_traces, dumped, explore_digest, explore_jobs, policy_traces,
 )
@@ -129,8 +132,8 @@ class Waiter(Automaton):
 class EveryTerminal(NullMonitor):
     """A monitor that fails every terminal state, so that each has a witness."""
 
-    def terminal_checks(self, state) -> list[str]:
-        return ["reached: a terminal state"]
+    def terminal_checks(self, state) -> list[tuple[str, list]]:
+        return [("reached: a terminal state", [])]
 
 
 # a monitor's check -> the trace check that fails on its witness's replay
@@ -315,9 +318,9 @@ class TestRunSemantics:
         trace = run(sc, factory_of("floodmax"))
         again = Trace.from_jsonl(trace.to_jsonl())
         assert again.events == trace.events
-        assert again.decisions == trace.decisions
+        assert decisions(again) == decisions(trace)
         assert again.crashes == trace.crashes
-        assert again.halts == trace.halts
+        assert halts(again) == halts(trace)
         assert again.truncated == trace.truncated
 
     def test_oracle_table_cells_capped(self):
@@ -395,7 +398,7 @@ class TestRunSemantics:
     def test_decide_round_matches_round_bound(self):
         sc = scenario("floodmax", 3, 1, inputs=(0, 1, 0))
         trace = run(sc, factory_of("floodmax"))
-        assert all(ds[0][2] == 2 for ds in trace.decisions.values())  # f+1 rounds
+        assert all(ds[0][2] == 2 for ds in decisions(trace).values())  # f+1 rounds
 
 
 class TestKeptSchedulerState:
@@ -445,7 +448,7 @@ class TestKeptSchedulerState:
         for sc, factory, text in runs:
             trace = run(sc, factory)
             assert trace.to_jsonl() == text
-            assert trace.crashes == dict(sc.pattern.crash_steps) and trace.halts and not trace.truncated
+            assert trace.crashes == dict(sc.pattern.crash_steps) and halts(trace) and not trace.truncated
         assert any(probed)
 
     def test_kept_choice_list_matches_a_rebuild(self, monkeypatch):
@@ -475,7 +478,7 @@ class TestKeptSchedulerState:
         for sc, factory, text in runs:
             trace = run(sc, factory)
             assert trace.to_jsonl() == text
-            assert trace.crashes == dict(sc.pattern.crash_steps) and trace.halts
+            assert trace.crashes == dict(sc.pattern.crash_steps) and halts(trace)
         assert any(kept) and not all(kept)
 
     @pytest.mark.parametrize("policy", ["fifo", "random"])
@@ -611,9 +614,10 @@ class TestExplore:
 
     def test_delivery_children_share_their_parents_monitor(self, monkeypatch):
         # a delivery calls no monitor hook, so a built delivery child shares
-        # its parent's monitor; only crashes and the wakes and polls that run
-        # clone their parent's monitor, built or not, and a wake or a poll
-        # child installs its outcome's, one object per monitor id
+        # its parent's monitor, and so does a crash child when no monitor has
+        # a crash hook, as none of floodmax's has; only the wakes and polls
+        # that run clone their parent's monitor, built or not, and a wake or
+        # a poll child installs its outcome's, one object per monitor id
         clones, outcomes = Counter(), {}
         monitor_clone, build, actions = ConsensusMonitor.clone, _XEngine.build, _XEngine.actions
 
@@ -624,9 +628,9 @@ class TestExplore:
         def checked_build(engine, st, action, slots, found):
             child = build(engine, st, action, slots, found)
             clones["built " + action[0]] += 1
-            if action[0] == "deliver":
+            if action[0] in ("deliver", "crash"):
                 assert child.monitor is st.monitor
-            elif action[0] != "crash":
+            else:
                 assert outcomes.setdefault(child.slots[_MONITOR], child.monitor) is child.monitor
             return child
 
@@ -639,13 +643,13 @@ class TestExplore:
         monkeypatch.setattr(_XEngine, "build", checked_build)
         monkeypatch.setattr(_XEngine, "actions", counted_actions)
         # (crashes enabled, crash children built, monitor clones) per job
-        for sc, counts in [(scenario("floodmax", 3, 0, inputs=(0, 0, 1)), (0, 0, 23)),
-                           (scenario("floodmax", 2, 1, inputs=(0, 1)), (46, 30, 74))]:
+        for sc, counts in [(scenario("floodmax", 3, 0, inputs=(0, 0, 1)), (0, 0, 27)),
+                           (scenario("floodmax", 2, 1, inputs=(0, 1)), (46, 30, 35))]:
             clones.clear()
             outcomes.clear()
             res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", sc.cfg.n, sc.cfg.f, sc.inputs))
             assert (clones["crashes"], clones["built crash"], clones["monitor"]) == counts
-            assert clones["monitor"] == res.computed + clones["crashes"] and clones["built deliver"] > 0
+            assert clones["monitor"] == res.computed and clones["built deliver"] > 0
 
     def test_incremental_keys_match_keys_from_scratch(self, monkeypatch):
         # a child's slots are its parent's with those its action changed
@@ -802,14 +806,16 @@ class TestExplore:
         # a peer's `r` is read only for the floor of a tagged Lock, which
         # lockmin alone sends: floodmax's and leadervote's monitors declare no
         # peer field, so their polls run once per local state, halted mask and
-        # monitor id, not again for each peer's round
+        # monitor id, not again for each peer's round.  The monitor id holds
+        # stubbornness's bits of the peers that held 1, so floodmax runs more
+        # polls than with the consensus monitor alone (591)
         declared = {algorithm: monitor_for(algorithm, 3, 1, (0, 1, 1)).peer_fields
                     for algorithm in ("floodmax", "lockmin", "leadervote")}
         assert declared == {"floodmax": (), "lockmin": ("r",), "leadervote": ()}
         sc = scenario("floodmax", 3, 2, inputs=(0, 0, 1))
         res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", 3, 2, sc.inputs))
         assert (res.states, res.violation_count) == (22_594, 0)
-        assert res.computed <= 600  # 591 seen; 803 with `r` declared
+        assert res.computed <= 900  # 899 seen; 1,088 with `r` declared
 
     def test_declared_peer_fields_explore_as_whole_automata(self):
         # a monitor's declaration only narrows the memo key of its polls: each
@@ -859,7 +865,7 @@ class TestExplore:
                 assert TRACE_PROPS.get(check, check) in {r.prop for r in check_trace(trace) if r.failed}
                 witnessed[algorithm] += 1
         # Twins reaches one terminal state, whose witness delivers a True to each process
-        assert witnessed == {"True": 2, "lockmin": 10, "stable-suspector": 7}
+        assert witnessed == {"True": 2, "floodmax": 19, "lockmin": 10, "stable-suspector": 7}
 
     def test_results_pinned(self):
         # states, terminals, profiles, violations and witness schedules of
@@ -953,7 +959,7 @@ class TestExplore:
         assert res.computed + res.reused == enabled["wake"] + enabled["poll"]
         # local states recur under new reads, and a run of one shares its entry's automaton
         assert len({local for local, _ in polled}) < res.computed
-        assert (res.computed, res.reused) == (196, 3321)
+        assert (res.computed, res.reused) == (287, 3230)
 
     def test_visited_wake_children_skipped_unbuilt(self, monkeypatch):
         # every wake has its child's key derived from its parent's, setting
@@ -1002,7 +1008,7 @@ class TestExplore:
         sc = scenario("floodmax", 3, 0, inputs=(0, 0, 1))
         res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", 3, 0, (0, 0, 1)))
         assert (res.states, res.terminals, res.violation_count) == (157, 1, 0)
-        assert (enabled["wake"], runs["wake"], built["wake"], len(derived_keys)) == (71, 11, 17, 71)
+        assert (enabled["wake"], runs["wake"], built["wake"], len(derived_keys)) == (71, 15, 17, 71)
         assert set(derived_keys) <= visited
 
     @pytest.mark.parametrize("algorithm, n, f, rounds", [
@@ -1060,7 +1066,7 @@ class TestExplore:
         stuck = res.violations[0]
         assert stuck.check == "stuck" and Counter(a[0] for a in stuck.schedule) == {"wake": 2, "deliver": 2}
         trace = run_schedule(sc, factory, stuck.schedule)
-        assert trace.truncated and trace.pending == 0 and not trace.decisions and not trace.halts
+        assert trace.truncated and trace.pending == 0 and not decisions(trace) and not halts(trace)
         assert Counter(e["ev"] for e in trace.events) == {"send": 2, "deliver": 4}
 
     @pytest.mark.parametrize("budget", [1, 2, 50])
@@ -1159,7 +1165,7 @@ class TestReplay:
         # the trace's scenario names the crash the schedule placed
         assert trace.scenario.pattern.crash_steps == ((2, 2),)
         # round 1 evaluated after the posthumous delivery: the 1 was counted
-        assert trace.decisions[1][0][1] == 1
+        assert decisions(trace)[1][0][1] == 1
         assert not trace.truncated
 
     @pytest.mark.parametrize("action", [

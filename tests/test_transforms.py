@@ -4,7 +4,7 @@ table translations."""
 from collections import Counter
 
 import pytest
-from helpers import factory_of, forced_id_factory, scenario
+from helpers import factory_of, forced_id_factory, report_of, scenario
 from pins import validator_verdicts
 
 from anonsim import (
@@ -28,7 +28,7 @@ from anonsim.transforms import (
     output_history,
     suspected_count,
 )
-from anonsim.verify import check_id_collision, monitor_for
+from anonsim.verify import monitor_for
 
 
 def emulate(algorithm, target, **kwargs):
@@ -131,7 +131,7 @@ class TestRandomizedSelfTrust:
                           horizon=2500, rounds=12)
             trace = run(sc, factory_of("random-selftrust"))
             hist = output_history(trace, SELF_TRUST)
-            assert not check_id_collision(trace).failed
+            assert not report_of(trace, "id-collision").failed
             assert DetectorSpec(SELF_TRUST, 5).validates(hist, sc.pattern), seed
 
     def test_exploration_max_id_always_wins(self):
@@ -140,19 +140,21 @@ class TestRandomizedSelfTrust:
         assert res.violation_count == 0 and not res.partial
 
     def test_exploration_forced_collision_fails(self):
-        # two processes share the largest identifier, so a terminal state
-        # cannot hold exactly one self-truster, the max-id live process
+        # two processes share the largest identifier: the second of them to
+        # send its heartbeat is flagged as it sends, so no schedule reaches a
+        # terminal state, where the self-trust check would fail too
         sc = scenario("random-selftrust", 3, 0, kind=CRASH_COUNT, seed=13, rounds=4)
         res = explore(sc, forced_id_factory({1: 7, 2: 7, 3: 3}), monitor=monitor_for("random-selftrust", 3, 0, ()))
-        assert res.violations and not res.partial
-        assert {(v.check, v.detail.split(":")[0]) for v in res.violations} == {("terminal", "self-trust")}
+        assert res.violations and not res.partial and res.terminals == 0
+        detail = "id-collision: duplicate identifiers drawn"
+        assert {(v.check, v.detail) for v in res.violations} == {("invariant", detail)}
 
     def test_forced_collision_fails_validation(self):
         sc = scenario("random-selftrust", 3, 1, kind=CRASH_COUNT,
                       policy="random", seed=4, horizon=900, rounds=8)
         factory = forced_id_factory({1: 7, 2: 7, 3: 3})
         trace = run(sc, factory)
-        assert check_id_collision(trace).failed
+        assert report_of(trace, "id-collision").failed
         hist = output_history(trace, SELF_TRUST)
         assert not DetectorSpec(SELF_TRUST, 3).validates(hist, sc.pattern)
 

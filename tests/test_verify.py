@@ -3,8 +3,8 @@
 from dataclasses import dataclass, field, replace
 
 import pytest
-from helpers import factory_of, scenario
-from mutants import MUTANTS, any_report, eager_lock, flood_min, free_running, hasty_suspector, lonely_lock
+from helpers import factory_of, report_of, scenario
+from mutants import MUTANTS, any_report, eager_lock, even_lock, flood_min, free_running, hasty_suspector, lonely_lock
 
 from anonsim import (
     CRASH_COUNT,
@@ -28,14 +28,9 @@ from anonsim.verify import (
     TRUNCATED,
     VACUOUS,
     check_consensus,
-    check_decision_spread,
     check_lemma_invariants,
-    check_lock_exclusivity,
     check_permutation_closure,
-    check_round_skew,
-    check_stubbornness,
     check_trace,
-    check_unique_decide,
     classify_symmetry,
     monitor_for,
 )
@@ -77,7 +72,6 @@ class TestConsensusChecks:
         trace = self.good_trace()
         first = next(ev for ev in trace.events if ev["ev"] == "decide")
         first["value"] = 1 - first["value"]
-        trace.decisions[first["proc"]][0] = (first["step"], first["value"], first["r"])
         report = next(r for r in check_consensus(trace) if r.prop == "agreement")
         assert report.verdict == FAIL and report.witness
 
@@ -86,8 +80,6 @@ class TestConsensusChecks:
         for ev in trace.events:
             if ev["ev"] == "decide":
                 ev["value"] = 7
-        for p in list(trace.decisions):
-            trace.decisions[p] = [(s, 7, r) for s, _, r in trace.decisions[p]]
         report = next(r for r in check_consensus(trace) if r.prop == "validity")
         assert report.verdict == FAIL
 
@@ -113,14 +105,25 @@ class TestConsensusChecks:
 
     @pytest.mark.parametrize("decides, verdict, detail", [
         ([], VACUOUS, "no correct process decided"),
-        ([(3, 1, 0, 1), (4, 2, 1, 1), (5, 3, 0, 1)], FAIL, "conflicting decision values"),
-        ([(3, 1, 0, 1), (4, 2, 0, 2)], FAIL, "correct process never decided"),
+        ([(3, 1, 0, 1), (4, 2, 1, 1), (5, 3, 0, 1)], PASS, ""),
+        ([(3, 1, 0, 1), (4, 2, 0, 2)], PASS, ""),
         ([(3, 1, 0, 1), (4, 2, 0, 1), (9, 3, 0, 3)], FAIL, "decisions spread over 2 rounds"),
         ([(3, 1, 0, 1), (4, 2, 0, 2), (5, 3, 0, 2)], PASS, ""),
     ])
     def test_decision_spread_verdicts(self, decides, verdict, detail):
-        report = check_decision_spread(decisions_trace(decides))
+        report = report_of(decisions_trace(decides), "decision-spread")
         assert (report.verdict, report.detail) == (verdict, detail)
+
+    @pytest.mark.parametrize("decides, prop, witness, detail", [
+        ([(3, 1, 0, 1), (4, 2, 1, 1), (5, 3, 0, 1)], "agreement", [(1, 0), (2, 1), (3, 0)],
+         "correct processes decided [0, 1]"),
+        ([(3, 1, 0, 1), (4, 2, 0, 2)], "termination", [3], "correct processes without a decision"),
+    ])
+    def test_decision_spread_restates_neither_agreement_nor_termination(self, decides, prop, witness, detail):
+        # conflicting values fail agreement alone, and a correct process
+        # that never decided fails termination alone
+        failed = [r for r in check_trace(decisions_trace(decides)) if r.failed]
+        assert [(r.prop, r.witness, r.detail) for r in failed] == [(prop, witness, detail)]
 
     def test_checkers_are_pure(self):
         trace = self.good_trace()
@@ -135,11 +138,11 @@ class TestMutationSensitivity:
     def test_min_merge_breaks_stubbornness(self):
         sc = scenario("floodmax", 2, 1, inputs=(1, 0))
         trace = run(sc, flood_min)
-        assert check_stubbornness(trace).verdict == FAIL
+        assert report_of(trace, "stubbornness").verdict == FAIL
 
     def test_honest_floodmax_keeps_stubbornness(self):
         sc = scenario("floodmax", 2, 1, inputs=(1, 0))
-        assert check_stubbornness(run(sc, factory_of("floodmax"))).verdict == PASS
+        assert report_of(run(sc, factory_of("floodmax")), "stubbornness").verdict == PASS
 
     def test_unconditional_lock_breaks_exclusivity(self):
         caught = 0
@@ -147,17 +150,29 @@ class TestMutationSensitivity:
             sc = scenario("lockmin", 3, 1, inputs=(0, 1, 1), behavior="pessimistic",
                           convergence=40, policy="random", seed=seed, horizon=600)
             trace = run(sc, eager_lock)
-            if check_lock_exclusivity(trace).verdict == FAIL:
+            if report_of(trace, "lock-exclusivity").verdict == FAIL:
                 caught += 1
         assert caught > 0
 
-    def test_lonely_lock_breaks_decision_spread(self):
+    def test_lonely_lock_breaks_agreement(self):
         caught = 0
         for seed in range(40):
             sc = scenario("lockmin", 3, 1, inputs=(0, 1, 1), policy="random", seed=seed)
             trace = run(sc, lonely_lock)
-            if check_decision_spread(trace).verdict == FAIL:
+            if report_of(trace, "agreement").verdict == FAIL:
                 caught += 1
+        assert caught > 0
+
+    def test_even_lock_breaks_decision_spread_alone(self):
+        # it spreads decisions over two rounds and agrees: decision-spread
+        # is the only property it breaks
+        caught = 0
+        for seed in range(60):
+            sc = scenario("lockmin", 3, 1, inputs=(0, 1, 1), behavior="pessimistic", convergence=40,
+                          policy="random", seed=seed, horizon=600)
+            failed = {r.prop for r in check_trace(run(sc, even_lock)) if r.failed}
+            assert failed <= {"decision-spread"}, (seed, failed)
+            caught += bool(failed)
         assert caught > 0
 
     def test_any_report_breaks_unique_decide(self):
@@ -166,7 +181,7 @@ class TestMutationSensitivity:
             sc = scenario("leadervote", 3, 1, inputs=(0, 1, 1), behavior="adversarial",
                           convergence=80, policy="random", seed=seed, horizon=900)
             trace = run(sc, any_report)
-            if check_unique_decide(trace).verdict == FAIL:
+            if report_of(trace, "unique-decide").verdict == FAIL:
                 caught += 1
                 break
         assert caught > 0
@@ -175,10 +190,10 @@ class TestMutationSensitivity:
         sc = scenario("stable-suspector", 3, 1, kind=CRASH_COUNT,
                       policy="random", seed=1, horizon=400, rounds=12)
         trace = run(sc, free_running)
-        assert check_round_skew(trace).verdict == FAIL
+        assert report_of(trace, "round-skew").verdict == FAIL
 
     @pytest.mark.parametrize("mutant, rounds, props", [
-        ("flood-min", None, {"stubbornness", "agreement"}),
+        ("flood-min", None, {"stubbornness"}),  # flagged at the drop, before any decision
         ("eager-lock", None, {"lock-exclusivity"}),
         ("free-running", 6, {"round-skew"}),
     ])
@@ -194,7 +209,7 @@ class TestMutationSensitivity:
 
     def test_mutant_table_is_wired(self):
         assert set(MUTANTS) == {
-            "flood-min", "eager-lock", "lonely-lock", "any-report",
+            "flood-min", "eager-lock", "lonely-lock", "even-lock", "any-report",
             "free-running", "hasty-suspector",
         }
 
@@ -203,13 +218,13 @@ class TestLemmaCheckers:
     def test_lock_exclusivity_ignores_null_tags(self):
         sc = scenario("lockmin", 3, 1, inputs=(0, 1, 1), policy="random", seed=3)
         trace = run(sc, factory_of("lockmin"))
-        assert check_lock_exclusivity(trace).verdict == PASS
+        assert report_of(trace, "lock-exclusivity").verdict == PASS
 
     def test_round_skew_bound_reported(self):
         sc = scenario("stable-suspector", 3, 1, kind=CRASH_COUNT,
                       crashes={2: 30}, policy="random", seed=5, horizon=800, rounds=14)
         trace = run(sc, factory_of("stable-suspector"))
-        report = check_round_skew(trace)
+        report = report_of(trace, "round-skew")
         assert report.verdict == PASS and "max skew" in report.detail
 
     # lemma names, whether explore has a monitor, and the explore crash round
