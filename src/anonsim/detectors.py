@@ -81,42 +81,46 @@ def _procs(n: int) -> frozenset[int]:
     return frozenset(range(1, n + 1))
 
 
-def _accurate(history: DetectorHistory, pattern: FailurePattern, measure: Callable) -> bool:
+def _accurate(history: DetectorHistory, pattern: FailurePattern, measure: Callable) -> list:
     """Strong completeness (a correct process's tail cell is at least
     measure(crashed)) plus accuracy (no cell of a process before its crash
     exceeds measure(F(t))), where `<=` orders counts and includes sets alike.
     Past the horizon a correct process repeats its last cell while F(t) can
-    only grow, so the cells up to the horizon are all that accuracy needs."""
+    only grow, so the cells up to the horizon are all that accuracy needs.
+    What breaks them: the correct processes whose tail breaks completeness,
+    else the first cell, in row order, that breaks accuracy."""
     crashed = measure(pattern.crashed)
     h = history.horizon
+    tails = [q for q in sorted(pattern.correct) if not crashed <= history.at(q, h)]
+    if tails:
+        return tails
     bound = [measure(pattern.at(t)) for t in range(h + 1)]
     for p in range(1, history.n + 1):
         row = history.row(p)
-        crash = pattern.crash_step(p)
-        if crash is None and not crashed <= row[h]:  # tail must witness completeness
-            return False
-        if not all(map(le, row[:crash], bound)):
-            return False
-    return True
+        if not all(map(le, row[:pattern.crash_step(p)], bound)):
+            return [next((p, t) for t, (v, b) in enumerate(zip(row, bound)) if not v <= b)]
+    return []
 
 
-def _eventual(history: DetectorHistory, pattern: FailurePattern, measure: Callable) -> bool:
+def _eventual(history: DetectorHistory, pattern: FailurePattern, measure: Callable) -> list:
     """Completeness plus eventual accuracy: both reduce to every correct
-    process's tail cell reading measure(crashed)."""
+    process's tail cell reading measure(crashed); those that do not break them."""
     crashed = measure(pattern.crashed)
-    return all(history.at(q, history.horizon) == crashed for q in pattern.correct)
+    return [q for q in sorted(pattern.correct) if history.at(q, history.horizon) != crashed]
 
 
-def _self_trust(history: DetectorHistory, pattern: FailurePattern, measure: None) -> bool:
-    """Eventually exactly one correct process outputs true, forever."""
-    trusting = [q for q in pattern.correct if history.at(q, history.horizon)]
-    return len(trusting) == 1
+def _self_trust(history: DetectorHistory, pattern: FailurePattern, measure: None) -> list:
+    """Eventually exactly one correct process outputs true, forever; else
+    the ones that do break it, or all correct processes if none does."""
+    trusting = [q for q in sorted(pattern.correct) if history.at(q, history.horizon)]
+    return [] if len(trusting) == 1 else trusting or sorted(pattern.correct)
 
 
-def _leader(history: DetectorHistory, pattern: FailurePattern, measure: None) -> bool:
-    """Eventually all correct processes output the same correct process."""
+def _leader(history: DetectorHistory, pattern: FailurePattern, measure: None) -> list:
+    """Eventually all correct processes output the same correct process;
+    else they all break it."""
     tails = {history.at(q, history.horizon) for q in pattern.correct}
-    return len(tails) == 1 and next(iter(tails)) in pattern.correct
+    return [] if len(tails) == 1 and next(iter(tails)) in pattern.correct else sorted(pattern.correct)
 
 
 # (ok, what): whether a cell v of a table over n processes is in range, and
@@ -127,9 +131,9 @@ _SET_CELLS = (lambda v, n: isinstance(v, frozenset) and v <= _procs(n),
               "suspect-set history cell is not a subset of P")
 
 # kind -> (cells, rule, measure): the cell range as (ok, what), the
-# completeness and accuracy clauses, and what a cell of a measured kind reads
-# of a crashed set
-KINDS: dict[str, tuple[tuple, Callable[..., bool], Callable | None]] = {
+# completeness and accuracy clauses, which return what breaks them ([] if
+# nothing does), and what a cell of a measured kind reads of a crashed set
+KINDS: dict[str, tuple[tuple, Callable[..., list], Callable | None]] = {
     CRASH_COUNT: (_COUNT_CELLS, _accurate, len),
     EVENTUAL_CRASH_COUNT: (_COUNT_CELLS, _eventual, len),
     SELF_TRUST: ((lambda v, n: isinstance(v, bool), "self-trust history cell is not a bool"), _self_trust, None),
@@ -139,6 +143,14 @@ KINDS: dict[str, tuple[tuple, Callable[..., bool], Callable | None]] = {
               "leader history cell is not a process index"), _leader, None),
 }
 ALL_KINDS = tuple(KINDS)
+
+
+class CellRangeError(ValueError):
+    """A history cell outside its kind's range, at `cell`: (process, step)."""
+
+    def __init__(self, message: str, cell: tuple[int, int]):
+        super().__init__(message)
+        self.cell = cell
 
 
 @dataclass(frozen=True)
@@ -153,12 +165,20 @@ class DetectorSpec:
             raise ValueError(f"unknown detector kind {self.kind!r}")
 
     def validates(self, history: DetectorHistory, pattern: FailurePattern) -> bool:
+        return not self.broken(history, pattern)
+
+    def broken(self, history: DetectorHistory, pattern: FailurePattern) -> list:
+        """What in `history` breaks the kind's rule for `pattern`, [] if
+        nothing does: the correct processes whose tail cell breaks a tail
+        clause, or the first cell that breaks accuracy, as (process, step).
+        The first cell out of range raises `CellRangeError`."""
         if history.n != self.n or pattern.n != self.n:
             raise ValueError("history/pattern size does not match the spec")
         (ok, what), rule, measure = KINDS[self.kind]
-        for v in chain.from_iterable(history.rows):
-            if not ok(v, self.n):
-                raise ValueError(f"{what.format(n=self.n)}: {v!r}")
+        for p, row in enumerate(history.rows, start=1):
+            for t, v in enumerate(row):
+                if not ok(v, self.n):
+                    raise CellRangeError(f"{what.format(n=self.n)}: {v!r}", (p, t))
         return rule(history, pattern, measure)
 
 

@@ -933,7 +933,11 @@ class NullMonitor:
     gets `clone()`, a shallow copy of its parent's monitor, so a hook must
     replace a container field with a new one, never change it in place.
     A subclass writes the hooks it checks and inherits the rest; setting
-    `flag` makes `violation()` report it.
+    `flag` makes `violation()` report it.  `verify.monitor_for` runs an
+    algorithm's monitors as one flat monitor, one object that holds all
+    their fields (so its `clone` is this one dict copy) and runs their hooks
+    in order.  So a monitor names its fields apart from the other monitors
+    of its algorithm, and sets `flag` only while it is None.
     """
 
     flag: str | None = None

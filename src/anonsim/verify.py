@@ -4,14 +4,15 @@ The harness certifies the four consensus properties (termination,
 irrevocability, agreement, validity), each protocol's lemmas (value
 stubbornness, lock exclusivity, decision spread, unique decision payloads,
 bounded round skew, distinct random identifiers) and the validity of a
-transformation's emulated detector history.  Each of the first two kinds
-is one monitor (a `NullMonitor`): hooks that check events as they happen
-and terminal checks of the final state.  `explore` runs the monitors on
-explored states, their memory folded into each state's identity, and
-`check_trace` runs them over a trace's events, on a view built from them:
-it reports each property's first failure with a witness that can be found
-again in the trace, and liveness as `truncated` when the run hit its
-horizon.  Target validity is checked on the whole emulated history.
+transformation's emulated detector history.  Each of the first two kinds is
+one monitor (a `NullMonitor`): hooks that check events as they happen and
+terminal checks of the final state.  `explore` runs an algorithm's monitors
+as one flat monitor (`monitor_for`), their memory folded into each explored
+state's identity, and `check_trace` runs them over a trace's events, on a
+view built from them: it reports each property's first failure with a
+witness that can be found again in the trace, and liveness as `truncated`
+when the run hit its horizon.  Target validity is checked on the whole
+emulated history.
 
 Also here: the symmetric / unsymmetrical classification of detector output,
 and permutation closure of a detector history.  `ALGORITHMS`, at the very
@@ -25,10 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from operator import attrgetter
 from types import SimpleNamespace
 from typing import Any, Callable
 
-from . import consensus, transforms
+from . import consensus, detectors, transforms
 from .detectors import CRASH_COUNT, EVENTUAL_CRASH_COUNT, EVENTUALLY_PERFECT, LEADER, PERFECT, SELF_TRUST, DetectorSpec
 from .model import DetectorHistory, FailurePattern, is_anonymous
 from .simulator import NullMonitor, ScenarioError, Trace
@@ -55,16 +57,17 @@ class CheckReport:
 
 
 def check_target_validity(trace: Trace) -> CheckReport:
-    """The emulated detector history is valid for the run's failure pattern."""
+    """The emulated detector history is valid for the run's failure pattern;
+    a failure names what breaks it (`DetectorSpec.broken`)."""
     info = algorithm_info(trace.scenario.algorithm)
     history = transforms.output_history(trace, info.target_kind)
     spec = DetectorSpec(info.target_kind, trace.scenario.cfg.n)
     detail = f"emulated {info.target_kind} history"
     try:
-        ok = spec.validates(history, trace.scenario.pattern)
-    except ValueError as exc:
-        return CheckReport("target-validity", FAIL, detail=f"{detail} out of range: {exc}")
-    return CheckReport("target-validity", PASS if ok else FAIL, detail=detail)
+        broken = spec.broken(history, trace.scenario.pattern)
+    except detectors.CellRangeError as exc:
+        return CheckReport("target-validity", FAIL, [exc.cell], f"{detail} out of range: {exc}")
+    return CheckReport("target-validity", FAIL if broken else PASS, broken, detail)
 
 
 def check_consensus(trace: Trace) -> list[CheckReport]:
@@ -387,56 +390,52 @@ class SelfTrustTerminalMonitor(_Property):
 _HOOKS = {"send": "on_send", "decide": "on_decide", "round": "on_round", "output": "on_output", "crash": "on_crash"}
 
 
-def _each(hook: str, members: list[NullMonitor]) -> Callable:
-    """A product's `hook`: the hooks of the members that have one, in order,
-    then the product's flag becomes the first member's."""
-    have = [i for i, m in enumerate(members) if getattr(type(m), hook) is not NullMonitor.ignore]
+def _joined(fns: list[Callable], default: Callable) -> Callable:
+    """One hook that runs `fns` in order: the one function itself if there
+    is one, `default` if there is none."""
+    if len(fns) < 2:
+        return fns[0] if fns else default
 
     def run(self, state, *event) -> None:
-        for i in have:
-            getattr(self.members[i], hook)(state, *event)
-        for m in self.members:
-            if m.flag is not None:
-                self.flag = m.flag
-                break
+        for fn in fns:
+            fn(self, state, *event)
 
-    return run if have else NullMonitor.ignore
-
-
-class _Product(NullMonitor):
-    """Monitors run as one, through a subclass with the hooks they have: the
-    key is the tuple of their keys, the verdict and profile the first's, the
-    declared peer fields the union of theirs (None if any is None)."""
-
-    def __init__(self, members: list[NullMonitor]):
-        self.members = tuple(members)
-        declared = [m.peer_fields for m in members]
-        self.peer_fields = None if None in declared else tuple(dict.fromkeys(f for d in declared for f in d))
-
-    def clone(self) -> "_Product":
-        clone = NullMonitor.clone(self)
-        clone.members = tuple([m.clone() for m in self.members])
-        return clone
-
-    def key(self) -> tuple:
-        return tuple([m.key() for m in self.members])
-
-    def terminal_checks(self, state) -> list[tuple[str, list]]:
-        return [check for m in self.members for check in m.terminal_checks(state)]
-
-    def terminal_profile(self, state) -> tuple:
-        return self.members[0].terminal_profile(state)
+    return run
 
 
 def monitor_for(algorithm: str, n: int, f: int, inputs: tuple[int, ...]):
-    """The exploration monitor of a registered algorithm: its monitors'
-    product, or its one monitor."""
+    """The exploration monitor of a registered algorithm: its monitors as one
+    flat monitor, of a class made now from theirs, holding all their fields
+    (no two of one name).  Its key is their `memory` fields, then the first
+    failure any flags.  A hook, and the terminal checks, is the function of
+    the one monitor that has it, or runs those of all that have it, in
+    order.  The profile is the first one's; the peer fields are the union
+    of theirs (None if any is None)."""
     info = algorithm_info(algorithm)
-    monitors = [make(n, f, inputs) for make in ((ConsensusMonitor,) if info.consensus else ()) + info.monitors]
-    if not monitors:
+    members = [make(n, f, inputs) for make in ((ConsensusMonitor,) if info.consensus else ()) + info.monitors]
+    if not members:
         raise ScenarioError(f"algorithm {algorithm!r} has no exploration monitor, so it cannot be explored")
-    hooks = {hook: _each(hook, monitors) for hook in _HOOKS.values()}
-    return monitors[0] if len(monitors) == 1 else type("_Product", (_Product,), hooks)(monitors)
+    fields = {}
+    for m in members:
+        own = {**vars(m), **({} if m.memory is None else {m.memory: getattr(m, m.memory)})}
+        if fields.keys() & own:
+            raise TypeError(f"{type(m).__name__} keeps {sorted(fields.keys() & own)}, as an earlier monitor does")
+        fields.update(own)
+    classes = tuple(dict.fromkeys(map(type, members)))
+    space = {hook: _joined([getattr(c, hook) for c in classes if getattr(c, hook) is not NullMonitor.ignore],
+                           NullMonitor.ignore) for hook in _HOOKS.values()}
+    checks = [c.terminal_checks for c in classes if c.terminal_checks is not NullMonitor.terminal_checks]
+    space["terminal_checks"] = checks[0] if len(checks) == 1 else (
+        lambda self, state: [check for fn in checks for check in fn(self, state)])
+    memory = [m.memory for m in members if m.memory is not None]
+    get = attrgetter(*memory, "flag")
+    space["key"] = (lambda self: get(self)) if memory else (lambda self: (self.flag,))
+    declared = [m.peer_fields for m in members]
+    space.update(clone=NullMonitor.clone, violation=NullMonitor.violation, terminal_profile=classes[0].terminal_profile,
+                 peer_fields=None if None in declared else tuple(dict.fromkeys(f for d in declared for f in d)))
+    monitor = object.__new__(type("FlatMonitor", classes, space))
+    monitor.__dict__.update(fields)
+    return monitor
 
 
 def _replay(trace: Trace, makers: tuple[Callable, ...]) -> list[CheckReport]:

@@ -148,8 +148,8 @@ REPORT_PREFIXES = (
     "4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b"
     "4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b4c1aaa5b"
 )
-MUTANT_REPORT_SHA256 = "9d1b45a9b95d7bbe8877f011933ea2af6c99a83947fe0395123776ede5e9209d"
-MUTANT_REPORT_PREFIXES = "e7af96912d615efa0a1902e5dee946f289175d03a72073acd614ff44"
+MUTANT_REPORT_SHA256 = "5d2c5450a0ce2cdfac2874da05b0acdadfbe2f14645a70b861ed270cdddcbba8"
+MUTANT_REPORT_PREFIXES = "e7af96912d615efa0a1902e5dee946f289175d0338998443d614ff44"
 EXPLORE_SHA256 = "7501e507d63ee31b92485887c0f442aba728b82adb1d8c3475a29b31e4137870"
 EXPLORE_JOBS = 25
 # each explore job's (states, terminals, violation_count), so that a moved

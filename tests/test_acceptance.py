@@ -52,7 +52,7 @@ from anonsim.transforms import (
     output_history,
     suspected_count,
 )
-from anonsim.verify import check_consensus, check_lemma_invariants, monitor_for
+from anonsim.verify import check_consensus, check_lemma_invariants, check_trace, monitor_for
 
 SWEEP = 1000
 
@@ -164,6 +164,16 @@ class TestCriterion3LemmaSuite:
         assert report_pins(pinned_traces()) == (REPORT_SHA256, REPORT_PREFIXES)
         assert report_pins(mutant_traces()) == (MUTANT_REPORT_SHA256, MUTANT_REPORT_PREFIXES)
         stamp("criterion 3 PASS: the reports on 185 traces and the mutant traces match their pinned digests", t0)
+
+    def test_every_failure_names_a_witness(self):
+        # a failing report names what in its trace shows the failure: events,
+        # processes or (process, step) cells, never nothing; the forced
+        # collision's target validity names the two processes trusting
+        # themselves
+        failed = [(name, r) for name, trace in [*pinned_traces(), *mutant_traces()]
+                  for r in check_trace(trace) if r.failed]
+        assert failed and [(name, r.prop) for name, r in failed if not r.witness] == []
+        assert [r.witness for name, r in failed if (name, r.prop) == ("forced collision", "target-validity")] == [[1, 2]]
 
     def test_mutation_sensitivity_gate(self):
         t0 = time.time()

@@ -210,6 +210,32 @@ class TestLeaderValidator:
                 validates(LEADER, table(LEADER, [[1, 1], [1, cell], [1, 1]]), pat)
 
 
+class TestBrokenWitness:
+    # what `DetectorSpec.broken` names when a table breaks its kind's rule
+    def broken(self, kind, rows, pat):
+        return DetectorSpec(kind, len(rows)).broken(table(kind, rows), pat)
+
+    def test_accuracy_names_its_first_cell_in_row_order(self):
+        pat = FailurePattern.of(3, {3: 4})
+        assert self.broken(CRASH_COUNT, [[0, 0, 0, 0, 1, 1], [0, 0, 1, 1, 1, 1], [0, 1, 0, 0, 0, 0]], pat) == [(2, 2)]
+        assert self.broken(CRASH_COUNT, [[0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 1, 1], [0, 1, 0, 0, 0, 0]], pat) == [(3, 1)]
+        assert self.broken(CRASH_COUNT, [[0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 1, 1], [0] * 6], pat) == []
+
+    def test_tail_clauses_name_the_correct_processes_breaking_them(self):
+        pat = FailurePattern.of(3, {3: 0})
+        assert self.broken(CRASH_COUNT, [[1, 0], [1, 1], [0, 0]], pat) == [1]
+        assert self.broken(EVENTUALLY_PERFECT, [[frozenset()] * 2, [frozenset({1, 3})] * 2, [frozenset()] * 2],
+                           pat) == [1, 2]
+        assert self.broken(SELF_TRUST, [[True, True], [False, True], [True, True]], pat) == [1, 2]
+        assert self.broken(SELF_TRUST, [[True, False], [False, False], [True, True]], pat) == [1, 2]
+        assert self.broken(LEADER, [[1, 3], [1, 3], [1, 1]], pat) == [1, 2]
+
+    def test_range_names_its_first_cell(self):
+        with pytest.raises(detectors.CellRangeError, match=re.escape("out of range 0..2: 3")) as raised:
+            self.broken(CRASH_COUNT, [[0, 0], [0, 3]], FailurePattern.of(2, {}))
+        assert raised.value.cell == (2, 1)
+
+
 class TestAliveView:
     """The algorithms read a count table as alive(q, t) = n - H(q, t), the
     reading of `Ctx.alive_count`."""

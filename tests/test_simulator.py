@@ -33,7 +33,7 @@ from anonsim.cli import ALGORITHMS, explore_crash_limit
 from anonsim.simulator import (
     MAX_TABLE_CELLS, POLICIES, _BUDGET, _MONITOR, _WOKEN, Automaton, Inbox, NullMonitor, Simulation, _XEngine, _XState,
 )
-from anonsim.verify import ConsensusMonitor, check_trace, monitor_for
+from anonsim.verify import check_trace, monitor_for
 
 # the fields that stay constant through a run of one process
 CONSTANTS = ("n", "f", "proc", "rounds_cap", "ticks_cap")
@@ -619,11 +619,11 @@ class TestExplore:
         # that run clone their parent's monitor, built or not, and a wake or
         # a poll child installs its outcome's, one object per monitor id
         clones, outcomes = Counter(), {}
-        monitor_clone, build, actions = ConsensusMonitor.clone, _XEngine.build, _XEngine.actions
+        build, actions = _XEngine.build, _XEngine.actions
 
         def counted_monitor_clone(monitor):
             clones["monitor"] += 1
-            return monitor_clone(monitor)
+            return NullMonitor.clone(monitor)
 
         def checked_build(engine, st, action, slots, found):
             child = build(engine, st, action, slots, found)
@@ -639,7 +639,6 @@ class TestExplore:
             clones["crashes"] += sum(action[0] == "crash" for action in acts)
             return acts
 
-        monkeypatch.setattr(ConsensusMonitor, "clone", counted_monitor_clone)
         monkeypatch.setattr(_XEngine, "build", checked_build)
         monkeypatch.setattr(_XEngine, "actions", counted_actions)
         # (crashes enabled, crash children built, monitor clones) per job
@@ -647,7 +646,9 @@ class TestExplore:
                            (scenario("floodmax", 2, 1, inputs=(0, 1)), (46, 30, 35))]:
             clones.clear()
             outcomes.clear()
-            res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", sc.cfg.n, sc.cfg.f, sc.inputs))
+            monitor = monitor_for("floodmax", sc.cfg.n, sc.cfg.f, sc.inputs)
+            monkeypatch.setattr(type(monitor), "clone", counted_monitor_clone)
+            res = explore(sc, factory_of("floodmax"), monitor=monitor)
             assert (clones["crashes"], clones["built crash"], clones["monitor"]) == counts
             assert clones["monitor"] == res.computed and clones["built deliver"] > 0
 

@@ -1,6 +1,7 @@
 """Checker behavior: verdicts, witnesses, symmetry, mutation sensitivity."""
 
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import pytest
 from helpers import factory_of, report_of, scenario
@@ -23,10 +24,13 @@ from anonsim.cli import ALGORITHMS, explore_crash_limit
 from anonsim.simulator import Automaton, NullMonitor, Trace
 from anonsim.transforms import output_history
 from anonsim.verify import (
+    ALGORITHMS,
     FAIL,
     PASS,
     TRUNCATED,
     VACUOUS,
+    AlgorithmInfo,
+    _Property,
     check_consensus,
     check_lemma_invariants,
     check_permutation_closure,
@@ -257,6 +261,99 @@ class TestLemmaCheckers:
         trace.scenario = replace(trace.scenario, algorithm="no-such-algorithm")
         with pytest.raises(ValueError):
             check_lemma_invariants(trace)
+
+
+class Sent(_Property):
+    """A toy property: flags each send and each decision; keeps the senders."""
+
+    props, memory, peer_fields = ("sent",), "senders", ("r",)
+    senders = ()
+
+    def on_send(self, state, p, payload):
+        self.senders += (p,)
+        self.fail(state, f"sent: process {p} sent")
+
+    def on_decide(self, state, p, value, r):
+        self.fail(state, f"sent: process {p} decided")
+
+    def terminal_checks(self, state):
+        return [("sent: at the end", [1])]
+
+
+class Rounds(_Property):
+    """A toy property: flags each round switch and each decision; counts the decisions."""
+
+    props, memory, peer_fields = ("rounds",), "decisions", ("v", "r")
+    decisions = 0
+
+    def __init__(self, n, f, inputs):
+        self.n = n
+
+    def on_round(self, state, p, r):
+        self.fail(state, f"rounds: process {p} reached round {r}")
+
+    def on_decide(self, state, p, value, r):
+        self.decisions += 1
+        self.fail(state, f"rounds: process {p} decided")
+
+    def terminal_checks(self, state):
+        return [("rounds: at the end", [2])]
+
+
+class Quiet(_Property):
+    """A toy property with no hooks that reads any automaton."""
+
+    peer_fields = None
+
+
+class Twin(_Property):
+    """A toy property keeping a field of Rounds's name."""
+
+    def __init__(self, n, f, inputs):
+        self.n = n
+
+
+class TestFlatMonitor:
+    # monitor_for runs an entry's monitors as one flat monitor
+    def flat(self, monkeypatch, *members):
+        info = AlgorithmInfo("toy", None, (), True, target_kind=PERFECT, monitors=members)
+        monkeypatch.setitem(ALGORITHMS, "toy", info)
+        return monitor_for("toy", 3, 1, ())
+
+    def test_a_hook_only_one_member_has_is_that_members_own(self, monkeypatch):
+        cls = type(self.flat(monkeypatch, Sent, Rounds))
+        assert cls.on_send is Sent.on_send and cls.on_round is Rounds.on_round
+        assert cls.on_output is cls.on_crash is NullMonitor.ignore
+        assert cls.on_decide not in (Sent.on_decide, Rounds.on_decide, NullMonitor.ignore)
+        assert cls.clone is NullMonitor.clone and cls.terminal_profile is Sent.terminal_profile
+
+    def test_members_may_not_share_a_field(self, monkeypatch):
+        with pytest.raises(TypeError, match="Twin keeps \\['n'\\]"):
+            self.flat(monkeypatch, Rounds, Twin)
+
+    def test_flag_is_the_first_failure_then_the_first_members(self, monkeypatch):
+        state = SimpleNamespace(at=None)
+        monitor = self.flat(monkeypatch, Sent, Rounds)
+        monitor.on_round(state, 2, 1)
+        monitor.on_decide(state, 1, 0, 1)
+        assert monitor.violation() == "rounds: process 2 reached round 1"
+        assert monitor.key() == ((), 1, "rounds: process 2 reached round 1")
+        monitor = self.flat(monkeypatch, Sent, Rounds)
+        before = monitor.clone()
+        monitor.on_decide(state, 1, 0, 1)
+        assert monitor.violation() == "sent: process 1 decided"
+        monitor.on_send(state, 3, ("M",))
+        assert monitor.key() == ((3,), 1, "sent: process 1 decided")
+        assert before.key() == ((), 0, None) and vars(before) == {"senders": (), "n": 3, "decisions": 0}
+
+    def test_peer_fields_are_the_union_or_any(self, monkeypatch):
+        assert self.flat(monkeypatch, Sent, Rounds).peer_fields == ("r", "v")
+        assert self.flat(monkeypatch, Rounds, Quiet).peer_fields is None
+
+    def test_terminal_checks_in_member_order(self, monkeypatch):
+        assert self.flat(monkeypatch, Rounds, Sent).terminal_checks(None) == [
+            ("rounds: at the end", [2]), ("sent: at the end", [1])]
+        assert type(self.flat(monkeypatch, Quiet, Sent)).terminal_checks is Sent.terminal_checks
 
 
 class TestSymmetry:
