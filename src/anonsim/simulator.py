@@ -19,23 +19,27 @@ crash placements are all branching choices.  Local computation runs eagerly
 to its next blocking wait after each choice, which is sound here because an
 automaton only observes its own inbox and the oracle.
 
-A state's identity in `explore` is a sequence of small ints, packed 4 bytes
+A state's identity in `explore` is a sequence of small ints, packed 2 bytes
 each into a `bytes` key.  Each explore call owns one `InternTable`, freed
 when the call returns, that numbers every state component it meets in
 first-seen order: an automaton's key (its non-constant fields), an inbox's
 contents, the multiset of messages pending to a receiver and the monitor's
-key.  A key holds those ids, the crashed, halted and woken sets as bit masks,
-and the crash budget left.  The table is a bijection on components, so states
-merge exactly when their components are equal.  The visited states are a
-set of keys and nothing more: each state, numbered in discovery order, finds
-its parent's number and the action between in two arrays, from which a
-witness schedule is read back.
+key.  A key holds those ids and the crashed, halted and woken sets as bit
+masks.  The table is a bijection on components, so states merge exactly
+when their components are equal.  A search whose table outgrows 2-byte
+slots, or whose masks do (n >= 16), runs with 4-byte slots; being
+deterministic, it finds the same result either way.  The visited states are
+a set of keys and nothing more: each state, numbered in discovery order,
+finds its parent's number and the action between in two arrays, from which
+a witness schedule is read back.
 
 An explored state holds its key's slots and what the slots only name: its
 automata, inboxes, pending messages and monitor.  The slots are the only
-record of the crashed, halted and woken sets and of the crash budget.  A
-child shares its parent's automata, inboxes and inbox rounds until an
-action replaces them, and a delivery child shares its parent's monitor.
+record of the crashed, halted and woken sets; the crash budget left is f
+less the crashed count.  A child shares its parent's maps of automata and
+of inboxes and its pending list, and copies one only if its action
+replaces an item of it, so no built state's container is changed
+afterwards; a delivery child shares its parent's monitor too.
 
 Only the initial state's slots are computed from scratch: a child's are its
 parent's with those its action changed rewritten.  `_XEngine` memoizes, for
@@ -297,19 +301,28 @@ class Inbox:
         return ids[self.floor, rounds, bag(self.untagged)]
 
 
+class _IdsOutgrown(Exception):
+    """An intern table was asked for more ids than its capacity."""
+
+
 class InternTable(dict):
     """State components to small ints: `table[component]` is the
     component's index in first-seen order, assigned on first lookup, and
     `table.components[ident]` the component back.  A table is a bijection
     on the components it has seen, so a tuple of ids identifies a tuple of
-    components."""
+    components.  A table of a given capacity raises `_IdsOutgrown` instead
+    of minting an id that large."""
 
-    def __init__(self) -> None:
+    def __init__(self, capacity: float = float("inf")) -> None:
         super().__init__()
         self.components: list = []
+        self.capacity = capacity
 
     def __missing__(self, component: Any) -> int:
-        ident = self[component] = len(self.components)
+        ident = len(self.components)
+        if ident >= self.capacity:
+            raise _IdsOutgrown(ident)
+        self[component] = ident
         self.components.append(component)
         return ident
 
@@ -969,8 +982,10 @@ class NullMonitor:
 class _XState:
     """An explored state: `slots`, its key as `_XEngine` keeps it current,
     and the automata, inboxes, pending messages and monitor the slots name.
-    The crashed, halted and woken sets and the crash budget live only in
-    the slots; `crashed` and `halted` look their masks up."""
+    The crashed, halted and woken sets live only in the slots; `crashed`
+    and `halted` look their masks up.  A built state's containers are
+    never changed: children share them until an action replaces an item,
+    and then get a copy (`_XEngine.build`)."""
 
     __slots__ = ("automata", "inboxes", "pending", "monitor", "slots")
     at = None  # a replayed event's index, for monitor hooks: an explored state has none
@@ -991,24 +1006,27 @@ class _XState:
         return _PROCS[self.slots[_HALTED]]
 
     def clone(self, slots: array) -> "_XState":
-        # copy-on-write: automata, inboxes and the monitor are shared until
-        # an action replaces them (_XEngine.build installs what it derived)
-        return _XState(dict(self.automata), dict(self.inboxes), list(self.pending), self.monitor, slots)
+        # copy-on-write: every container is shared; _XEngine.build copies
+        # those its action replaces an item of
+        return _XState(self.automata, self.inboxes, self.pending, self.monitor, slots)
 
     def key(self) -> bytes:
-        """The state's identity, its slots packed 4 bytes each: per process
-        p, at slots 3p-3, 3p-2 and 3p-1, the ids of its automaton, of its
-        inbox and of the multiset of messages pending to it (the sorted
-        tuple of their message ids), then the crashed, halted and woken sets
-        as bit masks, the crash budget left and the id of the monitor's key.
-        Two states of one explore call share a key exactly when their
-        components are equal."""
+        """The state's identity, its slots packed 2 bytes each (4 in a
+        search too large for that): per process p, at slots 3p-3, 3p-2 and
+        3p-1, the ids of its automaton, of its inbox and of the multiset of
+        messages pending to it (the sorted tuple of their message ids), then
+        the crashed, halted and woken sets as bit masks and the id of the
+        monitor's key.  Two states of one explore call share a key exactly
+        when their components are equal."""
         return self.slots.tobytes()
 
 
 _BIT = (1).__lshift__  # p -> the bit of process p; a set of processes is the sum of its bits
 # the global slots of a key, counted from its end
-_CRASHED, _HALTED, _WOKEN, _BUDGET, _MONITOR = range(-5, 0)
+_CRASHED, _HALTED, _WOKEN, _MONITOR = range(-4, 0)
+# 2-byte slots hold values below 1 << 16: the masks of up to 15 processes,
+# and the ids of a table of this capacity
+_NARROW_IDS = 1 << 16
 
 
 class _Procs(dict):
@@ -1057,17 +1075,21 @@ class _XEngine(_Engine):
     parent's before the child is built, and `build` installs what they
     found.  The scratch copy of a poll and the view of a crash are built
     directly, never through `_XState.clone`, so only built children are
-    cloned.  The initial state's crash budget is the scenario's f, and a
-    crash child's is one less than its parent's.
+    cloned.  A state's crash budget is the scenario's f less its crashed
+    count.
+
+    A narrow engine keeps 2-byte slots, and its intern table raises
+    `_IdsOutgrown` before it mints an id they cannot hold; a wide one keeps
+    4-byte slots.
     """
 
     def __init__(self, scenario: ScenarioConfig, factory: AutomatonFactory, monitor: Any,
-                 crash_round_limit: int | None):
+                 crash_round_limit: int | None, narrow: bool):
         super().__init__(scenario, factory, LiveOracle(scenario.oracle_kind, scenario.cfg.n))
         self.crash_round_limit = crash_round_limit
         # these live as long as this engine: one explore call, whose caps
         # (which keys leave out) are fixed
-        self.ids = ids = InternTable()
+        self.ids = ids = InternTable(_NARROW_IDS) if narrow else InternTable()
         # local state -> (automaton, its id, inbox, its id, outcomes); outcomes
         # maps what the poll read beyond the local state to (pending entries
         # appended, whether p halts, monitor after, its id)
@@ -1097,10 +1119,10 @@ class _XEngine(_Engine):
         self.pending_after_delivery: dict[tuple[int, int], int] = {}
         # the initial state's slots, the only ones computed from scratch; no
         # process has crashed, halted or woken
-        slots, identified = array("I"), scenario.identified
+        slots, identified = array("H" if narrow else "I"), scenario.identified
         for p in self.cfg.processes:
             slots.extend((ids[self.automata[p].key()], self.inboxes[p].key(identified, ids), ids[()]))
-        slots.extend((0, 0, 0, self.cfg.f, ids[monitor.key()]))
+        slots.extend((0, 0, 0, ids[monitor.key()]))
         self.state = _XState(self.automata, self.inboxes, [], monitor, slots)
 
     def load(self, state: _XState) -> "_XEngine":
@@ -1137,7 +1159,8 @@ class _XEngine(_Engine):
         verdict is memoized under its local state, and only a miss loads
         `st` into the engine."""
         slots = st.slots
-        crashed, woken, budget = slots[_CRASHED], slots[_WOKEN], slots[_BUDGET]
+        crashed, woken = slots[_CRASHED], slots[_WOKEN]
+        budget = self.cfg.f - crashed.bit_count()
         gone = crashed | slots[_HALTED]
         acts: list[tuple] = []
         for p, (wake, poll, crash) in self.moves.items():
@@ -1191,7 +1214,6 @@ class _XEngine(_Engine):
         view of `st` whose slots already hold p's crash."""
         slots = st.slots[:]
         slots[_CRASHED] |= _BIT(p)
-        slots[_BUDGET] -= 1
         slots[3 * p - 1] = self.ids[()]
         monitor = st.monitor
         if type(monitor).on_crash is not NullMonitor.ignore:
@@ -1247,22 +1269,31 @@ class _XEngine(_Engine):
         crash installs its monitor and drops what is pending to p, and a
         wake or a poll installs p's automaton and inbox, the pending entries
         and the monitor of its outcome.  No poll runs and no hook is
-        called."""
+        called.  The child shares `st`'s containers and gets a copy of only
+        those it replaces an item of: a delivery copies the inbox map and
+        the pending list, a crash the pending list, and a wake or a poll
+        both maps, and the pending list only if it sends or halts."""
         child = st.clone(slots)
         if action[0] == "deliver":
-            child.inboxes[action[1][0]] = found
-            child.pending.remove(action[1])
+            entry = action[1]
+            child.inboxes = dict(st.inboxes)
+            child.inboxes[entry[0]] = found
+            child.pending = list(st.pending)
+            child.pending.remove(entry)
             return child
         p = action[1]
         if action[0] == "crash":
             child.monitor = found
-            child.pending = [m for m in child.pending if m[0] != p]
+            child.pending = [m for m in st.pending if m[0] != p]
             return child
         done, (sent, halts, monitor, _) = found
+        child.automata, child.inboxes = dict(st.automata), dict(st.inboxes)
         child.automata[p], child.inboxes[p], child.monitor = done[0], done[2], monitor
         if halts:
-            child.pending = [m for m in child.pending if m[0] != p]
-        child.pending += sent
+            child.pending = [m for m in st.pending if m[0] != p]
+            child.pending += sent
+        elif sent:
+            child.pending = st.pending + list(sent)
         return child
 
     def _repend(self, slots: array, q: int, message: int, sent: bool) -> None:
@@ -1376,7 +1407,20 @@ def explore(
         raise ScenarioError(
             "exploration chooses crash placements itself; use an empty crash map"
         )
-    engine = _XEngine(scenario, factory, monitor if monitor is not None else NullMonitor(), crash_round_limit)
+    monitor = monitor if monitor is not None else NullMonitor()
+    # 2-byte slots first, where the masks fit; a search whose ids outgrow
+    # them restarts once with 4-byte slots and, being deterministic, finds
+    # what the narrow one would have
+    if scenario.cfg.n < 16:
+        try:
+            return _search(_XEngine(scenario, factory, monitor, crash_round_limit, narrow=True), max_states)
+        except _IdsOutgrown:
+            pass
+    return _search(_XEngine(scenario, factory, monitor, crash_round_limit, narrow=False), max_states)
+
+
+def _search(engine: _XEngine, max_states: int) -> ExploreResult:
+    """`explore`'s breadth-first search, from `engine`'s initial state."""
     init = engine.state
     # the visited keys, and per state in discovery order its parent's index
     # in these arrays and the index in `moves` of the action between

@@ -27,11 +27,12 @@ from anonsim import (
     explore,
     run,
     run_schedule,
+    simulator,
     transforms,
 )
 from anonsim.cli import ALGORITHMS, explore_crash_limit
 from anonsim.simulator import (
-    MAX_TABLE_CELLS, POLICIES, _BUDGET, _MONITOR, _WOKEN, Automaton, Inbox, NullMonitor, Simulation, _XEngine, _XState,
+    MAX_TABLE_CELLS, POLICIES, _MONITOR, _WOKEN, Automaton, Inbox, NullMonitor, Simulation, _XEngine, _XState,
 )
 from anonsim.verify import check_trace, monitor_for
 
@@ -612,6 +613,107 @@ class TestExplore:
         res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", 4, 1, sc.inputs), max_states=20_000)
         assert res.partial and clones["state"] == res.states - 1 == 19_999
 
+    @staticmethod
+    def keyed_widths(monkeypatch) -> tuple[list[bool], Counter]:
+        """Record, for each explore engine made, whether it is narrow, and
+        per keyed state its key's length and its slot count."""
+        narrows, widths = [], Counter()
+        init, key = _XEngine.__init__, _XState.key
+
+        def recorded_init(engine, *args, narrow):
+            narrows.append(narrow)
+            init(engine, *args, narrow=narrow)
+
+        def recorded_key(st):
+            got = key(st)
+            widths[len(got), len(st.slots)] += 1
+            return got
+
+        monkeypatch.setattr(_XEngine, "__init__", recorded_init)
+        monkeypatch.setattr(_XState, "key", recorded_key)
+        return narrows, widths
+
+    def test_keys_take_two_bytes_a_slot(self, monkeypatch):
+        # an ordinary search keys its states 2 bytes a slot: three slots per
+        # process and the crashed, halted and woken masks and the monitor id
+        narrows, widths = self.keyed_widths(monkeypatch)
+        sc = scenario("floodmax", 3, 1, inputs=(0, 1, 1))
+        res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", 3, 1, sc.inputs))
+        assert res.states == 3837 and narrows == [True] and widths == {(26, 13): res.states}
+
+    def test_outgrown_ids_restart_with_wide_slots(self, monkeypatch):
+        # a search whose intern table would mint an id past the narrow
+        # capacity restarts once with 4-byte slots; with the capacity lowered
+        # to 40 ids every job below restarts, and returns the result of the
+        # unpatched search field for field, witnesses, profiles and the polls
+        # computed and reused included
+        names = {"lockmin n=3 f=0", "leadervote n=3 f=0", "stable-suspector n=2 f=1", "flood-min n=2 f=1",
+                 "lonely-lock n=2 f=0", "even-lock n=3 f=0"}
+        jobs = [(algorithm, factory, sc) for name, algorithm, factory, sc in explore_jobs() if name in names]
+        # Known defect 1, with its agreement witnesses
+        jobs.append(("floodmax", factory_of("floodmax"), scenario("floodmax", 3, 1, inputs=(0, 0, 1))))
+
+        def explored(algorithm, factory, sc):
+            return explore(sc, factory, monitor=monitor_for(algorithm, sc.cfg.n, sc.cfg.f, sc.inputs),
+                           crash_round_limit=explore_crash_limit(sc))
+
+        unpatched = [explored(*job) for job in jobs]
+        assert len(jobs) == 7 and sum(res.violation_count > 0 for res in unpatched) == 3
+        narrows, widths = self.keyed_widths(monkeypatch)
+        monkeypatch.setattr(simulator, "_NARROW_IDS", 40)
+        for job, expected in zip(jobs, unpatched):
+            narrows.clear()
+            widths.clear()
+            res = explored(*job)
+            assert narrows == [True, False] and res == expected, job[2]
+            # the narrow search keyed some states before it restarted
+            slots = 3 * job[2].cfg.n + 4
+            assert widths[4 * slots, slots] == res.states and 0 < widths[2 * slots, slots] < res.states
+
+    def test_sixteen_processes_keyed_wide(self, monkeypatch):
+        # the mask bit of process 16 does not fit 2 bytes, so a search at
+        # n=16 keeps 4-byte slots from the start
+        narrows, widths = self.keyed_widths(monkeypatch)
+        sc = scenario("floodmax", 16, 1)
+        res = explore(sc, factory_of("floodmax"), max_states=200)
+        assert res.partial and res.states == 200 and res.violation_count == 0
+        assert narrows == [False] and widths == {(4 * 52, 52): 200}
+
+    def test_built_states_never_change(self, monkeypatch):
+        # a child shares its parent's maps of automata and of inboxes and
+        # its pending list, and copies only those its action replaces an
+        # item of: a delivery child shares its parent's automata map, a crash
+        # child that and its inbox map too; no container of a built state,
+        # nor an automaton or an inbox in it, changes later in the search
+        build = _XEngine.build
+        states, shared = {}, Counter()
+
+        def contents(st):
+            return ([(p, id(a), a.key()) for p, a in st.automata.items()],
+                    [(p, id(i), i.floor, dict(i.by_round), i.untagged) for p, i in st.inboxes.items()],
+                    list(st.pending))
+
+        def checked_build(engine, st, action, slots, found):
+            states.setdefault(id(st), (st, contents(st)))  # the initial state, as it is first expanded
+            child = build(engine, st, action, slots, found)
+            states[id(child)] = child, contents(child)
+            if action[0] in ("deliver", "crash"):
+                assert child.automata is st.automata
+                shared[action[0]] += 1
+            if action[0] == "crash":
+                assert child.inboxes is st.inboxes
+            return child
+
+        monkeypatch.setattr(_XEngine, "build", checked_build)
+        for _, algorithm, factory, sc in explore_jobs():
+            states.clear()
+            res = explore(sc, factory, monitor=monitor_for(algorithm, sc.cfg.n, sc.cfg.f, sc.inputs),
+                          crash_round_limit=explore_crash_limit(sc))
+            assert len(states) == res.states, sc
+            for st, before in states.values():
+                assert contents(st) == before, sc
+        assert shared["deliver"] > 5_000 and shared["crash"] > 100
+
     def test_delivery_children_share_their_parents_monitor(self, monkeypatch):
         # a delivery calls no monitor hook, so a built delivery child shares
         # its parent's monitor, and so does a crash child when no monitor has
@@ -656,9 +758,10 @@ class TestExplore:
         # a child's slots are its parent's with those its action changed
         # rewritten: recompute every per-process slot and the monitor's slot
         # of each keyed state from scratch, and check the other global slots,
-        # the only record of the crashed and halted sets and the crash
-        # budget, against what they imply; build each derived delivery,
-        # skipped or not, to check its slots and that its key was visited
+        # the only record of the crashed and halted sets, against what they
+        # imply (the crash budget left, f less the crashed count, is no slot
+        # of its own); build each derived delivery, skipped or not, to check
+        # its slots and that its key was visited
         key, delivered, init = _XState.key, _XEngine.delivered, _XEngine.__init__
         visited: set[bytes] = set()
         derived_keys: list[bytes] = []
@@ -666,8 +769,8 @@ class TestExplore:
         engines = []  # the engine of the job being explored is the last
         identified, crash_limit = False, 0  # those of the job being explored
 
-        def kept_init(engine, *args):
-            init(engine, *args)
+        def kept_init(engine, *args, **kwargs):
+            init(engine, *args, **kwargs)
             engines.append(engine)
 
         def check_slots(st, slots, identified, ids):
@@ -677,7 +780,7 @@ class TestExplore:
                     ids[automaton.key()], st.inboxes[p].key(identified, ids), ids[pending]
                 ]
             assert slots[_MONITOR] == ids[st.monitor.key()]
-            assert slots[_BUDGET] + len(st.crashed) == crash_limit
+            assert len(slots) == 3 * len(st.automata) + 4 and len(st.crashed) <= crash_limit
             assert not any(m[0] in st.crashed or m[0] in st.halted for m in st.pending)
 
         def checked_key(st):
