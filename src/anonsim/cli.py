@@ -44,7 +44,8 @@ from .simulator import (
     run,
     run_schedule,
 )
-from .verify import ALGORITHMS, algorithm_info  # ALGORITHMS: re-exported table
+# re-exported for library callers: the table, the crash-round limit and `prepare`
+from .verify import ALGORITHMS, algorithm_info, explore_crash_limit, prepare as normalize_scenario
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -56,21 +57,6 @@ CAMPAIGN_CHUNK = 16  # seeds per task handed to a campaign worker
 
 class UsageError(Exception):
     pass
-
-
-def normalize_scenario(scenario: ScenarioConfig) -> ScenarioConfig:
-    """Cross-check the scenario against the algorithm registry."""
-    info = algorithm_info(scenario.algorithm)
-    if scenario.oracle_kind not in info.oracle_kinds:
-        raise ScenarioError(
-            f"algorithm {info.name!r} runs on oracle kinds {list(info.oracle_kinds)}, "
-            f"not {scenario.oracle_kind!r}"
-        )
-    if info.consensus and len(scenario.inputs) != scenario.cfg.n:
-        raise ScenarioError(f"algorithm {info.name!r} needs one binary input per process")
-    if info.majority and scenario.cfg.n <= 2 * scenario.cfg.f:
-        raise ScenarioError(f"algorithm {info.name!r} needs n > 2f")
-    return replace(scenario, identified=info.identified)
 
 
 def _read_json(path: str | Path, what: str):
@@ -95,7 +81,7 @@ def _write(files: dict[Path, str], directory: Path | None = None) -> None:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    """A scenario file, parsed and validated, not yet normalized."""
+    """A scenario file, parsed and validated, not yet prepared (`verify.prepare`)."""
     return ScenarioConfig.from_dict(_read_json(path, "scenario"))
 
 
@@ -120,7 +106,7 @@ def _print_reports(reports: list[verify.CheckReport], reproduce: str | None = No
 
 
 def _campaign_worker(scenario: ScenarioConfig, seed: int) -> dict:
-    """One seed of a campaign over `scenario`, which is normalized."""
+    """One seed of a campaign over `scenario`, which `verify.prepare` made."""
     _, reports, ok = run_and_check(scenario.reseeded(seed))
     return {"seed": seed, "reports": [r.to_dict() for r in reports], "ok": ok}
 
@@ -133,7 +119,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         scenario = replace(scenario, horizon=args.horizon)
     if args.policy is not None:
         scenario = replace(scenario, policy=args.policy)
-    scenario = normalize_scenario(scenario)
+    scenario = verify.prepare(scenario)
     trace, reports, ok = run_and_check(scenario)
 
     out = Path(args.out)
@@ -166,7 +152,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         raise ScenarioError("campaign file needs a JSON object with a 'scenario' template")
     if int_field(doc, "schema", SCHEMA) != SCHEMA:
         raise ScenarioError(f"unsupported campaign schema {doc['schema']!r}")
-    scenario = normalize_scenario(ScenarioConfig.from_dict(doc["scenario"]))
+    scenario = verify.prepare(ScenarioConfig.from_dict(doc["scenario"]))
     jobs = args.jobs if args.jobs is not None else int_field(doc, "jobs", 1)
     if jobs < 1:
         raise ScenarioError(f"jobs must be at least 1, not {jobs}")
@@ -233,22 +219,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     return EXIT_OK if not failures else EXIT_PROPERTY
 
 
-def _default_rounds(scenario: ScenarioConfig) -> int | None:
-    info = algorithm_info(scenario.algorithm)
-    if info.consensus or scenario.rounds is not None:
-        return scenario.rounds
-    return scenario.cfg.f + 5
-
-
-def explore_crash_limit(scenario: ScenarioConfig) -> int | None:
-    """Latest round a crash may strike during exploration (see
-    `verify.AlgorithmInfo.crash_margin`)."""
-    margin = algorithm_info(scenario.algorithm).crash_margin
-    if scenario.rounds is None or margin is None:
-        return None
-    return max(scenario.rounds - margin(scenario.cfg.f), 0)
-
-
 def peak_rss_mb() -> float:
     """The high-water mark of this process's resident set, in MiB."""
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -259,9 +229,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = scenario.reseeded(args.seed)
-    scenario = normalize_scenario(scenario)
+    scenario = verify.prepare(scenario)
     info = algorithm_info(scenario.algorithm)
-    scenario = replace(scenario, rounds=_default_rounds(scenario))
     monitor = verify.monitor_for(
         scenario.algorithm, scenario.cfg.n, scenario.cfg.f, scenario.inputs
     )
@@ -311,7 +280,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read trace file: {exc}")
     trace = Trace.from_jsonl(text)
-    if normalize_scenario(trace.scenario) != trace.scenario:
+    if verify.prepare(trace.scenario) != trace.scenario:
         raise ScenarioError("the trace's scenario differs from what run would record for it")
     # a run applies each scheduled crash at its step, unless it ended first
     last = max((ev["step"] for ev in trace.events), default=-1)

@@ -1027,6 +1027,7 @@ _CRASHED, _HALTED, _WOKEN, _MONITOR = range(-4, 0)
 # 2-byte slots hold values below 1 << 16: the masks of up to 15 processes,
 # and the ids of a table of this capacity
 _NARROW_IDS = 1 << 16
+_MAX_EXPLORE_N = array("I").itemsize * 8 - 1  # the most processes a 4-byte mask holds, bit p for p
 
 
 class _Procs(dict):
@@ -1398,11 +1399,14 @@ def explore(
     need it: their completeness clauses are eventual, so only crashes that
     leave enough rounds before the cap can be witnessed by the final state.
 
-    The state budget alone bounds the search, at any n: reaching it ends the
-    search with `partial` set.
+    The state budget bounds the search: reaching it ends the search with
+    `partial` set.  A set of processes is one key slot's bit mask, so n is
+    at most 31; a larger n is a `ScenarioError`.
     """
     if max_states < 1:
         raise ScenarioError(f"the state budget must be at least 1, not {max_states}")
+    if scenario.cfg.n > _MAX_EXPLORE_N:
+        raise ScenarioError(f"explore takes at most {_MAX_EXPLORE_N} processes, not n={scenario.cfg.n}")
     if scenario.pattern.crash_steps:
         raise ScenarioError(
             "exploration chooses crash placements itself; use an empty crash map"

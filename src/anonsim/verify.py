@@ -18,12 +18,13 @@ Also here: the symmetric / unsymmetrical classification of detector output,
 and permutation closure of a detector history.  `ALGORITHMS`, at the very
 bottom, is the one table of registered algorithms: each entry names its
 automaton factory, its oracle kinds, its monitors and its exploration and
-campaign bounds.
+campaign bounds.  `prepare`, beside it, makes a scenario the system that
+every command runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from operator import attrgetter
@@ -33,7 +34,7 @@ from typing import Any, Callable
 from . import consensus, detectors, transforms
 from .detectors import CRASH_COUNT, EVENTUAL_CRASH_COUNT, EVENTUALLY_PERFECT, LEADER, PERFECT, SELF_TRUST, DetectorSpec
 from .model import DetectorHistory, FailurePattern, is_anonymous
-from .simulator import NullMonitor, ScenarioError, Trace
+from .simulator import NullMonitor, ScenarioConfig, ScenarioError, Trace
 
 PASS = "pass"
 FAIL = "fail"
@@ -543,3 +544,28 @@ def algorithm_info(name: str) -> AlgorithmInfo:
         return ALGORITHMS[name]
     except KeyError:
         raise ScenarioError(f"unknown algorithm {name!r} (choose from {sorted(ALGORITHMS)})")
+
+
+def prepare(scenario: ScenarioConfig) -> ScenarioConfig:
+    """The scenario as `run`, `campaign`, `explore` and `check` all take it:
+    checked against its algorithm's entry, with `identified` from it, and a
+    transformation with no `rounds` capped at f+5, so a lone live process halts."""
+    info = algorithm_info(scenario.algorithm)
+    if scenario.oracle_kind not in info.oracle_kinds:
+        raise ScenarioError(f"algorithm {info.name!r} runs on oracle kinds {list(info.oracle_kinds)}, "
+                            f"not {scenario.oracle_kind!r}")
+    if info.consensus and not scenario.inputs:  # a scenario checks the count of the inputs it has
+        raise ScenarioError(f"algorithm {info.name!r} needs one binary input per process")
+    if info.majority and scenario.cfg.n <= 2 * scenario.cfg.f:
+        raise ScenarioError(f"algorithm {info.name!r} needs n > 2f")
+    rounds = scenario.cfg.f + 5 if scenario.rounds is None and not info.consensus else scenario.rounds
+    return replace(scenario, identified=info.identified, rounds=rounds)
+
+
+def explore_crash_limit(scenario: ScenarioConfig) -> int | None:
+    """Latest round a crash may strike during exploration (see
+    `AlgorithmInfo.crash_margin`)."""
+    margin = algorithm_info(scenario.algorithm).crash_margin
+    if scenario.rounds is None or margin is None:
+        return None
+    return max(scenario.rounds - margin(scenario.cfg.f), 0)

@@ -7,9 +7,8 @@ from dataclasses import dataclass
 from anonsim import (
     DetectorHistory, FailurePattern, OracleProfile, Permutation, ReceiveLog, ScenarioConfig, SystemConfig, Trace,
 )
-from anonsim.cli import ALGORITHMS
 from anonsim.transforms import max_id_self_trust
-from anonsim.verify import CheckReport, check_trace
+from anonsim.verify import ALGORITHMS, CheckReport, check_trace, prepare
 
 
 def scenario(
@@ -29,7 +28,7 @@ def scenario(
     info = ALGORITHMS[algorithm]
     if inputs is None:
         inputs = (0,) * n if info.consensus else ()
-    return ScenarioConfig(
+    return prepare(ScenarioConfig(
         cfg=SystemConfig(n, f),
         algorithm=algorithm,
         inputs=tuple(inputs),
@@ -40,8 +39,7 @@ def scenario(
         seed=seed,
         horizon=horizon,
         rounds=rounds,
-        identified=info.identified,
-    )
+    ))
 
 
 def factory_of(algorithm: str):

@@ -37,10 +37,9 @@ from anonsim import (
     DetectorHistory, DetectorSpec, Environment, FailurePattern, OracleProfile, SystemConfig, explore, run,
     sample_history,
 )
-from anonsim.cli import ALGORITHMS, explore_crash_limit
 from anonsim.detectors import ALL_KINDS, BEHAVIORS, COUNT_KINDS, CRASH_COUNT, LEADER, SELF_TRUST
 from anonsim.model import history_to_json
-from anonsim.verify import check_trace, monitor_for
+from anonsim.verify import ALGORITHMS, check_trace, explore_crash_limit, monitor_for
 
 GRID_SHA256 = "95de135c7bc70f97a29f85f2715a70c6df564a49270d645fa2baf3ef47ee40eb"
 GRID_TABLES = 2376

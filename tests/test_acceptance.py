@@ -45,14 +45,15 @@ from anonsim import (
     run,
     sample_history,
 )
-from anonsim.cli import ALGORITHMS, explore_crash_limit
 from anonsim.transforms import (
     count_weakening,
     leader_self_trust,
     output_history,
     suspected_count,
 )
-from anonsim.verify import check_consensus, check_lemma_invariants, check_trace, monitor_for
+from anonsim.verify import (
+    ALGORITHMS, check_consensus, check_lemma_invariants, check_trace, explore_crash_limit, monitor_for,
+)
 
 SWEEP = 1000
 

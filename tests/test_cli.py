@@ -15,7 +15,7 @@ from helpers import forced_id_factory, scenario
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from anonsim import ScenarioConfig, Trace, cli, run, run_schedule
+from anonsim import ScenarioConfig, Trace, cli, run, run_schedule, verify
 from anonsim.cli import ALGORITHMS, main
 from anonsim.verify import FAIL, CheckReport
 
@@ -33,6 +33,17 @@ FLOODMAX = {
 }
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+# a heartbeat transformation with no `rounds` whose only other process
+# crashes: the lone live process finishes each round on its own heartbeat
+LONE_SURVIVOR = {
+    "schema": 1,
+    "algorithm": "stable-suspector",
+    "n": 2,
+    "f": 1,
+    "crash": {"2": 5},
+    "oracle": {"kind": "crash-count", "behavior": "optimistic"},
+}
 
 
 def write(tmp_path, name, doc):
@@ -499,6 +510,40 @@ class TestCampaign:
         assert json.loads(serial.read_text()) == json.loads(parallel.read_text())
 
 
+class TestOnePreparation:
+    """`run`, `campaign`, `explore` and `check` each take a scenario as
+    `verify.prepare` makes it, so every command runs one system."""
+
+    def test_cli_names_are_the_verify_functions(self):
+        assert cli.normalize_scenario is verify.prepare
+        assert cli.explore_crash_limit is verify.explore_crash_limit
+        assert cli.ALGORITHMS is verify.ALGORITHMS
+
+    @pytest.mark.parametrize("algorithm", ["stable-suspector", "eventual-suspector", "random-selftrust"])
+    @pytest.mark.parametrize("n, f, crash", [(2, 1, {"2": 5}), (1, 0, {})], ids=["crash", "n1"])
+    def test_roundless_transformation_with_one_live_process_ends(self, tmp_path, capsys, algorithm, n, f, crash):
+        # with no round cap, a lone live process looped until the engine's
+        # poll limit, and `run` and `campaign` exited 3
+        doc = dict(LONE_SURVIVOR, algorithm=algorithm, n=n, f=f, crash=crash)
+        assert main(["run", write(tmp_path, "s.json", doc), "--out", str(tmp_path / "out")]) in (0, 1)
+        campaign = {"schema": 1, "seeds": {"start": 0, "count": 3}, "scenario": doc}
+        assert main(["campaign", write(tmp_path, "c.json", campaign)]) in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_roundless_run_records_its_cap_and_checks(self, tmp_path, capsys):
+        assert main(["run", write(tmp_path, "s.json", LONE_SURVIVOR), "--out", str(tmp_path / "out")]) == 0
+        trace_file = tmp_path / "out" / "stable-suspector-seed0.trace.jsonl"
+        lines = trace_file.read_text().splitlines()
+        meta = json.loads(lines[0])
+        assert meta["scenario"]["rounds"] == LONE_SURVIVOR["f"] + 5
+        assert main(["check", str(trace_file)]) == 0
+        # a trace whose scenario has no cap records a system no command runs
+        meta["scenario"]["rounds"] = None
+        trace_file.write_text("\n".join([json.dumps(meta), *lines[1:]]) + "\n")
+        assert main(["check", str(trace_file)]) == 2
+        assert "differs from what run would record" in capsys.readouterr().err
+
+
 class TestExplore:
     def test_explore_reports_counts(self, tmp_path, capsys):
         doc = {
@@ -592,6 +637,18 @@ class TestExplore:
         assert main(["explore", write(tmp_path, "e.json", doc)]) == 0
         out = capsys.readouterr().out.splitlines()
         assert f"explored states: {states}" in out and f"terminal states: {terminals}" in out
+
+    @pytest.mark.parametrize("n, code", [(31, 1), (32, 2)])
+    def test_more_processes_than_a_key_slot_masks_exit_2(self, tmp_path, capsys, n, code):
+        # n=32 once raised OverflowError from a process mask, exit 3; n=31
+        # is a partial search
+        doc = scenario("floodmax", n, 1, inputs=(0,) * (n - 1) + (1,)).to_dict()
+        assert main(["explore", write(tmp_path, "e.json", doc), "--max-states", "200"]) == code
+        captured = capsys.readouterr()
+        if code == 1:
+            assert "PARTIAL" in captured.out
+        else:
+            assert "explore takes at most 31 processes, not n=32" in captured.err
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_budget_below_one_exits_2(self, tmp_path, capsys, budget):

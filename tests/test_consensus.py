@@ -1,12 +1,13 @@
 """Protocol-level behavior of the three consensus automata."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from helpers import decisions, factory_of, halts, scenario
 
-from anonsim import explore, run
-from anonsim.verify import check_consensus, check_lemma_invariants, monitor_for
+from anonsim import ScenarioError, explore, run
+from anonsim.verify import check_consensus, check_lemma_invariants, monitor_for, prepare
 
 
 def explore_ok(algorithm, n, f, inputs, **kwargs):
@@ -82,14 +83,10 @@ class TestLockMin:
         assert res.violation_count == 0
 
     def test_majority_precondition_rejected(self):
-        from anonsim.cli import normalize_scenario
-
         sc = scenario("floodmax", 3, 2, inputs=(0, 1, 1))
-        from dataclasses import replace
-
         bad = replace(sc, algorithm="lockmin", oracle_kind="eventual-crash-count")
-        with pytest.raises(Exception):
-            normalize_scenario(bad)  # n <= 2f
+        with pytest.raises(ScenarioError, match="n > 2f"):
+            prepare(bad)  # n <= 2f
 
     def test_adversarial_runs_decide_after_convergence(self):
         for seed in range(20):

@@ -30,11 +30,10 @@ from anonsim import (
     simulator,
     transforms,
 )
-from anonsim.cli import ALGORITHMS, explore_crash_limit
 from anonsim.simulator import (
     MAX_TABLE_CELLS, POLICIES, _MONITOR, _WOKEN, Automaton, Inbox, NullMonitor, Simulation, _XEngine, _XState,
 )
-from anonsim.verify import check_trace, monitor_for
+from anonsim.verify import ALGORITHMS, check_trace, explore_crash_limit, monitor_for
 
 # the fields that stay constant through a run of one process
 CONSTANTS = ("n", "f", "proc", "rounds_cap", "ticks_cap")
@@ -1192,6 +1191,16 @@ class TestExplore:
                       max_states=20_000)
         assert res.partial and not res.ok
         assert res.states == 20_000
+
+    def test_n_beyond_a_key_slots_masks_rejected(self):
+        # a process set is one 4-byte slot's mask: n=32 once raised
+        # OverflowError at the first wake, and n=31 still searches
+        wide = scenario("floodmax", 32, 1, inputs=(0,) * 31 + (1,))
+        with pytest.raises(ScenarioError, match="at most 31 processes, not n=32"):
+            explore(wide, factory_of("floodmax"), monitor=monitor_for("floodmax", 32, 1, wide.inputs), max_states=200)
+        sc = scenario("floodmax", 31, 1, inputs=(0,) * 30 + (1,))
+        res = explore(sc, factory_of("floodmax"), monitor=monitor_for("floodmax", 31, 1, sc.inputs), max_states=200)
+        assert res.partial and res.states == 200
 
 
 def test_no_poll_or_probe_reaches_a_halted_or_crashed_process(monkeypatch):

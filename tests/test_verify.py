@@ -20,7 +20,6 @@ from anonsim import (
     run_schedule,
     sample_history,
 )
-from anonsim.cli import ALGORITHMS, explore_crash_limit
 from anonsim.simulator import Automaton, NullMonitor, Trace
 from anonsim.transforms import output_history
 from anonsim.verify import (
@@ -36,7 +35,9 @@ from anonsim.verify import (
     check_permutation_closure,
     check_trace,
     classify_symmetry,
+    explore_crash_limit,
     monitor_for,
+    prepare,
 )
 
 
@@ -261,6 +262,31 @@ class TestLemmaCheckers:
         trace.scenario = replace(trace.scenario, algorithm="no-such-algorithm")
         with pytest.raises(ValueError):
             check_lemma_invariants(trace)
+
+
+class TestPrepare:
+    # `prepare` makes a scenario the system every command runs
+    def test_oracle_kind_outside_the_entry_rejected(self):
+        sc = replace(scenario("floodmax", 3, 1), oracle_kind=SELF_TRUST)
+        with pytest.raises(ScenarioError, match="runs on oracle kinds \\['crash-count'\\], not 'self-trust'"):
+            prepare(sc)
+
+    def test_consensus_without_inputs_rejected(self):
+        sc = replace(scenario("floodmax", 3, 1), inputs=())
+        with pytest.raises(ScenarioError, match="needs one binary input per process"):
+            prepare(sc)
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_defaults_come_from_the_entry(self, algorithm):
+        info = ALGORITHMS[algorithm]
+        sc = replace(scenario(algorithm, 3, 1), identified=not info.identified, rounds=None)
+        prepared = prepare(sc)
+        assert prepared.identified == info.identified
+        # a transformation with no cap gets f+5 rounds; a set cap, and a
+        # consensus protocol, keep their own
+        assert prepared.rounds == (None if info.consensus else 1 + 5)
+        assert prepare(replace(sc, rounds=3)).rounds == 3
+        assert prepare(prepared) == prepared
 
 
 class Sent(_Property):
