@@ -89,12 +89,17 @@ class FailurePattern:
         return max((s for _, s in self.crash_steps), default=0)
 
 
-def correct_set(pattern: FailurePattern, cfg: SystemConfig) -> frozenset[int]:
-    """P - crashed(F); rejects patterns outside cfg's crash budget."""
+def check_budget(pattern: FailurePattern, cfg: SystemConfig) -> None:
+    """Reject a pattern outside cfg's crash budget, building no process set."""
     if pattern.n != cfg.n:
         raise ValueError(f"pattern is over n={pattern.n}, config has n={cfg.n}")
     if len(pattern.crashed) > cfg.f:
         raise ValueError(f"pattern crashes {len(pattern.crashed)} processes, bound is f={cfg.f}")
+
+
+def correct_set(pattern: FailurePattern, cfg: SystemConfig) -> frozenset[int]:
+    """P - crashed(F); rejects patterns outside cfg's crash budget."""
+    check_budget(pattern, cfg)
     return pattern.correct
 
 
@@ -324,7 +329,7 @@ def pattern_from_dict(doc: dict) -> tuple[SystemConfig, FailurePattern]:
 
 def pattern_from_json(text: str) -> tuple[SystemConfig, FailurePattern]:
     cfg, pattern = pattern_from_dict(_json_object(text, "pattern"))
-    correct_set(pattern, cfg)  # reject patterns outside the budget
+    check_budget(pattern, cfg)
     return cfg, pattern
 
 

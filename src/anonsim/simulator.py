@@ -86,7 +86,7 @@ from .detectors import (
     OracleRuntime,
     sample_history,
 )
-from .model import FailurePattern, SystemConfig, cell_to_json, correct_set, pattern_from_dict
+from .model import FailurePattern, SystemConfig, cell_to_json, check_budget, pattern_from_dict
 
 SCHEMA = 1
 
@@ -166,7 +166,7 @@ class ScenarioConfig:
         if self.oracle_kind not in ALL_KINDS:
             raise ScenarioError(f"unknown oracle kind {self.oracle_kind!r}")
         try:
-            correct_set(self.pattern, self.cfg)
+            check_budget(self.pattern, self.cfg)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
         if self.pattern.crash_steps and self.pattern.last_crash >= horizon:
@@ -415,13 +415,6 @@ class Trace:
     def __post_init__(self) -> None:
         self.crashes = {ev["proc"]: ev["step"] for ev in self.events if ev["ev"] == "crash"}
 
-    def outputs(self, proc: int) -> list[tuple[int, Any]]:
-        return [
-            (ev["step"], ev["value"])
-            for ev in self.events
-            if ev["ev"] == "output" and ev["proc"] == proc
-        ]
-
     def to_jsonl(self) -> str:
         """One line per event between a meta and an end line, each byte for
         byte `json.dumps(line, sort_keys=True)`.
@@ -476,6 +469,9 @@ class Trace:
         if not isinstance(truncated, bool) or type(pending) is not int:
             raise ScenarioError("trace end line needs a boolean 'truncated' and an integer 'pending'")
         events = [_event(doc, scenario) for doc in lines[1:-1]]
+        steps = [0, *(ev["step"] for ev in events), scenario.effective_horizon]
+        if steps != sorted(steps):
+            raise ScenarioError(f"trace events must come in step order, none past the horizon {steps[-1]}")
         return cls(scenario=scenario, events=events, truncated=truncated, pending=pending)
 
 

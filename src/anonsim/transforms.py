@@ -235,21 +235,15 @@ _OUTPUT_DEFAULTS: dict[str, Callable[[int, int], Any]] = {
 
 
 def output_history(trace: Trace, target_kind: str) -> DetectorHistory:
-    """Assemble the emulated target history from a trace's output events."""
+    """Assemble the emulated target history from a trace's output events: a
+    process's cell at step t is its last output at a step up to t."""
     n = trace.scenario.cfg.n
     horizon = max((ev["step"] for ev in trace.events), default=0)
+    outputs = {(ev["proc"], ev["step"]): cell_from_json(ev["value"]) for ev in trace.events if ev["ev"] == "output"}
     rows = []
     for p in range(1, n + 1):
-        series = [(step, cell_from_json(value)) for step, value in trace.outputs(p)]
-        row = []
         value = _OUTPUT_DEFAULTS[target_kind](p, n)
-        i = 0
-        for t in range(horizon + 1):
-            while i < len(series) and series[i][0] <= t:
-                value = series[i][1]
-                i += 1
-            row.append(value)
-        rows.append(tuple(row))
+        rows.append(tuple(value := outputs.get((p, t), value) for t in range(horizon + 1)))
     return DetectorHistory(
         kind=target_kind,
         n=n,

@@ -6,13 +6,14 @@ stubbornness, lock exclusivity, decision spread, unique decision payloads,
 bounded round skew, distinct random identifiers) and the validity of a
 transformation's emulated detector history.  Each of the first two kinds is
 one monitor (a `NullMonitor`): hooks that check events as they happen and
-terminal checks of the final state.  `explore` runs an algorithm's monitors
-as one flat monitor (`monitor_for`), their memory folded into each explored
-state's identity, and `check_trace` runs them over a trace's events, on a
-view built from them: it reports each property's first failure with a
-witness that can be found again in the trace, and liveness as `truncated`
-when the run hit its horizon.  Target validity is checked on the whole
-emulated history.
+terminal checks of the final state.  An algorithm's entry lists every
+monitor that checks it, a consensus protocol's `ConsensusMonitor` first.
+`explore` runs them as one flat monitor (`monitor_for`), their memory folded
+into each explored state's identity, and `check_trace` runs them over a
+trace's events in one replay, on a view built from them: it reports each
+property's first failure with a witness that can be found again in the
+trace, and liveness as `truncated` when the run hit its horizon.  Target
+validity is checked on the whole emulated history.
 
 Also here: the symmetric / unsymmetrical classification of detector output,
 and permutation closure of a detector history.  `ALGORITHMS`, at the very
@@ -72,12 +73,13 @@ def check_target_validity(trace: Trace) -> CheckReport:
 
 
 def check_consensus(trace: Trace) -> list[CheckReport]:
-    """Termination, irrevocability, agreement, validity for one trace."""
+    """Termination, irrevocability, agreement, validity; tests and perfbench/tracer.py bind it by name."""
     return _replay(trace, (ConsensusMonitor,))
 
 
 def check_lemma_invariants(trace: Trace) -> list[CheckReport]:
-    """The properties of the monitors the trace's algorithm lists."""
+    """Every property the trace's algorithm lists a monitor for, in the one
+    replay `check_trace` makes; tests and perfbench/tracer.py bind it by name."""
     return _replay(trace, algorithm_info(trace.scenario.algorithm).monitors)
 
 
@@ -85,8 +87,7 @@ def check_trace(trace: Trace) -> list[CheckReport]:
     """Every check that applies to the trace's algorithm; `run`, `campaign`
     and `check` all report exactly these."""
     info = algorithm_info(trace.scenario.algorithm)
-    reports = check_consensus(trace) if info.consensus else [check_target_validity(trace)]
-    return reports + check_lemma_invariants(trace)
+    return ([] if info.consensus else [check_target_validity(trace)]) + check_lemma_invariants(trace)
 
 
 @dataclass
@@ -413,7 +414,7 @@ def monitor_for(algorithm: str, n: int, f: int, inputs: tuple[int, ...]):
     order.  The profile is the first one's; the peer fields are the union
     of theirs (None if any is None)."""
     info = algorithm_info(algorithm)
-    members = [make(n, f, inputs) for make in ((ConsensusMonitor,) if info.consensus else ()) + info.monitors]
+    members = [make(n, f, inputs) for make in info.monitors]
     if not members:
         raise ScenarioError(f"algorithm {algorithm!r} has no exploration monitor, so it cannot be explored")
     fields = {}
@@ -502,9 +503,9 @@ class AlgorithmInfo:
     identified: bool
     majority: bool = False  # needs n > 2f
     target_kind: str | None = None  # emulated detector, for transformations
-    # (n, f, inputs) -> monitor, one per property of the entry's own; a
-    # consensus protocol is checked by ConsensusMonitor first, and a
-    # transformation's trace by its target validity first
+    # (n, f, inputs) -> monitor: every property the entry is checked by, a
+    # consensus protocol's ConsensusMonitor first; a transformation's trace
+    # is checked by its target validity before these
     monitors: tuple[Callable[[int, int, tuple[int, ...]], _Property], ...] = ()
     # rounds a crash must leave before the round cap during exploration, given
     # f: the suspectors' completeness clauses are eventual, and a finite cap
@@ -521,11 +522,12 @@ class AlgorithmInfo:
 ALGORITHMS = {
     info.name: info
     for info in (
-        AlgorithmInfo("floodmax", consensus.flood_max, (CRASH_COUNT,), False, monitors=(StubbornnessMonitor,)),
+        AlgorithmInfo("floodmax", consensus.flood_max, (CRASH_COUNT,), False,
+                      monitors=(ConsensusMonitor, StubbornnessMonitor)),
         AlgorithmInfo("lockmin", consensus.lock_min, (EVENTUAL_CRASH_COUNT, CRASH_COUNT), False, majority=True,
-                      monitors=(LockExclusivityMonitor, DecisionSpreadMonitor)),
+                      monitors=(ConsensusMonitor, LockExclusivityMonitor, DecisionSpreadMonitor)),
         AlgorithmInfo("leadervote", consensus.leader_vote, (SELF_TRUST,), False, majority=True,
-                      monitors=(UniqueDecideMonitor,)),
+                      monitors=(ConsensusMonitor, UniqueDecideMonitor)),
         AlgorithmInfo("eventual-suspector", transforms.eventual_suspector, (EVENTUAL_CRASH_COUNT, CRASH_COUNT), True,
                       target_kind=EVENTUALLY_PERFECT, monitors=(SuspectorMonitor,), crash_margin=lambda f: 1),
         AlgorithmInfo("stable-suspector", transforms.stable_suspector, (CRASH_COUNT,), True, target_kind=PERFECT,

@@ -373,8 +373,7 @@ def explore_jobs():
     round limit `anonsim explore` uses; `job` names the algorithm or mutant,
     n and f.  lonely-lock at n=3 is left out: its 22,058 states take
     seconds."""
-    explorable = [(name, name, info.factory) for name, info in ALGORITHMS.items()
-                  if info.consensus or info.monitors]
+    explorable = [(name, name, info.factory) for name, info in ALGORITHMS.items() if info.monitors]
     explorable += [(name, algorithm, factory) for name, (algorithm, _, factory) in MUTANTS.items()]
     for name, algorithm, factory in explorable:
         info = ALGORITHMS[algorithm]

@@ -52,7 +52,7 @@ from anonsim.transforms import (
     suspected_count,
 )
 from anonsim.verify import (
-    ALGORITHMS, check_consensus, check_lemma_invariants, check_trace, explore_crash_limit, monitor_for,
+    ALGORITHMS, check_trace, explore_crash_limit, monitor_for,
 )
 
 SWEEP = 1000
@@ -71,7 +71,7 @@ def campaign_reports():
         for seed in range(SWEEP):
             sc = campaign_scenario(algorithm, seed)
             trace = run(sc, factory_of(algorithm))
-            reports = check_consensus(trace) + check_lemma_invariants(trace)
+            reports = check_trace(trace)
             per_seed.append((seed, trace.truncated, reports))
         all_reports[algorithm] = per_seed
     return all_reports

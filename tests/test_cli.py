@@ -8,6 +8,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -371,6 +372,27 @@ class TestCheck:
         assert main(["check", str(trace_file)]) == 2
         assert "trace end line needs a boolean 'truncated'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("move", ["past-horizon", "before-previous"])
+    def test_event_past_the_horizon_or_out_of_step_order_exits_2(self, tmp_path, capsys, move):
+        # an event moved past the horizon made `check` build the emulated
+        # history out to its step (8 s and 515 MB at step 2,000,000), and
+        # one moved before its predecessor was replayed out of order
+        sc = scenario("stable-suspector", 3, 1, rounds=3)
+        assert sc.effective_horizon == 450
+        lines = run(sc, ALGORITHMS["stable-suspector"].factory).to_jsonl().splitlines()
+        outputs = [i for i, line in enumerate(lines) if json.loads(line).get("ev") == "output"]
+        i = outputs[-1] if move == "past-horizon" else outputs[len(outputs) // 2]
+        event = json.loads(lines[i])
+        event["step"] = 451 if move == "past-horizon" else json.loads(lines[i - 1])["step"] - 1
+        assert event["step"] >= 0
+        lines[i] = json.dumps(event)
+        if move == "past-horizon":  # in step order: the moved output is the last event
+            lines = [*lines[:i], *lines[i + 1:-1], lines[i], lines[-1]]
+        trace_file = tmp_path / "t.trace.jsonl"
+        trace_file.write_text("\n".join(lines) + "\n")
+        assert main(["check", str(trace_file)]) == 2
+        assert "trace events must come in step order, none past the horizon 450" in capsys.readouterr().err
+
     def test_check_reports_id_collision(self, tmp_path, capsys):
         sc = scenario("random-selftrust", 3, 1, policy="random", seed=4, horizon=900, rounds=8)
         trace_file = tmp_path / "collision.trace.jsonl"
@@ -716,6 +738,20 @@ class TestValidateHistory:
         pp.write_text('{"n": 2, "f": 1, "crash": {}}')
         assert main(["validate-history", "--history", str(hp), "--pattern", str(pp)]) == 2
         assert "error: unknown detector kind 'bogus'" in capsys.readouterr().err
+
+    def test_huge_pattern_rejected_without_building_its_processes(self, tmp_path, capsys):
+        # the crash-budget check built the pattern's correct set first: 429 MB
+        # and about 1 s at n = 4,000,000 before the size mismatch was found
+        hp, pp = write(tmp_path, "h.json", SMALL_HISTORY), write(tmp_path, "p.json", {"n": 4_000_000, "f": 0})
+        tracemalloc.start()
+        try:
+            code = main(["validate-history", "--history", hp, "--pattern", pp])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "history/pattern size does not match the spec" in capsys.readouterr().err
+        assert peak < 20 * 2**20
 
     @pytest.mark.parametrize("history, pattern, error", [
         ({**SMALL_HISTORY, "n": [2]}, SMALL_PATTERN, "malformed input"),

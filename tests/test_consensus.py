@@ -7,7 +7,7 @@ import pytest
 from helpers import decisions, factory_of, halts, scenario
 
 from anonsim import ScenarioError, explore, run
-from anonsim.verify import check_consensus, check_lemma_invariants, monitor_for, prepare
+from anonsim.verify import check_consensus, check_trace, monitor_for, prepare
 
 
 def explore_ok(algorithm, n, f, inputs, **kwargs):
@@ -52,8 +52,7 @@ class TestFloodMax:
                           behavior="adversarial", convergence=90, policy="random", seed=seed)
             trace = run(sc, factory_of("floodmax"))
             assert not trace.truncated
-            assert all(not r.failed for r in check_consensus(trace))
-            assert all(not r.failed for r in check_lemma_invariants(trace))
+            assert all(not r.failed for r in check_trace(trace))
 
 
 class TestLockMin:
@@ -95,8 +94,7 @@ class TestLockMin:
                           seed=seed, horizon=1500)
             trace = run(sc, factory_of("lockmin"))
             assert not trace.truncated
-            assert all(not r.failed for r in check_consensus(trace))
-            assert all(not r.failed for r in check_lemma_invariants(trace))
+            assert all(not r.failed for r in check_trace(trace))
             assert min(step for step, _, _ in
                        (ds[0] for ds in decisions(trace).values())) >= 150
 
@@ -136,8 +134,7 @@ class TestLeaderVote:
                           seed=seed, horizon=1500)
             trace = run(sc, factory_of("leadervote"))
             assert not trace.truncated
-            assert all(not r.failed for r in check_consensus(trace))
-            assert all(not r.failed for r in check_lemma_invariants(trace))
+            assert all(not r.failed for r in check_trace(trace))
 
     # a halted process keeps only its decision, and the Vote value lives only
     # in its message, so states that no later move tells apart merge; the

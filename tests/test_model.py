@@ -1,6 +1,7 @@
 """Model-level objects: failure patterns, permutations, histories, anonymity."""
 
 import random
+import tracemalloc
 
 import pytest
 from helpers import LowestCrashedIndex, compose, cycle, identity, swap
@@ -79,6 +80,20 @@ class TestFailurePattern:
     def test_budget_enforced(self):
         with pytest.raises(ValueError):
             correct_set(FailurePattern.of(3, {1: 0, 2: 0}), SystemConfig(3, 1))
+
+    def test_budget_checked_without_building_the_correct_set(self):
+        # the check built the correct set of all n processes and dropped it:
+        # 429 MB at n = 4,000,000
+        tracemalloc.start()
+        try:
+            cfg, pattern = pattern_from_json('{"n": 4000000, "f": 1, "crash": {"7": 3}}')
+            with pytest.raises(ValueError, match="crashes 1 processes, bound is f=0"):
+                pattern_from_json('{"n": 4000000, "f": 0, "crash": {"7": 3}}')
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (cfg.n, pattern.crashed) == (4_000_000, frozenset({7}))
+        assert peak < 20 * 2**20
 
 
 class TestEnvironment:

@@ -20,6 +20,7 @@ from anonsim import (
     run_schedule,
     sample_history,
 )
+from anonsim import verify
 from anonsim.simulator import Automaton, NullMonitor, Trace
 from anonsim.transforms import output_history
 from anonsim.verify import (
@@ -130,6 +131,21 @@ class TestConsensusChecks:
         failed = [r for r in check_trace(decisions_trace(decides)) if r.failed]
         assert [(r.prop, r.witness, r.detail) for r in failed] == [(prop, witness, detail)]
 
+    @pytest.mark.parametrize("algorithm", ["floodmax", "lockmin", "leadervote"])
+    def test_check_trace_replays_a_consensus_trace_once(self, algorithm, monkeypatch):
+        # the entry's monitors list ConsensusMonitor first, so one replay
+        # reports the consensus properties and the lemmas, in that order
+        sc = scenario(algorithm, 3, 1, inputs=(0, 1, 1), policy="random", seed=3)
+        trace = run(sc, factory_of(algorithm))
+        replays = []
+        replay = verify._replay
+        monkeypatch.setattr(verify, "_replay", lambda *args: replays.append(args) or replay(*args))
+        reports = check_trace(trace)
+        assert len(replays) == 1
+        props = [r.prop for r in reports]
+        assert props[:4] == ["termination", "irrevocability", "agreement", "validity"]
+        assert len(props) == len(set(props)) > 4
+
     def test_checkers_are_pure(self):
         trace = self.good_trace()
         assert [r.to_dict() for r in check_consensus(trace)] == [
@@ -232,12 +248,13 @@ class TestLemmaCheckers:
         report = report_of(trace, "round-skew")
         assert report.verdict == PASS and "max skew" in report.detail
 
-    # lemma names, whether explore has a monitor, and the explore crash round
-    # limit at rounds=10, f=1
+    # the properties of the entry's monitors, whether explore has a monitor,
+    # and the explore crash round limit at rounds=10, f=1
+    CONSENSUS = ["termination", "irrevocability", "agreement", "validity"]
     DISPATCH = {
-        "floodmax": (["stubbornness"], True, None),
-        "lockmin": (["lock-exclusivity", "decision-spread"], True, None),
-        "leadervote": (["unique-decide"], True, None),
+        "floodmax": ([*CONSENSUS, "stubbornness"], True, None),
+        "lockmin": ([*CONSENSUS, "lock-exclusivity", "decision-spread"], True, None),
+        "leadervote": ([*CONSENSUS, "unique-decide"], True, None),
         "eventual-suspector": ([], True, 9),
         "stable-suspector": (["round-skew"], True, 6),
         "leader-announce": ([], False, None),
